@@ -17,7 +17,7 @@
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "cspot/topology.hpp"
-#include "obs/slo/hdr.hpp"
+#include "obs/histogram.hpp"
 
 using namespace xg;
 using namespace xg::cspot;
@@ -26,7 +26,7 @@ namespace {
 
 SampleSet MeasureAppends(Runtime& rt, sim::Simulation& sim, const char* client,
                          const char* host, bool use_cache, int count,
-                         obs::slo::HdrHistogram* hist = nullptr) {
+                         obs::Histogram* hist = nullptr) {
   SampleSet lat;
   AppendOptions opts;
   opts.use_size_cache = use_cache;
@@ -69,7 +69,7 @@ int main() {
     const char* path;
     bool cache;
     SampleSet lat;
-    std::shared_ptr<obs::slo::HdrHistogram> hist;
+    std::shared_ptr<obs::Histogram> hist;
   };
   std::vector<MeasuredRow> measured;
   for (const Path& path : paths) {
@@ -80,7 +80,7 @@ int main() {
       if (!rt.CreateLog(path.host, LogConfig{"log", 1024, 256}).ok()) {
         std::abort();
       }
-      auto hist = std::make_shared<obs::slo::HdrHistogram>();
+      auto hist = std::make_shared<obs::Histogram>();
       const SampleSet lat = MeasureAppends(rt, sim, path.client, path.host,
                                            cache, 30, hist.get());
       measured.push_back({path.name, cache, lat, hist});
@@ -140,8 +140,8 @@ int main() {
     jw.Field("protocol", row.cache ? "size_cache" : "two_phase");
     jw.Field("mean_ms", row.lat.mean());
     jw.Field("stddev_ms", row.lat.stddev());
-    jw.Field("p50_ms", row.hist->PercentileUs(50.0) / 1e3);
-    jw.Field("p99_ms", row.hist->PercentileUs(99.0) / 1e3);
+    jw.Field("p50_ms", row.hist->Percentile(50.0) / 1e3);
+    jw.Field("p99_ms", row.hist->Percentile(99.0) / 1e3);
     jw.Field("count", row.hist->count());
     jw.EndObject();
   }

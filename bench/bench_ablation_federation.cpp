@@ -15,7 +15,7 @@
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "hpc/federation.hpp"
-#include "obs/slo/hdr.hpp"
+#include "obs/histogram.hpp"
 
 using namespace xg;
 using namespace xg::hpc;
@@ -35,8 +35,8 @@ const char* PolicyName(Policy p) {
 
 struct Outcome {
   SampleSet completion_s;
-  std::shared_ptr<obs::slo::HdrHistogram> completion_hist =
-      std::make_shared<obs::slo::HdrHistogram>();
+  std::shared_ptr<obs::Histogram> completion_hist =
+      std::make_shared<obs::Histogram>();
   std::map<std::string, int> placements;
 };
 
@@ -94,8 +94,8 @@ int main() {
     runs.push_back({p, o});
     table.AddRow({PolicyName(p), Table::Num(o.completion_s.count(), 0),
                   Table::Num(o.completion_s.mean(), 0),
-                  Table::Num(o.completion_hist->PercentileUs(50.0) / 1e6, 0),
-                  Table::Num(o.completion_hist->PercentileUs(99.0) / 1e6, 0),
+                  Table::Num(o.completion_hist->Percentile(50.0) / 1e6, 0),
+                  Table::Num(o.completion_hist->Percentile(99.0) / 1e6, 0),
                   Table::Num(o.placements["ND-CRC"], 0),
                   Table::Num(o.placements["ANVIL"], 0),
                   Table::Num(o.placements["Stampede3"], 0)});
@@ -125,9 +125,9 @@ int main() {
     jw.Field("tasks", static_cast<uint64_t>(run.o.completion_s.count()));
     jw.Field("completion_mean_s", run.o.completion_s.mean());
     jw.Field("completion_p50_s",
-             run.o.completion_hist->PercentileUs(50.0) / 1e6);
+             run.o.completion_hist->Percentile(50.0) / 1e6);
     jw.Field("completion_p99_s",
-             run.o.completion_hist->PercentileUs(99.0) / 1e6);
+             run.o.completion_hist->Percentile(99.0) / 1e6);
     jw.Key("placements");
     jw.BeginObject();
     jw.Field("nd_crc", run.o.placements["ND-CRC"]);

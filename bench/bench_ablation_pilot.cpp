@@ -15,7 +15,7 @@
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "hpc/scheduler.hpp"
-#include "obs/slo/hdr.hpp"
+#include "obs/histogram.hpp"
 #include "pilot/pilot.hpp"
 
 using namespace xg;
@@ -25,8 +25,8 @@ namespace {
 
 struct Outcome {
   SampleSet wait_s;
-  std::shared_ptr<obs::slo::HdrHistogram> wait_hist =
-      std::make_shared<obs::slo::HdrHistogram>();
+  std::shared_ptr<obs::Histogram> wait_hist =
+      std::make_shared<obs::Histogram>();
   double idle_node_hours = 0.0;
   uint64_t pilots = 0;
 };
@@ -85,8 +85,8 @@ int main() {
       table.AddRow({StrategyName(s), Table::Num(util * 100, 0) + "%",
                     Table::Num(o.wait_s.count(), 0),
                     Table::Num(o.wait_s.mean(), 1),
-                    Table::Num(o.wait_hist->PercentileUs(50.0) / 1e6, 1),
-                    Table::Num(o.wait_hist->PercentileUs(99.0) / 1e6, 1),
+                    Table::Num(o.wait_hist->Percentile(50.0) / 1e6, 1),
+                    Table::Num(o.wait_hist->Percentile(99.0) / 1e6, 1),
                     Table::Num(o.wait_s.max(), 1),
                     Table::Num(o.idle_node_hours, 1),
                     Table::Num(o.pilots, 0)});
@@ -117,8 +117,8 @@ int main() {
     jw.Field("background_utilization", run.util);
     jw.Field("tasks", static_cast<uint64_t>(run.o.wait_s.count()));
     jw.Field("wait_mean_s", run.o.wait_s.mean());
-    jw.Field("wait_p50_s", run.o.wait_hist->PercentileUs(50.0) / 1e6);
-    jw.Field("wait_p99_s", run.o.wait_hist->PercentileUs(99.0) / 1e6);
+    jw.Field("wait_p50_s", run.o.wait_hist->Percentile(50.0) / 1e6);
+    jw.Field("wait_p99_s", run.o.wait_hist->Percentile(99.0) / 1e6);
     jw.Field("wait_max_s", run.o.wait_s.max());
     jw.Field("idle_node_hours", run.o.idle_node_hours);
     jw.Field("pilots", run.o.pilots);

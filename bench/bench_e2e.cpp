@@ -223,6 +223,17 @@ int main() {
     std::cout << "FAIL: per-stage budget shares do not sum to the "
                  "end-to-end latency.\n";
   }
+  // Percentiles are clamped into the observed range, so no stage's tail
+  // may be reported above its max.
+  std::vector<obs::slo::SloTracker::StageSummary> rows = day.slo.stages;
+  rows.push_back(day.slo.e2e);
+  for (const auto& st : rows) {
+    if (st.p99_ms > st.max_ms || st.p999_ms > st.max_ms) {
+      std::cout << "FAIL: a p99/p99.9 exceeds its stage max.\n";
+      ok = false;
+      break;
+    }
+  }
 
   // Ablation: voting rule vs HPC load and sensitivity.
   struct VoteRow {
@@ -372,7 +383,8 @@ int main() {
   }
   std::cout << "\nData written to BENCH_e2e.json\n";
   if (!ok) return 1;
-  std::cout << "PASS: stage budget shares sum to the e2e latency and the "
-               "chaos run dumped a deadline-miss flight record.\n";
+  std::cout << "PASS: stage budget shares sum to the e2e latency, no "
+               "percentile exceeds its max, and the chaos run dumped a "
+               "deadline-miss flight record.\n";
   return 0;
 }

@@ -3,21 +3,19 @@
 // size, mean and +/- 2 standard deviations, as in the paper.
 //
 // SUBSTITUTION NOTE (DESIGN.md): the paper measures OpenFOAM wall-clock on
-// a real 64-core node. This build machine has one core, so the sweep
-// samples the calibrated performance model (anchored to the paper's
-// 420.39 s +/- 36.29 s at 64 cores). A scaled wall-clock run of the real
-// solver is included below to show the implementation actually computes.
+// a real 64-core node. The sweep samples the calibrated performance model
+// (anchored to the paper's 420.39 s +/- 36.29 s at 64 cores). Wall-clock
+// timing of the real solver across thread counts is bench_cfd_kernels'
+// job (BENCH_cfd.json).
 //
 // Also reproduced: the Section 4.4 multi-node statement — the OpenFOAM
 // kernel is fastest on 2 x 64 cores, but the total application is fastest
 // on a single node.
-#include <chrono>
 #include <fstream>
 #include <iostream>
 #include <vector>
 
 #include "bench/bench_json.hpp"
-#include "cfd/solver.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -30,10 +28,6 @@ struct CoreSample {
   int cores;
   double mean_s;
   double sd_s;
-};
-struct ThreadSample {
-  unsigned threads;
-  double wall_s;
 };
 }  // namespace
 
@@ -75,37 +69,7 @@ int main() {
   std::cout << "Expected: kernel minimum at 2 nodes; total minimum at 1 "
                "node (decompose/reconstruct overhead grows with nodes).\n\n";
 
-  // Real-solver wall-clock at reduced scale: demonstrates the actual
-  // implementation and lets multi-core machines observe real speedup.
-  cfd::MeshParams mp;
-  mp.nx = 36;
-  mp.ny = 30;
-  mp.nz = 10;
-  cfd::Mesh mesh(mp);
-  Table real({"Threads", "Wall-clock (s)", "Steps", "Cells"});
-  std::vector<ThreadSample> wall;
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  for (unsigned threads = 1; threads <= hw; threads *= 2) {
-    ThreadPool pool(threads);
-    cfd::Solver solver(mesh, cfd::SolverParams{}, &pool);
-    cfd::Boundary bc;
-    bc.wind_speed_ms = 4.0;
-    bc.wind_dir_deg = 270.0;
-    solver.Initialize(bc);
-    const auto t0 = std::chrono::steady_clock::now();
-    solver.Run(40);
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    wall.push_back({threads, secs});
-    real.AddRow({Table::Num(threads, 0), Table::Num(secs, 3), "40",
-                 Table::Num(static_cast<double>(mesh.cell_count()), 0)});
-  }
-  real.Print(std::cout,
-             "Real solver wall-clock (reduced mesh; informative only on "
-             "multi-core hosts)");
-
-  // Machine-readable artifact mirroring the CSV plus the real-solver runs.
+  // Machine-readable artifact mirroring the CSV.
   std::ofstream jout("BENCH_fig7.json");
   if (!jout) {
     std::cerr << "bench_fig7: cannot open BENCH_fig7.json\n";
@@ -113,7 +77,7 @@ int main() {
   }
   bench::JsonWriter jw(jout);
   jw.BeginObject();
-  jw.Field("schema", "xg-bench-fig7-v1");
+  jw.Field("schema", "xg-bench-fig7-v2");
   jw.Field("paper_anchor_cores", 64);
   jw.Field("paper_anchor_mean_s", 420.39);
   jw.Field("paper_anchor_sd_s", 36.29);
@@ -128,20 +92,6 @@ int main() {
     jw.EndObject();
   }
   jw.EndArray();
-  jw.Key("real_solver");
-  jw.BeginObject();
-  jw.Field("steps", 40);
-  jw.Field("cells", static_cast<uint64_t>(mesh.cell_count()));
-  jw.Key("runs");
-  jw.BeginArray();
-  for (const ThreadSample& s : wall) {
-    jw.BeginObject();
-    jw.Field("threads", s.threads);
-    jw.Field("wall_s", s.wall_s);
-    jw.EndObject();
-  }
-  jw.EndArray();
-  jw.EndObject();
   jw.EndObject();
   jout << "\n";
   jout.close();

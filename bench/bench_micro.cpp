@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) for the hot paths of each substrate:
-// log appends, the radio scheduler's slot loop, the CFD kernels, the
-// statistical tests, and the discrete-event kernel.
+// log appends, the radio scheduler's slot loop, the statistical tests, and
+// the discrete-event kernel. CFD kernels are timed by bench_cfd_kernels.
 //
 // Uses a custom main instead of benchmark_main: every run is mirrored
 // through the shared emitter into BENCH_micro.json so regression tooling
@@ -13,7 +13,6 @@
 
 #include "bench/bench_json.hpp"
 
-#include "cfd/solver.hpp"
 #include "common/rng.hpp"
 #include "common/sim.hpp"
 #include "cspot/log.hpp"
@@ -71,25 +70,6 @@ void BM_SpectralEfficiency(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SpectralEfficiency);
-
-void BM_CfdStep(benchmark::State& state) {
-  cfd::MeshParams mp;
-  mp.nx = static_cast<int>(state.range(0));
-  mp.ny = mp.nx * 5 / 6;
-  mp.nz = 10;
-  cfd::Mesh mesh(mp);
-  cfd::Solver solver(mesh, cfd::SolverParams{});
-  cfd::Boundary bc;
-  bc.wind_speed_ms = 4.0;
-  bc.wind_dir_deg = 270.0;
-  solver.Initialize(bc);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.Step());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(mesh.cell_count()));
-}
-BENCHMARK(BM_CfdStep)->Arg(24)->Arg(48);
 
 void BM_WelchTTest(benchmark::State& state) {
   Rng rng(4);

@@ -7,7 +7,7 @@
 // drift, with a synthetic CFD backend whose refresh latency matches the
 // calibrated fabric (~7 minutes). Reported per sweep:
 //
-//   - p50/p99 served latency (HdrHistogram, virtual microseconds),
+//   - p50/p99 served latency (obs::Histogram, virtual microseconds),
 //   - good-put (served inside the deadline) and shed rate,
 //   - CFD invocations vs the structural bound of one launch per distinct
 //     quantized key per validity window — the number that proves a
@@ -188,8 +188,8 @@ SweepResult RunSweep(const SweepSpec& spec, uint64_t seed) {
                   n;
     r.served_rate = ls.ServedRate();
   }
-  r.p50_ms = ls.served_latency.PercentileUs(50.0) / 1e3;
-  r.p99_ms = ls.served_latency.PercentileUs(99.0) / 1e3;
+  r.p50_ms = ls.served_latency.Percentile(50.0) / 1e3;
+  r.p99_ms = ls.served_latency.Percentile(99.0) / 1e3;
   r.overload_entries = dm.entries(resil::DegradedMode::kOverloadShed);
   r.overload_at_end = dm.active(resil::DegradedMode::kOverloadShed);
   r.storms = server.governor().storms();

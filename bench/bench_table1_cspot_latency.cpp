@@ -14,7 +14,7 @@
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "cspot/topology.hpp"
-#include "obs/slo/hdr.hpp"
+#include "obs/histogram.hpp"
 
 using namespace xg;
 using namespace xg::cspot;
@@ -23,7 +23,7 @@ namespace {
 
 struct PathMeasure {
   SampleSet lat;
-  obs::slo::HdrHistogram hist;  ///< microsecond domain, p50/p99 source
+  obs::Histogram hist;  ///< microsecond domain, p50/p99 source
 };
 
 void MeasurePath(const char* client, const char* host, uint64_t seed,
@@ -76,8 +76,8 @@ int main() {
     MeasurePath(row.client, row.host, seed++, pm);
     table.AddRow({row.name, Table::Num(pm.lat.mean(), 0),
                   Table::Num(pm.lat.stddev(), 1),
-                  Table::Num(pm.hist.PercentileUs(50.0) / 1e3, 1),
-                  Table::Num(pm.hist.PercentileUs(99.0) / 1e3, 1),
+                  Table::Num(pm.hist.Percentile(50.0) / 1e3, 1),
+                  Table::Num(pm.hist.Percentile(99.0) / 1e3, 1),
                   Table::Num(row.paper_mean, 0),
                   Table::Num(row.paper_sd, 1)});
   }
@@ -106,8 +106,8 @@ int main() {
     jw.Field("host", row.host);
     jw.Field("mean_ms", pm.lat.mean());
     jw.Field("stddev_ms", pm.lat.stddev());
-    jw.Field("p50_ms", pm.hist.PercentileUs(50.0) / 1e3);
-    jw.Field("p99_ms", pm.hist.PercentileUs(99.0) / 1e3);
+    jw.Field("p50_ms", pm.hist.Percentile(50.0) / 1e3);
+    jw.Field("p99_ms", pm.hist.Percentile(99.0) / 1e3);
     jw.Field("max_ms", static_cast<double>(pm.hist.max_us()) / 1e3);
     jw.Field("count", pm.hist.count());
     jw.Field("paper_mean_ms", row.paper_mean);

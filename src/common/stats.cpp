@@ -81,29 +81,4 @@ double SampleSet::Percentile(double p) const {
   return samples_[lo] * (1.0 - frac) + samples_[lo + 1] * frac;
 }
 
-Histogram::Histogram(double lo, double hi, size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0) {}
-
-void Histogram::Add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-  } else if (x >= hi_) {
-    ++overflow_;
-  } else {
-    size_t i = static_cast<size_t>((x - lo_) / width_);
-    if (i >= counts_.size()) i = counts_.size() - 1;  // fp edge
-    ++counts_[i];
-  }
-}
-
-double Histogram::BinLow(size_t i) const {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::BinHigh(size_t i) const {
-  return lo_ + width_ * static_cast<double>(i + 1);
-}
-
 }  // namespace xg

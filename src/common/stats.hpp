@@ -7,7 +7,7 @@
 // SampleSet mutates `mutable` state from const accessors, so even
 // concurrent reads race. Accumulate per-thread and Merge() on one
 // thread, or use the lock-free obs instruments (obs::Counter,
-// obs::LatencyHistogram) for cross-thread aggregation. xglint's
+// obs::Histogram) for cross-thread aggregation. xglint's
 // confined-static rule rejects file-scope instances of these types in
 // src/ because a global accumulator is exactly the shared-unguarded
 // use this contract forbids.
@@ -53,7 +53,7 @@ class XG_SIM_THREAD_CONFINED RunningStats {
 /// members, so two concurrent "read-only" Percentile calls race on the
 /// sort, and a concurrent Add can invalidate iterators mid-sort. Guard
 /// the whole object externally, or merge per-thread SampleSets instead.
-/// For a thread-safe bounded alternative see obs::LatencyHistogram.
+/// For a thread-safe bounded alternative see obs::Histogram.
 class XG_SIM_THREAD_CONFINED SampleSet {
  public:
   void Add(double x);
@@ -86,26 +86,6 @@ class XG_SIM_THREAD_CONFINED SampleSet {
   RunningStats stats_;
 
   void EnsureSorted() const;
-};
-
-/// Fixed-width histogram over [lo, hi) with overflow/underflow bins.
-class XG_SIM_THREAD_CONFINED Histogram {
- public:
-  Histogram(double lo, double hi, size_t bins);
-
-  void Add(double x);
-  size_t bin_count() const { return counts_.size(); }
-  uint64_t BinCount(size_t i) const { return counts_[i]; }
-  uint64_t underflow() const { return underflow_; }
-  uint64_t overflow() const { return overflow_; }
-  uint64_t total() const { return total_; }
-  double BinLow(size_t i) const;
-  double BinHigh(size_t i) const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<uint64_t> counts_;
-  uint64_t underflow_ = 0, overflow_ = 0, total_ = 0;
 };
 
 /// Exponentially-weighted moving average, used by the proportional-fair

@@ -410,11 +410,11 @@ void Fabric::PublishTelemetry() {
         ++metrics_.telemetry_frames_stored;
         // Grandfathered summary metric; the per-stage decomposition of the
         // same interval lives in the deadline ledger.
-        const double latency_ms =
-            (sim_.Now() - t0).millis();  // xglint:allow(stage-stamp)
-        metrics_.telemetry_latency_ms.Add(latency_ms);
+        const sim::SimTime latency =
+            sim_.Now() - t0;  // xglint:allow(stage-stamp)
+        metrics_.telemetry_latency_ms.Add(latency.millis());
         if (telemetry_latency_hist_ != nullptr) {
-          telemetry_latency_hist_->Observe(latency_ms);
+          telemetry_latency_hist_->Record(latency.micros());
         }
         // The operator-side twin sees each stored frame; the detection
         // cycle attaches its span to this frame's trace.

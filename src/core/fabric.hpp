@@ -280,7 +280,7 @@ class Fabric {
   std::unique_ptr<obs::slo::SloTracker> slo_tracker_;
   std::unique_ptr<obs::slo::FlightRecorder> flight_;
   /// Histogram view of telemetry_latency_ms (nullptr with metrics off).
-  obs::LatencyHistogram* telemetry_latency_hist_ = nullptr;
+  obs::Histogram* telemetry_latency_hist_ = nullptr;
   /// Trace of the most recently stored frame; the detection cycle and the
   /// downstream CFD/alert path attach to it.
   obs::TraceContext last_frame_trace_;

@@ -4,44 +4,32 @@
 
 namespace xg::obs {
 
-namespace {
-/// Sub-microsecond to multi-second: CFD kernels on a small mesh sit in the
-/// 0.01–10 ms range; the paper-scale solve runs minutes.
-std::vector<double> KernelBucketsMs() {
-  return {0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1,    5,     10,
-          50,    100,   500,  1000, 5000, 10000, 60000, 600000};
-}
-}  // namespace
+KernelTimer::KernelTimer(MetricsRegistry* registry, Clock now_us)
+    : registry_(registry), now_us_(std::move(now_us)) {}
 
-KernelTimer::KernelTimer(MetricsRegistry* registry, Clock now_us,
-                         std::string metric_prefix)
-    : registry_(registry), now_us_(std::move(now_us)),
-      prefix_(SanitizeMetricName(metric_prefix)) {}
-
-LatencyHistogram* KernelTimer::Hist(const std::string& kernel) const {
+Histogram* KernelTimer::Hist(const std::string& kernel) const {
   if (registry_ == nullptr) return nullptr;
   MutexLock lk(mu_);
   auto it = hists_.find(kernel);
   if (it != hists_.end()) return it->second;
-  LatencyHistogram& h = registry_->GetHistogram(
-      prefix_ + "_ms", {{"kernel", kernel}},
-      "per-kernel hot-path execution time", KernelBucketsMs());
+  Histogram& h = registry_->GetHistogram(kMetricName, {{"kernel", kernel}},
+                                         "per-kernel hot-path execution time");
   hists_.emplace(kernel, &h);
   return &h;
 }
 
 void KernelTimer::Observe(const std::string& kernel, int64_t elapsed_us) {
-  LatencyHistogram* h = Hist(kernel);
-  if (h != nullptr) h->Observe(static_cast<double>(elapsed_us) / 1000.0);
+  Histogram* h = Hist(kernel);
+  if (h != nullptr) h->Record(elapsed_us);
 }
 
 double KernelTimer::TotalMs(const std::string& kernel) const {
-  LatencyHistogram* h = Hist(kernel);
-  return h != nullptr ? h->sum() : 0.0;
+  Histogram* h = Hist(kernel);
+  return h != nullptr ? static_cast<double>(h->sum_us()) / 1e3 : 0.0;
 }
 
 uint64_t KernelTimer::Count(const std::string& kernel) const {
-  LatencyHistogram* h = Hist(kernel);
+  Histogram* h = Hist(kernel);
   return h != nullptr ? h->count() : 0;
 }
 

@@ -1,13 +1,14 @@
 // Per-kernel hot-path timing through the metrics registry.
 //
 // Compute engines (today: the CFD solver) expose where a step spends its
-// time by observing each kernel's elapsed time into a LatencyHistogram
-// named `<prefix>_ms{kernel="advect"|...}`. Like Tracer, the KernelTimer
-// never reads a host clock itself: the clock is injected, so simulation
-// code binds the virtual clock (or attaches no timer at all and pays
-// nothing) while benchmarks bind a host monotonic clock and measure real
-// wall time. Histogram sum/count give exact per-kernel totals and means
-// regardless of bucket layout, which is what the kernel benchmark exports.
+// time by recording each kernel's elapsed microseconds into an
+// obs::Histogram named `xg_cfd_kernel_ms{kernel="advect"|...}`. Like
+// Tracer, the KernelTimer never reads a host clock itself: the clock is
+// injected, so simulation code binds the virtual clock (or attaches no
+// timer at all and pays nothing) while benchmarks bind a host monotonic
+// clock and measure real wall time. The histogram's integer-microsecond
+// sum and count give exact per-kernel totals and means, which is what the
+// kernel benchmark exports.
 #pragma once
 
 #include <cstdint>
@@ -26,10 +27,11 @@ class KernelTimer {
   /// kernels against. Must be monotonic within one timed region.
   using Clock = std::function<int64_t()>;
 
-  /// Instruments are created in `registry` (must outlive the timer) as
-  /// `<metric_prefix>_ms` histograms labeled by kernel name.
-  KernelTimer(MetricsRegistry* registry, Clock now_us,
-              std::string metric_prefix = "xg_cfd_kernel");
+  /// Histogram family every kernel records into, labeled by kernel name.
+  static constexpr const char* kMetricName = "xg_cfd_kernel_ms";
+
+  /// Instruments are created in `registry` (must outlive the timer).
+  KernelTimer(MetricsRegistry* registry, Clock now_us);
 
   int64_t NowUs() const { return now_us_ ? now_us_() : 0; }
 
@@ -42,14 +44,13 @@ class KernelTimer {
   uint64_t Count(const std::string& kernel) const;
 
  private:
-  LatencyHistogram* Hist(const std::string& kernel) const;
+  Histogram* Hist(const std::string& kernel) const;
 
   MetricsRegistry* registry_;  ///< immutable after construction
   Clock now_us_;               ///< immutable after construction
-  std::string prefix_;         ///< immutable after construction
   /// Lookup cache so steady-state Observe() skips the registry's keyed map.
   mutable Mutex mu_;
-  mutable std::map<std::string, LatencyHistogram*> hists_ XG_GUARDED_BY(mu_);
+  mutable std::map<std::string, Histogram*> hists_ XG_GUARDED_BY(mu_);
 };
 
 /// RAII scope that times one kernel execution. A null timer is a no-op, so

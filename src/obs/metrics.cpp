@@ -5,92 +5,6 @@
 
 namespace xg::obs {
 
-std::vector<double> DefaultLatencyBucketsMs() {
-  return {0.1,   0.25,  0.5,    1.0,    2.5,    5.0,     10.0,
-          25.0,  50.0,  100.0,  250.0,  500.0,  1000.0,  2500.0,
-          5000.0, 10000.0, 30000.0, 60000.0, 300000.0, 600000.0};
-}
-
-LatencyHistogram::LatencyHistogram(std::vector<double> upper_bounds)
-    : bounds_(std::move(upper_bounds)) {
-  std::sort(bounds_.begin(), bounds_.end());
-  bounds_.erase(std::unique(bounds_.begin(), bounds_.end()), bounds_.end());
-  counts_ = std::vector<std::atomic<uint64_t>>(bounds_.size() + 1);
-}
-
-void LatencyHistogram::Observe(double v) {
-  // Prometheus `le`: first bucket whose upper bound is >= v.
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  const size_t i = static_cast<size_t>(it - bounds_.begin());
-  counts_[i].fetch_add(1, std::memory_order_relaxed);
-  AtomicAdd(sum_, v);
-  // Release-publish: a reader that acquires count() >= n is guaranteed to
-  // see the bucket increments of the first n observations, which is what
-  // lets Snapshot() recognize a consistent cut.
-  count_.fetch_add(1, std::memory_order_release);
-}
-
-double LatencyHistogram::mean() const {
-  const uint64_t n = count();
-  return n ? sum() / static_cast<double>(n) : 0.0;
-}
-
-HistogramSnapshot LatencyHistogram::Snapshot() const {
-  HistogramSnapshot snap;
-  snap.bounds = bounds_;
-  snap.counts.resize(counts_.size());
-  // Seqlock-style retry: both the per-bucket counts and the total are
-  // monotone, and Observe publishes the bucket increment before the
-  // total, so "sum of buckets == total" identifies a consistent cut. A
-  // bounded number of attempts keeps the exporter wait-free against a
-  // pathological writer storm; the final pass is still monotone-safe.
-  for (int attempt = 0; attempt < 64; ++attempt) {
-    const uint64_t before = count_.load(std::memory_order_acquire);
-    uint64_t total = 0;
-    for (size_t i = 0; i < counts_.size(); ++i) {
-      snap.counts[i] = counts_[i].load(std::memory_order_relaxed);
-      total += snap.counts[i];
-    }
-    if (total == before && count_.load(std::memory_order_acquire) == before) {
-      snap.count = total;
-      snap.sum = sum_.load(std::memory_order_relaxed);
-      return snap;
-    }
-  }
-  // Contended fallback: report the bucket sum as the count so the
-  // invariant "counts sum to count" holds regardless.
-  uint64_t total = 0;
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    snap.counts[i] = counts_[i].load(std::memory_order_relaxed);
-    total += snap.counts[i];
-  }
-  snap.count = total;
-  snap.sum = sum_.load(std::memory_order_relaxed);
-  return snap;
-}
-
-double LatencyHistogram::ApproxPercentile(double p) const {
-  const uint64_t n = count();
-  if (n == 0) return 0.0;
-  p = std::clamp(p, 0.0, 100.0);
-  const double target = p / 100.0 * static_cast<double>(n);
-  uint64_t cum = 0;
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    const uint64_t c = counts_[i].load(std::memory_order_relaxed);
-    if (c == 0) continue;
-    if (static_cast<double>(cum + c) >= target) {
-      if (i >= bounds_.size()) return bounds_.empty() ? 0.0 : bounds_.back();
-      const double lo = i == 0 ? 0.0 : bounds_[i - 1];
-      const double hi = bounds_[i];
-      const double frac =
-          (target - static_cast<double>(cum)) / static_cast<double>(c);
-      return lo + (hi - lo) * std::clamp(frac, 0.0, 1.0);
-    }
-    cum += c;
-  }
-  return bounds_.empty() ? 0.0 : bounds_.back();
-}
-
 std::string SanitizeMetricName(const std::string& name) {
   std::string out = name.empty() ? std::string("_") : name;
   for (size_t i = 0; i < out.size(); ++i) {
@@ -152,10 +66,9 @@ Gauge& MetricsRegistry::GetGauge(const std::string& name, const Labels& labels,
   return *e.inst;
 }
 
-LatencyHistogram& MetricsRegistry::GetHistogram(const std::string& name,
-                                                const Labels& labels,
-                                                const std::string& help,
-                                                std::vector<double> bounds) {
+Histogram& MetricsRegistry::GetHistogram(const std::string& name,
+                                         const Labels& labels,
+                                         const std::string& help) {
   const std::string n = SanitizeMetricName(name);
   const Labels l = Canonical(labels);
   MutexLock lk(mu_);
@@ -164,8 +77,7 @@ LatencyHistogram& MetricsRegistry::GetHistogram(const std::string& name,
     e.name = n;
     e.labels = l;
     e.help = help;
-    e.inst = std::make_unique<LatencyHistogram>(
-        bounds.empty() ? DefaultLatencyBucketsMs() : std::move(bounds));
+    e.inst = std::make_unique<Histogram>();
   }
   return *e.inst;
 }
@@ -188,28 +100,6 @@ void MetricsRegistry::RegisterHistogramCallback(
   const Labels l = Canonical(labels);
   MutexLock lk(mu_);
   hist_callbacks_[Key(n, l)] = HistCallbackEntry{n, l, help, std::move(read)};
-}
-
-size_t MetricsRegistry::UnregisterCallbacks(const std::string& name_prefix) {
-  MutexLock lk(mu_);
-  size_t removed = 0;
-  for (auto it = callbacks_.begin(); it != callbacks_.end();) {
-    if (it->second.name.rfind(name_prefix, 0) == 0) {
-      it = callbacks_.erase(it);
-      ++removed;
-    } else {
-      ++it;
-    }
-  }
-  for (auto it = hist_callbacks_.begin(); it != hist_callbacks_.end();) {
-    if (it->second.name.rfind(name_prefix, 0) == 0) {
-      it = hist_callbacks_.erase(it);
-      ++removed;
-    } else {
-      ++it;
-    }
-  }
-  return removed;
 }
 
 std::vector<MetricSample> MetricsRegistry::Snapshot() const {
@@ -274,11 +164,6 @@ size_t MetricsRegistry::instrument_count() const {
   MutexLock lk(mu_);
   return counters_.size() + gauges_.size() + histograms_.size() +
          callbacks_.size() + hist_callbacks_.size();
-}
-
-MetricsRegistry& DefaultRegistry() {
-  static MetricsRegistry registry;
-  return registry;
 }
 
 }  // namespace xg::obs

@@ -5,11 +5,10 @@
 // registers its instruments here so one exporter pass can observe the
 // whole system. Three instrument kinds:
 //
-//   Counter          monotonic uint64 (e.g. cspot_retries_total);
-//   Gauge            settable double (e.g. hpc_free_nodes);
-//   LatencyHistogram bounded-memory distribution with fixed upper-bound
-//                    buckets (Prometheus `le` semantics: a sample lands in
-//                    the first bucket whose bound is >= the value).
+//   Counter    monotonic uint64 (e.g. cspot_retries_total);
+//   Gauge      settable double (e.g. hpc_free_nodes);
+//   Histogram  bounded-memory microsecond distribution (obs/histogram.hpp),
+//              exported in milliseconds with Prometheus `le` buckets.
 //
 // Instruments are identified by (name, labels); the same call with the
 // same identity returns the same instrument, so call sites can look up
@@ -33,6 +32,7 @@
 #include <vector>
 
 #include "common/mutex.hpp"
+#include "obs/histogram.hpp"
 
 namespace xg::obs {
 
@@ -65,53 +65,6 @@ class Gauge {
   std::atomic<double> v_{0.0};
 };
 
-/// Millisecond latency buckets spanning sub-ms radio frames to multi-minute
-/// CFD runs (the full dynamic range of the paper's measurements).
-std::vector<double> DefaultLatencyBucketsMs();
-
-struct HistogramSnapshot {
-  std::vector<double> bounds;
-  std::vector<uint64_t> counts;  ///< non-cumulative, last entry is +Inf
-  uint64_t count = 0;
-  double sum = 0.0;
-};
-
-class LatencyHistogram {
- public:
-  /// `upper_bounds` are sorted/deduplicated; an implicit +Inf bucket is
-  /// appended. Memory is fixed at construction — O(buckets), never O(samples).
-  explicit LatencyHistogram(std::vector<double> upper_bounds =
-                                DefaultLatencyBucketsMs());
-
-  void Observe(double v);
-
-  const std::vector<double>& bounds() const { return bounds_; }
-  /// Number of buckets including the +Inf overflow bucket.
-  size_t bucket_count() const { return counts_.size(); }
-  /// Non-cumulative count of bucket `i`; `i == bounds().size()` is +Inf.
-  uint64_t BucketCount(size_t i) const {
-    return counts_[i].load(std::memory_order_relaxed);
-  }
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  double sum() const { return sum_.load(std::memory_order_relaxed); }
-  double mean() const;
-  /// Percentile estimated by linear interpolation inside the owning bucket;
-  /// p in [0, 100]. The +Inf bucket reports the last finite bound.
-  double ApproxPercentile(double p) const;
-
-  /// Consistent snapshot: retries until the per-bucket counts sum to the
-  /// total count, so an exporter racing a writer never sees a value that
-  /// is in `count` but not yet in any bucket (or vice versa). `sum` may
-  /// lead the cut by in-flight observations; counts/buckets are exact.
-  HistogramSnapshot Snapshot() const;
-
- private:
-  std::vector<double> bounds_;
-  std::vector<std::atomic<uint64_t>> counts_;  // bounds_.size() + 1 (+Inf)
-  std::atomic<uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-};
-
 /// One exported metric, produced by MetricsRegistry::Snapshot().
 struct MetricSample {
   enum class Type { kCounter, kGauge, kHistogram };
@@ -139,32 +92,26 @@ class MetricsRegistry {
                       const std::string& help = "");
   Gauge& GetGauge(const std::string& name, const Labels& labels = {},
                   const std::string& help = "");
-  LatencyHistogram& GetHistogram(const std::string& name,
-                                 const Labels& labels = {},
-                                 const std::string& help = "",
-                                 std::vector<double> upper_bounds = {});
+  Histogram& GetHistogram(const std::string& name, const Labels& labels = {},
+                          const std::string& help = "");
 
   /// Mirror an externally-owned value: `read` is evaluated at snapshot
-  /// time. The callback must outlive the registry or be removed with
-  /// UnregisterCallbacks; it must not call back into this registry.
+  /// time. The callback must outlive the registry; it must not call back
+  /// into this registry.
   void RegisterCallback(const std::string& name, const Labels& labels,
                         const std::string& help, std::function<double()> read,
                         MetricSample::Type type = MetricSample::Type::kGauge);
 
-  /// Mirror an externally-owned distribution (e.g. an slo::HdrHistogram):
+  /// Mirror an externally-owned distribution (e.g. an SLO stage Histogram):
   /// `read` produces a full HistogramSnapshot at snapshot time. Same
   /// lifetime rules as RegisterCallback.
   void RegisterHistogramCallback(const std::string& name, const Labels& labels,
                                  const std::string& help,
                                  std::function<HistogramSnapshot()> read);
 
-  /// Drop every callback (scalar and histogram) whose name starts with
-  /// `name_prefix` (component teardown). Returns the number removed.
-  size_t UnregisterCallbacks(const std::string& name_prefix);
-
   /// Consistent view for exporters: scalar instruments are read with
   /// relaxed atomics (each value exact at its own read point) and
-  /// histograms via LatencyHistogram::Snapshot(), so bucket counts always
+  /// histograms via Histogram::Snapshot(), so bucket counts always
   /// sum to the reported count even while writers keep mutating. Sorted
   /// by (name, labels) for deterministic export output.
   std::vector<MetricSample> Snapshot() const;
@@ -201,13 +148,9 @@ class MetricsRegistry {
   mutable Mutex mu_;
   std::map<std::string, Entry<Counter>> counters_ XG_GUARDED_BY(mu_);
   std::map<std::string, Entry<Gauge>> gauges_ XG_GUARDED_BY(mu_);
-  std::map<std::string, Entry<LatencyHistogram>> histograms_
-      XG_GUARDED_BY(mu_);
+  std::map<std::string, Entry<Histogram>> histograms_ XG_GUARDED_BY(mu_);
   std::map<std::string, CallbackEntry> callbacks_ XG_GUARDED_BY(mu_);
   std::map<std::string, HistCallbackEntry> hist_callbacks_ XG_GUARDED_BY(mu_);
 };
-
-/// Process-wide registry for components not owned by a Fabric.
-MetricsRegistry& DefaultRegistry();
 
 }  // namespace xg::obs

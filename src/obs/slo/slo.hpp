@@ -12,7 +12,6 @@
 
 #include "obs/slo/budget.hpp"
 #include "obs/slo/flight.hpp"
-#include "obs/slo/hdr.hpp"
 #include "obs/slo/ledger.hpp"
 #include "obs/slo/tracker.hpp"
 

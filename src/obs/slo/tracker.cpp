@@ -4,13 +4,6 @@
 
 namespace xg::obs::slo {
 
-SloTracker::SloTracker() {
-  for (int i = 0; i < kStageCount; ++i) {
-    stage_hist_[i] = std::make_unique<HdrHistogram>();
-  }
-  e2e_hist_ = std::make_unique<HdrHistogram>();
-}
-
 void SloTracker::Record(const LedgerRecord& rec) {
   if (rec.missed) ++misses_;
   if (rec.near_miss) ++near_misses_;
@@ -30,9 +23,9 @@ void SloTracker::Record(const LedgerRecord& rec) {
   // per-stage sums still add exactly to the e2e total.
   for (const BudgetStamp& st : rec.budget.stamps()) {
     if (st.stage == Stage::kSensorEmit) continue;
-    stage_hist_[static_cast<int>(st.stage)]->Record(st.consumed_us);
+    stage_hist_[static_cast<int>(st.stage)].Record(st.consumed_us);
   }
-  e2e_hist_->Record(rec.consumed_us);
+  e2e_hist_.Record(rec.consumed_us);
 }
 
 double SloTracker::StageBudgetShare(Stage s) const {
@@ -76,7 +69,7 @@ void SloTracker::Attach(MetricsRegistry* registry) {
   registry->RegisterHistogramCallback(
       "xg_slo_e2e_latency_ms", {},
       "End-to-end consumed budget of completed readings",
-      [this] { return e2e_hist_->Snapshot(); });
+      [this] { return e2e_hist_.Snapshot(); });
   for (Stage s : AllStages()) {
     if (s == Stage::kSensorEmit) continue;
     registry->RegisterCallback(
@@ -87,19 +80,19 @@ void SloTracker::Attach(MetricsRegistry* registry) {
         "xg_slo_stage_latency_ms", {{"stage", StageName(s)}},
         "Budget consumed at this stage boundary per completed reading",
         [this, s] {
-          return stage_hist_[static_cast<int>(s)]->Snapshot();
+          return stage_hist_[static_cast<int>(s)].Snapshot();
         });
   }
 }
 
 namespace {
-SloTracker::StageSummary SummarizeHist(const HdrHistogram& h, int64_t total_us) {
+SloTracker::StageSummary SummarizeHist(const Histogram& h, int64_t total_us) {
   SloTracker::StageSummary s;
   s.count = h.count();
-  s.p50_ms = h.PercentileUs(50.0) / 1e3;
-  s.p90_ms = h.PercentileUs(90.0) / 1e3;
-  s.p99_ms = h.PercentileUs(99.0) / 1e3;
-  s.p999_ms = h.PercentileUs(99.9) / 1e3;
+  s.p50_ms = static_cast<double>(h.Percentile(50.0)) / 1e3;
+  s.p90_ms = static_cast<double>(h.Percentile(90.0)) / 1e3;
+  s.p99_ms = static_cast<double>(h.Percentile(99.0)) / 1e3;
+  s.p999_ms = static_cast<double>(h.Percentile(99.9)) / 1e3;
   s.max_ms = static_cast<double>(h.max_us()) / 1e3;
   s.mean_ms = h.MeanUs() / 1e3;
   s.share = total_us > 0 ? static_cast<double>(h.sum_us()) /
@@ -115,7 +108,7 @@ SloTracker::Summary SloTracker::Summarize() const {
   double best_share = -1.0;
   for (Stage s : AllStages()) {
     if (s == Stage::kSensorEmit) continue;
-    const HdrHistogram& h = *stage_hist_[static_cast<int>(s)];
+    const Histogram& h = stage_hist_[static_cast<int>(s)];
     if (h.count() == 0) continue;
     StageSummary ss = SummarizeHist(h, total_us);
     ss.stage = s;
@@ -125,7 +118,7 @@ SloTracker::Summary SloTracker::Summarize() const {
     }
     out.stages.push_back(ss);
   }
-  out.e2e = SummarizeHist(*e2e_hist_, total_us);
+  out.e2e = SummarizeHist(e2e_hist_, total_us);
   out.completed = completed_total();
   out.full_path = full_path_;
   out.misses = misses_;

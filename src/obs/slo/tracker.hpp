@@ -1,7 +1,7 @@
 // SLO tracker: the aggregate side of deadline accounting.
 //
 // Consumes closed LedgerRecords and maintains, per stage, an HDR-style
-// histogram of consumed time plus the running budget-share breakdown
+// obs::Histogram of consumed time plus the running budget-share breakdown
 // (what fraction of the total end-to-end latency each stage is
 // responsible for — the per-stage sums add exactly to the e2e sum by
 // construction of DeadlineBudget). Exposed three ways:
@@ -11,29 +11,26 @@
 //       xg_slo_completed_total{path=short|full}
 //       xg_slo_incomplete_total{reason=...}
 //       xg_slo_stage_budget_share{stage=...}       (gauge in [0,1])
-//       xg_slo_stage_latency_ms{stage=...}         (HDR histogram)
-//       xg_slo_e2e_latency_ms                      (HDR histogram)
+//       xg_slo_stage_latency_ms{stage=...}         (histogram)
+//       xg_slo_e2e_latency_ms                      (histogram)
 //   - Summarize(): structured per-stage p50/p90/p99/p99.9/max + share,
 //     used by bench_e2e and the xgtop snapshot mode;
 //   - FormatSummary(): the deterministic table xgtop renders.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/thread_annotations.hpp"
+#include "obs/histogram.hpp"
 #include "obs/metrics.hpp"
-#include "obs/slo/hdr.hpp"
 #include "obs/slo/ledger.hpp"
 
 namespace xg::obs::slo {
 
 class XG_SIM_THREAD_CONFINED SloTracker {
  public:
-  SloTracker();
-
   /// Register the xg_slo_* series. The registry (or nullptr) must outlive
   /// this tracker; callbacks read the tracker at snapshot time.
   void Attach(MetricsRegistry* registry);
@@ -49,16 +46,16 @@ class XG_SIM_THREAD_CONFINED SloTracker {
     return incomplete_[static_cast<int>(r)];
   }
 
-  const HdrHistogram& StageHistogram(Stage s) const {
-    return *stage_hist_[static_cast<int>(s)];
+  const Histogram& StageHistogram(Stage s) const {
+    return stage_hist_[static_cast<int>(s)];
   }
-  const HdrHistogram& E2eHistogram() const { return *e2e_hist_; }
+  const Histogram& E2eHistogram() const { return e2e_hist_; }
 
   /// Total budget consumed by `stage` across completed records, us.
   int64_t StageConsumedTotalUs(Stage s) const {
-    return stage_hist_[static_cast<int>(s)]->sum_us();
+    return stage_hist_[static_cast<int>(s)].sum_us();
   }
-  int64_t E2eConsumedTotalUs() const { return e2e_hist_->sum_us(); }
+  int64_t E2eConsumedTotalUs() const { return e2e_hist_.sum_us(); }
   /// Fraction of the end-to-end total charged to `stage` (0 when idle).
   double StageBudgetShare(Stage s) const;
 
@@ -89,8 +86,8 @@ class XG_SIM_THREAD_CONFINED SloTracker {
   std::string FormatSummary() const;
 
  private:
-  std::unique_ptr<HdrHistogram> stage_hist_[kStageCount];
-  std::unique_ptr<HdrHistogram> e2e_hist_;
+  Histogram stage_hist_[kStageCount];
+  Histogram e2e_hist_;
   uint64_t delivered_ = 0;
   uint64_t full_path_ = 0;
   uint64_t misses_ = 0;

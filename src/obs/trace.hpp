@@ -151,10 +151,6 @@ std::string FormatBreakdown(const TraceBreakdown& b);
 
 // -- guard + null-safe helpers ----------------------------------------------
 
-inline TraceContext StartTraceIf(Tracer* t, const std::string& name,
-                                 const std::string& component) {
-  return t ? t->StartTrace(name, component) : TraceContext{};
-}
 inline TraceContext StartSpanIf(Tracer* t, const std::string& name,
                                 const std::string& component,
                                 const TraceContext& parent) {

@@ -20,7 +20,7 @@
 
 #include "common/rng.hpp"
 #include "common/sim.hpp"
-#include "obs/slo/hdr.hpp"
+#include "obs/histogram.hpp"
 #include "serve/server.hpp"
 
 namespace xg::serve {
@@ -67,7 +67,7 @@ struct LoadStats {
   uint64_t goodput = 0;
   uint64_t late = 0;  ///< served strictly past the deadline
   uint64_t with_deadline = 0;
-  obs::slo::HdrHistogram served_latency;
+  obs::Histogram served_latency;
 
   double ServedRate() const {
     return completed == 0 ? 0.0

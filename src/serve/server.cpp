@@ -28,8 +28,7 @@ AdvisoryServer::AdvisoryServer(sim::Simulation& sim, ServeConfig cfg)
       quantizer_(cfg.quantize),
       cache_(cfg.cache),
       admission_(cfg.cache.shards, cfg.admission),
-      governor_(cfg.overload),
-      latency_(std::make_unique<obs::slo::HdrHistogram>()) {
+      governor_(cfg.overload) {
   if (cfg_.max_concurrent_cfd == 0) cfg_.max_concurrent_cfd = 1;
   governor_.set_transition_hook(
       [this](bool overloaded, int64_t now_us, double rate) {
@@ -89,7 +88,7 @@ void AdvisoryServer::AttachObservability(obs::MetricsRegistry* registry) {
       [this] { return static_cast<double>(active_flights_); }, Type::kGauge);
   registry->RegisterHistogramCallback(
       "xg_serve_latency_ms", {}, "advisory serve latency (submit to response)",
-      [this] { return latency_->Snapshot(); });
+      [this] { return latency_.Snapshot(); });
 }
 
 void AdvisoryServer::Respond(const Waiter& w, ServeStatus status,
@@ -106,7 +105,7 @@ void AdvisoryServer::Respond(const Waiter& w, ServeStatus status,
   r.late = w.budget.open() && w.budget.MissedAt(now);
   ++counters_.responses[static_cast<int>(status)];
   if (r.late) ++counters_.late_responses;
-  latency_->Record(r.latency_us);
+  latency_.Record(r.latency_us);
   const bool shed_like =
       status == ServeStatus::kServedStaleShed || status == ServeStatus::kShed ||
       status == ServeStatus::kFailed;

@@ -28,15 +28,14 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "common/sim.hpp"
 #include "common/thread_annotations.hpp"
+#include "obs/histogram.hpp"
 #include "obs/metrics.hpp"
 #include "obs/slo/budget.hpp"
 #include "obs/slo/flight.hpp"
-#include "obs/slo/hdr.hpp"
 #include "resil/degraded.hpp"
 #include "serve/admission.hpp"
 #include "serve/cache.hpp"
@@ -131,7 +130,7 @@ class XG_SIM_THREAD_CONFINED AdvisoryServer {
   const AdmissionController& admission() const { return admission_; }
   const OverloadGovernor& governor() const { return governor_; }
   const Quantizer& quantizer() const { return quantizer_; }
-  const obs::slo::HdrHistogram& latency_hist() const { return *latency_; }
+  const obs::Histogram& latency_hist() const { return latency_; }
 
   struct Counters {
     uint64_t requests = 0;
@@ -198,7 +197,7 @@ class XG_SIM_THREAD_CONFINED AdvisoryServer {
   size_t active_flights_ = 0;
 
   Counters counters_;
-  std::unique_ptr<obs::slo::HdrHistogram> latency_;
+  obs::Histogram latency_;
 };
 
 }  // namespace xg::serve

@@ -133,25 +133,6 @@ TEST(SampleSet, ClearResetsForReuse) {
   EXPECT_DOUBLE_EQ(s.Median(), 2.0);
 }
 
-TEST(Histogram, BinsAndEdges) {
-  Histogram h(0.0, 10.0, 5);
-  h.Add(-1.0);   // underflow
-  h.Add(0.0);    // bin 0
-  h.Add(1.99);   // bin 0
-  h.Add(2.0);    // bin 1
-  h.Add(9.99);   // bin 4
-  h.Add(10.0);   // overflow
-  h.Add(100.0);  // overflow
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.BinCount(0), 2u);
-  EXPECT_EQ(h.BinCount(1), 1u);
-  EXPECT_EQ(h.BinCount(4), 1u);
-  EXPECT_EQ(h.total(), 7u);
-  EXPECT_DOUBLE_EQ(h.BinLow(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.BinHigh(1), 4.0);
-}
-
 TEST(Ewma, ConvergesToConstant) {
   Ewma e(0.2);
   EXPECT_FALSE(e.initialized());

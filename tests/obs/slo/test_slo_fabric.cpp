@@ -3,6 +3,8 @@
 // export, chaos-forced misses, and same-seed determinism down to the
 // byte-identical ledger rendering.
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -88,6 +90,28 @@ TEST(SloFabric, TrackerSharesSumToTheEndToEndTotal) {
   for (const auto& st : sum.stages) share_sum += st.share;
   EXPECT_NEAR(share_sum, 1.0, 0.01);
   EXPECT_EQ(sum.misses, 0u);
+}
+
+TEST(SloFabric, SummarizedPercentilesNeverExceedTheirMax) {
+  // An escalated day puts a handful of multi-minute CFD samples in the
+  // cfd_end histogram, where a bucket's upper edge lies far above the
+  // largest value; every reported percentile must still be <= the max.
+  Fabric fabric(DayConfig(103));
+  ScheduleMorningFront(fabric);
+  fabric.Run(6.0);
+  const auto sum = fabric.slo_tracker()->Summarize();
+  ASSERT_GT(sum.full_path, 0u);
+  std::vector<std::pair<std::string, obs::slo::SloTracker::StageSummary>>
+      rows = {{"e2e", sum.e2e}};
+  for (const auto& st : sum.stages) {
+    rows.emplace_back(obs::slo::StageName(st.stage), st);
+  }
+  for (const auto& [name, st] : rows) {
+    EXPECT_LE(st.p50_ms, st.p90_ms) << name;
+    EXPECT_LE(st.p90_ms, st.p99_ms) << name;
+    EXPECT_LE(st.p99_ms, st.p999_ms) << name;
+    EXPECT_LE(st.p999_ms, st.max_ms) << name;
+  }
 }
 
 TEST(SloFabric, SloSeriesAppearInMetricsSnapshot) {

@@ -41,17 +41,23 @@ TEST(PrometheusText, CountersGaugesAndLabels) {
 }
 
 TEST(PrometheusText, HistogramBucketsAreCumulativeWithInf) {
+  // Registry histograms record microseconds and export the non-empty
+  // buckets' upper edges in milliseconds: 500 us lands in [496, 511] us,
+  // 5 ms in [4864, 5119] us and 99 ms in [98304, 102399] us.
   MetricsRegistry reg;
-  LatencyHistogram& h =
-      reg.GetHistogram("xg_lat_ms", {}, "latency", {1.0, 10.0});
-  h.Observe(0.5);
-  h.Observe(5.0);
-  h.Observe(5.0);
-  h.Observe(99.0);
+  Histogram& h = reg.GetHistogram("xg_lat_ms", {}, "latency");
+  h.Record(500);
+  h.Record(5000);
+  h.Record(5000);
+  h.Record(99000);
 
   const std::string text = ToPrometheusText(reg.Snapshot());
-  EXPECT_NE(text.find("xg_lat_ms_bucket{le=\"1\"} 1\n"), std::string::npos);
-  EXPECT_NE(text.find("xg_lat_ms_bucket{le=\"10\"} 3\n"), std::string::npos);
+  EXPECT_NE(text.find("xg_lat_ms_bucket{le=\"0.511\"} 1\n"),
+            std::string::npos) << text;
+  EXPECT_NE(text.find("xg_lat_ms_bucket{le=\"5.119\"} 3\n"),
+            std::string::npos) << text;
+  EXPECT_NE(text.find("xg_lat_ms_bucket{le=\"102.399\"} 4\n"),
+            std::string::npos) << text;
   EXPECT_NE(text.find("xg_lat_ms_bucket{le=\"+Inf\"} 4\n"), std::string::npos);
   EXPECT_NE(text.find("xg_lat_ms_count 4\n"), std::string::npos);
   EXPECT_NE(text.find("xg_lat_ms_sum 109.5\n"), std::string::npos);
@@ -71,7 +77,7 @@ TEST(MetricsJson, IsValidJsonWithAllInstrumentKinds) {
   MetricsRegistry reg;
   reg.GetCounter("xg_c_total", {{"k", "v\"quoted\""}}).Inc(2);
   reg.GetGauge("xg_g").Set(0.25);
-  reg.GetHistogram("xg_h_ms", {}, "", {5.0}).Observe(1.0);
+  reg.GetHistogram("xg_h_ms").Record(1000);
   const std::string json = MetricsToJson(reg.Snapshot());
   EXPECT_TRUE(JsonChecker(json).Valid()) << json;
   EXPECT_NE(json.find("\"name\":\"xg_c_total\""), std::string::npos);
@@ -124,7 +130,7 @@ TEST(Exporters, SnapshotWhileWritersMutate) {
   // them while workers hammer the instruments must never tear output.
   MetricsRegistry reg;
   Counter& c = reg.GetCounter("xg_race_total");
-  LatencyHistogram& h = reg.GetHistogram("xg_race_ms", {}, "", {1.0, 10.0});
+  Histogram& h = reg.GetHistogram("xg_race_ms");
   Tracer tracer;
   // Keep the span store small so each Chrome export stays cheap while the
   // writers hammer it.
@@ -147,7 +153,7 @@ TEST(Exporters, SnapshotWhileWritersMutate) {
       // At least one round even if the exporting worker finishes first.
       do {
         c.Inc();
-        h.Observe(static_cast<double>(worker));
+        h.Record(static_cast<int64_t>(worker));
         TraceContext t = tracer.StartTrace("w", "bench");
         tracer.EndSpan(t);
       } while (!stop.load(std::memory_order_relaxed));

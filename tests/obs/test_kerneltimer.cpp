@@ -50,15 +50,17 @@ TEST(KernelTimer, NullTimerScopeIsNoOp) {
 
 TEST(KernelTimer, ExportsLabeledHistogram) {
   MetricsRegistry registry;
-  KernelTimer timer(&registry, [] { return int64_t{0}; }, "xg_test_kernel");
+  KernelTimer timer(&registry, [] { return int64_t{0}; });
   timer.Observe("sweep", 3000);
   bool found = false;
   for (const MetricSample& s : registry.Snapshot()) {
-    if (s.name == "xg_test_kernel_ms") {
+    if (s.name == "xg_cfd_kernel_ms") {
       found = true;
       ASSERT_EQ(s.labels.size(), 1u);
       EXPECT_EQ(s.labels.begin()->first, "kernel");
       EXPECT_EQ(s.labels.begin()->second, "sweep");
+      EXPECT_EQ(s.hist.count, 1u);
+      EXPECT_DOUBLE_EQ(s.hist.sum, 3.0);
     }
   }
   EXPECT_TRUE(found);

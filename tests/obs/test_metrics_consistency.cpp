@@ -11,8 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/slo/hdr.hpp"
-
 namespace xg::obs {
 namespace {
 
@@ -23,15 +21,15 @@ uint64_t BucketSum(const HistogramSnapshot& snap) {
 }
 
 TEST(MetricsConsistency, HistogramSnapshotNeverTearsUnderWriters) {
-  LatencyHistogram h({0.5, 1.0, 5.0, 10.0, 50.0, 100.0});
+  Histogram h;
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
   for (int w = 0; w < 3; ++w) {
     writers.emplace_back([&h, &stop, w] {
-      double v = 0.1 * (w + 1);
+      int64_t v = 100 * (w + 1);
       while (!stop.load(std::memory_order_relaxed)) {
-        h.Observe(v);
-        v = v > 120.0 ? 0.1 : v * 1.7;
+        h.Record(v);
+        v = v > 120'000 ? 100 : v * 17 / 10;
       }
     });
   }
@@ -48,15 +46,15 @@ TEST(MetricsConsistency, HistogramSnapshotNeverTearsUnderWriters) {
 
 TEST(MetricsConsistency, RegistrySnapshotRacesWritersAndRegistrations) {
   MetricsRegistry reg;
-  LatencyHistogram& shared =
+  Histogram& shared =
       reg.GetHistogram("xg_test_latency_ms", {{"path", "shared"}});
   std::atomic<bool> stop{false};
 
   std::thread histogram_writer([&shared, &stop] {
-    double v = 0.2;
+    int64_t v = 200;
     while (!stop.load(std::memory_order_relaxed)) {
-      shared.Observe(v);
-      v = v > 900.0 ? 0.2 : v * 1.3;
+      shared.Record(v);
+      v = v > 900'000 ? 200 : v * 13 / 10;
     }
   });
   // A second thread keeps registering fresh labeled instruments while the
@@ -86,15 +84,15 @@ TEST(MetricsConsistency, HdrCallbackExportIsConsistentUnderWriters) {
   // The SLO stage histograms export through RegisterHistogramCallback;
   // the same no-tear invariant must hold for that path.
   MetricsRegistry reg;
-  slo::HdrHistogram hdr;
+  Histogram stage;
   reg.RegisterHistogramCallback("xg_slo_stage_latency_ms",
                                 {{"stage", "cfd_end"}}, "test",
-                                [&hdr] { return hdr.Snapshot(); });
+                                [&stage] { return stage.Snapshot(); });
   std::atomic<bool> stop{false};
-  std::thread writer([&hdr, &stop] {
+  std::thread writer([&stage, &stop] {
     int64_t v = 1;
     while (!stop.load(std::memory_order_relaxed)) {
-      hdr.Record(v);
+      stage.Record(v);
       v = (v * 31 + 7) % 1'000'000;
     }
   });

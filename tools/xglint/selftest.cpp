@@ -393,8 +393,12 @@ const std::vector<SelfTestCase>& Cases() {
       {"static factory returning an accumulator is not an instance",
        "src/x/meter.hpp",
        "class Meter {\n"
-       "  static Histogram MakeDefault();\n"
+       "  static SampleSet MakeDefault();\n"
        "};\n",
+       {}},
+      {"static atomic obs::Histogram is not a confined accumulator",
+       "src/x/meter.cpp",
+       "static Histogram g_latency;\n",
        {}},
       {"static accumulator outside src/ is out of scope", "bench/x/meter.cpp",
        "static SampleSet g_latency;\n",

@@ -48,10 +48,10 @@
 //                     common/threadpool.*: threads outside the pool
 //                     escape shutdown ordering and TSan coverage.
 //   confined-static   `static` instances of the XG_SIM_THREAD_CONFINED
-//                     accumulators (RunningStats, SampleSet, Histogram,
-//                     Ewma) under src/: a static accumulator is shared
-//                     state without a lock. Accumulate per-thread and
-//                     Merge() on one thread.
+//                     accumulators (RunningStats, SampleSet, Ewma) under
+//                     src/: a static accumulator is shared state without
+//                     a lock. Accumulate per-thread and Merge() on one
+//                     thread.
 //   unbounded-queue   std::deque / std::queue / std::priority_queue
 //                     declared in the backpressure tiers (src/serve,
 //                     src/resil) in a file that never names a bound
@@ -632,7 +632,7 @@ void RuleRawThread(const Ctx& ctx) {
 void RuleConfinedStatic(const Ctx& ctx) {
   if (!InSrc(ctx.path)) return;
   static const std::set<std::string> kConfinedTypes = {
-      "RunningStats", "SampleSet", "Histogram", "Ewma"};
+      "RunningStats", "SampleSet", "Ewma"};
   const auto& toks = ctx.lex.tokens;
   for (size_t i = 0; i + 2 < toks.size(); ++i) {
     if (!IsIdent(toks[i], "static")) continue;

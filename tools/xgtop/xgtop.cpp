@@ -249,7 +249,8 @@ void RenderFrame(core::Fabric& fabric, const Options& opt) {
                   gov.overloaded() ? "ACTIVE" : "clear",
                   static_cast<unsigned long long>(gov.transitions()),
                   static_cast<unsigned long long>(gov.storms()),
-                  srv->latency_hist().PercentileUs(99.0) / 1e3);
+                  static_cast<double>(srv->latency_hist().Percentile(99.0)) /
+                      1e3);
     out += line;
   }
 
@@ -397,8 +398,10 @@ int WriteSnapshot(core::Fabric& fabric, const Options& opt, std::ostream& os) {
     jw.Field("overloaded", gov.overloaded());
     jw.Field("overload_transitions", gov.transitions());
     jw.Field("overload_storms", gov.storms());
-    jw.Field("latency_p50_ms", srv->latency_hist().PercentileUs(50.0) / 1e3);
-    jw.Field("latency_p99_ms", srv->latency_hist().PercentileUs(99.0) / 1e3);
+    jw.Field("latency_p50_ms",
+             static_cast<double>(srv->latency_hist().Percentile(50.0)) / 1e3);
+    jw.Field("latency_p99_ms",
+             static_cast<double>(srv->latency_hist().Percentile(99.0)) / 1e3);
     jw.EndObject();
   }
 
