@@ -33,7 +33,6 @@ std::string FormatCase(const CfdCase& c) {
   os << "solver.canopy_heat_w = " << c.solver.canopy_heat_w << "\n";
   os << "solver.buoyancy_beta = " << c.solver.buoyancy_beta << "\n";
   os << "solver.poisson_iters = " << c.solver.poisson_iters << "\n";
-  os << "solver.poisson_omega = " << c.solver.poisson_omega << "\n";
   os << "boundary.wind_speed_ms = " << c.boundary.wind_speed_ms << "\n";
   os << "boundary.wind_dir_deg = " << c.boundary.wind_dir_deg << "\n";
   os << "boundary.exterior_temp_c = " << c.boundary.exterior_temp_c << "\n";
@@ -98,7 +97,6 @@ Result<CfdCase> ParseCase(const std::string& text) {
   take_num("solver.canopy_heat_w", c.solver.canopy_heat_w);
   take_num("solver.buoyancy_beta", c.solver.buoyancy_beta);
   take_num("solver.poisson_iters", c.solver.poisson_iters);
-  take_num("solver.poisson_omega", c.solver.poisson_omega);
   take_num("boundary.wind_speed_ms", c.boundary.wind_speed_ms);
   take_num("boundary.wind_dir_deg", c.boundary.wind_dir_deg);
   take_num("boundary.exterior_temp_c", c.boundary.exterior_temp_c);
@@ -107,6 +105,10 @@ Result<CfdCase> ParseCase(const std::string& text) {
   if (!kv.empty()) {
     return Status(ErrorCode::kInvalidArgument,
                   "unknown case key: " + kv.begin()->first);
+  }
+  if (c.solver.poisson_iters < 1) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "solver.poisson_iters must be at least 1");
   }
   return c;
 }

@@ -8,8 +8,8 @@
 //   1. explicit first-order-upwind advection of (u, v, w, T);
 //   2. explicit diffusion with an eddy viscosity;
 //   3. buoyancy source on w, porous drag (implicit per-cell), canopy heat;
-//   4. pressure Poisson solve (red-black SOR, thread-parallel) so the
-//      projected field is discretely divergence-free;
+//   4. pressure Poisson solve (direct separable solve, see poisson.hpp)
+//      so the projected field is discretely divergence-free;
 //   5. velocity correction.
 //
 // Boundary conditions come from the telemetry: exterior wind vector and
@@ -23,8 +23,8 @@
 // and each stage ends with one fused boundary sweep. Per-cell type, drag,
 // and heat-source arrays are precomputed so no geometry predicate runs
 // inside a kernel. Reductions (Poisson residual, max divergence, interior
-// means) run as ParallelReduce over horizontal slabs with deterministic
-// combine order.
+// means) take one partial per horizontal slab and combine them in
+// ascending k, so they do not depend on the worker count.
 //
 // The solver is domain-decomposed over horizontal slabs and runs on a
 // ThreadPool; cell-update counts are exposed so the HPC performance model
@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "cfd/mesh.hpp"
+#include "cfd/poisson.hpp"
 #include "common/threadpool.hpp"
 
 namespace xg::obs {
@@ -61,13 +62,15 @@ struct SolverParams {
   double canopy_heat_w = 0.004;     ///< K/s volumetric solar heating
   double buoyancy_beta = 1.0 / 300.0;  ///< 1/K (Boussinesq)
   double gravity = 9.81;
-  int poisson_iters = 60;
-  double poisson_omega = 1.7;       ///< SOR relaxation
+  /// Poisson passes per step: the first is the exact direct solve, each
+  /// further one a defect correction p += A^-1 (b - A p).
+  int poisson_iters = 1;
 };
 
 struct StepStats {
   double max_divergence = 0.0;    ///< post-projection residual divergence
-  double poisson_residual = 0.0;
+  double poisson_residual = 0.0;  ///< max |A p - b| after the solve
+  double poisson_rhs = 0.0;       ///< max |b|, the residual's scale
   uint64_t cell_updates = 0;
 };
 
@@ -123,7 +126,7 @@ class Solver {
   double MaxDivergence() const;
 
   /// Interior-cell updates performed so far: each Advect / DiffuseAndForce
-  /// / Project pass and each SOR iteration counts every interior cell once
+  /// / Project pass and each Poisson pass counts every interior cell once
   /// (boundary cells are applied, not solved, and are excluded — this is
   /// the honest work figure the HPC performance model calibrates against).
   uint64_t total_cell_updates() const { return total_updates_; }
@@ -146,8 +149,8 @@ class Solver {
   /// decomposed across the pool when one is attached.
   template <typename Body>
   void ForSlabs(Body&& body) const;
-  /// Reduce map(kb, ke) -> T over the interior slab range with a
-  /// deterministic combine order (serial fallback evaluates map once).
+  /// Reduce map(k, k + 1) -> T over each interior slab k, folding the
+  /// partials in ascending k on the serial and pooled paths alike.
   template <typename T, typename Map, typename Combine>
   T ReduceSlabs(T identity, Map&& map, Combine&& combine) const;
 
@@ -158,6 +161,7 @@ class Solver {
   Boundary bc_;
   Fields cur_, prev_;
   std::vector<double> p_, div_;
+  PoissonSolver poisson_;
   /// Per-cell porous drag coefficient (0 for fluid cells) and per-step
   /// canopy heat increment, baked from mesh cell types and params.
   std::vector<double> cell_drag_, cell_heat_;

@@ -33,7 +33,23 @@ TEST(Case, DefaultsSurviveRoundTrip) {
   ASSERT_TRUE(back.ok());
   const CfdCase d;
   EXPECT_EQ(back.value().mesh.nx, d.mesh.nx);
-  EXPECT_DOUBLE_EQ(back.value().solver.poisson_omega, d.solver.poisson_omega);
+  EXPECT_EQ(back.value().solver.poisson_iters, d.solver.poisson_iters);
+}
+
+TEST(Case, PoissonPassesMustBePositive) {
+  EXPECT_FALSE(ParseCase("solver.poisson_iters = 0\n").ok());
+  EXPECT_FALSE(ParseCase("solver.poisson_iters = -3\n").ok());
+  auto two = ParseCase("solver.poisson_iters = 2\n");
+  ASSERT_TRUE(two.ok());
+  EXPECT_EQ(two.value().solver.poisson_iters, 2);
+}
+
+TEST(Case, RetiredOmegaKeyRejected) {
+  // The omega key belongs to the retired iterative solver: a case file
+  // naming it is stale and is rejected rather than silently ignored.
+  auto r = ParseCase("solver.poisson_omega = 1.7\n");
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("poisson_omega"), std::string::npos);
 }
 
 TEST(Case, UnknownKeyRejected) {
