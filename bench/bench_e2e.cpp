@@ -25,7 +25,7 @@ namespace {
 
 struct DayRun {
   FabricMetrics metrics;
-  obs::slo::SloTracker::Summary slo;
+  obs::slo::LatencyLedger::Summary slo;
   std::string slo_table;
 };
 
@@ -58,8 +58,8 @@ DayRun RunDay(int votes_needed, uint64_t seed, bool with_breach) {
   fabric.Run(24.0);
   DayRun out;
   out.metrics = fabric.metrics();
-  out.slo = fabric.slo_tracker()->Summarize();
-  out.slo_table = fabric.slo_tracker()->FormatSummary();
+  out.slo = fabric.slo_ledger()->Summarize();
+  out.slo_table = fabric.slo_ledger()->FormatSummary();
   return out;
 }
 
@@ -96,7 +96,7 @@ ChaosRun RunChaosDay(uint64_t seed) {
 
   ChaosRun out;
   out.metrics = fabric.metrics();
-  out.misses = fabric.slo_tracker()->deadline_miss_total();
+  out.misses = fabric.slo_ledger()->missed_total();
   out.expired = fabric.slo_ledger()->closed_by_reason(
       obs::slo::CloseReason::kExpired);
   out.dumps = fabric.flight_recorder()->dumps_taken();
@@ -225,7 +225,7 @@ int main() {
   }
   // Percentiles are clamped into the observed range, so no stage's tail
   // may be reported above its max.
-  std::vector<obs::slo::SloTracker::StageSummary> rows = day.slo.stages;
+  std::vector<obs::slo::LatencyLedger::StageSummary> rows = day.slo.stages;
   rows.push_back(day.slo.e2e);
   for (const auto& st : rows) {
     if (st.p99_ms > st.max_ms || st.p999_ms > st.max_ms) {

@@ -144,35 +144,30 @@ Fabric::Fabric(FabricConfig config)
   }
 
   // Deadline-budget SLO accounting: the ledger keys per-reading budgets by
-  // trace id (inert while tracing is off), the tracker aggregates closed
-  // records into the xg_slo_* series, and the flight recorder keeps the
-  // black box that dumps on contract violations and deadline misses.
+  // trace id (inert while tracing is off) and books closed records into
+  // the xg_slo_* series; the flight recorder keeps the black box that
+  // dumps on contract violations and deadline misses. Switched off, no
+  // budget opens (see PublishTelemetry) and no layer gets the recorder.
+  obs::slo::FlightRecorder* flight = flight_recorder();
+  flight_.set_clock([this] { return sim_.Now().micros(); });
+  flight_.set_ledger(&ledger_);
+  ledger_.set_on_close([this](const obs::slo::LedgerRecord& rec) {
+    flight_.OnRecordClosed(rec);
+  });
+  cspot_->AttachSlo(&ledger_);
   if (config_.slo.enabled) {
-    obs::slo::LedgerConfig lc = config_.slo.ledger;
-    ledger_ = std::make_unique<obs::slo::LatencyLedger>(lc);
-    slo_tracker_ = std::make_unique<obs::slo::SloTracker>();
-    if (reg != nullptr) slo_tracker_->Attach(reg);
-    flight_ = std::make_unique<obs::slo::FlightRecorder>(config_.slo.flight);
-    flight_->set_clock([this] { return sim_.Now().micros(); });
-    flight_->set_ledger(ledger_.get());
-    flight_->ArmContractTrigger();
-    ledger_->set_on_close([this](const obs::slo::LedgerRecord& rec) {
-      slo_tracker_->Record(rec);
-      flight_->OnRecordClosed(rec);
-    });
-    cspot_->AttachSlo(ledger_.get());
-    // Layer event feeds into the flight recorder's fault/resilience ring.
-    if (degraded_ != nullptr) degraded_->set_flight_recorder(flight_.get());
-    if (chaos_ != nullptr) chaos_->set_flight_recorder(flight_.get());
-    scheduler_->set_flight_recorder(flight_.get());
-    pilot_->set_flight_recorder(flight_.get());
-    if (failover_scheduler_ != nullptr) {
-      failover_scheduler_->set_flight_recorder(flight_.get());
-    }
-    if (failover_pilot_ != nullptr) {
-      failover_pilot_->set_flight_recorder(flight_.get());
-    }
+    ledger_.Attach(reg);
+    flight_.ArmContractTrigger();
   }
+  // Layer event feeds into the flight recorder's fault/resilience ring.
+  if (degraded_ != nullptr) degraded_->set_flight_recorder(flight);
+  if (chaos_ != nullptr) chaos_->set_flight_recorder(flight);
+  scheduler_->set_flight_recorder(flight);
+  pilot_->set_flight_recorder(flight);
+  if (failover_scheduler_ != nullptr) {
+    failover_scheduler_->set_flight_recorder(flight);
+  }
+  if (failover_pilot_ != nullptr) failover_pilot_->set_flight_recorder(flight);
 
   // Overload-robust serving tier: quantized-key cache + single-flight
   // coalescing + CoDel admission in front of the pilot tier. The cache's
@@ -189,12 +184,10 @@ Fabric::Fabric(FabricConfig config)
       degraded_ = std::make_unique<resil::DegradedModeManager>();
       degraded_->AttachObservability(
           reg, config_.tracing_enabled ? &tracer_ : nullptr);
-      if (flight_ != nullptr) degraded_->set_flight_recorder(flight_.get());
+      degraded_->set_flight_recorder(flight);
     }
     advisory_server_->set_degraded_manager(degraded_.get());
-    if (flight_ != nullptr) {
-      advisory_server_->set_flight_recorder(flight_.get());
-    }
+    advisory_server_->set_flight_recorder(flight);
     advisory_server_->AttachObservability(reg);
     advisory_server_->set_launcher(
         [this](const serve::ConditionKey&,
@@ -317,13 +310,13 @@ void Fabric::PublishTelemetry() {
   // journey, so its duration is the e2e latency the paper decomposes.
   const obs::TraceContext root = tracer_.StartTrace("telemetry", "fabric");
   tracer_.Annotate(root, "client", telemetry_client_);
-  if (ledger_ != nullptr) {
-    // The reporting tick doubles as the expiry sweep (a stalled journey is
-    // closed as kExpired — a deadline miss — once its budget runs out),
-    // then this reading's budget opens at the emit boundary.
-    ledger_->SweepExpired(sim_.Now().micros());
-    ledger_->Open(root.trace_id, sim_.Now().micros());
-  }
+  // The reporting tick doubles as the expiry sweep (a stalled journey is
+  // closed as kExpired — a deadline miss — once its budget runs out), then
+  // this reading's budget opens at the emit boundary. With the SLO layer
+  // off it opens under id 0, which the ledger ignores, so every later
+  // stamp and close is a no-op.
+  ledger_.SweepExpired(sim_.Now().micros());
+  ledger_.Open(config_.slo.enabled ? root.trace_id : 0, sim_.Now().micros());
   const obs::TraceContext read_span =
       tracer_.StartSpan("sensor.read", "sensors", root);
 
@@ -370,9 +363,7 @@ void Fabric::PublishTelemetry() {
     tracer_.EndSpan(root);
     // The journey continues untraced through the drain; the budget closes
     // here and the resilience metrics account the buffered leg.
-    if (ledger_ != nullptr) {
-      ledger_->Close(root.trace_id, obs::slo::CloseReason::kBuffered);
-    }
+    ledger_.Close(root.trace_id, obs::slo::CloseReason::kBuffered);
     return;
   }
 
@@ -400,11 +391,9 @@ void Fabric::PublishTelemetry() {
             BufferFrame(payload);
           }
           tracer_.EndSpan(root);
-          if (ledger_ != nullptr) {
-            ledger_->Close(root.trace_id,
-                           ResilienceOn() ? obs::slo::CloseReason::kBuffered
-                                          : obs::slo::CloseReason::kFailed);
-          }
+          ledger_.Close(root.trace_id,
+                        ResilienceOn() ? obs::slo::CloseReason::kBuffered
+                                       : obs::slo::CloseReason::kFailed);
           return;
         }
         ++metrics_.telemetry_frames_stored;
@@ -423,13 +412,11 @@ void Fabric::PublishTelemetry() {
         auto suspicion = twin_.Observe(frame);
         tracer_.EndSpan(observe);
         tracer_.EndSpan(root);
-        if (ledger_ != nullptr) {
-          // A newer frame supersedes the previous one as the detection
-          // window head: retire its budget as plain delivery unless the
-          // detector escalated it into the CFD path.
-          ledger_->CloseIfIdle(last_frame_trace_.trace_id,
-                               obs::slo::CloseReason::kDelivered);
-        }
+        // A newer frame supersedes the previous one as the detection
+        // window head: retire its budget as plain delivery unless the
+        // detector escalated it into the CFD path.
+        ledger_.CloseIfIdle(last_frame_trace_.trace_id,
+                            obs::slo::CloseReason::kDelivered);
         last_frame_trace_ = root;
         if (on_frame_stored) on_frame_stored(sim_.Now().seconds(), false);
         if (suspicion) HandleSuspicion(*suspicion);
@@ -584,8 +571,8 @@ void Fabric::RunDetectionCycle() {
     const laminar::ChangeDecision dw = detector_.Evaluate(wind);
     const laminar::ChangeDecision dt = detector_.Evaluate(temp);
     changed = dw.changed || dt.changed;
-    if (changed && flight_ != nullptr) {
-      flight_->Note("laminar", dw.changed ? "wind " + dw.Describe()
+    if (changed && config_.slo.enabled) {
+      flight_.Note("laminar", dw.changed ? "wind " + dw.Describe()
                                           : "temp " + dt.Describe());
     }
   }
@@ -617,10 +604,8 @@ void Fabric::RunDetectionCycle() {
     ++metrics_.alerts_raised;
     // Escalation boundary: once laminar_trigger is stamped the reading's
     // budget stays open through pilot/CFD and closes at twin_update.
-    if (ledger_ != nullptr) {
-      ledger_->Stamp(window.trace_id, obs::slo::Stage::kLaminarTrigger,
-                     sim_.Now().micros());
-    }
+    ledger_.Stamp(window.trace_id, obs::slo::Stage::kLaminarTrigger,
+                  sim_.Now().micros());
   }
   tracer_.EndSpan(window);
 }
@@ -634,9 +619,7 @@ void Fabric::TriggerCfd(double alert_time_s, double data_bytes,
     if (ResilienceOn()) ServeStaleAdvisories("cfd in flight");
     // The declined escalation would otherwise dangle until the expiry
     // sweep and read as a spurious deadline miss.
-    if (ledger_ != nullptr) {
-      ledger_->Close(trace.trace_id, obs::slo::CloseReason::kSkipped);
-    }
+    ledger_.Close(trace.trace_id, obs::slo::CloseReason::kSkipped);
     return;
   }
   cfd_in_flight_ = true;
@@ -657,9 +640,7 @@ void Fabric::TriggerCfd(double alert_time_s, double data_bytes,
           cfd_in_flight_ = false;
           tracer_.EndSpan(decision);
           if (ResilienceOn()) ServeStaleAdvisories("boundary fetch failed");
-          if (ledger_ != nullptr) {
-            ledger_->Close(decision.trace_id, obs::slo::CloseReason::kFailed);
-          }
+          ledger_.Close(decision.trace_id, obs::slo::CloseReason::kFailed);
           return;
         }
         cspot_->RemoteGet(
@@ -672,29 +653,23 @@ void Fabric::TriggerCfd(double alert_time_s, double data_bytes,
                 if (ResilienceOn()) {
                   ServeStaleAdvisories("boundary fetch failed");
                 }
-                if (ledger_ != nullptr) {
-                  ledger_->Close(decision.trace_id,
-                                 obs::slo::CloseReason::kFailed);
-                }
+                ledger_.Close(decision.trace_id,
+                              obs::slo::CloseReason::kFailed);
                 return;
               }
               auto frame = DeserializeFrame(bytes.value());
               if (!frame.ok()) {
                 cfd_in_flight_ = false;
                 tracer_.EndSpan(decision);
-                if (ledger_ != nullptr) {
-                  ledger_->Close(decision.trace_id,
-                                 obs::slo::CloseReason::kFailed);
-                }
+                ledger_.Close(decision.trace_id,
+                              obs::slo::CloseReason::kFailed);
                 return;
               }
               const TelemetryFrame boundary = frame.take();
               tracer_.EndSpan(decision);
               const int64_t submit_us = sim_.Now().micros();
-              if (ledger_ != nullptr) {
-                ledger_->Stamp(decision.trace_id,
-                               obs::slo::Stage::kPilotSubmit, submit_us);
-              }
+              ledger_.Stamp(decision.trace_id, obs::slo::Stage::kPilotSubmit,
+                            submit_us);
               pilot::PilotController* controller = pilot_.get();
               if (ResilienceOn() && site_detector_->SuspectAt(submit_us)) {
                 // Bridge the gap with the last result while the (slower)
@@ -729,15 +704,13 @@ void Fabric::TriggerCfd(double alert_time_s, double data_bytes,
                           task.ran_in_warm_pilot ? "true" : "false"}});
                     tracer_.RecordSpan("cfd.solve", "cfd", job, start_us,
                                        end_us);
-                    if (ledger_ != nullptr) {
-                      // Queue wait (pilot_submit -> cfd_start) and solve
-                      // (cfd_start -> cfd_end) from the same accounting
-                      // that reconstructs the spans above.
-                      ledger_->Stamp(decision.trace_id,
-                                     obs::slo::Stage::kCfdStart, start_us);
-                      ledger_->Stamp(decision.trace_id,
-                                     obs::slo::Stage::kCfdEnd, end_us);
-                    }
+                    // Queue wait (pilot_submit -> cfd_start) and solve
+                    // (cfd_start -> cfd_end) from the same accounting
+                    // that reconstructs the spans above.
+                    ledger_.Stamp(decision.trace_id,
+                                  obs::slo::Stage::kCfdStart, start_us);
+                    ledger_.Stamp(decision.trace_id, obs::slo::Stage::kCfdEnd,
+                                  end_us);
                     CfdResult result = ExecuteCfd(alert_time_s, boundary);
                     result.complete_time_s = sim_.Now().seconds();
                     StoreResult(result, job);
@@ -851,13 +824,11 @@ void Fabric::StoreResult(const CfdResult& result,
       tracer_.StartSpan("twin.compare", "twin", trace);
   twin_.UpdatePrediction(result);
   tracer_.EndSpan(compare);
-  if (ledger_ != nullptr) {
-    // End of the full escalated path: the twin holds the fresh prediction,
-    // so the reading's journey is complete and its budget settles.
-    ledger_->Stamp(trace.trace_id, obs::slo::Stage::kTwinUpdate,
-                   sim_.Now().micros());
-    ledger_->Close(trace.trace_id, obs::slo::CloseReason::kFullPath);
-  }
+  // End of the full escalated path: the twin holds the fresh prediction,
+  // so the reading's journey is complete and its budget settles.
+  ledger_.Stamp(trace.trace_id, obs::slo::Stage::kTwinUpdate,
+                sim_.Now().micros());
+  ledger_.Close(trace.trace_id, obs::slo::CloseReason::kFullPath);
   cfd_in_flight_ = false;
   // A fresh result ends any stale-serving episode.
   if (ResilienceOn() &&

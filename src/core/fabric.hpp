@@ -188,12 +188,15 @@ class Fabric {
   /// Span store for the per-reading end-to-end traces (§4.4 breakdown).
   obs::Tracer& tracer() { return tracer_; }
 
-  /// Per-reading deadline budgets (nullptr when config.slo is disabled).
-  obs::slo::LatencyLedger* slo_ledger() { return ledger_.get(); }
-  /// Aggregate SLO histograms / miss counters (nullptr when disabled).
-  obs::slo::SloTracker* slo_tracker() { return slo_tracker_.get(); }
-  /// Black-box dump ring (nullptr when disabled).
-  obs::slo::FlightRecorder* flight_recorder() { return flight_.get(); }
+  /// Per-reading deadline budgets and their aggregate histograms / miss
+  /// counters (nullptr when config.slo is disabled).
+  obs::slo::LatencyLedger* slo_ledger() {
+    return config_.slo.enabled ? &ledger_ : nullptr;
+  }
+  /// Black-box dump ring (nullptr when config.slo is disabled).
+  obs::slo::FlightRecorder* flight_recorder() {
+    return config_.slo.enabled ? &flight_ : nullptr;
+  }
 
   /// Overload-robust advisory front (nullptr unless config.serve.enabled).
   serve::AdvisoryServer* advisory_server() { return advisory_server_.get(); }
@@ -275,10 +278,9 @@ class Fabric {
   std::unique_ptr<Robot> robot_;
   FabricMetrics metrics_;
   std::optional<CfdResult> latest_result_;
-  // SLO deadline accounting (all null when config_.slo.enabled is false).
-  std::unique_ptr<obs::slo::LatencyLedger> ledger_;
-  std::unique_ptr<obs::slo::SloTracker> slo_tracker_;
-  std::unique_ptr<obs::slo::FlightRecorder> flight_;
+  // SLO deadline accounting; idle when config_.slo.enabled is false.
+  obs::slo::LatencyLedger ledger_;
+  obs::slo::FlightRecorder flight_;
   /// Histogram view of telemetry_latency_ms (nullptr with metrics off).
   obs::Histogram* telemetry_latency_hist_ = nullptr;
   /// Trace of the most recently stored frame; the detection cycle and the

@@ -87,22 +87,10 @@ void AppendRecord(std::string& out, const LedgerRecord& rec) {
 
 }  // namespace
 
-FlightRecorder::FlightRecorder(FlightConfig cfg) : cfg_(std::move(cfg)) {}
-
 FlightRecorder::~FlightRecorder() { DisarmContractTrigger(); }
 
 void FlightRecorder::OnRecordClosed(const LedgerRecord& rec) {
-  records_.push_back(rec);
-  while (records_.size() > cfg_.record_capacity) records_.pop_front();
-  ++records_seen_;
-  if (rec.missed && cfg_.dump_on_miss) {
-    Dump("deadline_miss", LatencyLedger::FormatRecord(rec));
-  }
-}
-
-void FlightRecorder::OnLog(const LogRecord& rec) {
-  logs_.push_back(rec);
-  while (logs_.size() > cfg_.log_capacity) logs_.pop_front();
+  if (rec.missed) Dump("deadline_miss", LatencyLedger::FormatRecord(rec));
 }
 
 void FlightRecorder::Note(const std::string& source,
@@ -112,11 +100,11 @@ void FlightRecorder::Note(const std::string& source,
   ev.source = source;
   ev.detail = detail;
   events_.push_back(std::move(ev));
-  while (events_.size() > cfg_.event_capacity) events_.pop_front();
+  while (events_.size() > kEventCapacity) events_.pop_front();
 }
 
 void FlightRecorder::ArmContractTrigger() {
-  if (contract_armed_ || !cfg_.dump_on_violation) return;
+  if (contract_armed_) return;
   contract_token_ =
       contract::AddViolationListener([this](const contract::Violation& v) {
         Dump("contract_violation",
@@ -132,12 +120,6 @@ void FlightRecorder::DisarmContractTrigger() {
   contract_armed_ = false;
 }
 
-std::string FlightRecorder::ResolveDumpDir() const {
-  if (!cfg_.dump_dir.empty()) return cfg_.dump_dir;
-  const char* env = std::getenv("XG_FLIGHT_DIR");
-  return env ? std::string(env) : std::string();
-}
-
 std::string FlightRecorder::Dump(const std::string& trigger,
                                  const std::string& detail) {
   if (dumping_) return last_dump_;  // a listener fired during a dump
@@ -146,14 +128,17 @@ std::string FlightRecorder::Dump(const std::string& trigger,
 
   // The stage to blame: the most recent missed record's dominant stage,
   // falling back to the most recent record of any kind.
+  const std::deque<LedgerRecord> no_records;
+  const std::deque<LedgerRecord>& records =
+      ledger_ ? ledger_->recent() : no_records;
   const LedgerRecord* blame = nullptr;
-  for (auto it = records_.rbegin(); it != records_.rend(); ++it) {
+  for (auto it = records.rbegin(); it != records.rend(); ++it) {
     if (it->missed) {
       blame = &*it;
       break;
     }
   }
-  if (!blame && !records_.empty()) blame = &records_.back();
+  if (!blame && !records.empty()) blame = &records.back();
 
   std::string out;
   out.reserve(4096);
@@ -209,26 +194,9 @@ std::string FlightRecorder::Dump(const std::string& trigger,
 
   AppendKey(out, "records");
   out += '[';
-  for (size_t i = 0; i < records_.size(); ++i) {
+  for (size_t i = 0; i < records.size(); ++i) {
     if (i) out += ',';
-    AppendRecord(out, records_[i]);
-  }
-  out += "],";
-
-  AppendKey(out, "logs");
-  out += '[';
-  for (size_t i = 0; i < logs_.size(); ++i) {
-    if (i) out += ',';
-    const LogRecord& lr = logs_[i];
-    out += '{';
-    AppendStr(out, "level", LogLevelName(lr.level));
-    out += ',';
-    AppendStr(out, "component", lr.component);
-    out += ',';
-    AppendStr(out, "msg", lr.message);
-    out += ',';
-    AppendInt(out, "sim_time_us", lr.sim_time_us);
-    out += '}';
+    AppendRecord(out, records[i]);
   }
   out += "],";
 
@@ -251,11 +219,11 @@ std::string FlightRecorder::Dump(const std::string& trigger,
   last_dump_ = out;
   last_dump_path_.clear();
 
-  const std::string dir = ResolveDumpDir();
-  if (!dir.empty() && files_written_ < cfg_.max_dumps) {
+  const char* dir = std::getenv("XG_FLIGHT_DIR");
+  if (dir != nullptr && *dir != '\0' && files_written_ < kMaxDumpFiles) {
     char path[512];
-    std::snprintf(path, sizeof(path), "%s/flight-%04" PRIu64 "-%s.json",
-                  dir.c_str(), dumps_taken_, trigger.c_str());
+    std::snprintf(path, sizeof(path), "%s/flight-%04" PRIu64 "-%s.json", dir,
+                  dumps_taken_, trigger.c_str());
     if (std::FILE* f = std::fopen(path, "w")) {
       std::fwrite(out.data(), 1, out.size(), f);
       std::fclose(f);

@@ -1,23 +1,19 @@
 // Flight recorder: bounded black-box capture for post-incident triage.
 //
-// Keeps three rings on behalf of the fabric —
-//   - recently closed ledger records (the per-reading budget journeys),
-//   - recent structured log lines (via an owned LogRing, when installed),
-//   - recent fault / resilience events (breaker trips, degraded-mode
-//     transitions, injected faults, scheduler stalls) pushed by the layers
-//     through Note() —
-// and serializes all three plus the ledger's in-flight view to a JSON dump
-// when something goes wrong. Dump triggers:
+// Keeps one ring on behalf of the fabric — recent fault / resilience
+// events (breaker trips, degraded-mode transitions, injected faults,
+// scheduler stalls) pushed by the layers through Note() — and serializes
+// it, together with the attached ledger's recently closed records and
+// in-flight view, to a JSON dump when something goes wrong. Dump triggers:
 //   - a contract violation (via contract::AddViolationListener),
 //   - a deadline miss or expiry (wired from the ledger's on_close hook),
 //   - an explicit Dump() call (chaos harness failures, operator request).
 //
 // The JSON document is always built in memory (tests assert on it); it is
-// written to `<dump_dir>/flight-<seq>-<trigger>.json` only when a dump
-// directory is configured — either FlightConfig::dump_dir or the
-// XG_FLIGHT_DIR environment variable (the CI failure path) — and at most
-// `max_dumps` files are written per recorder so a violation storm cannot
-// fill a disk.
+// written to `$XG_FLIGHT_DIR/flight-<seq>-<trigger>.json` only when that
+// environment variable names a directory (the CI failure path), and at
+// most kMaxDumpFiles files are written per recorder so a violation storm
+// cannot fill a disk.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +24,6 @@
 
 #include "common/contract.hpp"
 #include "common/thread_annotations.hpp"
-#include "common/logging.hpp"
 #include "obs/slo/ledger.hpp"
 
 namespace xg::obs::slo {
@@ -40,44 +35,28 @@ struct FlightEvent {
   std::string detail;  ///< human-readable one-liner
 };
 
-struct FlightConfig {
-  size_t record_capacity = 64;  ///< closed ledger records kept
-  size_t log_capacity = 128;    ///< structured log lines kept
-  size_t event_capacity = 128;  ///< fault / resilience events kept
-  /// Directory for dump files; empty = consult XG_FLIGHT_DIR, and if that
-  /// is unset too, dumps stay in memory (last_dump()).
-  std::string dump_dir;
-  /// Hard cap on files written by this recorder.
-  size_t max_dumps = 8;
-  /// Auto-dump on deadline miss / expiry (the ledger hook checks this).
-  bool dump_on_miss = true;
-  /// Auto-dump on contract violation (requires ArmContractTrigger()).
-  bool dump_on_violation = true;
-};
+/// Fault / resilience events kept.
+inline constexpr size_t kEventCapacity = 128;
+/// Hard cap on files written by one recorder.
+inline constexpr size_t kMaxDumpFiles = 8;
 
 class XG_SIM_THREAD_CONFINED FlightRecorder {
  public:
-  explicit FlightRecorder(FlightConfig cfg = FlightConfig{});
+  FlightRecorder() = default;
   ~FlightRecorder();
 
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  const FlightConfig& config() const { return cfg_; }
-
   /// Clock source for Note() timestamps and the in-flight view (typically
   /// the simulation clock). Unset => 0.
   void set_clock(std::function<int64_t()> clock) { clock_ = std::move(clock); }
-  /// Ledger whose recent / in-flight state is embedded in dumps (optional;
-  /// the recorder also keeps its own record ring via OnRecordClosed).
+  /// Ledger whose recent records and in-flight view are embedded in
+  /// dumps (optional).
   void set_ledger(const LatencyLedger* ledger) { ledger_ = ledger; }
 
-  /// Feed one closed ledger record (chain from the ledger's on_close).
-  /// Triggers a dump when the record missed and dump_on_miss is set.
+  /// Chain from the ledger's on_close: dumps when the record missed.
   void OnRecordClosed(const LedgerRecord& rec);
-
-  /// Feed one structured log line (chain from a LogRing-style sink).
-  void OnLog(const LogRecord& rec);
 
   /// Record a fault / resilience event (breaker trip, degraded-mode
   /// transition, injected fault, stall, job kill, ...).
@@ -88,7 +67,7 @@ class XG_SIM_THREAD_CONFINED FlightRecorder {
   void ArmContractTrigger();
   void DisarmContractTrigger();
 
-  /// Build (and, when a dump directory is configured, write) a dump.
+  /// Build (and, when XG_FLIGHT_DIR is set, write) a dump.
   /// `trigger` tags the dump ("deadline_miss", "contract_violation",
   /// "chaos_failure", "manual", ...). Returns the JSON document.
   std::string Dump(const std::string& trigger, const std::string& detail = "");
@@ -101,18 +80,11 @@ class XG_SIM_THREAD_CONFINED FlightRecorder {
   /// Path of the most recent dump file ("" when none was written).
   const std::string& last_dump_path() const { return last_dump_path_; }
   const std::deque<FlightEvent>& events() const { return events_; }
-  size_t records_seen() const { return records_seen_; }
 
  private:
-  std::string ResolveDumpDir() const;
-
-  FlightConfig cfg_;
   std::function<int64_t()> clock_;
   const LatencyLedger* ledger_ = nullptr;
-  std::deque<LedgerRecord> records_;
-  std::deque<LogRecord> logs_;
   std::deque<FlightEvent> events_;
-  size_t records_seen_ = 0;
   uint64_t dumps_taken_ = 0;
   uint64_t files_written_ = 0;
   uint64_t contract_token_ = 0;

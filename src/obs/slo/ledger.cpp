@@ -18,12 +18,10 @@ const char* CloseReasonName(CloseReason r) {
   return "?";
 }
 
-LatencyLedger::LatencyLedger(LedgerConfig cfg) : cfg_(cfg) {}
-
 void LatencyLedger::Open(uint64_t trace_id, int64_t now_us) {
   if (trace_id == 0) return;
   if (open_.count(trace_id) != 0) return;
-  if (open_.size() >= cfg_.max_in_flight) {
+  if (open_.size() >= kMaxInFlight) {
     // Evict the record opened earliest (ties cannot occur: one reading
     // per virtual instant opens a budget).
     auto oldest = open_.begin();
@@ -35,9 +33,7 @@ void LatencyLedger::Open(uint64_t trace_id, int64_t now_us) {
     open_.erase(oldest);
     Finalize(evicted_id, evicted, CloseReason::kEvicted);
   }
-  const auto budget_us =
-      static_cast<int64_t>(cfg_.deadline_s * 1e6);
-  open_.emplace(trace_id, DeadlineBudget(now_us, budget_us));
+  open_.emplace(trace_id, DeadlineBudget(now_us, kDeadlineUs));
   ++opened_total_;
 }
 
@@ -92,10 +88,11 @@ void LatencyLedger::Finalize(uint64_t trace_id, DeadlineBudget budget,
   // missed by definition (the clock passed its deadline while in flight).
   // Failed / buffered / evicted journeys never finished, so they are
   // accounted by reason rather than as deadline misses.
-  if (reason == CloseReason::kDelivered || reason == CloseReason::kFullPath) {
+  const bool completed =
+      reason == CloseReason::kDelivered || reason == CloseReason::kFullPath;
+  if (completed) {
     rec.missed = budget.MissedAt(rec.closed_us);
-    rec.near_miss =
-        budget.NearMissAt(rec.closed_us, cfg_.near_miss_fraction);
+    rec.near_miss = budget.NearMissAt(rec.closed_us, kNearMissFraction);
   } else if (reason == CloseReason::kExpired) {
     rec.missed = true;
   }
@@ -105,9 +102,20 @@ void LatencyLedger::Finalize(uint64_t trace_id, DeadlineBudget budget,
   ++closed_by_reason_[static_cast<int>(reason)];
   if (rec.missed) ++missed_total_;
   if (rec.near_miss) ++near_miss_total_;
+  // Only completed journeys shape the latency profile. kSensorEmit opens
+  // the budget and by definition consumes 0; skipping it keeps the
+  // breakdown to stages that can actually spend time, and the per-stage
+  // sums still add exactly to the e2e total.
+  if (completed) {
+    for (const BudgetStamp& st : rec.budget.stamps()) {
+      if (st.stage == Stage::kSensorEmit) continue;
+      stage_hist_[static_cast<int>(st.stage)].Record(st.consumed_us);
+    }
+    e2e_hist_.Record(rec.consumed_us);
+  }
 
   recent_.push_back(rec);
-  while (recent_.size() > cfg_.recent_capacity) recent_.pop_front();
+  while (recent_.size() > kRecentCapacity) recent_.pop_front();
   if (on_close_) on_close_(rec);
 }
 
@@ -161,6 +169,129 @@ std::string LatencyLedger::FormatRecent() const {
     out += FormatRecord(rec);
     out += '\n';
   }
+  return out;
+}
+
+double LatencyLedger::StageBudgetShare(Stage s) const {
+  const int64_t total = e2e_hist_.sum_us();
+  if (total <= 0) return 0.0;
+  return static_cast<double>(StageHistogram(s).sum_us()) /
+         static_cast<double>(total);
+}
+
+void LatencyLedger::Attach(MetricsRegistry* registry) {
+  if (!registry) return;
+  auto counter = [registry](const char* name, const Labels& labels,
+                            const char* help, const uint64_t* value) {
+    registry->RegisterCallback(
+        name, labels, help, [value] { return static_cast<double>(*value); },
+        MetricSample::Type::kCounter);
+  };
+  counter("xg_slo_deadline_miss_total", {},
+          "Readings whose deadline budget was exceeded (incl. expired in "
+          "flight)",
+          &missed_total_);
+  counter("xg_slo_near_miss_total", {},
+          "Readings delivered within the near-miss fraction of their budget",
+          &near_miss_total_);
+  counter("xg_slo_completed_total", {{"path", "short"}},
+          "Readings delivered without a CFD escalation",
+          &closed_by_reason_[static_cast<int>(CloseReason::kDelivered)]);
+  counter("xg_slo_completed_total", {{"path", "full"}},
+          "Readings escalated through CFD to a twin update",
+          &closed_by_reason_[static_cast<int>(CloseReason::kFullPath)]);
+  for (CloseReason r :
+       {CloseReason::kFailed, CloseReason::kBuffered, CloseReason::kSkipped,
+        CloseReason::kEvicted, CloseReason::kExpired}) {
+    counter("xg_slo_incomplete_total", {{"reason", CloseReasonName(r)}},
+            "Readings closed before completing their journey",
+            &closed_by_reason_[static_cast<int>(r)]);
+  }
+  registry->RegisterHistogramCallback(
+      "xg_slo_e2e_latency_ms", {},
+      "End-to-end consumed budget of completed readings",
+      [this] { return e2e_hist_.Snapshot(); });
+  for (Stage s : AllStages()) {
+    if (s == Stage::kSensorEmit) continue;
+    registry->RegisterCallback(
+        "xg_slo_stage_budget_share", {{"stage", StageName(s)}},
+        "Fraction of the aggregate e2e latency charged to this stage",
+        [this, s] { return StageBudgetShare(s); });
+    registry->RegisterHistogramCallback(
+        "xg_slo_stage_latency_ms", {{"stage", StageName(s)}},
+        "Budget consumed at this stage boundary per completed reading",
+        [this, s] { return StageHistogram(s).Snapshot(); });
+  }
+}
+
+namespace {
+LatencyLedger::StageSummary SummarizeHist(const Histogram& h,
+                                          int64_t total_us) {
+  LatencyLedger::StageSummary s;
+  s.count = h.count();
+  s.p50_ms = static_cast<double>(h.Percentile(50.0)) / 1e3;
+  s.p90_ms = static_cast<double>(h.Percentile(90.0)) / 1e3;
+  s.p99_ms = static_cast<double>(h.Percentile(99.0)) / 1e3;
+  s.p999_ms = static_cast<double>(h.Percentile(99.9)) / 1e3;
+  s.max_ms = static_cast<double>(h.max_us()) / 1e3;
+  s.mean_ms = h.MeanUs() / 1e3;
+  s.share = total_us > 0 ? static_cast<double>(h.sum_us()) /
+                               static_cast<double>(total_us)
+                         : 0.0;
+  return s;
+}
+}  // namespace
+
+LatencyLedger::Summary LatencyLedger::Summarize() const {
+  Summary out;
+  const int64_t total_us = e2e_hist_.sum_us();
+  double best_share = -1.0;
+  for (Stage s : AllStages()) {
+    if (s == Stage::kSensorEmit) continue;
+    const Histogram& h = StageHistogram(s);
+    if (h.count() == 0) continue;
+    StageSummary ss = SummarizeHist(h, total_us);
+    ss.stage = s;
+    if (ss.share > best_share) {
+      best_share = ss.share;
+      out.dominant_stage = s;
+    }
+    out.stages.push_back(ss);
+  }
+  out.e2e = SummarizeHist(e2e_hist_, total_us);
+  out.full_path = closed_by_reason(CloseReason::kFullPath);
+  out.completed = closed_by_reason(CloseReason::kDelivered) + out.full_path;
+  out.misses = missed_total_;
+  out.near_misses = near_miss_total_;
+  return out;
+}
+
+std::string LatencyLedger::FormatSummary() const {
+  const Summary sum = Summarize();
+  std::string out;
+  char line[192];
+  std::snprintf(line, sizeof(line),
+                "%-16s %8s %12s %12s %12s %12s %7s\n", "stage", "count",
+                "p50_ms", "p99_ms", "p99.9_ms", "max_ms", "share");
+  out += line;
+  auto row = [&](const char* name, const StageSummary& s) {
+    std::snprintf(line, sizeof(line),
+                  "%-16s %8llu %12.3f %12.3f %12.3f %12.3f %6.1f%%\n", name,
+                  static_cast<unsigned long long>(s.count), s.p50_ms, s.p99_ms,
+                  s.p999_ms, s.max_ms, s.share * 100.0);
+    out += line;
+  };
+  for (const StageSummary& s : sum.stages) row(StageName(s.stage), s);
+  row("e2e", sum.e2e);
+  std::snprintf(line, sizeof(line),
+                "completed=%llu full_path=%llu misses=%llu near=%llu "
+                "dominant=%s\n",
+                static_cast<unsigned long long>(sum.completed),
+                static_cast<unsigned long long>(sum.full_path),
+                static_cast<unsigned long long>(sum.misses),
+                static_cast<unsigned long long>(sum.near_misses),
+                sum.stages.empty() ? "none" : StageName(sum.dominant_stage));
+  out += line;
   return out;
 }
 

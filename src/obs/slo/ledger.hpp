@@ -1,4 +1,4 @@
-// Per-reading latency ledger: the in-flight side of deadline accounting.
+// Per-reading latency ledger: the one object that books a journey.
 //
 // The ledger keys one DeadlineBudget per telemetry reading by the
 // reading's trace id (the same id obs::Tracer threads through the 5G hop,
@@ -21,9 +21,26 @@
 //     kEvicted     in-flight bound hit; oldest record pushed out
 //     kExpired     SweepExpired found it past its deadline (counts a miss)
 //
-// Closed records flow to the on_close hook (SloTracker + FlightRecorder).
-// Everything is deterministic on the virtual clock: same seed, same
-// byte-identical FormatRecent() output.
+// Closing a record books it once: the miss / near-miss / per-reason
+// counters, and — for completed journeys (delivered, full path) — one
+// sample per stamped stage plus one end-to-end sample in obs::Histograms.
+// The per-stage sums add exactly to the e2e sum by construction of
+// DeadlineBudget. The aggregate is exposed three ways:
+//
+//   - Attach(registry): xg_slo_* series in the Prometheus/JSON export
+//       xg_slo_deadline_miss_total / xg_slo_near_miss_total
+//       xg_slo_completed_total{path=short|full}
+//       xg_slo_incomplete_total{reason=...}
+//       xg_slo_stage_budget_share{stage=...}       (gauge in [0,1])
+//       xg_slo_stage_latency_ms{stage=...}         (histogram)
+//       xg_slo_e2e_latency_ms                      (histogram)
+//   - Summarize(): structured per-stage p50/p90/p99/p99.9/max + share,
+//     used by bench_e2e and the xgtop snapshot mode;
+//   - FormatSummary(): the deterministic table xgtop renders.
+//
+// Closed records then flow to the on_close hook (the flight recorder's
+// miss trigger). Everything is deterministic on the virtual clock: same
+// seed, byte-identical FormatRecent() and FormatSummary() output.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +51,8 @@
 #include <vector>
 
 #include "common/thread_annotations.hpp"
+#include "obs/histogram.hpp"
+#include "obs/metrics.hpp"
 #include "obs/slo/budget.hpp"
 
 namespace xg::obs::slo {
@@ -50,7 +69,7 @@ enum class CloseReason {
 inline constexpr int kCloseReasonCount = 7;
 const char* CloseReasonName(CloseReason r);
 
-/// One finished journey, as handed to the tracker / flight recorder.
+/// One finished journey, as kept in the recent ring and handed to on_close.
 struct LedgerRecord {
   uint64_t trace_id = 0;
   DeadlineBudget budget;
@@ -61,25 +80,25 @@ struct LedgerRecord {
   bool near_miss = false;  ///< within the near-miss fraction of the budget
 };
 
-struct LedgerConfig {
-  /// Deadline budget per reading. Defaults to one detection duty cycle:
-  /// the advisory a reading feeds must land within the cycle to retain
-  /// the paper's ~23-minute actionable validity window.
-  double deadline_s = 1800.0;
-  /// "Near miss" = consumed >= (1 - fraction) * budget without missing.
-  double near_miss_fraction = 0.10;
-  /// In-flight bound; the oldest record is evicted beyond it.
-  size_t max_in_flight = 256;
-  /// Closed records kept for FormatRecent() / tests.
-  size_t recent_capacity = 64;
-};
+/// Deadline budget per reading: one detection duty cycle. The advisory a
+/// reading feeds must land within the cycle to retain the paper's
+/// ~23-minute actionable validity window.
+inline constexpr int64_t kDeadlineUs = 1800LL * 1'000'000;
+/// "Near miss" = consumed >= (1 - fraction) * budget without missing.
+inline constexpr double kNearMissFraction = 0.10;
+/// In-flight bound; the oldest record is evicted beyond it.
+inline constexpr size_t kMaxInFlight = 256;
+/// Closed records kept for FormatRecent(), flight dumps and tests.
+inline constexpr size_t kRecentCapacity = 64;
 
 class XG_SIM_THREAD_CONFINED LatencyLedger {
  public:
-  explicit LatencyLedger(LedgerConfig cfg = LedgerConfig{});
+  /// Register the xg_slo_* series. The registry (or nullptr) must outlive
+  /// this ledger; callbacks read the ledger at snapshot time.
+  void Attach(MetricsRegistry* registry);
 
-  const LedgerConfig& config() const { return cfg_; }
-  /// Fires for every closed record; set before the first Open.
+  /// Fires for every closed record, after it is booked; set before the
+  /// first Open.
   void set_on_close(std::function<void(const LedgerRecord&)> hook) {
     on_close_ = std::move(hook);
   }
@@ -97,7 +116,8 @@ class XG_SIM_THREAD_CONFINED LatencyLedger {
   /// the CFD path instead of closing at delivery.
   bool Escalated(uint64_t trace_id) const;
 
-  /// Close the record; finalizes miss / near-miss and fires on_close.
+  /// Close the record; books it (see the header comment) and fires
+  /// on_close.
   void Close(uint64_t trace_id, CloseReason reason);
   /// Close only when the record is open and NOT escalated (the fabric
   /// retires the previous frame's record when a newer frame lands).
@@ -116,6 +136,39 @@ class XG_SIM_THREAD_CONFINED LatencyLedger {
   uint64_t closed_by_reason(CloseReason r) const {
     return closed_by_reason_[static_cast<int>(r)];
   }
+
+  const Histogram& StageHistogram(Stage s) const {
+    return stage_hist_[static_cast<int>(s)];
+  }
+  const Histogram& E2eHistogram() const { return e2e_hist_; }
+  /// Fraction of the end-to-end total charged to `stage` (0 when idle).
+  double StageBudgetShare(Stage s) const;
+
+  struct StageSummary {
+    Stage stage = Stage::kSensorEmit;
+    uint64_t count = 0;
+    double p50_ms = 0.0;
+    double p90_ms = 0.0;
+    double p99_ms = 0.0;
+    double p999_ms = 0.0;
+    double max_ms = 0.0;
+    double mean_ms = 0.0;
+    double share = 0.0;  ///< of the e2e consumed total
+  };
+  struct Summary {
+    std::vector<StageSummary> stages;  ///< stamped stages, pipeline order
+    StageSummary e2e;                  ///< share == 1 when any completed
+    uint64_t completed = 0;
+    uint64_t full_path = 0;
+    uint64_t misses = 0;
+    uint64_t near_misses = 0;
+    /// Stage with the largest aggregate budget share.
+    Stage dominant_stage = Stage::kSensorEmit;
+  };
+  Summary Summarize() const;
+
+  /// Deterministic fixed-width per-stage table (the xgtop main panel).
+  std::string FormatSummary() const;
 
   struct InFlightView {
     uint64_t trace_id = 0;
@@ -142,7 +195,6 @@ class XG_SIM_THREAD_CONFINED LatencyLedger {
  private:
   void Finalize(uint64_t trace_id, DeadlineBudget budget, CloseReason reason);
 
-  LedgerConfig cfg_;
   std::function<void(const LedgerRecord&)> on_close_;
   std::map<uint64_t, DeadlineBudget> open_;
   std::deque<LedgerRecord> recent_;
@@ -151,6 +203,8 @@ class XG_SIM_THREAD_CONFINED LatencyLedger {
   uint64_t missed_total_ = 0;
   uint64_t near_miss_total_ = 0;
   uint64_t closed_by_reason_[kCloseReasonCount] = {};
+  Histogram stage_hist_[kStageCount];
+  Histogram e2e_hist_;
 };
 
 }  // namespace xg::obs::slo

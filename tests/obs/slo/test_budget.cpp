@@ -1,6 +1,6 @@
 // DeadlineBudget: per-reading budget arithmetic, including the window
 // edges (exactly-at-deadline is NOT a miss) and the stamp invariants the
-// tracker's sum-to-e2e property rests on.
+// ledger's sum-to-e2e property rests on.
 #include "obs/slo/budget.hpp"
 
 #include <gtest/gtest.h>

@@ -1,6 +1,8 @@
 // FlightRecorder: all three dump trigger paths (contract violation,
-// deadline miss, explicit chaos/manual dump), bounded rings, dump
-// contents, and the dump-to-directory file path.
+// deadline miss, explicit chaos/manual dump), the bounded event ring, dump
+// contents read from the attached ledger, and the dump-to-directory file
+// path. Every test that dumps pins XG_FLIGHT_DIR itself, so the suite
+// behaves the same whether or not the environment names a dump directory.
 #include "obs/slo/flight.hpp"
 
 #include <gtest/gtest.h>
@@ -8,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -19,23 +22,48 @@ namespace {
 
 constexpr int64_t kSec = 1'000'000;
 
-LedgerRecord MissedRecord(uint64_t trace_id) {
-  LatencyLedger ledger([] {
-    LedgerConfig cfg;
-    cfg.deadline_s = 10.0;
-    return cfg;
-  }());
-  LedgerRecord out;
-  ledger.set_on_close([&out](const LedgerRecord& r) { out = r; });
-  ledger.Open(trace_id, 0);
-  ledger.Stamp(trace_id, Stage::kLaminarTrigger, 5 * kSec);
-  ledger.SweepExpired(20 * kSec);
-  return out;
+// Sets XG_FLIGHT_DIR to `dir` (unsets it for nullptr) for one scope and
+// restores the previous value on exit.
+class ScopedFlightDir {
+ public:
+  explicit ScopedFlightDir(const char* dir) {
+    if (const char* prev = std::getenv(kVar)) saved_ = prev;
+    if (dir != nullptr) {
+      setenv(kVar, dir, 1);
+    } else {
+      unsetenv(kVar);
+    }
+  }
+  ~ScopedFlightDir() {
+    if (saved_.has_value()) {
+      setenv(kVar, saved_->c_str(), 1);
+    } else {
+      unsetenv(kVar);
+    }
+  }
+  ScopedFlightDir(const ScopedFlightDir&) = delete;
+  ScopedFlightDir& operator=(const ScopedFlightDir&) = delete;
+
+ private:
+  static constexpr const char* kVar = "XG_FLIGHT_DIR";
+  std::optional<std::string> saved_;
+};
+
+// A ledger wired to `flight` the way the fabric wires it.
+void Wire(LatencyLedger& ledger, FlightRecorder& flight) {
+  flight.set_ledger(&ledger);
+  ledger.set_on_close(
+      [&flight](const LedgerRecord& rec) { flight.OnRecordClosed(rec); });
 }
 
 TEST(FlightRecorder, DeadlineMissTriggersDump) {
+  ScopedFlightDir no_dir(nullptr);
+  LatencyLedger ledger;
   FlightRecorder flight;
-  flight.OnRecordClosed(MissedRecord(42));
+  Wire(ledger, flight);
+  ledger.Open(42, 0);
+  ledger.Stamp(42, Stage::kLaminarTrigger, 5 * kSec);
+  ledger.SweepExpired(kDeadlineUs + 1);
   EXPECT_EQ(flight.dumps_taken(), 1u);
   const std::string& dump = flight.last_dump();
   EXPECT_NE(dump.find("\"trigger\":\"deadline_miss\""), std::string::npos);
@@ -48,16 +76,27 @@ TEST(FlightRecorder, DeadlineMissTriggersDump) {
   EXPECT_TRUE(flight.last_dump_path().empty());
 }
 
-TEST(FlightRecorder, MissDumpCanBeDisabled) {
-  FlightConfig cfg;
-  cfg.dump_on_miss = false;
-  FlightRecorder flight(cfg);
-  flight.OnRecordClosed(MissedRecord(7));
+TEST(FlightRecorder, OnlyMissedRecordsTriggerDumps) {
+  ScopedFlightDir no_dir(nullptr);
+  LatencyLedger ledger;
+  FlightRecorder flight;
+  Wire(ledger, flight);
+  ledger.Open(7, 0);
+  ledger.Stamp(7, Stage::kWanHop, kSec);
+  ledger.Close(7, CloseReason::kDelivered);
+  ledger.Open(8, 0);
+  ledger.Close(8, CloseReason::kFailed);
   EXPECT_EQ(flight.dumps_taken(), 0u);
-  EXPECT_EQ(flight.records_seen(), 1u);
+  // A manual dump still carries both records, read from the ledger ring.
+  const std::string dump = flight.Dump("manual");
+  EXPECT_NE(dump.find("\"trace_id\":7"), std::string::npos);
+  EXPECT_NE(dump.find("\"trace_id\":8"), std::string::npos);
+  EXPECT_NE(dump.find("\"dominant_stage\":\"sensor_emit\""),
+            std::string::npos);
 }
 
 TEST(FlightRecorder, ContractViolationTriggersDump) {
+  ScopedFlightDir no_dir(nullptr);
   contract::ScopedMode mode(contract::Mode::kReturnStatus);
   contract::ResetViolationStats();
   FlightRecorder flight;
@@ -78,6 +117,7 @@ TEST(FlightRecorder, ContractViolationTriggersDump) {
 }
 
 TEST(FlightRecorder, ExplicitChaosDumpCarriesTriggerAndEvents) {
+  ScopedFlightDir no_dir(nullptr);
   FlightRecorder flight;
   flight.set_clock([] { return int64_t{1234}; });
   flight.Note("fault", "partition begin target=ucsb|nd");
@@ -89,23 +129,25 @@ TEST(FlightRecorder, ExplicitChaosDumpCarriesTriggerAndEvents) {
   EXPECT_NE(dump.find("partition begin target=ucsb|nd"), std::string::npos);
   EXPECT_NE(dump.find("\"source\":\"resil\""), std::string::npos);
   EXPECT_NE(dump.find("\"at_us\":1234"), std::string::npos);
-  // No records seen at all: nothing to blame.
+  // No ledger attached: no records, nothing to blame.
+  EXPECT_NE(dump.find("\"records\":[]"), std::string::npos);
   EXPECT_NE(dump.find("\"dominant_stage\":\"none\""), std::string::npos);
 }
 
 TEST(FlightRecorder, EventRingIsBounded) {
-  FlightConfig cfg;
-  cfg.event_capacity = 4;
-  FlightRecorder flight(cfg);
-  for (int i = 0; i < 10; ++i) {
+  FlightRecorder flight;
+  const size_t notes = kEventCapacity + 6;
+  for (size_t i = 0; i < notes; ++i) {
     flight.Note("hpc", "stall " + std::to_string(i));
   }
-  ASSERT_EQ(flight.events().size(), 4u);
+  ASSERT_EQ(flight.events().size(), kEventCapacity);
   EXPECT_EQ(flight.events().front().detail, "stall 6");
-  EXPECT_EQ(flight.events().back().detail, "stall 9");
+  EXPECT_EQ(flight.events().back().detail,
+            "stall " + std::to_string(notes - 1));
 }
 
 TEST(FlightRecorder, EmbedsLedgerInFlightView) {
+  ScopedFlightDir no_dir(nullptr);
   LatencyLedger ledger;
   ledger.Open(9, 0);
   ledger.Stamp(9, Stage::kPilotSubmit, 65 * kSec);
@@ -120,31 +162,37 @@ TEST(FlightRecorder, EmbedsLedgerInFlightView) {
 TEST(FlightRecorder, WritesDumpFilesUpToMaxDumps) {
   char dir_template[] = "/tmp/xg_flight_XXXXXX";
   ASSERT_NE(mkdtemp(dir_template), nullptr);
-  FlightConfig cfg;
-  cfg.dump_dir = dir_template;
-  cfg.max_dumps = 2;
-  FlightRecorder flight(cfg);
-  flight.Dump("manual", "first");
-  EXPECT_EQ(flight.files_written(), 1u);
-  const std::string first_path = flight.last_dump_path();
-  ASSERT_FALSE(first_path.empty());
-  EXPECT_NE(first_path.find("flight-0001-manual.json"), std::string::npos);
+  const std::string dir = dir_template;
+  auto path_of = [&dir](size_t seq) {
+    char name[64];
+    std::snprintf(name, sizeof(name), "/flight-%04zu-manual.json", seq);
+    return dir + name;
+  };
   {
-    std::ifstream in(first_path);
-    ASSERT_TRUE(in.good());
-    std::stringstream ss;
-    ss << in.rdbuf();
-    EXPECT_EQ(ss.str(), flight.last_dump());
+    ScopedFlightDir in_dir(dir_template);
+    FlightRecorder flight;
+    flight.Dump("manual", "first");
+    EXPECT_EQ(flight.files_written(), 1u);
+    const std::string first_path = flight.last_dump_path();
+    EXPECT_EQ(first_path, path_of(1));
+    {
+      std::ifstream in(first_path);
+      ASSERT_TRUE(in.good());
+      std::stringstream ss;
+      ss << in.rdbuf();
+      EXPECT_EQ(ss.str(), flight.last_dump());
+    }
+    for (size_t i = 1; i < kMaxDumpFiles; ++i) flight.Dump("manual");
+    EXPECT_EQ(flight.files_written(), kMaxDumpFiles);
+    // The cap holds: the next dump stays in memory.
+    flight.Dump("manual", "over the cap");
+    EXPECT_EQ(flight.dumps_taken(), kMaxDumpFiles + 1);
+    EXPECT_EQ(flight.files_written(), kMaxDumpFiles);
+    EXPECT_TRUE(flight.last_dump_path().empty());
   }
-  flight.Dump("manual", "second");
-  EXPECT_EQ(flight.files_written(), 2u);
-  // The cap holds: the third dump stays in memory.
-  flight.Dump("manual", "third");
-  EXPECT_EQ(flight.dumps_taken(), 3u);
-  EXPECT_EQ(flight.files_written(), 2u);
-  EXPECT_TRUE(flight.last_dump_path().empty());
-  std::remove((std::string(dir_template) + "/flight-0001-manual.json").c_str());
-  std::remove((std::string(dir_template) + "/flight-0002-manual.json").c_str());
+  for (size_t seq = 1; seq <= kMaxDumpFiles; ++seq) {
+    EXPECT_EQ(std::remove(path_of(seq).c_str()), 0) << path_of(seq);
+  }
   std::remove(dir_template);
 }
 

@@ -1,6 +1,6 @@
 // LatencyLedger: record lifecycle, close reasons, deadline sweeps,
-// eviction bounds, and the deterministic rendering the determinism suite
-// keys on.
+// eviction bounds, the xg_slo_* values it exports, and the deterministic
+// rendering the determinism suite keys on.
 #include "obs/slo/ledger.hpp"
 
 #include <gtest/gtest.h>
@@ -8,18 +8,12 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
+
 namespace xg::obs::slo {
 namespace {
 
 constexpr int64_t kSec = 1'000'000;
-
-LedgerConfig SmallConfig() {
-  LedgerConfig cfg;
-  cfg.deadline_s = 100.0;
-  cfg.max_in_flight = 4;
-  cfg.recent_capacity = 8;
-  return cfg;
-}
 
 TEST(LatencyLedger, TraceZeroIsInert) {
   LatencyLedger ledger;
@@ -30,7 +24,7 @@ TEST(LatencyLedger, TraceZeroIsInert) {
 }
 
 TEST(LatencyLedger, OpenStampCloseLifecycle) {
-  LatencyLedger ledger(SmallConfig());
+  LatencyLedger ledger;
   std::vector<LedgerRecord> closed;
   ledger.set_on_close([&closed](const LedgerRecord& r) {
     closed.push_back(r);
@@ -57,7 +51,7 @@ TEST(LatencyLedger, OpenStampCloseLifecycle) {
 }
 
 TEST(LatencyLedger, ReopeningAnInFlightIdIsIgnored) {
-  LatencyLedger ledger(SmallConfig());
+  LatencyLedger ledger;
   ledger.Open(5, 10 * kSec);
   ledger.Open(5, 20 * kSec);  // ignored; the original budget stands
   EXPECT_EQ(ledger.opened_total(), 1u);
@@ -67,7 +61,7 @@ TEST(LatencyLedger, ReopeningAnInFlightIdIsIgnored) {
 }
 
 TEST(LatencyLedger, CloseIfIdleSkipsEscalatedRecords) {
-  LatencyLedger ledger(SmallConfig());
+  LatencyLedger ledger;
   ledger.Open(1, 0);
   ledger.Open(2, 0);
   ASSERT_TRUE(ledger.Stamp(2, Stage::kLaminarTrigger, 5 * kSec));
@@ -82,23 +76,23 @@ TEST(LatencyLedger, CloseIfIdleSkipsEscalatedRecords) {
 }
 
 TEST(LatencyLedger, SweepExpiredClosesOnlyPastDeadline) {
-  LatencyLedger ledger(SmallConfig());  // 100 s budget
+  LatencyLedger ledger;
   ledger.Open(1, 0);
   ledger.Open(2, 50 * kSec);
 
   // Exactly at trace 1's deadline: inclusive budget, nothing expires.
-  EXPECT_EQ(ledger.SweepExpired(100 * kSec), 0u);
+  EXPECT_EQ(ledger.SweepExpired(kDeadlineUs), 0u);
   EXPECT_EQ(ledger.in_flight(), 2u);
 
-  // One past: trace 1 expires, trace 2 (50 s consumed) stays.
-  EXPECT_EQ(ledger.SweepExpired(100 * kSec + 1), 1u);
+  // One past: trace 1 expires, trace 2 (opened 50 s later) stays.
+  EXPECT_EQ(ledger.SweepExpired(kDeadlineUs + 1), 1u);
   EXPECT_EQ(ledger.in_flight(), 1u);
   EXPECT_EQ(ledger.closed_by_reason(CloseReason::kExpired), 1u);
   EXPECT_EQ(ledger.missed_total(), 1u);
 }
 
 TEST(LatencyLedger, ExpiredRecordsAreMissesButFailedAreNot) {
-  LatencyLedger ledger(SmallConfig());
+  LatencyLedger ledger;
   std::vector<LedgerRecord> closed;
   ledger.set_on_close([&closed](const LedgerRecord& r) {
     closed.push_back(r);
@@ -106,7 +100,7 @@ TEST(LatencyLedger, ExpiredRecordsAreMissesButFailedAreNot) {
   ledger.Open(1, 0);
   ledger.Close(1, CloseReason::kFailed);
   ledger.Open(2, 0);
-  ledger.SweepExpired(200 * kSec);
+  ledger.SweepExpired(2 * kDeadlineUs);
   ASSERT_EQ(closed.size(), 2u);
   EXPECT_FALSE(closed[0].missed);  // failed: accounted by reason
   EXPECT_TRUE(closed[1].missed);   // expired: a deadline miss by definition
@@ -114,18 +108,20 @@ TEST(LatencyLedger, ExpiredRecordsAreMissesButFailedAreNot) {
 }
 
 TEST(LatencyLedger, LateCompletionIsAMissAndNearDeadlineIsNear) {
-  LatencyLedger ledger(SmallConfig());  // 100 s, near fraction 0.10
+  LatencyLedger ledger;  // near fraction 0.10 of the budget
   std::vector<LedgerRecord> closed;
   ledger.set_on_close([&closed](const LedgerRecord& r) {
     closed.push_back(r);
   });
 
   ledger.Open(1, 0);
-  ledger.Stamp(1, Stage::kTwinUpdate, 95 * kSec);  // inside the near window
+  // Inside the near window.
+  ledger.Stamp(1, Stage::kTwinUpdate, kDeadlineUs - 5 * kSec);
   ledger.Close(1, CloseReason::kFullPath);
 
   ledger.Open(2, 0);
-  ledger.Stamp(2, Stage::kTwinUpdate, 101 * kSec);  // past the deadline
+  // Past the deadline.
+  ledger.Stamp(2, Stage::kTwinUpdate, kDeadlineUs + kSec);
   ledger.Close(2, CloseReason::kFullPath);
 
   ASSERT_EQ(closed.size(), 2u);
@@ -137,19 +133,20 @@ TEST(LatencyLedger, LateCompletionIsAMissAndNearDeadlineIsNear) {
 }
 
 TEST(LatencyLedger, EvictsOldestAtInFlightBound) {
-  LatencyLedger ledger(SmallConfig());  // max_in_flight = 4
-  for (uint64_t id = 1; id <= 4; ++id) {
+  LatencyLedger ledger;
+  for (uint64_t id = 1; id <= kMaxInFlight; ++id) {
     ledger.Open(id, static_cast<int64_t>(id) * kSec);
   }
-  ledger.Open(5, 5 * kSec);  // evicts trace 1 (earliest opened)
-  EXPECT_EQ(ledger.in_flight(), 4u);
+  // Evicts trace 1 (earliest opened).
+  ledger.Open(kMaxInFlight + 1, static_cast<int64_t>(kMaxInFlight + 1) * kSec);
+  EXPECT_EQ(ledger.in_flight(), kMaxInFlight);
   EXPECT_EQ(ledger.closed_by_reason(CloseReason::kEvicted), 1u);
   ASSERT_FALSE(ledger.recent().empty());
   EXPECT_EQ(ledger.recent().back().trace_id, 1u);
 }
 
 TEST(LatencyLedger, WorstInFlightOrdersByRemainingThenTraceId) {
-  LatencyLedger ledger(SmallConfig());
+  LatencyLedger ledger;
   ledger.Open(3, 0);         // oldest -> least remaining
   ledger.Open(1, 10 * kSec);
   ledger.Open(2, 10 * kSec); // same remaining as trace 1 -> id tiebreak
@@ -163,8 +160,8 @@ TEST(LatencyLedger, WorstInFlightOrdersByRemainingThenTraceId) {
 
 TEST(LatencyLedger, RecentRingIsBoundedAndRenderingIsDeterministic) {
   auto run = [] {
-    LatencyLedger ledger(SmallConfig());  // recent_capacity = 8
-    for (uint64_t id = 1; id <= 12; ++id) {
+    LatencyLedger ledger;
+    for (uint64_t id = 1; id <= kRecentCapacity + 4; ++id) {
       const int64_t t0 = static_cast<int64_t>(id) * kSec;
       ledger.Open(id, t0);
       ledger.Stamp(id, Stage::kWanHop, t0 + 57'000);
@@ -175,11 +172,80 @@ TEST(LatencyLedger, RecentRingIsBoundedAndRenderingIsDeterministic) {
   const std::string a = run();
   const std::string b = run();
   EXPECT_EQ(a, b);  // byte-identical across identical runs
-  // Ring bounded to 8: the first retained record is trace 5.
+  // Ring bounded to kRecentCapacity: the first retained record is trace 5.
   EXPECT_EQ(a.find("trace=4 "), std::string::npos);
   EXPECT_NE(a.find("trace=5 "), std::string::npos);
   EXPECT_NE(a.find("reason=delivered"), std::string::npos);
   EXPECT_NE(a.find("wan_hop=0.057000s"), std::string::npos);
+}
+
+double SeriesValue(const MetricsRegistry& reg, const std::string& name,
+                   const Labels& labels = {}) {
+  for (const MetricSample& s : reg.Snapshot()) {
+    if (s.name == name && s.labels == labels) return s.value;
+  }
+  ADD_FAILURE() << "no series " << name;
+  return -1.0;
+}
+
+TEST(LatencyLedger, ExportsBookedValuesToTheRegistry) {
+  MetricsRegistry reg;
+  LatencyLedger ledger;
+  ledger.Attach(&reg);
+
+  // Delivered in 3 s: wan_hop 1 s, cspot_append 2 s.
+  ledger.Open(1, 0);
+  ledger.Stamp(1, Stage::kWanHop, 1 * kSec);
+  ledger.Stamp(1, Stage::kCspotAppend, 3 * kSec);
+  ledger.Close(1, CloseReason::kDelivered);
+  // Full path in 6 s: wan_hop 1 s, laminar_trigger 1 s, twin_update 4 s.
+  ledger.Open(2, 10 * kSec);
+  ledger.Stamp(2, Stage::kWanHop, 11 * kSec);
+  ledger.Stamp(2, Stage::kLaminarTrigger, 12 * kSec);
+  ledger.Stamp(2, Stage::kTwinUpdate, 16 * kSec);
+  ledger.Close(2, CloseReason::kFullPath);
+  // Failed and expired journeys count by reason, not in the profile.
+  ledger.Open(3, 20 * kSec);
+  ledger.Stamp(3, Stage::kWanHop, 25 * kSec);
+  ledger.Close(3, CloseReason::kFailed);
+  ledger.Open(4, 30 * kSec);
+  ledger.SweepExpired(30 * kSec + kDeadlineUs + 1);
+
+  EXPECT_EQ(SeriesValue(reg, "xg_slo_completed_total", {{"path", "short"}}),
+            1.0);
+  EXPECT_EQ(SeriesValue(reg, "xg_slo_completed_total", {{"path", "full"}}),
+            1.0);
+  EXPECT_EQ(SeriesValue(reg, "xg_slo_incomplete_total", {{"reason", "failed"}}),
+            1.0);
+  EXPECT_EQ(
+      SeriesValue(reg, "xg_slo_incomplete_total", {{"reason", "expired"}}),
+      1.0);
+  for (const char* reason : {"buffered", "skipped", "evicted"}) {
+    EXPECT_EQ(
+        SeriesValue(reg, "xg_slo_incomplete_total", {{"reason", reason}}),
+        0.0)
+        << reason;
+  }
+  EXPECT_EQ(SeriesValue(reg, "xg_slo_deadline_miss_total"), 1.0);
+  EXPECT_EQ(SeriesValue(reg, "xg_slo_near_miss_total"), 0.0);
+
+  // Shares of the 9 s completed e2e total.
+  const std::vector<std::pair<Stage, double>> shares = {
+      {Stage::kRrcGrant, 0.0},
+      {Stage::kWanHop, 2.0 / 9.0},
+      {Stage::kCspotAppend, 2.0 / 9.0},
+      {Stage::kLaminarTrigger, 1.0 / 9.0},
+      {Stage::kCfdEnd, 0.0},
+      {Stage::kTwinUpdate, 4.0 / 9.0}};
+  for (const auto& [stage, share] : shares) {
+    EXPECT_DOUBLE_EQ(SeriesValue(reg, "xg_slo_stage_budget_share",
+                                 {{"stage", StageName(stage)}}),
+                     share)
+        << StageName(stage);
+    EXPECT_DOUBLE_EQ(ledger.StageBudgetShare(stage), share);
+  }
+  EXPECT_EQ(ledger.E2eHistogram().count(), 2u);
+  EXPECT_EQ(ledger.E2eHistogram().sum_us(), 9 * kSec);
 }
 
 }  // namespace

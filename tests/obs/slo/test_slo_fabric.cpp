@@ -80,16 +80,29 @@ TEST(SloFabric, EscalatedReadingCompletesFullPathWithAllStages) {
   EXPECT_TRUE(found);
 }
 
-TEST(SloFabric, TrackerSharesSumToTheEndToEndTotal) {
+TEST(SloFabric, LedgerStageSumsEqualTheEndToEndTotal) {
   Fabric fabric(DayConfig(103));
   ScheduleMorningFront(fabric);
   fabric.Run(6.0);
-  const auto sum = fabric.slo_tracker()->Summarize();
-  ASSERT_GT(sum.completed, 0u);
-  double share_sum = 0.0;
-  for (const auto& st : sum.stages) share_sum += st.share;
-  EXPECT_NEAR(share_sum, 1.0, 0.01);
-  EXPECT_EQ(sum.misses, 0u);
+  const auto* ledger = fabric.slo_ledger();
+  ASSERT_NE(ledger, nullptr);
+  // Every completed journey books one e2e sample ...
+  const uint64_t completed = ledger->closed_by_reason(CloseReason::kDelivered) +
+                             ledger->closed_by_reason(CloseReason::kFullPath);
+  ASSERT_GT(completed, 0u);
+  EXPECT_EQ(ledger->E2eHistogram().count(), completed);
+  // ... and its stages split that sample exactly.
+  int64_t stage_sum_us = 0;
+  for (Stage s : obs::slo::AllStages()) {
+    stage_sum_us += ledger->StageHistogram(s).sum_us();
+  }
+  EXPECT_EQ(stage_sum_us, ledger->E2eHistogram().sum_us());
+  double miss_series = -1.0;
+  for (const auto& s : fabric.registry().Snapshot()) {
+    if (s.name == "xg_slo_deadline_miss_total") miss_series = s.value;
+  }
+  EXPECT_EQ(miss_series, static_cast<double>(ledger->missed_total()));
+  EXPECT_EQ(ledger->missed_total(), 0u);
 }
 
 TEST(SloFabric, SummarizedPercentilesNeverExceedTheirMax) {
@@ -99,9 +112,9 @@ TEST(SloFabric, SummarizedPercentilesNeverExceedTheirMax) {
   Fabric fabric(DayConfig(103));
   ScheduleMorningFront(fabric);
   fabric.Run(6.0);
-  const auto sum = fabric.slo_tracker()->Summarize();
+  const auto sum = fabric.slo_ledger()->Summarize();
   ASSERT_GT(sum.full_path, 0u);
-  std::vector<std::pair<std::string, obs::slo::SloTracker::StageSummary>>
+  std::vector<std::pair<std::string, obs::slo::LatencyLedger::StageSummary>>
       rows = {{"e2e", sum.e2e}};
   for (const auto& st : sum.stages) {
     rows.emplace_back(obs::slo::StageName(st.stage), st);
@@ -143,8 +156,10 @@ TEST(SloFabric, SloDisabledPublishesNoLedger) {
   Fabric fabric(cfg);
   fabric.Run(1.0);
   EXPECT_EQ(fabric.slo_ledger(), nullptr);
-  EXPECT_EQ(fabric.slo_tracker(), nullptr);
   EXPECT_EQ(fabric.flight_recorder(), nullptr);
+  for (const auto& s : fabric.registry().Snapshot()) {
+    EXPECT_NE(s.name.rfind("xg_slo_", 0), 0u) << s.name;
+  }
 }
 
 TEST(SloFabric, SeveredAlertPathExpiresBudgetAndDumps) {
@@ -158,7 +173,7 @@ TEST(SloFabric, SeveredAlertPathExpiresBudgetAndDumps) {
   ScheduleMorningFront(fabric);
   fabric.Run(6.0);
   EXPECT_GE(fabric.slo_ledger()->closed_by_reason(CloseReason::kExpired), 1u);
-  EXPECT_GE(fabric.slo_tracker()->deadline_miss_total(), 1u);
+  EXPECT_GE(fabric.slo_ledger()->missed_total(), 1u);
   ASSERT_GE(fabric.flight_recorder()->dumps_taken(), 1u);
   const std::string& dump = fabric.flight_recorder()->last_dump();
   EXPECT_NE(dump.find("\"trigger\":\"deadline_miss\""), std::string::npos);
@@ -171,12 +186,16 @@ TEST(SloFabric, SameSeedLedgerOutputIsByteIdentical) {
     Fabric fabric(DayConfig(108));
     ScheduleMorningFront(fabric);
     fabric.Run(6.0);
-    return fabric.slo_ledger()->FormatRecent();
+    // The dump reads its records from the ledger's recent ring.
+    return std::make_pair(fabric.slo_ledger()->FormatRecent(),
+                          fabric.flight_recorder()->Dump("manual"));
   };
-  const std::string a = run();
-  const std::string b = run();
-  EXPECT_FALSE(a.empty());
-  EXPECT_EQ(a, b);
+  const auto a = run();
+  const auto b = run();
+  EXPECT_FALSE(a.first.empty());
+  EXPECT_EQ(a.first, b.first);
+  EXPECT_NE(a.second.find("\"records\":[{"), std::string::npos);
+  EXPECT_EQ(a.second, b.second);
 }
 
 }  // namespace

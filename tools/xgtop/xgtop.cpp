@@ -151,16 +151,15 @@ void RenderFrame(core::Fabric& fabric, const Options& opt) {
                 static_cast<unsigned long long>(m.cfd_runs_completed));
   out += line;
 
-  obs::slo::SloTracker* tracker = fabric.slo_tracker();
   obs::slo::LatencyLedger* ledger = fabric.slo_ledger();
-  if (tracker == nullptr || ledger == nullptr) {
+  if (ledger == nullptr) {
     out += "SLO accounting disabled (config.slo.enabled = false)\n";
     std::fputs(out.c_str(), stdout);
     return;
   }
 
   out += "\n-- deadline budgets (per stage, completed journeys) --\n";
-  out += tracker->FormatSummary();
+  out += ledger->FormatSummary();
 
   std::snprintf(line, sizeof(line),
                 "\n-- in flight: %zu open, %llu closed (%llu missed, "
@@ -274,7 +273,8 @@ void RenderFrame(core::Fabric& fabric, const Options& opt) {
   std::fputs(out.c_str(), stdout);
 }
 
-void StageJson(bench::JsonWriter& jw, const obs::slo::SloTracker::StageSummary& s,
+void StageJson(bench::JsonWriter& jw,
+               const obs::slo::LatencyLedger::StageSummary& s,
                bool with_name) {
   jw.BeginObject();
   if (with_name) jw.Field("stage", obs::slo::StageName(s.stage));
@@ -290,15 +290,14 @@ void StageJson(bench::JsonWriter& jw, const obs::slo::SloTracker::StageSummary& 
 }
 
 int WriteSnapshot(core::Fabric& fabric, const Options& opt, std::ostream& os) {
-  obs::slo::SloTracker* tracker = fabric.slo_tracker();
   obs::slo::LatencyLedger* ledger = fabric.slo_ledger();
   obs::slo::FlightRecorder* flight = fabric.flight_recorder();
-  if (tracker == nullptr || ledger == nullptr) {
+  if (ledger == nullptr) {
     std::cerr << "xgtop: SLO accounting disabled; nothing to snapshot\n";
     return 1;
   }
   const core::FabricMetrics& m = fabric.metrics();
-  const obs::slo::SloTracker::Summary sum = tracker->Summarize();
+  const obs::slo::LatencyLedger::Summary sum = ledger->Summarize();
 
   bench::JsonWriter jw(os);
   jw.BeginObject();
