@@ -80,7 +80,7 @@ struct ChaosRun {
 ChaosRun RunChaosDay(uint64_t seed) {
   FabricConfig cfg;
   cfg.seed = seed;
-  cfg.resilience.enabled = true;
+  cfg.site_probes = true;
   cfg.fault_plan = fault::FaultPlan(seed);
   // Covers the first post-front detection cycles (~08:30, ~09:00) and
   // outlasts the 1800 s deadline of any reading escalated inside it.
@@ -113,8 +113,8 @@ ChaosRun RunChaosDay(uint64_t seed) {
   return out;
 }
 
-// Recovery-time measurement: a scripted mid-morning 5G outage with the
-// resilience layer on. Recovery time is the gap between the fault window
+// Recovery-time measurement: a scripted mid-morning 5G outage with site
+// probes on. Recovery time is the gap between the fault window
 // closing and the first buffered frame draining to durable storage.
 struct RecoveryRun {
   FabricMetrics metrics;
@@ -130,7 +130,7 @@ RecoveryRun RunOutageDay(uint64_t seed) {
 
   FabricConfig cfg;
   cfg.seed = seed;
-  cfg.resilience.enabled = true;
+  cfg.site_probes = true;
   cfg.fault_plan = fault::FaultPlan(seed);
   cfg.fault_plan.Partition("unl", "unl-gw", out.outage_start_s,
                            out.outage_duration_s);
@@ -259,7 +259,7 @@ int main() {
                "burns fewer node-seconds,\nat the risk of missing subtle "
                "condition changes.\n";
 
-  // Recovery time under a scripted 10-minute 5G outage (resilience on).
+  // Recovery time under a scripted 10-minute 5G outage.
   const RecoveryRun rec = RunOutageDay(9200);
   Table recov({"Metric", "Measured"});
   recov.AddRow({"Outage start (h)", Table::Num(rec.outage_start_s / 3600, 1)});

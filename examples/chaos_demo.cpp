@@ -112,8 +112,8 @@ RunOutput RunScenario(uint64_t seed) {
 
 // Part 2: the fabric-level acceptance scenario. A 10-minute 5G access
 // outage starting at t=1000 s, then the interactive site's queue stalls
-// from t=2600 s for the rest of the run; resilience layer on, Purdue
-// Anvil standing by as the batch failover target.
+// from t=2600 s for the rest of the run; site probes on (they drive the
+// failover), Purdue Anvil standing by as the batch failover target.
 struct FabricRunOutput {
   uint64_t sent = 0, buffered = 0, drained = 0;
   uint64_t stale_served = 0, failovers = 0, cfd_runs = 0;
@@ -133,7 +133,7 @@ FabricRunOutput RunFabricScenario(uint64_t seed) {
 
   FabricConfig cfg;
   cfg.seed = seed;
-  cfg.resilience.enabled = true;
+  cfg.site_probes = true;
   cfg.failover_site = hpc::PurdueAnvil();
   cfg.fault_plan = fault::FaultPlan(seed);
   cfg.fault_plan.Partition("unl", "unl-gw", kOutageStartS, kOutageDurationS);
@@ -143,9 +143,9 @@ FabricRunOutput RunFabricScenario(uint64_t seed) {
   fabric.ScheduleFront({.start_s = 2000.0, .ramp_s = 300.0, .d_wind_ms = 8.0});
 
   FabricRunOutput out;
-  // The drain probe wakes every store_forward_probe_s; recovery must land
+  // The drain probe wakes every kStoreForwardProbeS; recovery must land
   // within one probe period (plus transfer slack) of the outage ending.
-  out.recovery_deadline_s = cfg.resilience.store_forward_probe_s + 5.0;
+  out.recovery_deadline_s = kStoreForwardProbeS + 5.0;
   const double outage_end_s = kOutageStartS + kOutageDurationS;
   fabric.on_frame_stored = [&out, outage_end_s](double time_s, bool drained) {
     if (drained && out.recovery_s < 0.0) {
@@ -161,7 +161,7 @@ FabricRunOutput RunFabricScenario(uint64_t seed) {
   out.stale_served = m.stale_advisories_served;
   out.failovers = m.site_failovers;
   out.cfd_runs = m.cfd_runs_completed;
-  out.timeline = fabric.degraded_modes()->FormatTimeline();
+  out.timeline = fabric.degraded_modes().FormatTimeline();
   resil::CircuitBreaker* brk =
       fabric.cspot_runtime().wan().breaker("unl", "ucsb");
   if (brk != nullptr) {

@@ -5,8 +5,8 @@
 namespace xg {
 
 namespace {
-// Set while a worker thread executes a task, so a nested ParallelFor /
-// ParallelReduce / RunOnAll issued from inside a task body can be detected:
+// Set while a worker thread executes a task, so a nested ParallelFor or
+// RunOnAll issued from inside a task body can be detected:
 // the nested call would wait on cv_done_ from the very thread the pool
 // needs to finish the outer task — a guaranteed deadlock.
 thread_local const ThreadPool* tl_worker_pool = nullptr;

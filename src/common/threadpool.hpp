@@ -3,9 +3,8 @@
 //
 // The pool keeps N persistent workers; ParallelFor partitions an index range
 // into contiguous chunks (one per worker, matching the solver's slab
-// decomposition) and blocks until all chunks finish. ParallelReduce adds
-// per-worker partials combined in worker order, so a reduction over a fixed
-// worker count is deterministic run to run.
+// decomposition) and blocks until all chunks finish. RunOnAll runs one
+// call per worker.
 //
 // Both entry points are templates dispatched through a raw function-pointer
 // trampoline: the callable lives on the submitter's stack and is passed by
@@ -52,36 +51,6 @@ class ThreadPool {
     using Body = std::remove_reference_t<Fn>;
     Dispatch(n, &RangeTrampoline<Body>, const_cast<void*>(
                     static_cast<const void*>(std::addressof(fn))));
-  }
-
-  /// Parallel reduction over [0, n): each worker computes
-  /// `map(begin, end) -> T` for its chunk, then the partials are folded as
-  /// `acc = combine(acc, partial)` in ascending worker order starting from
-  /// `identity`. Workers whose chunk is empty contribute `identity`, so the
-  /// result only depends on n, the worker count, and the data — not on
-  /// scheduling. Same nesting contract as ParallelFor.
-  template <typename T, typename MapFn, typename CombineFn>
-  T ParallelReduce(size_t n, T identity, MapFn&& map, CombineFn&& combine) {
-    if (n == 0) return identity;
-    XG_INVARIANT(!OnWorkerThread(),
-                 "nested ParallelReduce on the same ThreadPool would deadlock");
-    if (OnWorkerThread()) {
-      return combine(identity, map(size_t{0}, n));
-    }
-    // Cache-line-size the slots so concurrent partial writes never share.
-    struct alignas(64) Slot {
-      T value;
-    };
-    std::vector<Slot> partials(workers_.size(), Slot{identity});
-    auto body = [&](size_t begin, size_t end, size_t worker) {
-      partials[worker].value = map(begin, end);
-    };
-    using Body = decltype(body);
-    Dispatch(n, &WorkerRangeTrampoline<Body>,
-             const_cast<void*>(static_cast<const void*>(&body)));
-    T acc = std::move(identity);
-    for (Slot& s : partials) acc = combine(acc, s.value);
-    return acc;
   }
 
   /// Run fn(worker_index) once on each worker and block until all return.

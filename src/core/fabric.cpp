@@ -97,44 +97,33 @@ Fabric::Fabric(FabricConfig config)
   tracer_.set_clock([this] { return sim_.Now().micros(); });
   tracer_.set_enabled(config_.tracing_enabled);
   obs::MetricsRegistry* reg = config_.metrics_enabled ? &registry_ : nullptr;
-  cspot_->AttachObservability(reg,
-                              config_.tracing_enabled ? &tracer_ : nullptr);
+  obs::Tracer* tracer = config_.tracing_enabled ? &tracer_ : nullptr;
+  cspot_->AttachObservability(reg, tracer);
   scheduler_->AttachObservability(reg);
   pilot_->AttachObservability(reg);
   if (reg != nullptr) RegisterFabricMetrics();
 
-  // Resilience: opt-in degraded-mode machinery. Breakers sit on the WAN,
-  // the degraded-mode manager keeps the audit trail, and (when a failover
-  // site is configured) a second scheduler/pilot pair stands by for
-  // interactive -> batch placement.
-  if (config_.resilience.enabled) {
-    cspot_->wan().set_metrics_registry(reg);
-    cspot_->wan().EnableCircuitBreakers(config_.resilience.breaker);
-    degraded_ = std::make_unique<resil::DegradedModeManager>();
-    degraded_->AttachObservability(
-        reg, config_.tracing_enabled ? &tracer_ : nullptr);
-    sf_ = std::make_unique<resil::StoreAndForward>(
-        config_.resilience.store_forward_capacity);
-    site_detector_ = std::make_unique<resil::FailureDetector>(
-        config_.resilience.site_detector);
-    if (config_.failover_site.has_value()) {
-      failover_scheduler_ = std::make_unique<hpc::BatchScheduler>(
-          sim_, *config_.failover_site, config_.seed ^ 0xFA11);
-      failover_scheduler_->AttachObservability(reg);
-      pilot::PilotConfig fpc = config_.pilot;
-      fpc.cores_per_node = config_.failover_site->cores_per_node;
-      failover_pilot_ = std::make_unique<pilot::PilotController>(
-          sim_, *failover_scheduler_, perf_, fpc, config_.seed ^ 0xFA12);
-    }
-    if (reg != nullptr) RegisterResilienceMetrics();
+  // Resilience: breakers sit on the WAN, the degraded-mode manager keeps
+  // the audit trail, and (when a failover site is configured) a second
+  // scheduler/pilot pair stands by for interactive -> batch placement.
+  cspot_->wan().set_metrics_registry(reg);
+  cspot_->wan().EnableCircuitBreakers(resil::BreakerConfig{});
+  degraded_.AttachObservability(reg, tracer);
+  if (config_.failover_site.has_value()) {
+    failover_scheduler_ = std::make_unique<hpc::BatchScheduler>(
+        sim_, *config_.failover_site, config_.seed ^ 0xFA11);
+    failover_scheduler_->AttachObservability(reg);
+    pilot::PilotConfig fpc = config_.pilot;
+    fpc.cores_per_node = config_.failover_site->cores_per_node;
+    failover_pilot_ = std::make_unique<pilot::PilotController>(
+        sim_, *failover_scheduler_, perf_, fpc, config_.seed ^ 0xFA12);
   }
 
   // Cross-layer chaos: couple the plan to the transport, the CSPOT node
   // actuators, and the batch scheduler, then arm it on the shared clock.
   if (!config_.fault_plan.empty()) {
     chaos_ = std::make_unique<fault::FaultInjector>(config_.fault_plan);
-    chaos_->AttachObservability(reg,
-                                config_.tracing_enabled ? &tracer_ : nullptr);
+    chaos_->AttachObservability(reg, tracer);
     cspot_->AttachFaultInjector(*chaos_);
     scheduler_->AttachFaultInjector(*chaos_);
     if (failover_scheduler_ != nullptr) {
@@ -160,7 +149,7 @@ Fabric::Fabric(FabricConfig config)
     flight_.ArmContractTrigger();
   }
   // Layer event feeds into the flight recorder's fault/resilience ring.
-  if (degraded_ != nullptr) degraded_->set_flight_recorder(flight);
+  degraded_.set_flight_recorder(flight);
   if (chaos_ != nullptr) chaos_->set_flight_recorder(flight);
   scheduler_->set_flight_recorder(flight);
   pilot_->set_flight_recorder(flight);
@@ -170,23 +159,14 @@ Fabric::Fabric(FabricConfig config)
   if (failover_pilot_ != nullptr) failover_pilot_->set_flight_recorder(flight);
 
   // Overload-robust serving tier: quantized-key cache + single-flight
-  // coalescing + CoDel admission in front of the pilot tier. The cache's
-  // validity window follows resilience.stale_validity_s so the server's
-  // stale-serve and the fabric's ServeStaleAdvisories agree on the same
-  // inclusive boundary.
+  // coalescing + CoDel admission in front of the pilot tier. It shares the
+  // fabric's degraded-mode manager, and its cache validity window is the
+  // one ServeStaleAdvisories uses, so both stale-serve paths agree on the
+  // same inclusive boundary.
   if (config_.serve.enabled) {
-    serve::ServeConfig sc = config_.serve;
-    sc.cache.validity_us =
-        std::llround(config_.resilience.stale_validity_s * 1e6);
-    advisory_server_ = std::make_unique<serve::AdvisoryServer>(sim_, sc);
-    if (degraded_ == nullptr) {
-      // Overload is a degraded mode even when the outage machinery is off.
-      degraded_ = std::make_unique<resil::DegradedModeManager>();
-      degraded_->AttachObservability(
-          reg, config_.tracing_enabled ? &tracer_ : nullptr);
-      degraded_->set_flight_recorder(flight);
-    }
-    advisory_server_->set_degraded_manager(degraded_.get());
+    advisory_server_ =
+        std::make_unique<serve::AdvisoryServer>(sim_, config_.serve);
+    advisory_server_->set_degraded_manager(&degraded_);
     advisory_server_->set_flight_recorder(flight);
     advisory_server_->AttachObservability(reg);
     advisory_server_->set_launcher(
@@ -240,6 +220,20 @@ void Fabric::RegisterFabricMetrics() {
       {"xg_fabric_serve_cfd_rejected_total",
        "Serve refreshes refused by the bounded pilot queue",
        &metrics_.serve_cfd_rejected},
+      {"xg_resil_failovers_total",
+       "Interactive -> batch pilot failover episodes",
+       &metrics_.site_failovers},
+      {"xg_resil_stale_served_total",
+       "Advisories served from the last CFD result while degraded",
+       &metrics_.stale_advisories_served},
+      {"xg_resil_stale_expired_total",
+       "Stale serves refused because the validity window had passed",
+       &metrics_.stale_advisories_expired},
+      {"xg_resil_sf_buffered_total",
+       "Telemetry frames ever parked in store-and-forward",
+       &metrics_.telemetry_frames_buffered},
+      {"xg_resil_sf_drained_total", "Buffered frames delivered after recovery",
+       &metrics_.telemetry_frames_drained},
   };
   for (const Mirror& m : mirrors) {
     const uint64_t* field = m.field;
@@ -247,50 +241,23 @@ void Fabric::RegisterFabricMetrics() {
         m.name, {}, m.help,
         [field] { return static_cast<double>(*field); }, kCounter);
   }
+  registry_.RegisterCallback(
+      "xg_resil_sf_dropped_total", {},
+      "Buffered frames evicted by the bounded buffer",
+      [this] { return static_cast<double>(sf_.dropped_total()); }, kCounter);
+  const auto kGauge = obs::MetricSample::Type::kGauge;
+  registry_.RegisterCallback(
+      "xg_resil_sf_depth", {},
+      "Telemetry frames currently parked in store-and-forward",
+      [this] { return static_cast<double>(sf_.size()); }, kGauge);
+  registry_.RegisterCallback(
+      "xg_resil_suspicion", {{"target", config_.site.name}},
+      "Phi-accrual suspicion of the primary HPC site",
+      [this] { return site_detector_.PhiAt(sim_.Now().micros()); }, kGauge);
   telemetry_latency_hist_ = &registry_.GetHistogram(
       "xg_fabric_telemetry_latency_ms", {},
       "End-to-end telemetry append latency, " + telemetry_client_ +
           " -> " + nodes_.ucsb + " (ms)");
-}
-
-void Fabric::RegisterResilienceMetrics() {
-  const auto kCounter = obs::MetricSample::Type::kCounter;
-  const auto kGauge = obs::MetricSample::Type::kGauge;
-  registry_.RegisterCallback(
-      "xg_resil_suspicion", {{"target", config_.site.name}},
-      "Phi-accrual suspicion of the primary HPC site",
-      [this] { return site_detector_->PhiAt(sim_.Now().micros()); }, kGauge);
-  registry_.RegisterCallback(
-      "xg_resil_failovers_total", {},
-      "Interactive -> batch pilot failover episodes",
-      [this] { return static_cast<double>(metrics_.site_failovers); },
-      kCounter);
-  registry_.RegisterCallback(
-      "xg_resil_stale_served_total", {},
-      "Advisories served from the last CFD result while degraded",
-      [this] { return static_cast<double>(metrics_.stale_advisories_served); },
-      kCounter);
-  registry_.RegisterCallback(
-      "xg_resil_stale_expired_total", {},
-      "Stale serves refused because the validity window had passed",
-      [this] { return static_cast<double>(metrics_.stale_advisories_expired); },
-      kCounter);
-  registry_.RegisterCallback(
-      "xg_resil_sf_depth", {},
-      "Telemetry frames currently parked in store-and-forward",
-      [this] { return static_cast<double>(sf_->size()); }, kGauge);
-  registry_.RegisterCallback(
-      "xg_resil_sf_buffered_total", {},
-      "Telemetry frames ever parked in store-and-forward",
-      [this] { return static_cast<double>(sf_->buffered_total()); }, kCounter);
-  registry_.RegisterCallback(
-      "xg_resil_sf_dropped_total", {},
-      "Buffered frames evicted by the bounded buffer",
-      [this] { return static_cast<double>(sf_->dropped_total()); }, kCounter);
-  registry_.RegisterCallback(
-      "xg_resil_sf_drained_total", {},
-      "Buffered frames delivered after recovery",
-      [this] { return static_cast<double>(sf_->drained_total()); }, kCounter);
 }
 
 void Fabric::ScheduleBreach(const sensors::BreachEvent& breach) {
@@ -356,8 +323,7 @@ void Fabric::PublishTelemetry() {
   // instead of burning a full retry schedule against an open breaker.
   // FIFO order is preserved — the drain ships everything buffered before
   // anything published after recovery.
-  if (ResilienceOn() &&
-      degraded_->active(resil::DegradedMode::kStoreForward)) {
+  if (degraded_.active(resil::DegradedMode::kStoreForward)) {
     BufferFrame(payload);
     tracer_.Annotate(root, "buffered", "true");
     tracer_.EndSpan(root);
@@ -369,10 +335,8 @@ void Fabric::PublishTelemetry() {
 
   cspot::AppendOptions opts;
   opts.trace = root;
-  if (ResilienceOn()) {
-    opts.retry = config_.resilience.telemetry_retry;
-    opts.idem_token = FrameToken(payload);
-  }
+  opts.retry = kTelemetryRetry;
+  opts.idem_token = FrameToken(payload);
   cspot_->RemoteAppend(
       telemetry_client_, nodes_.ucsb, kTelemetryLog, payload, opts,
       [this, t0, frame, root, payload](Result<cspot::SeqNo> r,
@@ -381,19 +345,15 @@ void Fabric::PublishTelemetry() {
           XG_LOG(kWarn, "fabric")
               << "telemetry append failed: " << r.status().ToString();
           tracer_.Annotate(root, "error", r.status().ToString());
-          if (ResilienceOn()) {
-            // Exactly-once across the boundary: the drain re-ships this
-            // frame under the same idempotence token, so an append whose
-            // ack was lost dedups instead of appending twice.
-            tracer_.Annotate(root, "buffered", "true");
-            EnterStoreForward("telemetry append failed: " +
-                              r.status().ToString());
-            BufferFrame(payload);
-          }
+          // Exactly-once across the boundary: the drain re-ships this
+          // frame under the same idempotence token, so an append whose
+          // ack was lost dedups instead of appending twice.
+          tracer_.Annotate(root, "buffered", "true");
+          EnterStoreForward("telemetry append failed: " +
+                            r.status().ToString());
+          BufferFrame(payload);
           tracer_.EndSpan(root);
-          ledger_.Close(root.trace_id,
-                        ResilienceOn() ? obs::slo::CloseReason::kBuffered
-                                       : obs::slo::CloseReason::kFailed);
+          ledger_.Close(root.trace_id, obs::slo::CloseReason::kBuffered);
           return;
         }
         ++metrics_.telemetry_frames_stored;
@@ -424,33 +384,31 @@ void Fabric::PublishTelemetry() {
 }
 
 void Fabric::BufferFrame(const std::vector<uint8_t>& payload) {
-  sf_->Buffer(payload);
+  sf_.Buffer(payload);
   ++metrics_.telemetry_frames_buffered;
 }
 
 void Fabric::EnterStoreForward(const std::string& detail) {
-  if (degraded_->active(resil::DegradedMode::kStoreForward)) return;
-  degraded_->Enter(resil::DegradedMode::kStoreForward, sim_.Now().micros(),
-                   detail);
+  if (degraded_.active(resil::DegradedMode::kStoreForward)) return;
+  degraded_.Enter(resil::DegradedMode::kStoreForward, sim_.Now().micros(),
+                  detail);
   ScheduleStoreForwardTick();
 }
 
 void Fabric::ScheduleStoreForwardTick() {
   if (sf_tick_pending_) return;
   sf_tick_pending_ = true;
-  sim_.Schedule(
-      sim::SimTime::Seconds(config_.resilience.store_forward_probe_s),
-      [this] {
-        sf_tick_pending_ = false;
-        StoreForwardTick();
-      });
+  sim_.Schedule(sim::SimTime::Seconds(kStoreForwardProbeS), [this] {
+    sf_tick_pending_ = false;
+    StoreForwardTick();
+  });
 }
 
 void Fabric::StoreForwardTick() {
-  if (!degraded_->active(resil::DegradedMode::kStoreForward)) return;
+  if (!degraded_.active(resil::DegradedMode::kStoreForward)) return;
   if (sf_probe_inflight_) return;
-  if (sf_->empty()) {
-    degraded_->Exit(resil::DegradedMode::kStoreForward, sim_.Now().micros());
+  if (sf_.empty()) {
+    degraded_.Exit(resil::DegradedMode::kStoreForward, sim_.Now().micros());
     return;
   }
   // Probe with the oldest buffered frame: a short retry budget that either
@@ -458,11 +416,10 @@ void Fabric::StoreForwardTick() {
   // probe period. While the breaker for the access link is open the
   // attempts fail without touching the wire; the breaker's own half-open
   // probing decides when traffic flows again.
-  const std::vector<uint8_t> probe = sf_->Front();
+  const std::vector<uint8_t> probe = sf_.Front();
   cspot::AppendOptions opts;
   opts.retry.max_attempts = 2;
-  opts.retry.attempt_timeout_ms =
-      config_.resilience.telemetry_retry.attempt_timeout_ms;
+  opts.retry.attempt_timeout_ms = kTelemetryRetry.attempt_timeout_ms;
   opts.idem_token = FrameToken(probe);
   sf_probe_inflight_ = true;
   cspot_->RemoteAppend(
@@ -473,7 +430,7 @@ void Fabric::StoreForwardTick() {
           ScheduleStoreForwardTick();
           return;
         }
-        ObserveStoredFrame(sf_->PopFront(), /*drained=*/true);
+        ObserveStoredFrame(sf_.PopFront(), /*drained=*/true);
         StoreForwardTick();  // keep draining; exits the mode when empty
       });
 }
@@ -492,24 +449,20 @@ void Fabric::ObserveStoredFrame(const std::vector<uint8_t>& payload,
 
 void Fabric::ServeStaleAdvisories(const std::string& reason) {
   if (!latest_result_.has_value()) return;
-  // Integer-µs comparison: the validity window is inclusive (a result aged
-  // exactly stale_validity_s still serves, matching DeadlineBudget's
-  // exactly-at-deadline-is-not-a-miss rule), and the float round trip
-  // through complete_time_s must not flip the boundary case.
+  // Integer-µs comparison against the serving tier's validity window: it
+  // is inclusive (a result aged exactly validity_us still serves, matching
+  // DeadlineBudget's exactly-at-deadline-is-not-a-miss rule), and the float
+  // round trip through complete_time_s must not flip the boundary case.
   const int64_t complete_us =
       std::llround(latest_result_->complete_time_s * 1e6);
   const int64_t age_us = sim_.Now().micros() - complete_us;
-  const int64_t validity_us =
-      std::llround(config_.resilience.stale_validity_s * 1e6);
-  if (!serve::WithinValidityUs(age_us, validity_us)) {
+  if (!serve::WithinValidityUs(age_us, config_.serve.cache.validity_us)) {
     ++metrics_.stale_advisories_expired;
     return;
   }
   const double age_s = static_cast<double>(age_us) * 1e-6;
-  if (!degraded_->active(resil::DegradedMode::kStaleServe)) {
-    degraded_->Enter(resil::DegradedMode::kStaleServe, sim_.Now().micros(),
-                     reason);
-  }
+  degraded_.Enter(resil::DegradedMode::kStaleServe, sim_.Now().micros(),
+                  reason);
   const std::vector<TelemetryFrame> latest = RecentFrames(1);
   if (latest.empty()) return;
   char age[48];
@@ -526,17 +479,23 @@ void Fabric::SubmitSiteProbe() {
   hpc::JobSpec spec;
   spec.name = "xg-canary";
   spec.nodes = 1;
-  spec.runtime_s = config_.resilience.site_probe_runtime_s;
+  spec.runtime_s = kSiteProbeRuntimeS;
   spec.walltime_s = std::max(60.0, 4.0 * spec.runtime_s);
   scheduler_->Submit(spec, /*on_start=*/[this](const hpc::JobInfo&) {
     const int64_t now_us = sim_.Now().micros();
-    site_detector_->Heartbeat(now_us);
+    site_detector_.Heartbeat(now_us);
     // A canary starting is proof the queue admits again: fail back.
-    if (degraded_->active(resil::DegradedMode::kSiteFailover) &&
-        !site_detector_->SuspectAt(now_us)) {
-      degraded_->Exit(resil::DegradedMode::kSiteFailover, now_us);
+    if (!site_detector_.SuspectAt(now_us)) {
+      degraded_.Exit(resil::DegradedMode::kSiteFailover, now_us);
     }
   });
+}
+
+pilot::PilotController& Fabric::PlacementPilot(int64_t now_us) {
+  if (failover_pilot_ != nullptr && site_detector_.SuspectAt(now_us)) {
+    return *failover_pilot_;
+  }
+  return *pilot_;
 }
 
 std::vector<TelemetryFrame> Fabric::RecentFrames(size_t n) const {
@@ -613,10 +572,10 @@ void Fabric::RunDetectionCycle() {
 void Fabric::TriggerCfd(double alert_time_s, double data_bytes,
                         obs::TraceContext trace) {
   if (cfd_in_flight_) {
-    // One simulation at a time in the prototype. In resilience mode the
-    // blocked alert still gets decision support: re-issue the advisories
-    // from the last result while it is inside its validity window.
-    if (ResilienceOn()) ServeStaleAdvisories("cfd in flight");
+    // One simulation at a time in the prototype. The blocked alert still
+    // gets decision support: re-issue the advisories from the last result
+    // while it is inside its validity window.
+    ServeStaleAdvisories("cfd in flight");
     // The declined escalation would otherwise dangle until the expiry
     // sweep and read as a spurious deadline miss.
     ledger_.Close(trace.trace_id, obs::slo::CloseReason::kSkipped);
@@ -639,7 +598,7 @@ void Fabric::TriggerCfd(double alert_time_s, double data_bytes,
         if (!latest.ok() || latest.value() == cspot::kNoSeq) {
           cfd_in_flight_ = false;
           tracer_.EndSpan(decision);
-          if (ResilienceOn()) ServeStaleAdvisories("boundary fetch failed");
+          ServeStaleAdvisories("boundary fetch failed");
           ledger_.Close(decision.trace_id, obs::slo::CloseReason::kFailed);
           return;
         }
@@ -650,9 +609,7 @@ void Fabric::TriggerCfd(double alert_time_s, double data_bytes,
               if (!bytes.ok()) {
                 cfd_in_flight_ = false;
                 tracer_.EndSpan(decision);
-                if (ResilienceOn()) {
-                  ServeStaleAdvisories("boundary fetch failed");
-                }
+                ServeStaleAdvisories("boundary fetch failed");
                 ledger_.Close(decision.trace_id,
                               obs::slo::CloseReason::kFailed);
                 return;
@@ -670,22 +627,18 @@ void Fabric::TriggerCfd(double alert_time_s, double data_bytes,
               const int64_t submit_us = sim_.Now().micros();
               ledger_.Stamp(decision.trace_id, obs::slo::Stage::kPilotSubmit,
                             submit_us);
-              pilot::PilotController* controller = pilot_.get();
-              if (ResilienceOn() && site_detector_->SuspectAt(submit_us)) {
+              if (site_detector_.SuspectAt(submit_us)) {
                 // Bridge the gap with the last result while the (slower)
                 // failover path produces a fresh one.
                 ServeStaleAdvisories("primary site suspected");
-                if (failover_pilot_ != nullptr) {
-                  if (!degraded_->active(
-                          resil::DegradedMode::kSiteFailover)) {
-                    degraded_->Enter(resil::DegradedMode::kSiteFailover,
-                                     submit_us, "primary site suspected");
-                    ++metrics_.site_failovers;
-                  }
-                  controller = failover_pilot_.get();
+                if (failover_pilot_ != nullptr &&
+                    !degraded_.active(resil::DegradedMode::kSiteFailover)) {
+                  degraded_.Enter(resil::DegradedMode::kSiteFailover,
+                                  submit_us, "primary site suspected");
+                  ++metrics_.site_failovers;
                 }
               }
-              controller->SubmitTask(
+              PlacementPilot(submit_us).SubmitTask(
                   data_bytes,
                   [this, alert_time_s, boundary, decision,
                    submit_us](const pilot::TaskResult& task) {
@@ -733,13 +686,7 @@ bool Fabric::LaunchServeCfd(
   const double alert_time_s = boundary.time_s;
   const double data_bytes = static_cast<double>(boundary.WireBytes());
 
-  pilot::PilotController* controller = pilot_.get();
-  if (ResilienceOn() && site_detector_ != nullptr &&
-      site_detector_->SuspectAt(sim_.Now().micros()) &&
-      failover_pilot_ != nullptr) {
-    controller = failover_pilot_.get();
-  }
-  const bool accepted = controller->TrySubmitTask(
+  const bool accepted = PlacementPilot(sim_.Now().micros()).TrySubmitTask(
       data_bytes,
       [this, alert_time_s, boundary,
        done = std::move(done)](const pilot::TaskResult&) {
@@ -831,10 +778,7 @@ void Fabric::StoreResult(const CfdResult& result,
   ledger_.Close(trace.trace_id, obs::slo::CloseReason::kFullPath);
   cfd_in_flight_ = false;
   // A fresh result ends any stale-serving episode.
-  if (ResilienceOn() &&
-      degraded_->active(resil::DegradedMode::kStaleServe)) {
-    degraded_->Exit(resil::DegradedMode::kStaleServe, sim_.Now().micros());
-  }
+  degraded_.Exit(resil::DegradedMode::kStaleServe, sim_.Now().micros());
   // Feed the serving tier: an organic alert-driven run is the freshest
   // possible advisory for its boundary conditions, and it resolves any
   // not-yet-launched flight on the same quantized key (that run would be
@@ -953,10 +897,9 @@ void Fabric::Run(double hours) {
   // Canary probes against the primary site: each start is a heartbeat into
   // the phi-accrual detector, so a stalled queue raises suspicion and a
   // moving one fails the fabric back from the batch site.
-  if (ResilienceOn()) {
-    const double probe_s = config_.resilience.site_probe_period_s;
-    sim::Periodic(sim_, sim::SimTime::Seconds(probe_s),
-                  sim::SimTime::Seconds(probe_s), [this, horizon]() {
+  if (config_.site_probes) {
+    sim::Periodic(sim_, sim::SimTime::Seconds(kSiteProbePeriodS),
+                  sim::SimTime::Seconds(kSiteProbePeriodS), [this, horizon]() {
                     if (sim_.Now() > horizon) return false;
                     SubmitSiteProbe();
                     return true;

@@ -40,11 +40,40 @@
 #include "obs/trace.hpp"
 #include "pilot/pilot.hpp"
 #include "resil/degraded.hpp"
+#include "resil/detector.hpp"
+#include "resil/policy.hpp"
 #include "sensors/cups.hpp"
 #include "sensors/quality.hpp"
 #include "serve/server.hpp"
 
 namespace xg::core {
+
+/// Fabric resilience policy, fixed: telemetry appends retry with backoff
+/// under a per-frame idempotence token, failed frames park in a bounded
+/// store-and-forward buffer drained by single probes, WAN links carry
+/// circuit breakers (resil::BreakerConfig defaults), and the primary
+/// site's phi-accrual detector judges canary-job heartbeats.
+inline constexpr resil::RetryPolicyConfig kTelemetryRetry{
+    .max_attempts = 8,
+    .attempt_timeout_ms = 400.0,
+    .initial_backoff_ms = 200.0,
+    .multiplier = 2.0,
+    .max_backoff_ms = 10'000.0,
+    .jitter = 0.2,
+};
+inline constexpr resil::DetectorConfig kSiteDetector{
+    .window = 16,
+    .phi_threshold = 8.0,
+    .min_std_ms = 5'000.0,
+    .min_samples = 3,
+};
+/// Store-and-forward capacity, frames; the oldest is evicted beyond it.
+inline constexpr size_t kStoreForwardCapacity = 256;
+/// Drain-probe cadence while in store-and-forward.
+inline constexpr double kStoreForwardProbeS = 30.0;
+/// Canary-job cadence and runtime against the primary site (site_probes).
+inline constexpr double kSiteProbePeriodS = 120.0;
+inline constexpr double kSiteProbeRuntimeS = 1.0;
 
 enum class CfdMode {
   kModeled,  ///< analytic interior prediction; runtime from the perf model
@@ -80,7 +109,8 @@ struct FabricConfig {
   /// telemetry stream (rejects range/rate/stuck-sensor failures).
   bool qc_enabled = true;
   sensors::QcLimits qc;
-  /// Observability switches (bench_obs_overhead measures their cost).
+  /// Observability switches (perfbench's obs.overhead_frac measures
+  /// their cost).
   /// With metrics on, every layer mirrors its counters into `registry()`;
   /// with tracing on, each telemetry reading's journey becomes one trace.
   bool metrics_enabled = true;
@@ -95,20 +125,23 @@ struct FabricConfig {
   /// construction, coupled to the WAN, the CSPOT nodes, and the batch
   /// scheduler. Injected counts export as xg_fault_injected_total.
   fault::FaultPlan fault_plan;
-  /// Resilience: adaptive backoff on telemetry appends, per-link circuit
-  /// breakers, store-and-forward during access outages, stale-but-valid
-  /// advisory serving, and interactive->batch pilot failover. Off by
-  /// default so the seed behaviour (and golden numbers) are unchanged.
-  resil::ResilienceConfig resilience;
-  /// Failover facility for degraded-mode pilot placement. When set (and
-  /// resilience is enabled), CFD tasks are redirected here while the
-  /// primary site's failure detector suspects it.
+  /// Site-health canary loop: a kSiteProbeRuntimeS job every
+  /// kSiteProbePeriodS on the primary batch queue, each start a heartbeat
+  /// for the site's failure detector. Without heartbeats the detector never
+  /// suspects, so "primary site suspected" stale serving and failover stay
+  /// idle. Off by default: the canaries roughly double the executed events
+  /// of a day and compete for a contended queue. Retry, exactly-once
+  /// delivery, store-and-forward, breakers and stale serving are always on.
+  bool site_probes = false;
+  /// Failover facility for degraded-mode pilot placement. When set, CFD
+  /// tasks are redirected here while the primary site's failure detector
+  /// suspects it (which needs site_probes).
   std::optional<hpc::SiteProfile> failover_site;
   /// Overload-robust advisory serving tier (src/serve): quantized-key
   /// cache, single-flight coalescing, CoDel admission, and load shedding
-  /// into the overload_shed degraded mode. Off by default; the cache's
-  /// validity window is synced to resilience.stale_validity_s at
-  /// construction so the two stale-serve paths agree.
+  /// into the overload_shed degraded mode. Off by default. Its
+  /// cache.validity_us is also the fabric's stale-advisory window, so the
+  /// two stale-serve paths agree.
   serve::ServeConfig serve;
 
   FabricConfig();
@@ -138,7 +171,7 @@ struct FabricMetrics {
   uint64_t irrigation_advisories = 0;
   uint64_t qc_rejected_readings = 0;
   uint64_t readings_dropped = 0;  ///< station dropouts (fault injection)
-  // -- resilience (all zero unless FabricConfig::resilience.enabled) --
+  // -- resilience (degraded modes; zero in a fault-free run) --
   uint64_t telemetry_frames_buffered = 0;  ///< held in store-and-forward
   uint64_t telemetry_frames_drained = 0;   ///< delivered from the buffer
   uint64_t stale_advisories_served = 0;    ///< advisories from the last result
@@ -176,12 +209,12 @@ class Fabric {
   /// The armed chaos injector (nullptr when config.fault_plan is empty).
   fault::FaultInjector* fault_injector() { return chaos_.get(); }
 
-  /// Degraded-mode audit trail (nullptr unless resilience is enabled).
-  resil::DegradedModeManager* degraded_modes() { return degraded_.get(); }
-  /// Sensor-edge store-and-forward buffer (nullptr unless enabled).
-  resil::StoreAndForward* store_forward() { return sf_.get(); }
-  /// Phi-accrual health of the primary HPC site (nullptr unless enabled).
-  resil::FailureDetector* site_detector() { return site_detector_.get(); }
+  /// Degraded-mode audit trail (shared with the serving tier).
+  resil::DegradedModeManager& degraded_modes() { return degraded_; }
+  /// Sensor-edge store-and-forward buffer.
+  resil::StoreAndForward& store_forward() { return sf_; }
+  /// Phi-accrual health of the primary HPC site (fed by site_probes).
+  resil::FailureDetector& site_detector() { return site_detector_; }
 
   /// Unified observability: every layer's counters, mirrored live.
   obs::MetricsRegistry& registry() { return registry_; }
@@ -218,9 +251,7 @@ class Fabric {
 
  private:
   void RegisterFabricMetrics();
-  void RegisterResilienceMetrics();
   void PublishTelemetry();
-  bool ResilienceOn() const { return config_.resilience.enabled; }
   /// Park a serialized frame in the store-and-forward buffer.
   void BufferFrame(const std::vector<uint8_t>& payload);
   /// Enter store-and-forward (idempotent) and start the drain probes.
@@ -236,6 +267,9 @@ class Fabric {
   void ServeStaleAdvisories(const std::string& reason);
   /// Canary job against the primary site; its start is a detector heartbeat.
   void SubmitSiteProbe();
+  /// The pilot CFD tasks go to at `now_us`: the failover pilot while the
+  /// primary site is suspected and one is configured, else the primary.
+  pilot::PilotController& PlacementPilot(int64_t now_us);
   void RunDetectionCycle();
   /// serve::CfdLauncher backend: one bounded CFD refresh for the requested
   /// conditions through the pilot tier (failover-aware). Returns false
@@ -290,10 +324,10 @@ class Fabric {
   bool cfd_in_flight_ = false;
   bool robot_busy_ = false;
   size_t patrol_waypoint_ = 0;
-  // Resilience state (all null / idle unless config_.resilience.enabled).
-  std::unique_ptr<resil::DegradedModeManager> degraded_;
-  std::unique_ptr<resil::StoreAndForward> sf_;
-  std::unique_ptr<resil::FailureDetector> site_detector_;
+  // Resilience state; the failover pair exists only with a failover site.
+  resil::DegradedModeManager degraded_;
+  resil::StoreAndForward sf_{kStoreForwardCapacity};
+  resil::FailureDetector site_detector_{kSiteDetector};
   std::unique_ptr<hpc::BatchScheduler> failover_scheduler_;
   std::unique_ptr<pilot::PilotController> failover_pilot_;
   bool sf_tick_pending_ = false;  ///< a drain probe is already scheduled

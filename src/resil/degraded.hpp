@@ -32,9 +32,6 @@
 #include "common/thread_annotations.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "resil/breaker.hpp"
-#include "resil/detector.hpp"
-#include "resil/policy.hpp"
 
 namespace xg::obs::slo {
 class FlightRecorder;
@@ -136,47 +133,6 @@ class XG_SIM_THREAD_CONFINED DegradedModeManager {
   obs::Tracer* tracer_ = nullptr;
   obs::slo::FlightRecorder* flight_ = nullptr;
   obs::TraceContext root_;  ///< parent of every resil.<mode> episode span
-};
-
-// ---------------------------------------------------------------------------
-// System-level resilience policy (consumed by core::FabricConfig)
-// ---------------------------------------------------------------------------
-
-struct ResilienceConfig {
-  /// Master switch. Off by default: the seed fabric's behaviour (and its
-  /// golden metrics) are unchanged unless a caller opts in.
-  bool enabled = false;
-  /// Backoff policy for telemetry appends (edge -> repository).
-  RetryPolicyConfig telemetry_retry{
-      .max_attempts = 8,
-      .attempt_timeout_ms = 400.0,
-      .initial_backoff_ms = 200.0,
-      .multiplier = 2.0,
-      .max_backoff_ms = 10'000.0,
-      .jitter = 0.2,
-  };
-  /// Per-WAN-link circuit breakers.
-  BreakerConfig breaker;
-  /// Interactive-site health (fed by canary-job starts).
-  DetectorConfig site_detector{
-      .window = 16,
-      .phi_threshold = 8.0,
-      .min_std_ms = 5'000.0,
-      .min_samples = 3,
-  };
-  /// Store-and-forward buffer capacity, frames; oldest dropped beyond it.
-  size_t store_forward_capacity = 256;
-  /// While in store-and-forward, a drain probe (single cheap attempt on
-  /// the oldest buffered frame) runs at this cadence.
-  double store_forward_probe_s = 30.0;
-  /// Serve the last CFD result as stale-but-valid for this long after it
-  /// completed (~ the detection period minus the response time; the paper
-  /// budgets a ~23-minute actionable window).
-  double stale_validity_s = 23.0 * 60.0;
-  /// Canary-job cadence against the interactive site; each start is a
-  /// detector heartbeat.
-  double site_probe_period_s = 120.0;
-  double site_probe_runtime_s = 1.0;
 };
 
 }  // namespace xg::resil

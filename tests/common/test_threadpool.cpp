@@ -107,100 +107,6 @@ TEST(ThreadPool, ResultsMatchSerialReduction) {
   EXPECT_DOUBLE_EQ(total, 0.5 * (n - 1) * n / 2.0);
 }
 
-
-TEST(ThreadPool, ParallelReduceSumMatchesSerial) {
-  ThreadPool pool(4);
-  const size_t n = 8192;
-  std::vector<double> data(n);
-  for (size_t i = 0; i < n; ++i) data[i] = static_cast<double>(i) * 0.25;
-  const double got = pool.ParallelReduce(
-      n, 0.0,
-      [&](size_t b, size_t e) {
-        double s = 0.0;
-        for (size_t i = b; i < e; ++i) s += data[i];
-        return s;
-      },
-      [](double a, double b) { return a + b; });
-  double want = 0.0;
-  for (double d : data) want += d;
-  // Chunked summation reassociates; agreement is to rounding, not bitwise.
-  EXPECT_NEAR(got, want, 1e-9 * want);
-}
-
-TEST(ThreadPool, ParallelReduceIsDeterministicAcrossRepeats) {
-  ThreadPool pool(4);
-  const size_t n = 5000;
-  auto run = [&] {
-    return pool.ParallelReduce(
-        n, 0.0,
-        [](size_t b, size_t e) {
-          double s = 0.0;
-          for (size_t i = b; i < e; ++i) {
-            s += 1.0 / (1.0 + static_cast<double>(i));
-          }
-          return s;
-        },
-        [](double a, double b) { return a + b; });
-  };
-  const double first = run();
-  for (int r = 0; r < 10; ++r) {
-    // Fixed chunk boundaries + ascending-worker combine: bitwise stable.
-    ASSERT_EQ(run(), first) << "repeat " << r;
-  }
-}
-
-TEST(ThreadPool, ParallelReduceEmptyRangeReturnsIdentity) {
-  ThreadPool pool(3);
-  const double got = pool.ParallelReduce(
-      0, 42.0, [](size_t, size_t) { return -1.0; },
-      [](double a, double b) { return a + b; });
-  EXPECT_EQ(got, 42.0);
-}
-
-TEST(ThreadPool, ParallelReduceSmallerThanWorkers) {
-  ThreadPool pool(8);
-  const uint64_t got = pool.ParallelReduce(
-      3, uint64_t{0},
-      [](size_t b, size_t e) { return static_cast<uint64_t>(e - b); },
-      [](uint64_t a, uint64_t b) { return a + b; });
-  EXPECT_EQ(got, 3u);
-}
-
-TEST(ThreadPool, ParallelReduceMax) {
-  ThreadPool pool(4);
-  const size_t n = 1000;
-  std::vector<double> data(n);
-  for (size_t i = 0; i < n; ++i) {
-    data[i] = static_cast<double>((i * 7919) % 1000);
-  }
-  const double got = pool.ParallelReduce(
-      n, 0.0,
-      [&](size_t b, size_t e) {
-        double m = 0.0;
-        for (size_t i = b; i < e; ++i) m = std::max(m, data[i]);
-        return m;
-      },
-      [](double a, double b) { return std::max(a, b); });
-  EXPECT_EQ(got, *std::max_element(data.begin(), data.end()));
-}
-
-TEST(ThreadPoolContract, NestedParallelReduceFallsBack) {
-  contract::ResetViolationStats();
-  ThreadPool pool(2);
-  std::atomic<int> inner_total{0};
-  pool.ParallelFor(2, [&](size_t b, size_t e) {
-    for (size_t i = b; i < e; ++i) {
-      const int inner = pool.ParallelReduce(
-          5, 0, [](size_t ib, size_t ie) { return static_cast<int>(ie - ib); },
-          [](int a, int c) { return a + c; });
-      inner_total.fetch_add(inner);
-    }
-  });
-  EXPECT_EQ(inner_total.load(), 2 * 5);
-  EXPECT_GE(contract::ViolationCount(), 1u);
-  contract::ResetViolationStats();
-}
-
 // Exercised under TSan via the "concurrent" ctest label: several external
 // threads submitting to one pool must serialize cleanly on the pool's
 // submit lock with no lost or duplicated range chunks.
@@ -210,7 +116,6 @@ TEST(ThreadPool, ConcurrentSubmittersSerializeSafely) {
   constexpr int kRounds = 25;
   constexpr size_t kN = 512;
   std::atomic<uint64_t> for_total{0};
-  std::atomic<uint64_t> reduce_total{0};
   std::vector<std::thread> submitters;
   submitters.reserve(kSubmitters);
   for (int s = 0; s < kSubmitters; ++s) {
@@ -219,18 +124,11 @@ TEST(ThreadPool, ConcurrentSubmittersSerializeSafely) {
         pool.ParallelFor(kN, [&](size_t b, size_t e) {
           for_total.fetch_add(e - b, std::memory_order_relaxed);
         });
-        const uint64_t r = pool.ParallelReduce(
-            kN, uint64_t{0},
-            [](size_t b, size_t e) { return static_cast<uint64_t>(e - b); },
-            [](uint64_t a, uint64_t b) { return a + b; });
-        reduce_total.fetch_add(r, std::memory_order_relaxed);
       }
     });
   }
   for (std::thread& t : submitters) t.join();
   EXPECT_EQ(for_total.load(), static_cast<uint64_t>(kSubmitters) * kRounds * kN);
-  EXPECT_EQ(reduce_total.load(),
-            static_cast<uint64_t>(kSubmitters) * kRounds * kN);
 }
 
 TEST(ThreadPoolContract, NestedParallelForFallsBackInsteadOfDeadlocking) {

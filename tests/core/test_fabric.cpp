@@ -162,6 +162,14 @@ TEST(Fabric, DeterministicAcrossRuns) {
                    b.metrics().telemetry_latency_ms.mean());
 }
 
+TEST(Fabric, DefaultDaySendsNoSiteCanaries) {
+  // The canary loop is the one opt-in resilience piece: a default day
+  // feeds the site detector no heartbeats, so it never suspects the site.
+  Fabric fabric(FabricConfig{});
+  fabric.Run(24.0);
+  EXPECT_EQ(fabric.site_detector().heartbeats(), 0u);
+}
+
 TEST(Fabric, RobotDispatchCanBeDisabled) {
   FabricConfig cfg;
   cfg.seed = 12;

@@ -164,7 +164,6 @@ TEST(SloFabric, SloDisabledPublishesNoLedger) {
 
 TEST(SloFabric, SeveredAlertPathExpiresBudgetAndDumps) {
   FabricConfig cfg = DayConfig(107);
-  cfg.resilience.enabled = true;
   cfg.fault_plan = fault::FaultPlan(107);
   // The alert poller cannot reach UCSB while the partition holds, so the
   // escalated reading's budget expires in flight.

@@ -71,8 +71,7 @@ struct OutageSummary {
 OutageSummary RunOutageScenario(uint64_t seed) {
   FabricConfig cfg;
   cfg.seed = seed;
-  cfg.resilience.enabled = true;
-  // The UE loses its gateway for 10 minutes mid-run.
+  // Shipped defaults: the UE loses its gateway for 10 minutes mid-run.
   cfg.fault_plan = fault::FaultPlan(seed);
   cfg.fault_plan.Partition("unl", "unl-gw", 1000.0, 600.0);
 
@@ -91,7 +90,7 @@ OutageSummary RunOutageScenario(uint64_t seed) {
   out.buffered = m.telemetry_frames_buffered;
   out.drained = m.telemetry_frames_drained;
   out.log_times = StoredFrameTimes(fabric);
-  out.timeline = fabric.degraded_modes()->FormatTimeline();
+  out.timeline = fabric.degraded_modes().FormatTimeline();
   out.sf_drained_metric =
       MetricValue(fabric.registry(), "xg_resil_sf_drained_total");
   out.saw_sf_span = HasSpan(fabric.tracer(), "resil.store_forward");
@@ -139,8 +138,7 @@ TEST(ChaosFabric, StoreForwardDrainsAfterAccessOutage) {
 
   // Recovery time (outage end -> first drained delivery) is bounded by
   // one drain-probe period plus transport latency.
-  const double probe_bound_s =
-      resil::ResilienceConfig{}.store_forward_probe_s + 5.0;
+  const double probe_bound_s = kStoreForwardProbeS + 5.0;
   EXPECT_GE(out.recovery_s, 0.0);
   EXPECT_LE(out.recovery_s, probe_bound_s);
 }
@@ -165,7 +163,8 @@ TEST(ChaosFabric, OutageRunIsBitIdenticalPerSeed) {
 TEST(ChaosFabric, StaleAdvisoriesWithinAndBeyondValidity) {
   FabricConfig cfg;
   cfg.seed = 42;
-  cfg.resilience.enabled = true;
+  // The canaries feed the site detector the suspicion gauge reads.
+  cfg.site_probes = true;
   // Faster duty cycle so an alert can land both inside and beyond the
   // 23-minute validity window within one run: reports every 100 s,
   // detection every 20 min. The pilot's walltime is cut down so the warm
@@ -206,8 +205,7 @@ TEST(ChaosFabric, StaleAdvisoriesWithinAndBeyondValidity) {
     EXPECT_NE(a.reason.find("stale result"), std::string::npos) << a.reason;
   }
 
-  ASSERT_NE(fabric.degraded_modes(), nullptr);
-  EXPECT_GE(fabric.degraded_modes()->entries(resil::DegradedMode::kStaleServe),
+  EXPECT_GE(fabric.degraded_modes().entries(resil::DegradedMode::kStaleServe),
             1u);
   EXPECT_GE(MetricValue(fabric.registry(), "xg_resil_stale_served_total"),
             1.0);
@@ -234,12 +232,13 @@ struct AcceptanceSummary {
 AcceptanceSummary RunAcceptanceScenario(uint64_t seed) {
   FabricConfig cfg;
   cfg.seed = seed;
-  cfg.resilience.enabled = true;
+  // The canaries are the detector heartbeats that drive the failover.
+  cfg.site_probes = true;
   // At the default 30-min detection cadence a result is ~23-25 minutes old
   // by the time the next alert polls, i.e. always just past the default
   // 23-minute validity window. Widen it so the bridge result from the
   // failover path is still valid when the poll serves it.
-  cfg.resilience.stale_validity_s = 1600.0;
+  cfg.serve.cache.validity_us = 1'600'000'000;
   cfg.failover_site = hpc::PurdueAnvil();
   cfg.fault_plan = fault::FaultPlan(seed);
   // The ISSUE's scripted scenario: a 10-minute 5G outage, then the
@@ -261,11 +260,11 @@ AcceptanceSummary RunAcceptanceScenario(uint64_t seed) {
   out.failovers = m.site_failovers;
   out.stale_served = m.stale_advisories_served;
   out.log_times = StoredFrameTimes(fabric);
-  out.timeline = fabric.degraded_modes()->FormatTimeline();
+  out.timeline = fabric.degraded_modes().FormatTimeline();
   out.failovers_metric =
       MetricValue(fabric.registry(), "xg_resil_failovers_total");
   out.saw_failover_span = HasSpan(fabric.tracer(), "resil.site_failover");
-  for (const auto& ep : fabric.degraded_modes()->timeline()) {
+  for (const auto& ep : fabric.degraded_modes().timeline()) {
     if (ep.mode == resil::DegradedMode::kSiteFailover && ep.exit_us >= 0) {
       out.failover_closed = true;
     }

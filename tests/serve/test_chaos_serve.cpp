@@ -132,7 +132,6 @@ OutageHerdSummary RunOutageHerd(uint64_t seed) {
   FabricConfig cfg;
   cfg.seed = seed;
   cfg.serve.enabled = true;
-  cfg.resilience.enabled = true;
   // The UE loses its gateway for 10 minutes; the herd arrives mid-outage.
   cfg.fault_plan = fault::FaultPlan(seed);
   cfg.fault_plan.Partition("unl", "unl-gw", 1000.0, 600.0);
@@ -154,7 +153,7 @@ OutageHerdSummary RunOutageHerd(uint64_t seed) {
   out.cfd_runs = fabric.metrics().serve_cfd_runs;
   out.buffered = fabric.metrics().telemetry_frames_buffered;
   out.drained = fabric.metrics().telemetry_frames_drained;
-  out.timeline = fabric.degraded_modes()->FormatTimeline();
+  out.timeline = fabric.degraded_modes().FormatTimeline();
   return out;
 }
 
@@ -250,10 +249,10 @@ OverloadSummary RunOverloadStorm(uint64_t seed) {
   }
   fabric.Run(1.0);
 
-  resil::DegradedModeManager* dm = fabric.degraded_modes();
-  out.entries = dm->entries(resil::DegradedMode::kOverloadShed);
-  out.active_at_end = dm->active(resil::DegradedMode::kOverloadShed);
-  out.timeline = dm->FormatTimeline();
+  const resil::DegradedModeManager& dm = fabric.degraded_modes();
+  out.entries = dm.entries(resil::DegradedMode::kOverloadShed);
+  out.active_at_end = dm.active(resil::DegradedMode::kOverloadShed);
+  out.timeline = dm.FormatTimeline();
   out.storms = srv->governor().storms();
   obs::slo::FlightRecorder* fr = fabric.flight_recorder();
   if (fr != nullptr) {

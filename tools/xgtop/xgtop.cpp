@@ -180,24 +180,22 @@ void RenderFrame(core::Fabric& fabric, const Options& opt) {
   }
 
   out += "\n-- degraded / breaker state --\n";
-  resil::DegradedModeManager* degraded = fabric.degraded_modes();
+  const resil::DegradedModeManager& degraded = fabric.degraded_modes();
   bool any = false;
-  if (degraded != nullptr) {
-    for (int i = 0; i < resil::kDegradedModeCount; ++i) {
-      const auto mode = static_cast<resil::DegradedMode>(i);
-      if (!degraded->active(mode)) continue;
-      any = true;
-      std::snprintf(line, sizeof(line), "  ACTIVE %s (%.0fs)\n",
-                    resil::DegradedModeName(mode),
-                    degraded->TotalTimeS(mode, now_us));
-      out += line;
-    }
+  for (int i = 0; i < resil::kDegradedModeCount; ++i) {
+    const auto mode = static_cast<resil::DegradedMode>(i);
+    if (!degraded.active(mode)) continue;
+    any = true;
+    std::snprintf(line, sizeof(line), "  ACTIVE %s (%.0fs)\n",
+                  resil::DegradedModeName(mode),
+                  degraded.TotalTimeS(mode, now_us));
+    out += line;
   }
-  resil::StoreAndForward* sf = fabric.store_forward();
-  if (sf != nullptr && sf->size() > 0) {
+  const resil::StoreAndForward& sf = fabric.store_forward();
+  if (sf.size() > 0) {
     any = true;
     std::snprintf(line, sizeof(line), "  store-and-forward depth %zu/%zu\n",
-                  sf->size(), sf->capacity());
+                  sf.size(), sf.capacity());
     out += line;
   }
   for (const obs::MetricSample& s : fabric.registry().Snapshot()) {
@@ -350,17 +348,15 @@ int WriteSnapshot(core::Fabric& fabric, const Options& opt, std::ostream& os) {
 
   jw.Key("degraded");
   jw.BeginObject();
-  resil::DegradedModeManager* degraded = fabric.degraded_modes();
+  const resil::DegradedModeManager& degraded = fabric.degraded_modes();
   const int64_t now_us = fabric.simulation().Now().micros();
   for (int i = 0; i < resil::kDegradedModeCount; ++i) {
     const auto mode = static_cast<resil::DegradedMode>(i);
     jw.Key(resil::DegradedModeName(mode));
     jw.BeginObject();
-    jw.Field("active", degraded != nullptr && degraded->active(mode));
-    jw.Field("entries",
-             degraded != nullptr ? degraded->entries(mode) : uint64_t{0});
-    jw.Field("total_time_s",
-             degraded != nullptr ? degraded->TotalTimeS(mode, now_us) : 0.0);
+    jw.Field("active", degraded.active(mode));
+    jw.Field("entries", degraded.entries(mode));
+    jw.Field("total_time_s", degraded.TotalTimeS(mode, now_us));
     jw.EndObject();
   }
   jw.EndObject();
@@ -442,7 +438,7 @@ int main(int argc, char** argv) {
 
   core::FabricConfig cfg;
   cfg.seed = opt.seed;
-  cfg.resilience.enabled = true;
+  cfg.site_probes = true;
   cfg.serve.enabled = opt.serve_requesters > 0.0;
   if (opt.chaos) {
     cfg.fault_plan = fault::FaultPlan(opt.seed);
