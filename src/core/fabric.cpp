@@ -916,11 +916,13 @@ void Fabric::Run(double hours) {
                   });
   }
 
-  // Telemetry every reporting period.
+  // Telemetry every reporting period. A reading published at the horizon
+  // instant could not be appended before RunUntil returns, so the last
+  // publish is the one strictly before it.
   sim::Periodic(sim_, sim::SimTime::Seconds(config_.telemetry_period_s),
                 sim::SimTime::Seconds(config_.telemetry_period_s),
                 [this, horizon]() {
-                  if (sim_.Now() > horizon) return false;
+                  if (sim_.Now() >= horizon) return false;
                   atmosphere_->Advance(config_.telemetry_period_s);
                   PublishTelemetry();
                   return true;

@@ -110,11 +110,10 @@ TEST(ChaosFabric, StoreForwardDrainsAfterAccessOutage) {
 
   // Two reporting periods fall inside the outage: both frames are parked
   // and both are delivered after recovery — nothing lost, nothing extra.
-  // The final publish fires exactly at the horizon, so its append is still
-  // in flight when the run stops; every earlier frame must be durable.
+  // Every published frame is durable by the horizon.
   EXPECT_EQ(out.buffered, 2u);
   EXPECT_EQ(out.drained, 2u);
-  EXPECT_EQ(out.stored, out.sent - 1);
+  EXPECT_EQ(out.stored, out.sent);
   EXPECT_DOUBLE_EQ(out.sf_drained_metric, 2.0);
 
   // Exactly-once at the repository: every published frame appears in the
@@ -275,11 +274,10 @@ AcceptanceSummary RunAcceptanceScenario(uint64_t seed) {
 TEST(ChaosFabric, AcceptanceOutageStallAndFailover) {
   const AcceptanceSummary out = RunAcceptanceScenario(42);
 
-  // Exactly-once telemetry after recovery (the final publish is still in
-  // flight when the run stops at the horizon).
+  // Exactly-once telemetry after recovery: every published frame is stored.
   EXPECT_EQ(out.buffered, 2u);
   EXPECT_EQ(out.drained, 2u);
-  EXPECT_EQ(out.stored, out.sent - 1);
+  EXPECT_EQ(out.stored, out.sent);
   ASSERT_EQ(out.log_times.size(), out.stored);
   for (size_t i = 1; i < out.log_times.size(); ++i) {
     EXPECT_LT(out.log_times[i - 1], out.log_times[i]);
