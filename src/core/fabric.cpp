@@ -324,12 +324,7 @@ void Fabric::PublishTelemetry() {
   // FIFO order is preserved — the drain ships everything buffered before
   // anything published after recovery.
   if (degraded_.active(resil::DegradedMode::kStoreForward)) {
-    BufferFrame(payload);
-    tracer_.Annotate(root, "buffered", "true");
-    tracer_.EndSpan(root);
-    // The journey continues untraced through the drain; the budget closes
-    // here and the resilience metrics account the buffered leg.
-    ledger_.Close(root.trace_id, obs::slo::CloseReason::kBuffered);
+    ParkFrame(root, payload);
     return;
   }
 
@@ -348,12 +343,9 @@ void Fabric::PublishTelemetry() {
           // Exactly-once across the boundary: the drain re-ships this
           // frame under the same idempotence token, so an append whose
           // ack was lost dedups instead of appending twice.
-          tracer_.Annotate(root, "buffered", "true");
           EnterStoreForward("telemetry append failed: " +
                             r.status().ToString());
-          BufferFrame(payload);
-          tracer_.EndSpan(root);
-          ledger_.Close(root.trace_id, obs::slo::CloseReason::kBuffered);
+          ParkFrame(root, payload);
           return;
         }
         ++metrics_.telemetry_frames_stored;
@@ -383,9 +375,15 @@ void Fabric::PublishTelemetry() {
       });
 }
 
-void Fabric::BufferFrame(const std::vector<uint8_t>& payload) {
+void Fabric::ParkFrame(const obs::TraceContext& root,
+                       const std::vector<uint8_t>& payload) {
   sf_.Buffer(payload);
   ++metrics_.telemetry_frames_buffered;
+  tracer_.Annotate(root, "buffered", "true");
+  tracer_.EndSpan(root);
+  // The journey continues untraced through the drain; the budget closes
+  // here and the resilience metrics account the buffered leg.
+  ledger_.Close(root.trace_id, obs::slo::CloseReason::kBuffered);
 }
 
 void Fabric::EnterStoreForward(const std::string& detail) {
@@ -596,30 +594,18 @@ void Fabric::TriggerCfd(double alert_time_s, double data_bytes,
       nodes_.nd, nodes_.ucsb, kTelemetryLog,
       [this, alert_time_s, data_bytes, decision](Result<cspot::SeqNo> latest) {
         if (!latest.ok() || latest.value() == cspot::kNoSeq) {
-          cfd_in_flight_ = false;
-          tracer_.EndSpan(decision);
-          ServeStaleAdvisories("boundary fetch failed");
-          ledger_.Close(decision.trace_id, obs::slo::CloseReason::kFailed);
+          AbandonEscalation(decision);
           return;
         }
         cspot_->RemoteGet(
             nodes_.nd, nodes_.ucsb, kTelemetryLog, latest.value(),
             [this, alert_time_s, data_bytes,
              decision](Result<std::vector<uint8_t>> bytes) {
-              if (!bytes.ok()) {
-                cfd_in_flight_ = false;
-                tracer_.EndSpan(decision);
-                ServeStaleAdvisories("boundary fetch failed");
-                ledger_.Close(decision.trace_id,
-                              obs::slo::CloseReason::kFailed);
-                return;
-              }
-              auto frame = DeserializeFrame(bytes.value());
+              Result<TelemetryFrame> frame =
+                  bytes.ok() ? DeserializeFrame(bytes.value())
+                             : Result<TelemetryFrame>(bytes.status());
               if (!frame.ok()) {
-                cfd_in_flight_ = false;
-                tracer_.EndSpan(decision);
-                ledger_.Close(decision.trace_id,
-                              obs::slo::CloseReason::kFailed);
+                AbandonEscalation(decision);
                 return;
               }
               const TelemetryFrame boundary = frame.take();
@@ -670,6 +656,13 @@ void Fabric::TriggerCfd(double alert_time_s, double data_bytes,
                   });
             });
       });
+}
+
+void Fabric::AbandonEscalation(const obs::TraceContext& decision) {
+  cfd_in_flight_ = false;
+  tracer_.EndSpan(decision);
+  ServeStaleAdvisories("boundary fetch failed");
+  ledger_.Close(decision.trace_id, obs::slo::CloseReason::kFailed);
 }
 
 bool Fabric::LaunchServeCfd(

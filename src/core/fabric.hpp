@@ -252,8 +252,10 @@ class Fabric {
  private:
   void RegisterFabricMetrics();
   void PublishTelemetry();
-  /// Park a serialized frame in the store-and-forward buffer.
-  void BufferFrame(const std::vector<uint8_t>& payload);
+  /// Park a serialized frame in the store-and-forward buffer and close
+  /// its trace and budget as buffered.
+  void ParkFrame(const obs::TraceContext& root,
+                 const std::vector<uint8_t>& payload);
   /// Enter store-and-forward (idempotent) and start the drain probes.
   void EnterStoreForward(const std::string& detail);
   void ScheduleStoreForwardTick();
@@ -278,6 +280,9 @@ class Fabric {
                       std::function<void(std::vector<uint8_t>, int64_t)> done);
   void TriggerCfd(double alert_time_s, double data_bytes,
                   obs::TraceContext trace);
+  /// The boundary frame for an escalation could not be fetched: free the
+  /// CFD slot, bridge with stale advisories, close the budget as failed.
+  void AbandonEscalation(const obs::TraceContext& decision);
   CfdResult ExecuteCfd(double alert_time_s, const TelemetryFrame& boundary);
   void StoreResult(const CfdResult& result, const obs::TraceContext& trace);
   void HandleSuspicion(const BreachSuspicion& suspicion);

@@ -13,7 +13,7 @@
 //   Close(trace, reason)   journey ends:
 //     kDelivered   stored + twin-observed, detection never escalated it
 //     kFullPath    escalated through CFD; closed at twin_update
-//     kFailed      append exhausted its retries
+//     kFailed      an escalation's boundary fetch failed
 //     kBuffered    parked in store-and-forward (journey continues without
 //                  a trace; accounted by the resilience metrics instead)
 //     kSkipped     escalation declined (CFD already in flight); the

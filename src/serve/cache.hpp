@@ -51,7 +51,8 @@ struct CacheConfig {
   /// Served as a fresh hit up to this age.
   int64_t fresh_us = 300'000'000;  // 5 min
   /// Served (flagged stale) up to this age inclusive; the paper's
-  /// ~23-minute actionable window. Mirrors ResilienceConfig::stale_validity_s.
+  /// ~23-minute actionable window. core::Fabric's stale-advisory path uses
+  /// the same window.
   int64_t validity_us = 1'380'000'000;  // 1380 s
 };
 
