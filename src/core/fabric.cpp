@@ -8,6 +8,7 @@
 #include "cfd/solver.hpp"
 #include "common/contract.hpp"
 #include "common/logging.hpp"
+#include "resil/policy.hpp"
 
 namespace xg::core {
 
@@ -15,6 +16,29 @@ namespace {
 constexpr const char* kTelemetryLog = "telemetry";
 constexpr const char* kAlertLog = "alerts";
 constexpr const char* kResultLog = "results";
+
+// The fixed resilience policy. Telemetry appends retry with backoff under
+// a per-frame idempotence token; failed frames park in a bounded
+// store-and-forward buffer (oldest evicted first); the primary site's
+// phi-accrual detector judges canary-job heartbeats (site_probes). WAN
+// breakers run at resil::BreakerConfig defaults.
+constexpr resil::RetryPolicyConfig kTelemetryRetry{
+    .max_attempts = 8,
+    .attempt_timeout_ms = 400.0,
+    .initial_backoff_ms = 200.0,
+    .multiplier = 2.0,
+    .max_backoff_ms = 10'000.0,
+    .jitter = 0.2,
+};
+constexpr resil::DetectorConfig kSiteDetector{
+    .window = 16,
+    .phi_threshold = 8.0,
+    .min_std_ms = 5'000.0,
+    .min_samples = 3,
+};
+constexpr size_t kStoreForwardCapacity = 256;  // frames
+constexpr double kSiteProbePeriodS = 120.0;
+constexpr double kSiteProbeRuntimeS = 1.0;
 
 struct AlertRecord {
   double time_s = 0.0;
@@ -49,6 +73,7 @@ FabricConfig::FabricConfig() : site(hpc::NotreDameCRC()) {
 Fabric::Fabric(FabricConfig config)
     : config_(std::move(config)), detector_(config_.detector),
       perf_(config_.perf), twin_(config_.twin), advisor_(config_.advisor),
+      sf_(kStoreForwardCapacity), site_detector_(kSiteDetector),
       rng_(config_.seed ^ 0xFAB) {
   cspot_ = std::make_unique<cspot::Runtime>(sim_, config_.seed);
   nodes_ = cspot::BuildXgTopology(*cspot_);

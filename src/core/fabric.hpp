@@ -41,39 +41,16 @@
 #include "pilot/pilot.hpp"
 #include "resil/degraded.hpp"
 #include "resil/detector.hpp"
-#include "resil/policy.hpp"
 #include "sensors/cups.hpp"
 #include "sensors/quality.hpp"
 #include "serve/server.hpp"
 
 namespace xg::core {
 
-/// Fabric resilience policy, fixed: telemetry appends retry with backoff
-/// under a per-frame idempotence token, failed frames park in a bounded
-/// store-and-forward buffer drained by single probes, WAN links carry
-/// circuit breakers (resil::BreakerConfig defaults), and the primary
-/// site's phi-accrual detector judges canary-job heartbeats.
-inline constexpr resil::RetryPolicyConfig kTelemetryRetry{
-    .max_attempts = 8,
-    .attempt_timeout_ms = 400.0,
-    .initial_backoff_ms = 200.0,
-    .multiplier = 2.0,
-    .max_backoff_ms = 10'000.0,
-    .jitter = 0.2,
-};
-inline constexpr resil::DetectorConfig kSiteDetector{
-    .window = 16,
-    .phi_threshold = 8.0,
-    .min_std_ms = 5'000.0,
-    .min_samples = 3,
-};
-/// Store-and-forward capacity, frames; the oldest is evicted beyond it.
-inline constexpr size_t kStoreForwardCapacity = 256;
-/// Drain-probe cadence while in store-and-forward.
+/// Drain-probe cadence while the fabric is in store-and-forward: recovery
+/// from an access outage lands within one period of the link returning.
+/// The rest of the fixed resilience policy lives in fabric.cpp.
 inline constexpr double kStoreForwardProbeS = 30.0;
-/// Canary-job cadence and runtime against the primary site (site_probes).
-inline constexpr double kSiteProbePeriodS = 120.0;
-inline constexpr double kSiteProbeRuntimeS = 1.0;
 
 enum class CfdMode {
   kModeled,  ///< analytic interior prediction; runtime from the perf model
@@ -125,13 +102,13 @@ struct FabricConfig {
   /// construction, coupled to the WAN, the CSPOT nodes, and the batch
   /// scheduler. Injected counts export as xg_fault_injected_total.
   fault::FaultPlan fault_plan;
-  /// Site-health canary loop: a kSiteProbeRuntimeS job every
-  /// kSiteProbePeriodS on the primary batch queue, each start a heartbeat
-  /// for the site's failure detector. Without heartbeats the detector never
-  /// suspects, so "primary site suspected" stale serving and failover stay
-  /// idle. Off by default: the canaries roughly double the executed events
-  /// of a day and compete for a contended queue. Retry, exactly-once
-  /// delivery, store-and-forward, breakers and stale serving are always on.
+  /// Site-health canary loop: a 1 s job every 120 s on the primary batch
+  /// queue, each start a heartbeat for the site's failure detector. Without
+  /// heartbeats the detector never suspects, so "primary site suspected"
+  /// stale serving and failover stay idle. Off by default: the canaries
+  /// roughly double a day's executed events and compete for a contended
+  /// queue. Retry, exactly-once delivery, store-and-forward, breakers and
+  /// stale serving are always on.
   bool site_probes = false;
   /// Failover facility for degraded-mode pilot placement. When set, CFD
   /// tasks are redirected here while the primary site's failure detector
@@ -171,7 +148,7 @@ struct FabricMetrics {
   uint64_t irrigation_advisories = 0;
   uint64_t qc_rejected_readings = 0;
   uint64_t readings_dropped = 0;  ///< station dropouts (fault injection)
-  // -- resilience (degraded modes; zero in a fault-free run) --
+  // -- resilience: degraded-mode accounting --
   uint64_t telemetry_frames_buffered = 0;  ///< held in store-and-forward
   uint64_t telemetry_frames_drained = 0;   ///< delivered from the buffer
   uint64_t stale_advisories_served = 0;    ///< advisories from the last result
@@ -331,8 +308,8 @@ class Fabric {
   size_t patrol_waypoint_ = 0;
   // Resilience state; the failover pair exists only with a failover site.
   resil::DegradedModeManager degraded_;
-  resil::StoreAndForward sf_{kStoreForwardCapacity};
-  resil::FailureDetector site_detector_{kSiteDetector};
+  resil::StoreAndForward sf_;
+  resil::FailureDetector site_detector_;
   std::unique_ptr<hpc::BatchScheduler> failover_scheduler_;
   std::unique_ptr<pilot::PilotController> failover_pilot_;
   bool sf_tick_pending_ = false;  ///< a drain probe is already scheduled
