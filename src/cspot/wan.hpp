@@ -110,8 +110,8 @@ class XG_SIM_THREAD_CONFINED Wan {
   /// Opt-in: give every endpoint pair a circuit breaker. While a pair's
   /// breaker is open, Send fails fast with kUnavailable ("circuit open")
   /// instead of sampling the path; after the cooldown the next Send is
-  /// admitted as a half-open probe. Off by default so the seed transport
-  /// semantics (and every golden metric) are unchanged.
+  /// admitted as a half-open probe. Off for a bare Wan; core::Fabric
+  /// always enables it.
   void EnableCircuitBreakers(resil::BreakerConfig cfg);
   bool circuit_breakers_enabled() const { return breakers_enabled_; }
 
