@@ -97,18 +97,33 @@ void BM_KolmogorovSmirnov(benchmark::State& state) {
 }
 BENCHMARK(BM_KolmogorovSmirnov);
 
-void BM_SimulationEventChurn(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Simulation sim;
-    Rng rng(6);
-    for (int i = 0; i < 1000; ++i) {
-      sim.Schedule(sim::SimTime::Micros(rng.UniformInt(0, 100000)), [] {});
-    }
-    benchmark::DoNotOptimize(sim.Run());
+// Steady-state hold model of the event kernel: state.range(0) events stay
+// pending; each iteration runs the earliest, which schedules its replacement
+// at a random delay, so one iteration is one schedule+step. The 24-byte
+// capture is the size of a typical [this, id, flags] callback.
+struct HoldEvent {
+  sim::Simulation* sim;
+  Rng* rng;
+  uint64_t fired;
+  void operator()() const {
+    // A modulo by a constant, not Rng::UniformInt's two divisions, so the
+    // kernel dominates the timing.
+    const auto delay = static_cast<int64_t>(1 + rng->NextU64() % 1000);
+    sim->Schedule(sim::SimTime::Micros(delay), HoldEvent{sim, rng, fired + 1});
   }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 1000);
+};
+static_assert(sizeof(HoldEvent) == 24);
+
+void BM_SimulationHold(benchmark::State& state) {
+  sim::Simulation sim;
+  Rng rng(6);
+  for (int64_t i = 0; i < state.range(0); ++i) HoldEvent{&sim, &rng, 0}();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim.Step());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
-BENCHMARK(BM_SimulationEventChurn);
+BENCHMARK(BM_SimulationHold)->Arg(137);
 
 void BM_RngGaussian(benchmark::State& state) {
   Rng rng(7);

@@ -6,10 +6,13 @@
 // exact and runs are reproducible.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
-#include <queue>
-#include <unordered_set>
+#include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace xg::sim {
@@ -48,16 +51,95 @@ class SimTime {
   int64_t us_;
 };
 
-/// Handle that can cancel a scheduled event.
+/// Handle that can cancel a scheduled event: the event's slot in the kernel
+/// plus the slot's generation, so a handle outliving its event never
+/// matches the slot's next occupant.
 class EventHandle {
  public:
   EventHandle() = default;
-  bool valid() const { return id_ != 0; }
+  bool valid() const { return gen_ != 0; }
 
  private:
   friend class Simulation;
-  explicit EventHandle(uint64_t id) : id_(id) {}
-  uint64_t id_ = 0;
+  EventHandle(uint32_t slot, uint32_t gen) : slot_(slot), gen_(gen) {}
+  uint32_t slot_ = 0;
+  uint32_t gen_ = 0;
+};
+
+/// Move-only `void()` callable. A callable of up to kInlineBytes (and no
+/// stricter alignment than std::max_align_t) is stored in an inline buffer,
+/// so scheduling it does not allocate; a larger one is moved to the heap
+/// behind a std::unique_ptr kept in that buffer.
+class Callback {
+ public:
+  static constexpr size_t kInlineBytes = 48;
+
+  Callback() = default;
+  // Implicit, like std::function, so call sites pass lambdas unchanged.
+  template <typename F, typename D = std::decay_t<F>,
+            typename = std::enable_if_t<!std::is_same_v<D, Callback> &&
+                                        std::is_invocable_v<D&>>>
+  Callback(F&& f) {
+    if constexpr (sizeof(D) <= kInlineBytes &&
+                  alignof(D) <= alignof(std::max_align_t) &&
+                  std::is_nothrow_move_constructible_v<D>) {
+      Emplace<D>(std::forward<F>(f));
+      invoke_ = [](void* p) { (*static_cast<D*>(p))(); };
+    } else {
+      using Boxed = std::unique_ptr<D>;
+      Emplace<Boxed>(std::make_unique<D>(std::forward<F>(f)));
+      invoke_ = [](void* p) { (**static_cast<Boxed*>(p))(); };
+    }
+  }
+  Callback(Callback&& o) noexcept { Take(o); }
+  Callback& operator=(Callback&& o) noexcept {
+    if (this != &o) {
+      Reset();
+      Take(o);
+    }
+    return *this;
+  }
+  Callback(const Callback&) = delete;
+  Callback& operator=(const Callback&) = delete;
+  ~Callback() { Reset(); }
+
+  void operator()() { invoke_(buf_); }
+
+ private:
+  // Trivially copyable callables (most lambdas) move by memcpy and need no
+  // destructor, so they leave manage_ null.
+  template <typename D, typename A>
+  void Emplace(A&& a) {
+    ::new (static_cast<void*>(buf_)) D(std::forward<A>(a));
+    if constexpr (!std::is_trivially_copyable_v<D>) {
+      // Destroys the callable at `self`, first moving it to `dst` if set.
+      manage_ = [](void* self, void* dst) {
+        D* d = static_cast<D*>(self);
+        if (dst != nullptr) ::new (dst) D(std::move(*d));
+        d->~D();
+      };
+    }
+  }
+  void Take(Callback& o) noexcept {
+    if (o.manage_ != nullptr) {
+      o.manage_(o.buf_, buf_);
+    } else {
+      std::memcpy(buf_, o.buf_, kInlineBytes);
+    }
+    invoke_ = std::exchange(o.invoke_, nullptr);
+    manage_ = std::exchange(o.manage_, nullptr);
+  }
+  void Reset() {
+    if (manage_ != nullptr) manage_(buf_, nullptr);
+    invoke_ = nullptr;
+    manage_ = nullptr;
+  }
+
+  // Zeroed so that moving a callable smaller than the buffer copies no
+  // indeterminate bytes.
+  alignas(std::max_align_t) unsigned char buf_[kInlineBytes] = {};
+  void (*invoke_)(void*) = nullptr;
+  void (*manage_)(void* self, void* dst) = nullptr;
 };
 
 /// Deterministic single-threaded event loop.
@@ -66,7 +148,7 @@ class EventHandle {
 /// break via a monotonically increasing sequence number).
 class Simulation {
  public:
-  using Callback = std::function<void()>;
+  using Callback = sim::Callback;
 
   SimTime Now() const { return now_; }
 
@@ -78,7 +160,9 @@ class Simulation {
   /// Schedule `fn` at an absolute virtual time (clamped to >= Now()).
   EventHandle ScheduleAt(SimTime when, Callback fn);
 
-  /// Cancel a pending event. Returns false if it already ran / was cancelled.
+  /// Cancel a pending event. Returns false if it already ran / was cancelled
+  /// (including from inside its own callback). The event's captures are
+  /// released when its turn comes, not here.
   bool Cancel(EventHandle h);
 
   /// Run until the event queue drains. Returns number of events executed.
@@ -90,31 +174,39 @@ class Simulation {
   /// Execute at most one event. Returns false when the queue is empty.
   bool Step();
 
-  size_t pending() const { return live_.size(); }
+  size_t pending() const { return live_; }
   uint64_t executed() const { return executed_; }
 
  private:
-  struct Event {
-    SimTime when;
-    uint64_t seq;
-    uint64_t id;
+  // Heap key: `when` in the high 64 bits, then the scheduling sequence
+  // number, then the slot index. Keys compare as integers in (when, seq)
+  // order, the FIFO tie-break; `when` is never negative.
+  __extension__ typedef unsigned __int128 Key;
+  static constexpr int kSlotBits = 24;
+  struct Slot {
     Callback fn;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
+    uint32_t gen = 1;   // bumped each time the slot is recycled
+    bool live = false;  // scheduled, not yet run or cancelled
   };
 
-  bool PopNext(Event& out);
+  static int64_t WhenOf(Key k) { return static_cast<int64_t>(k >> 64); }
+  static uint32_t SlotOf(Key k) {
+    return static_cast<uint32_t>(k) & ((uint32_t{1} << kSlotBits) - 1);
+  }
+  void Push(Key k);
+  void SiftDown(Key k);
+  void RemoveTop();
+  Callback Release(uint32_t slot);
+  bool SkipCancelled();
+  void RunTop();
 
   SimTime now_{};
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::unordered_set<uint64_t> live_;       // ids of schedulable events
-  std::vector<uint64_t> cancelled_;  // ids; lazily discarded on pop
+  std::vector<Key> heap_;  // 4-ary min-heap; may hold cancelled events
+  bool top_spent_ = false;  // heap_.front() has run and awaits removal
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_;  // recycled slot indices
+  size_t live_ = 0;
   uint64_t next_seq_ = 1;
-  uint64_t next_id_ = 1;
   uint64_t executed_ = 0;
 };
 

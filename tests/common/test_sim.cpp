@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
 #include <vector>
 
 namespace xg::sim {
@@ -146,6 +148,124 @@ TEST(Simulation, PendingCountsLiveEventsOnly) {
   EXPECT_EQ(sim.pending(), 0u);
 }
 
+TEST(Simulation, StaleHandleDoesNotCancelSlotReuser) {
+  Simulation sim;
+  EventHandle first = sim.Schedule(SimTime::Millis(1), [] {});
+  sim.Run();
+  // The first event's slot is free again; the next event reuses it.
+  bool ran = false;
+  EventHandle second = sim.Schedule(SimTime::Millis(1), [&] { ran = true; });
+  EXPECT_FALSE(sim.Cancel(first));
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.Run();
+  EXPECT_TRUE(ran);
+  EXPECT_FALSE(sim.Cancel(second));
+}
+
+TEST(Simulation, CancelOfRunningEventFromItsOwnCallbackFails) {
+  Simulation sim;
+  EventHandle self;
+  bool cancelled = true;
+  self = sim.Schedule(SimTime::Millis(1),
+                      [&] { cancelled = sim.Cancel(self); });
+  sim.Run();
+  EXPECT_FALSE(cancelled);
+  EXPECT_EQ(sim.executed(), 1u);
+}
+
+TEST(Simulation, CallbackMayStepTheKernelItself) {
+  Simulation sim;
+  std::vector<int> order;
+  sim.Schedule(SimTime::Millis(1), [&] {
+    order.push_back(1);
+    EXPECT_TRUE(sim.Step());  // runs event 2 from inside event 1
+    sim.Schedule(SimTime::Millis(1), [&] { order.push_back(4); });
+    sim.Schedule(SimTime::Millis(0), [&] { order.push_back(3); });
+  });
+  sim.Schedule(SimTime::Millis(2), [&] { order.push_back(2); });
+  EXPECT_EQ(sim.Run(), 3u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(Simulation, MoveOnlyCaptureRuns) {
+  Simulation sim;
+  int seen = 0;
+  auto value = std::make_unique<int>(42);
+  sim.Schedule(SimTime::Millis(1),
+               [&seen, v = std::move(value)] { seen = *v; });
+  sim.Run();
+  EXPECT_EQ(seen, 42);
+}
+
+// Move-only callable with a Bytes-sized payload that counts how often a
+// live (not moved-from) instance runs and is destroyed.
+template <size_t Bytes>
+struct Tracked {
+  std::array<unsigned char, Bytes> payload{};
+  int* runs;
+  int* destroyed;
+  bool owner = true;
+  Tracked(int* r, int* d) : runs(r), destroyed(d) {}
+  Tracked(Tracked&& o) noexcept
+      : payload(o.payload), runs(o.runs), destroyed(o.destroyed) {
+    o.owner = false;
+  }
+  Tracked(const Tracked&) = delete;
+  Tracked& operator=(const Tracked&) = delete;
+  Tracked& operator=(Tracked&&) = delete;
+  ~Tracked() {
+    if (owner) ++*destroyed;
+  }
+  void operator()() { ++*runs; }
+};
+
+template <size_t Bytes>
+void ExpectEachCaptureDestroyedOnce() {
+  static_assert(sizeof(Tracked<Bytes>) >= Bytes);
+  int runs = 0;
+  int destroyed = 0;
+  {
+    Simulation sim;
+    sim.Schedule(SimTime::Millis(1), Tracked<Bytes>(&runs, &destroyed));
+    sim.Run();
+    EXPECT_EQ(runs, 1);
+    EXPECT_EQ(destroyed, 1);
+
+    EventHandle h =
+        sim.Schedule(SimTime::Millis(1), Tracked<Bytes>(&runs, &destroyed));
+    EXPECT_TRUE(sim.Cancel(h));
+    EXPECT_EQ(destroyed, 1);  // released when popped, not by Cancel
+    sim.Run();
+    EXPECT_EQ(destroyed, 2);
+
+    sim.Schedule(SimTime::Millis(1), Tracked<Bytes>(&runs, &destroyed));
+  }
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(destroyed, 3);  // the pending one, by ~Simulation
+}
+
+TEST(Simulation, LargeCaptureDestroyedOnceWhetherRunCancelledOrPending) {
+  static_assert(sizeof(Tracked<64>) > Callback::kInlineBytes);
+  ExpectEachCaptureDestroyedOnce<64>();
+}
+
+TEST(Simulation, InlineCaptureDestroyedOnceWhetherRunCancelledOrPending) {
+  static_assert(sizeof(Tracked<8>) <= Callback::kInlineBytes);
+  ExpectEachCaptureDestroyedOnce<8>();
+}
+
+TEST(Simulation, RunUntilKeepsFifoOrderAcrossTheDeadline) {
+  Simulation sim;
+  std::vector<int> order;
+  sim.ScheduleAt(SimTime::Millis(5), [&] { order.push_back(1); });
+  sim.ScheduleAt(SimTime::Millis(5), [&] { order.push_back(2); });
+  EXPECT_EQ(sim.RunUntil(SimTime::Millis(4)), 0u);
+  sim.ScheduleAt(SimTime::Millis(5), [&] { order.push_back(3); });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
 TEST(Periodic, FiresUntilFalse) {
   Simulation sim;
   int fires = 0;
@@ -165,6 +285,30 @@ TEST(Periodic, StartTimeRespected) {
   });
   sim.Run();
   EXPECT_DOUBLE_EQ(first, 5.0);
+}
+
+// Counts copies of itself; Periodic must move it from firing to firing.
+struct CopyCounter {
+  int* copies;
+  int* fires;
+  CopyCounter(int* c, int* f) : copies(c), fires(f) {}
+  CopyCounter(const CopyCounter& o) : copies(o.copies), fires(o.fires) {
+    ++*copies;
+  }
+  CopyCounter& operator=(const CopyCounter&) = delete;
+  bool operator()() { return ++*fires < 5; }
+};
+
+TEST(Periodic, MovesTheTaskBetweenFirings) {
+  Simulation sim;
+  int copies = 0;
+  int fires = 0;
+  Periodic(sim, SimTime::Seconds(1), SimTime::Seconds(1),
+           CopyCounter(&copies, &fires));
+  const int after_schedule = copies;
+  sim.Run();
+  EXPECT_EQ(fires, 5);
+  EXPECT_EQ(copies, after_schedule);
 }
 
 }  // namespace
