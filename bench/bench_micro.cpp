@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the hot paths of each substrate:
-// log appends, the radio scheduler's slot loop, the statistical tests, and
-// the discrete-event kernel. CFD kernels are timed by bench_cfd_kernels.
+// log appends, the radio scheduler's slot loop, the statistical tests, the
+// discrete-event kernel and the WAN message path. CFD kernels are timed by
+// bench_cfd_kernels.
 //
 // Uses a custom main instead of benchmark_main: every run is mirrored
 // through the shared emitter into BENCH_micro.json so regression tooling
@@ -16,6 +17,7 @@
 #include "common/rng.hpp"
 #include "common/sim.hpp"
 #include "cspot/log.hpp"
+#include "cspot/wan.hpp"
 #include "laminar/stats_tests.hpp"
 #include "net5g/cell.hpp"
 #include "net5g/iperf.hpp"
@@ -124,6 +126,29 @@ void BM_SimulationHold(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_SimulationHold)->Arg(137);
+
+/// One untraced Wan::Send over a 2-hop route with breakers on, plus the
+/// step that delivers it.
+void BM_WanSend(benchmark::State& state) {
+  sim::Simulation sim;
+  cspot::Wan wan(sim, 8);
+  const cspot::NodeId a = wan.AddNode("a");
+  wan.AddNode("b");
+  const cspot::NodeId c = wan.AddNode("c");
+  cspot::LinkParams p;
+  p.jitter_ms = 0.5;
+  (void)wan.AddLink("a", "b", p);
+  (void)wan.AddLink("b", "c", p);
+  wan.EnableCircuitBreakers(resil::BreakerConfig{});
+  uint64_t delivered = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(wan.Send(a, c, 64, [&delivered] { ++delivered; }));
+    sim.Step();
+  }
+  benchmark::DoNotOptimize(delivered);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_WanSend);
 
 void BM_RngGaussian(benchmark::State& state) {
   Rng rng(7);

@@ -70,10 +70,13 @@ void Runtime::AttachFaultInjector(fault::FaultInjector& injector) {
         Status s = wan_.SetLinkUp(a, b, !begin);
         XG_INVARIANT(s.ok(), "partition target names no WAN link: " + e.target);
       });
-  injector.OnWindow(fault::FaultKind::kNodeUnreachable,
-                    [this](const fault::FaultEvent& e, bool begin) {
-                      wan_.SetNodeReachable(e.target, !begin);
-                    });
+  injector.OnWindow(
+      fault::FaultKind::kNodeUnreachable,
+      [this](const fault::FaultEvent& e, bool begin) {
+        Status s = wan_.SetNodeReachable(e.target, !begin);
+        XG_INVARIANT(s.ok(), "unreachable target names no WAN node: " +
+                                 e.target);
+      });
   injector.OnWindow(
       fault::FaultKind::kPowerLoss,
       [this](const fault::FaultEvent& e, bool begin) {
@@ -89,18 +92,10 @@ void Runtime::AttachFaultInjector(fault::FaultInjector& injector) {
 }
 
 Node& Runtime::AddNode(const std::string& name) {
-  auto it = nodes_.find(name);
-  if (it != nodes_.end()) return *it->second;
-  wan_.AddNode(name);
-  auto node = std::make_unique<Node>(name);
-  Node& ref = *node;
-  nodes_[name] = std::move(node);
-  return ref;
-}
-
-Node* Runtime::GetNode(const std::string& name) {
-  auto it = nodes_.find(name);
-  return it == nodes_.end() ? nullptr : it->second.get();
+  const NodeId id = wan_.AddNode(name);
+  if (id >= nodes_.size()) nodes_.resize(id + 1);
+  if (nodes_[id] == nullptr) nodes_[id] = std::make_unique<Node>(name);
+  return *nodes_[id];
 }
 
 Result<LogStorage*> Runtime::CreateLog(const std::string& node,
@@ -150,7 +145,7 @@ Status Runtime::RegisterHandler(const std::string& node, const std::string& log,
 void Runtime::InvalidateSizeCache(const std::string& client,
                                   const std::string& host,
                                   const std::string& log) {
-  size_cache_.erase(CacheKey(client, host, log));
+  size_cache_.erase({wan_.Find(client), wan_.Find(host), log});
 }
 
 // ---------------------------------------------------------------------------
@@ -158,7 +153,8 @@ void Runtime::InvalidateSizeCache(const std::string& client,
 // ---------------------------------------------------------------------------
 
 struct Runtime::AppendOp {
-  std::string client, host, log;
+  NodeId client = kNoNode, host = kNoNode;
+  std::string log;
   std::vector<uint8_t> payload;
   AppendOptions opts;
   resil::RetryPolicy policy;  ///< built from opts.retry, shared by attempts
@@ -185,8 +181,8 @@ void Runtime::RemoteAppend(const std::string& client, const std::string& host,
                            const AppendOptions& opts, AppendCallback done) {
   ++counters_.remote_appends;
   auto op = std::make_shared<AppendOp>();
-  op->client = client;
-  op->host = host;
+  op->client = wan_.Find(client);
+  op->host = wan_.Find(host);
   op->log = log;
   op->payload = std::move(payload);
   op->opts = opts;
@@ -197,6 +193,11 @@ void Runtime::RemoteAppend(const std::string& client, const std::string& host,
   op->span = obs::StartSpanIf(tracer_, "cspot.append", "cspot", opts.trace);
   obs::AnnotateIf(tracer_, op->span, "path", client + "->" + host);
   obs::AnnotateIf(tracer_, op->span, "log", log);
+  if (op->client == kNoNode || op->host == kNoNode) {
+    const std::string& missing = op->client == kNoNode ? client : host;
+    FinishAttempt(op, Status(ErrorCode::kNotFound, "no node " + missing));
+    return;
+  }
   StartAttempt(std::move(op));
 }
 
@@ -244,8 +245,9 @@ void Runtime::StartAttempt(std::shared_ptr<AppendOp> op) {
     op->finished = true;
     obs::AnnotateIf(tracer_, op->span, "error", "exhausted retries");
     obs::EndSpanIf(tracer_, op->span);
-    const Status timeout(ErrorCode::kTimeout, "append to " + op->host + "/" +
-                                                  op->log +
+    const Status timeout(ErrorCode::kTimeout, "append to " +
+                                                  wan_.NodeName(op->host) +
+                                                  "/" + op->log +
                                                   " exhausted retries");
     fault::FaultOutcome outcome;
     outcome.status = timeout;
@@ -260,14 +262,15 @@ void Runtime::StartAttempt(std::shared_ptr<AppendOp> op) {
   ++counters_.attempts;
   ++op->phase_id;
 
-  const std::string key = CacheKey(op->client, op->host, op->log);
-  auto cached = size_cache_.find(key);
-  if (op->opts.use_size_cache && cached != size_cache_.end()) {
-    ++counters_.size_cache_hits;
-    PhasePut(std::move(op), cached->second);
-  } else {
-    PhaseGetSize(std::move(op));
+  if (op->opts.use_size_cache) {
+    auto cached = size_cache_.find(std::tie(op->client, op->host, op->log));
+    if (cached != size_cache_.end()) {
+      ++counters_.size_cache_hits;
+      PhasePut(std::move(op), cached->second);
+      return;
+    }
   }
+  PhaseGetSize(std::move(op));
 }
 
 void Runtime::PhaseGetSize(std::shared_ptr<AppendOp> op) {
@@ -295,7 +298,7 @@ void Runtime::PhaseGetSize(std::shared_ptr<AppendOp> op) {
   // cause (loss vs. partition) instead of the silent ack-loss bucket.
   const Status req = wan_.Send(op->client, op->host, params_.control_bytes, [this, op, phase]() {
     // Request arrives at the host.
-    Node* host = GetNode(op->host);
+    Node* host = NodeAt(op->host);
     if (host == nullptr || !host->up()) return;  // dropped; timeout drives retry
     LogStorage* storage = host->GetLog(op->log);
     const bool found = storage != nullptr;
@@ -308,11 +311,11 @@ void Runtime::PhaseGetSize(std::shared_ptr<AppendOp> op) {
                 if (!found) {
                   FinishAttempt(op, Status(ErrorCode::kNotFound,
                                            "no log " + op->log + " on " +
-                                               op->host));
+                                               wan_.NodeName(op->host)));
                   return;
                 }
-                size_cache_[CacheKey(op->client, op->host, op->log)] =
-                    element_size;
+                size_cache_.insert_or_assign({op->client, op->host, op->log},
+                                             element_size);
                 ++op->phase_id;
                 PhasePut(op, element_size);
               },
@@ -353,7 +356,7 @@ void Runtime::PhasePut(std::shared_ptr<AppendOp> op, size_t assumed_size) {
       slo_->Stamp(op->opts.trace.trace_id, obs::slo::Stage::kWanHop,
                   sim_.Now().micros());
     }
-    Node* host = GetNode(op->host);
+    Node* host = NodeAt(op->host);
     if (host == nullptr || !host->up()) return;
     LogStorage* storage = host->GetLog(op->log);
 
@@ -384,11 +387,11 @@ void Runtime::PhasePut(std::shared_ptr<AppendOp> op, size_t assumed_size) {
       tracer_->RecordSpan("cspot.storage", "cspot", op->phase_span, now_us,
                           now_us + static_cast<int64_t>(host_ms * 1e3));
     }
-    Node* host_ptr = host;
     sim_.Schedule(sim::SimTime::Millis(host_ms), [this, op, phase, verdict_in = verdict,
-                                                  seq_in = seq, host_ptr]() mutable {
+                                                  seq_in = seq]() mutable {
       Verdict verdict = verdict_in;
       SeqNo seq = seq_in;
+      Node* host_ptr = NodeAt(op->host);
       if (!host_ptr->up()) return;  // power lost mid-append: no ack
       if (verdict == Verdict::kOk) {
         LogStorage* storage = host_ptr->GetLog(op->log);
@@ -430,7 +433,7 @@ void Runtime::PhasePut(std::shared_ptr<AppendOp> op, size_t assumed_size) {
                       return;
                     case Verdict::kSizeMismatch:
                       ++counters_.size_cache_invalidations;
-                      InvalidateSizeCache(op->client, op->host, op->log);
+                      size_cache_.erase({op->client, op->host, op->log});
                       ++op->phase_id;
                       StartAttempt(op);  // refreshes the size next attempt
                       return;
@@ -483,23 +486,24 @@ void Runtime::FinishAttempt(std::shared_ptr<AppendOp> op, Result<SeqNo> result) 
 void Runtime::RemoteLatestSeq(const std::string& client,
                               const std::string& host, const std::string& log,
                               SeqCallback done) {
+  const NodeId c = wan_.Find(client), h = wan_.Find(host);
   auto cb = std::make_shared<SeqCallback>(std::move(done));
   // Server-side reply sends are (void): a lost reply simply leaves the
   // caller without a callback, exactly as a lost datagram would.
   const Status sent =
-      wan_.Send(client, host, params_.control_bytes, [this, client, host, log, cb]() {
-        Node* h = GetNode(host);
-        if (h == nullptr || !h->up()) return;
-        LogStorage* storage = h->GetLog(log);
+      wan_.Send(c, h, params_.control_bytes, [this, c, h, log, cb]() {
+        Node* node = NodeAt(h);
+        if (node == nullptr || !node->up()) return;
+        LogStorage* storage = node->GetLog(log);
         if (storage == nullptr) {
-          (void)wan_.Send(host, client, params_.control_bytes, [cb, log]() {
+          (void)wan_.Send(h, c, params_.control_bytes, [cb, log]() {
             (*cb)(Status(ErrorCode::kNotFound, "no log " + log));
           });
           return;
         }
         const SeqNo latest = storage->Latest();
-        (void)wan_.Send(host, client, params_.control_bytes,
-                  [cb, latest]() { (*cb)(latest); });
+        (void)wan_.Send(h, c, params_.control_bytes,
+                        [cb, latest]() { (*cb)(latest); });
       });
   if (!sent.ok()) {
     sim_.Schedule(sim::SimTime::Millis(0.0), [cb, sent]() { (*cb)(sent); });
@@ -508,25 +512,24 @@ void Runtime::RemoteLatestSeq(const std::string& client,
 
 void Runtime::RemoteGet(const std::string& client, const std::string& host,
                         const std::string& log, SeqNo seq, ReadCallback done) {
+  const NodeId c = wan_.Find(client), h = wan_.Find(host);
   auto cb = std::make_shared<ReadCallback>(std::move(done));
   const Status sent =
-      wan_.Send(client, host, params_.control_bytes,
-                [this, client, host, log, seq, cb]() {
-                  Node* h = GetNode(host);
-                  if (h == nullptr || !h->up()) return;
-                  LogStorage* storage = h->GetLog(log);
-                  if (storage == nullptr) {
-                    (void)wan_.Send(host, client, params_.control_bytes, [cb, log]() {
-                      (*cb)(Status(ErrorCode::kNotFound, "no log " + log));
-                    });
-                    return;
-                  }
-                  Result<std::vector<uint8_t>> r = storage->Get(seq);
-                  const size_t bytes =
-                      params_.control_bytes + (r.ok() ? r.value().size() : 0);
-                  (void)wan_.Send(host, client, bytes,
-                            [cb, r = std::move(r)]() { (*cb)(r); });
-                });
+      wan_.Send(c, h, params_.control_bytes, [this, c, h, log, seq, cb]() {
+        Node* node = NodeAt(h);
+        if (node == nullptr || !node->up()) return;
+        LogStorage* storage = node->GetLog(log);
+        if (storage == nullptr) {
+          (void)wan_.Send(h, c, params_.control_bytes, [cb, log]() {
+            (*cb)(Status(ErrorCode::kNotFound, "no log " + log));
+          });
+          return;
+        }
+        Result<std::vector<uint8_t>> r = storage->Get(seq);
+        const size_t bytes =
+            params_.control_bytes + (r.ok() ? r.value().size() : 0);
+        (void)wan_.Send(h, c, bytes, [cb, r = std::move(r)]() { (*cb)(r); });
+      });
   if (!sent.ok()) {
     sim_.Schedule(sim::SimTime::Millis(0.0), [cb, sent]() { (*cb)(sent); });
   }

@@ -20,6 +20,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 
 #include "common/result.hpp"
 #include "common/rng.hpp"
@@ -105,9 +106,10 @@ class XG_SIM_THREAD_CONFINED Runtime {
   /// The injector must outlive this runtime; call before Arm().
   void AttachFaultInjector(fault::FaultInjector& injector);
 
-  /// Create a node (also registered with the WAN).
+  /// Create a node (also registered with the WAN). The calls below take
+  /// node names and resolve each to its WAN NodeId once, on entry.
   Node& AddNode(const std::string& name);
-  Node* GetNode(const std::string& name);
+  Node* GetNode(const std::string& name) { return NodeAt(wan_.Find(name)); }
 
   /// Create a memory-backed log on a node.
   Result<LogStorage*> CreateLog(const std::string& node, const LogConfig& cfg);
@@ -158,18 +160,18 @@ class XG_SIM_THREAD_CONFINED Runtime {
   void FinishAttempt(std::shared_ptr<AppendOp> op, Result<SeqNo> result);
   void FireHandlers(Node& host, const std::string& log, SeqNo seq,
                     const std::vector<uint8_t>& payload);
-
-  std::string CacheKey(const std::string& client, const std::string& host,
-                       const std::string& log) const {
-    return client + "|" + host + "|" + log;
+  Node* NodeAt(NodeId id) {
+    return id < nodes_.size() ? nodes_[id].get() : nullptr;
   }
 
   sim::Simulation& sim_;
   Wan wan_;
   Rng rng_;
   RuntimeParams params_;
-  std::map<std::string, std::unique_ptr<Node>> nodes_;
-  std::map<std::string, size_t> size_cache_;
+  std::vector<std::unique_ptr<Node>> nodes_;  ///< indexed by NodeId
+  /// Element size by (client, host, log).
+  std::map<std::tuple<NodeId, NodeId, std::string>, size_t, std::less<>>
+      size_cache_;
   RuntimeCounters counters_;
   obs::Tracer* tracer_ = nullptr;
   obs::slo::LatencyLedger* slo_ = nullptr;

@@ -1,82 +1,106 @@
 #include "cspot/wan.hpp"
 
 #include <algorithm>
-#include <deque>
 
 namespace xg::cspot {
 
 Wan::Wan(sim::Simulation& sim, uint64_t seed) : sim_(sim), rng_(seed) {}
 
-void Wan::AddNode(const std::string& name) {
-  if (!HasNode(name)) {
+NodeId Wan::AddNode(const std::string& name) {
+  const auto [it, added] =
+      ids_.emplace(name, static_cast<NodeId>(nodes_.size()));
+  if (added) {
     nodes_.push_back(name);
-    reachable_[name] = true;
+    reachable_.push_back(true);
+    pairs_.resize(nodes_.size() * (nodes_.size() + 1) / 2);
+    routes_valid_ = false;
   }
+  return it->second;
 }
 
-bool Wan::HasNode(const std::string& name) const {
-  return std::find(nodes_.begin(), nodes_.end(), name) != nodes_.end();
+NodeId Wan::Find(const std::string& name) const {
+  auto it = ids_.find(name);
+  return it == ids_.end() ? kNoNode : it->second;
 }
 
 Status Wan::AddLink(const std::string& a, const std::string& b, LinkParams p) {
-  if (!HasNode(a) || !HasNode(b)) {
+  const NodeId ia = Find(a), ib = Find(b);
+  if (ia == kNoNode || ib == kNoNode) {
     return Status(ErrorCode::kNotFound, "link endpoint unknown");
   }
-  links_.push_back(Link{a, b, p, true});
+  links_.push_back(Link{ia, ib, p, true, p.kind == "5g-air"});
+  routes_valid_ = false;
   return Status::Ok();
 }
 
 Status Wan::SetLinkUp(const std::string& a, const std::string& b, bool up) {
+  const NodeId ia = Find(a), ib = Find(b);  // links never hold kNoNode
   for (auto& l : links_) {
-    if ((l.a == a && l.b == b) || (l.a == b && l.b == a)) {
+    if ((l.a == ia && l.b == ib) || (l.a == ib && l.b == ia)) {
       l.up = up;
+      routes_valid_ = false;
       return Status::Ok();
     }
   }
   return Status(ErrorCode::kNotFound, "no such link");
 }
 
-void Wan::SetNodeReachable(const std::string& name, bool reachable) {
-  reachable_[name] = reachable;
+Status Wan::SetNodeReachable(const std::string& name, bool reachable) {
+  const NodeId id = Find(name);
+  if (id == kNoNode) return Status(ErrorCode::kNotFound, "no such node");
+  reachable_[id] = reachable;
+  routes_valid_ = false;
+  return Status::Ok();
 }
 
 bool Wan::NodeReachable(const std::string& name) const {
-  auto it = reachable_.find(name);
-  return it != reachable_.end() && it->second;
+  const NodeId id = Find(name);
+  return id != kNoNode && reachable_[id];
 }
 
-std::vector<size_t> Wan::Route(const std::string& from,
-                               const std::string& to) const {
-  // BFS over up links between reachable nodes; returns link indexes.
-  if (!NodeReachable(from) || !NodeReachable(to)) return {};
-  std::map<std::string, std::pair<std::string, size_t>> parent;  // node -> (prev, link)
-  std::deque<std::string> frontier{from};
-  parent[from] = {"", SIZE_MAX};
-  while (!frontier.empty()) {
-    const std::string cur = frontier.front();
-    frontier.pop_front();
-    if (cur == to) break;
-    for (size_t i = 0; i < links_.size(); ++i) {
-      const Link& l = links_[i];
-      if (!l.up) continue;
-      std::string next;
-      if (l.a == cur) next = l.b;
-      else if (l.b == cur) next = l.a;
-      else continue;
-      if (!NodeReachable(next) || parent.count(next)) continue;
-      parent[next] = {cur, i};
-      frontier.push_back(next);
+const std::vector<uint32_t>& Wan::Route(NodeId from, NodeId to) const {
+  const size_t n = nodes_.size();
+  if (!routes_valid_) {
+    routes_.assign(n * n, {});
+    // One BFS per reachable source over up links between reachable nodes.
+    for (NodeId src = 0; src < n; ++src) {
+      if (!reachable_[src]) continue;
+      std::vector<NodeId> prev(n, kNoNode), order{src};
+      std::vector<uint32_t> via(n, 0);
+      prev[src] = src;
+      for (size_t head = 0; head < order.size(); ++head) {
+        const NodeId cur = order[head];
+        for (uint32_t i = 0; i < links_.size(); ++i) {
+          const Link& l = links_[i];
+          const NodeId next = l.a == cur ? l.b : l.b == cur ? l.a : kNoNode;
+          if (!l.up || next == kNoNode || !reachable_[next] ||
+              prev[next] != kNoNode) {
+            continue;
+          }
+          prev[next] = cur;
+          via[next] = i;
+          order.push_back(next);
+        }
+      }
+      for (NodeId dst = 0; dst < n; ++dst) {
+        std::vector<uint32_t>& route = routes_[src * n + dst];
+        for (NodeId c = dst; prev[dst] != kNoNode && c != src; c = prev[c]) {
+          route.insert(route.begin(), via[c]);
+        }
+      }
     }
+    routes_valid_ = true;
   }
-  if (!parent.count(to)) return {};
-  std::vector<size_t> route;
-  for (std::string cur = to; cur != from;) {
-    auto& [prev, link] = parent[cur];
-    route.push_back(link);
-    cur = prev;
+  return routes_[from * n + to];
+}
+
+Wan::Pair& Wan::PairFor(NodeId a, NodeId b) {
+  const NodeId lo = std::min(a, b), hi = std::max(a, b);
+  Pair& pair = pairs_[size_t{hi} * (hi + 1) / 2 + lo];
+  if (pair.target.empty()) {
+    pair.target = fault::FaultPlan::LinkTarget(nodes_[a], nodes_[b]);
   }
-  std::reverse(route.begin(), route.end());
-  return route;
+  return pair;
 }
 
 void Wan::EnableCircuitBreakers(resil::BreakerConfig cfg) {
@@ -86,21 +110,20 @@ void Wan::EnableCircuitBreakers(resil::BreakerConfig cfg) {
 
 resil::CircuitBreaker* Wan::breaker(const std::string& a,
                                     const std::string& b) {
-  auto it = breakers_.find(fault::FaultPlan::LinkTarget(a, b));
-  return it == breakers_.end() ? nullptr : it->second.get();
+  const NodeId ia = Find(a), ib = Find(b);
+  if (ia == kNoNode || ib == kNoNode) return nullptr;
+  return PairFor(ia, ib).breaker.get();
 }
 
-resil::CircuitBreaker& Wan::BreakerFor(const std::string& from,
-                                       const std::string& to) {
-  const std::string key = fault::FaultPlan::LinkTarget(from, to);
-  auto it = breakers_.find(key);
-  if (it != breakers_.end()) return *it->second;
+resil::CircuitBreaker& Wan::BreakerFor(Pair& pair) {
+  if (pair.breaker != nullptr) return *pair.breaker;
 
-  auto brk = std::make_unique<resil::CircuitBreaker>(breaker_cfg_);
-  resil::CircuitBreaker* ptr = brk.get();
+  const std::string& key = pair.target;
+  pair.breaker = std::make_unique<resil::CircuitBreaker>(breaker_cfg_);
+  resil::CircuitBreaker* ptr = pair.breaker.get();
   // Each close ends an outage episode: record the whole open window
   // (open -> half-open probing -> closed) as one resil.breaker_open span.
-  brk->set_on_transition([this, ptr, key](resil::BreakerState /*from*/,
+  ptr->set_on_transition([this, ptr, key](resil::BreakerState /*from*/,
                                           resil::BreakerState to,
                                           int64_t now_us) {
     if (tracer_ == nullptr || to != resil::BreakerState::kClosed) return;
@@ -135,39 +158,47 @@ resil::CircuitBreaker& Wan::BreakerFor(const std::string& from,
         [ptr] { return static_cast<double>(ptr->fast_fails()); },
         obs::MetricSample::Type::kCounter);
   }
-  auto [ins, _] = breakers_.emplace(key, std::move(brk));
-  return *ins->second;
+  return *ptr;
 }
 
-Status Wan::Send(const std::string& from, const std::string& to, size_t bytes,
-                 std::function<void()> deliver, const obs::TraceContext& trace) {
+Status Wan::Send(NodeId from, NodeId to, size_t bytes, sim::Callback deliver,
+                 const obs::TraceContext& trace) {
   last_send_failure_ = SendFailure::kNone;
+  if (from >= nodes_.size() || to >= nodes_.size()) {
+    ++messages_sent_;
+    ++messages_lost_;
+    last_send_failure_ = SendFailure::kNoRoute;
+    return Status(ErrorCode::kUnavailable, "no route: unknown endpoint");
+  }
   const int64_t depart_us = sim_.Now().micros();
+  const std::string& src = nodes_[from];
+  const std::string& dst = nodes_[to];
+  Pair& pair = PairFor(from, to);
   resil::CircuitBreaker* brk = nullptr;
   if (breakers_enabled_ && from != to) {
-    brk = &BreakerFor(from, to);
+    brk = &BreakerFor(pair);
     if (!brk->Allow(depart_us)) {
       ++messages_fast_failed_;
       last_send_failure_ = SendFailure::kCircuitOpen;
       return Status(ErrorCode::kUnavailable,
-                    "circuit open " + from + "->" + to);
+                    "circuit open " + src + "->" + dst);
     }
   }
   ++messages_sent_;
-  const auto route = Route(from, to);
+  const std::vector<uint32_t>& route = Route(from, to);
   if (route.empty() && from != to) {
     ++messages_lost_;
     last_send_failure_ = SendFailure::kNoRoute;
     if (brk != nullptr) brk->RecordFailure(depart_us);
-    return Status(ErrorCode::kUnavailable, "no route " + from + "->" + to);
+    return Status(ErrorCode::kUnavailable, "no route " + src + "->" + dst);
   }
   const bool traced = tracer_ != nullptr && trace.valid();
   double total_ms = 0.0;
-  std::string cur = from;
-  for (size_t idx : route) {
+  NodeId cur = from;
+  for (uint32_t idx : route) {
     const Link& l = links_[idx];
     const LinkParams& p = l.params;
-    const std::string next = l.a == cur ? l.b : l.a;
+    const NodeId next = l.a == cur ? l.b : l.a;
     const bool lost = rng_.Bernoulli(p.loss_prob);
     double lat = 0.0;
     if (!lost) {
@@ -177,14 +208,16 @@ Status Wan::Send(const std::string& from, const std::string& to, size_t bytes,
         lat += static_cast<double>(bytes) * 8.0 / (p.bandwidth_mbps * 1e3);
       }
     }
-    const bool air = p.kind == "5g-air";
+    const bool air = l.air;
     const int64_t hop_start = depart_us + static_cast<int64_t>(total_ms * 1e3);
     const int64_t hop_end = hop_start + static_cast<int64_t>(lat * 1e3);
     if (traced) {
       // The hop happened on the wire whether or not the message survives
       // it, so the span covers the crossing with the sampled latency.
       std::vector<std::pair<std::string, std::string>> args = {
-          {"from", cur}, {"to", next}, {"bytes", std::to_string(bytes)}};
+          {"from", nodes_[cur]},
+          {"to", nodes_[next]},
+          {"bytes", std::to_string(bytes)}};
       if (lost) args.emplace_back("lost", "true");
       tracer_->RecordSpan(air ? "net5g.access" : "wan.hop",
                           air ? "net5g" : "wan", trace, hop_start, hop_end,
@@ -195,7 +228,8 @@ Status Wan::Send(const std::string& from, const std::string& to, size_t bytes,
       last_send_failure_ = SendFailure::kLoss;
       if (brk != nullptr) brk->RecordFailure(depart_us);
       return Status(ErrorCode::kUnavailable,
-                    "message lost on link " + cur + "->" + next);
+                    "message lost on link " + nodes_[cur] + "->" +
+                        nodes_[next]);
     }
     if (slo_ != nullptr && trace.valid() && air) {
       // The air segment's SLO boundaries: the SR/grant cycle completes
@@ -214,21 +248,25 @@ Status Wan::Send(const std::string& from, const std::string& to, size_t bytes,
     // Delivery-leg chaos, in a fixed roll order so a seeded plan replays
     // bit-identically: loss swallows the message, duplicate schedules a
     // second delivery `aux` ms later, reorder delays the only delivery.
-    const std::string pair = fault::FaultPlan::LinkTarget(from, to);
+    const std::string& link = pair.target;
     const fault::FaultEvent* ev = nullptr;
-    if ((ev = fault_->Roll(fault::FaultKind::kMessageLoss, pair, depart_us)) !=
+    if ((ev = fault_->Roll(fault::FaultKind::kMessageLoss, link, depart_us)) !=
         nullptr) {
       ++messages_lost_;
       last_send_failure_ = SendFailure::kLoss;
       if (brk != nullptr) brk->RecordFailure(depart_us);
       return Status(ErrorCode::kUnavailable,
-                    "injected message loss " + from + "->" + to);
+                    "injected message loss " + src + "->" + dst);
     }
-    if ((ev = fault_->Roll(fault::FaultKind::kDuplicate, pair, depart_us)) !=
+    if ((ev = fault_->Roll(fault::FaultKind::kDuplicate, link, depart_us)) !=
         nullptr) {
-      sim_.Schedule(sim::SimTime::Millis(total_ms + ev->aux), deliver);
+      // Both deliveries run the one moved callable.
+      auto shared = std::make_shared<sim::Callback>(std::move(deliver));
+      sim_.Schedule(sim::SimTime::Millis(total_ms + ev->aux),
+                    [shared] { (*shared)(); });
+      deliver = [shared] { (*shared)(); };
     }
-    if ((ev = fault_->Roll(fault::FaultKind::kReorder, pair, depart_us)) !=
+    if ((ev = fault_->Roll(fault::FaultKind::kReorder, link, depart_us)) !=
         nullptr) {
       total_ms += ev->aux;
     }
@@ -241,12 +279,12 @@ Status Wan::Send(const std::string& from, const std::string& to, size_t bytes,
 Result<double> Wan::MeanPathLatencyMs(const std::string& from,
                                       const std::string& to,
                                       size_t bytes) const {
-  const auto route = Route(from, to);
-  if (route.empty() && from != to) {
+  const NodeId a = Find(from), b = Find(to);
+  if (a == kNoNode || b == kNoNode || (a != b && Route(a, b).empty())) {
     return Status(ErrorCode::kUnavailable, "no route " + from + "->" + to);
   }
   double total = 0.0;
-  for (size_t idx : route) {
+  for (uint32_t idx : Route(a, b)) {
     const LinkParams& p = links_[idx].params;
     total += p.one_way_ms;
     if (p.bandwidth_mbps > 0.0 && bytes > 0) {

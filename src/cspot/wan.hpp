@@ -4,14 +4,15 @@
 // commodity Internet between UNL, UCSB and ND). Links carry per-message
 // latency = base one-way + Gaussian jitter + serialization time, may drop
 // messages (loss), and can be taken down to model partitions. Routing is
-// shortest-hop over the link graph.
+// shortest-hop over the link graph. Send takes dense NodeIds and reads a
+// cached route table and per-pair state; names are for wiring, fault plans,
+// status messages and observability labels.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.hpp"
@@ -47,12 +48,20 @@ struct LinkParams {
 /// retry-cause accounting in `fault::FaultOutcome` needs the distinction.
 enum class SendFailure { kNone, kNoRoute, kLoss, kCircuitOpen };
 
+/// Dense endpoint index, assigned by Wan::AddNode in insertion order.
+using NodeId = uint32_t;
+inline constexpr NodeId kNoNode = UINT32_MAX;
+
 class XG_SIM_THREAD_CONFINED Wan {
  public:
   Wan(sim::Simulation& sim, uint64_t seed);
 
-  void AddNode(const std::string& name);
-  bool HasNode(const std::string& name) const;
+  /// Register an endpoint (idempotent) and return its id.
+  NodeId AddNode(const std::string& name);
+  /// The id of `name`, kNoNode when it was never added.
+  NodeId Find(const std::string& name) const;
+  bool HasNode(const std::string& name) const { return Find(name) != kNoNode; }
+  const std::string& NodeName(NodeId id) const { return nodes_[id]; }
 
   /// Add a bidirectional link between existing nodes.
   Status AddLink(const std::string& a, const std::string& b, LinkParams p);
@@ -60,8 +69,9 @@ class XG_SIM_THREAD_CONFINED Wan {
   /// Take a link down / bring it up (network partition injection).
   Status SetLinkUp(const std::string& a, const std::string& b, bool up);
 
-  /// Take every link of a node down (site-level partition).
-  void SetNodeReachable(const std::string& name, bool reachable);
+  /// Take every link of a node down (site-level partition). kNotFound when
+  /// `name` is not a node.
+  Status SetNodeReachable(const std::string& name, bool reachable);
   bool NodeReachable(const std::string& name) const;
 
   /// Observability: when a tracer is attached and `trace` is valid, each
@@ -89,9 +99,9 @@ class XG_SIM_THREAD_CONFINED Wan {
   /// route exists or the message is lost on a link — natural loss and
   /// injected loss alike (`deliver` never runs in that case). An injected
   /// duplicate delivers twice; the runtime's dedup tokens make that safe.
+  /// An endpoint of kNoNode has no route.
   [[nodiscard]] Status Send(
-      const std::string& from, const std::string& to, size_t bytes,
-      std::function<void()> deliver,
+      NodeId from, NodeId to, size_t bytes, sim::Callback deliver,
       const obs::TraceContext& trace = obs::TraceContext{});
 
   /// Mean end-to-end one-way latency (no jitter/loss), for diagnostics.
@@ -128,18 +138,28 @@ class XG_SIM_THREAD_CONFINED Wan {
 
  private:
   struct Link {
-    std::string a, b;
+    NodeId a, b;
     LinkParams params;
     bool up = true;
+    bool air = false;  ///< params.kind == "5g-air"
+  };
+
+  /// State shared by both directions of an unordered endpoint pair.
+  struct Pair {
+    std::string target;  ///< FaultPlan::LinkTarget, built on first use
+    /// Created on first traffic; boxed because metric callbacks hold it.
+    std::unique_ptr<resil::CircuitBreaker> breaker;
   };
 
   /// Indexes into links_ along the shortest-hop route, empty if none.
-  std::vector<size_t> Route(const std::string& from,
-                            const std::string& to) const;
+  /// Rebuilds the route table first after a topology change.
+  const std::vector<uint32_t>& Route(NodeId from, NodeId to) const;
+
+  /// The pair's state, its fault target filled in.
+  Pair& PairFor(NodeId a, NodeId b);
 
   /// Lazily create (and instrument) the breaker for an endpoint pair.
-  resil::CircuitBreaker& BreakerFor(const std::string& from,
-                                    const std::string& to);
+  resil::CircuitBreaker& BreakerFor(Pair& pair);
 
   sim::Simulation& sim_;
   Rng rng_;
@@ -147,18 +167,24 @@ class XG_SIM_THREAD_CONFINED Wan {
   obs::slo::LatencyLedger* slo_ = nullptr;
   fault::FaultInjector* fault_ = nullptr;
   obs::MetricsRegistry* registry_ = nullptr;
-  std::vector<std::string> nodes_;
-  std::map<std::string, bool> reachable_;
+  std::vector<std::string> nodes_;  ///< names, indexed by NodeId
+  std::unordered_map<std::string, NodeId> ids_;
+  std::vector<bool> reachable_;     ///< indexed by NodeId
   std::vector<Link> links_;
+  /// routes_[from * N + to]. Any change to nodes, links or their state
+  /// clears routes_valid_. The rebuild's breadth-first search scans links_
+  /// in index order, which fixes the tie-break between equal-hop routes.
+  mutable std::vector<std::vector<uint32_t>> routes_;
+  mutable bool routes_valid_ = false;
+  /// Unordered pairs {lo <= hi}, at hi * (hi + 1) / 2 + lo; growing the
+  /// node count never moves an existing pair.
+  std::vector<Pair> pairs_;
   uint64_t messages_sent_ = 0;
   uint64_t messages_lost_ = 0;
   uint64_t messages_fast_failed_ = 0;
   SendFailure last_send_failure_ = SendFailure::kNone;
   bool breakers_enabled_ = false;
   resil::BreakerConfig breaker_cfg_;
-  /// Keyed by FaultPlan::LinkTarget(from, to); unique_ptr for pointer
-  /// stability across map growth (metric callbacks capture the breaker).
-  std::map<std::string, std::unique_ptr<resil::CircuitBreaker>> breakers_;
   obs::TraceContext resil_root_;  ///< parent of resil.breaker_open spans
 };
 

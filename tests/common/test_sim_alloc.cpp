@@ -1,9 +1,11 @@
-// Allocation gate for the event kernel: once warmed up, a schedule+step
-// cycle whose capture fits the inline buffer must not touch the heap. The
-// global operator new is replaced by a counting one, which is why this
+// Allocation gate for the event kernel and the WAN message path: once
+// warmed up, a schedule+step cycle (or an untraced Wan::Send and its
+// delivery) whose capture fits the inline buffer must not touch the heap.
+// The global operator new is replaced by a counting one, which is why this
 // test is its own executable.
 #include "common/rng.hpp"
 #include "common/sim.hpp"
+#include "cspot/wan.hpp"
 
 #include <gtest/gtest.h>
 
@@ -75,6 +77,44 @@ TEST(SimulationAlloc, OversizedCaptureAllocatesOncePerEvent) {
   EXPECT_EQ(g_allocations.load() - before, 1u);
   sim.Run();
   EXPECT_EQ(sum, 5u);
+}
+
+// A 48-byte delivery capture: the largest that stays inline.
+struct Delivery {
+  uint64_t* delivered;
+  uint64_t pad[5];
+  void operator()() const { *delivered += 1 + pad[4]; }
+};
+static_assert(sizeof(Delivery) == Callback::kInlineBytes);
+
+TEST(WanAlloc, SteadyStateSendDoesNotAllocate) {
+  Simulation sim;
+  cspot::Wan wan(sim, 3);
+  const cspot::NodeId a = wan.AddNode("a");
+  wan.AddNode("b");
+  const cspot::NodeId c = wan.AddNode("c");
+  cspot::LinkParams p;
+  p.jitter_ms = 0.5;
+  ASSERT_TRUE(wan.AddLink("a", "b", p).ok());
+  ASSERT_TRUE(wan.AddLink("b", "c", p).ok());
+  wan.EnableCircuitBreakers(resil::BreakerConfig{});
+
+  uint64_t delivered = 0;
+  auto send_and_deliver = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      ASSERT_TRUE(wan.Send(a, c, 64, Delivery{&delivered, {}}).ok());
+      ASSERT_TRUE(sim.Step());
+    }
+  };
+  send_and_deliver(100);  // warm-up: route table, breaker, fault target
+
+  const uint64_t before = g_allocations.load();
+  send_and_deliver(10'000);
+  const uint64_t allocated = g_allocations.load() - before;
+
+  EXPECT_EQ(allocated, 0u);
+  EXPECT_EQ(delivered, 10'100u);
+  EXPECT_NE(wan.breaker("a", "c"), nullptr);
 }
 
 }  // namespace

@@ -6,10 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <set>
 
+#include "common/contract.hpp"
 #include "common/stats.hpp"
 #include "cspot/topology.hpp"
+#include "fault/injector.hpp"
 
 namespace xg::cspot {
 namespace {
@@ -260,6 +264,92 @@ TEST_F(RuntimeTest, PowerLossRecovery) {
   sim_.Run();
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(server->GetLog("log")->Size(), 1u);
+}
+
+TEST_F(RuntimeTest, NodeUnreachableWindowPausesAppends) {
+  // A kNodeUnreachable window on the host, driven through the runtime's
+  // fault actuator: appends issued during it retry and complete after it
+  // closes, with dense sequence numbers and each token delivered once.
+  fault::FaultPlan plan(5);
+  plan.NodeUnreachable("server", 1.0, 5.0);
+  fault::FaultInjector inj(plan);
+  rt_.AttachFaultInjector(inj);
+  inj.Arm(sim_);
+
+  std::vector<uint8_t> delivered;
+  ASSERT_TRUE(rt_.RegisterHandler("server", "log",
+                                  [&delivered](const std::string&, SeqNo,
+                                               const std::vector<uint8_t>& p) {
+                                    delivered.push_back(p[0]);
+                                  })
+                  .ok());
+  struct Done {
+    Result<SeqNo> seq = Status(ErrorCode::kInternal, "pending");
+    int attempts = 0;
+    double at_s = 0.0;
+  };
+  constexpr int kAppends = 20;
+  std::vector<Done> done(kAppends);
+  AppendOptions opts;
+  opts.retry.max_attempts = 100;
+  opts.retry.attempt_timeout_ms = 300.0;
+  for (int i = 0; i < kAppends; ++i) {
+    sim_.ScheduleAt(sim::SimTime::Seconds(0.5 * i), [&, i] {
+      rt_.RemoteAppend("client", "server", "log",
+                       Payload(8, static_cast<uint8_t>(i)), opts,
+                       [&, i](Result<SeqNo> r, const fault::FaultOutcome& o) {
+                         done[i] = {std::move(r), o.attempts,
+                                    sim_.Now().seconds()};
+                       });
+    });
+  }
+  sim_.Run();
+
+  std::set<SeqNo> seqs;
+  for (int i = 0; i < kAppends; ++i) {
+    ASSERT_TRUE(done[i].seq.ok()) << i;
+    seqs.insert(done[i].seq.value());
+    const double issued_s = 0.5 * i;
+    if (issued_s >= 1.0 && issued_s < 6.0) {
+      EXPECT_GT(done[i].attempts, 1) << i;
+      EXPECT_GE(done[i].at_s, 6.0) << i;
+    }
+  }
+  EXPECT_EQ(seqs.size(), static_cast<size_t>(kAppends));
+  EXPECT_EQ(*seqs.begin(), 0);
+  EXPECT_EQ(*seqs.rbegin(), kAppends - 1);
+  EXPECT_EQ(rt_.GetNode("server")->GetLog("log")->Size(),
+            static_cast<size_t>(kAppends));
+  std::vector<uint8_t> sorted = delivered;
+  std::sort(sorted.begin(), sorted.end());
+  ASSERT_EQ(sorted.size(), static_cast<size_t>(kAppends));
+  for (int i = 0; i < kAppends; ++i) EXPECT_EQ(sorted[i], i);
+  EXPECT_TRUE(rt_.wan().NodeReachable("server"));
+}
+
+TEST_F(RuntimeTest, NodeUnreachableUnknownTargetIsInvariantViolation) {
+  contract::ScopedMode mode(contract::Mode::kReturnStatus);
+  contract::ResetViolationStats();
+  fault::FaultPlan plan(6);
+  plan.NodeUnreachable("ghost", 0.5, 1.0);
+  fault::FaultInjector inj(plan);
+  rt_.AttachFaultInjector(inj);
+  inj.Arm(sim_);
+  sim_.Run();
+  EXPECT_EQ(contract::ViolationCount(), 2u);  // window begin and end
+  EXPECT_FALSE(rt_.wan().HasNode("ghost"));
+  contract::ResetViolationStats();
+}
+
+TEST_F(RuntimeTest, RemoteAppendUnknownNodeFailsNotFound) {
+  Result<SeqNo> out = Status(ErrorCode::kInternal, "pending");
+  rt_.RemoteAppend("client", "ghost", "log", Payload(), AppendOptions{},
+                   [&out](Result<SeqNo> r, const fault::FaultOutcome&) {
+                     out = std::move(r);
+                   });
+  EXPECT_EQ(out.status().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(out.status().message(), "no node ghost");
+  EXPECT_EQ(rt_.counters().attempts, 0u);
 }
 
 TEST_F(RuntimeTest, RemoteReads) {
