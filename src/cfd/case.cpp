@@ -1,9 +1,9 @@
 #include "cfd/case.hpp"
 
-#include <cstdio>
 #include <fstream>
-#include <map>
 #include <sstream>
+
+#include "common/keyvalue.hpp"
 
 namespace xg::cfd {
 
@@ -41,71 +41,38 @@ std::string FormatCase(const CfdCase& c) {
 }
 
 Result<CfdCase> ParseCase(const std::string& text) {
+  Result<KeyValueDeck> parsed = KeyValueDeck::Parse(text);
+  if (!parsed.ok()) return parsed.status();
+  KeyValueDeck kv = parsed.take();
   CfdCase c;
-  std::map<std::string, std::string> kv;
-  std::istringstream is(text);
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    const size_t eq = line.find('=');
-    if (eq == std::string::npos) {
-      return Status(ErrorCode::kInvalidArgument, "malformed line: " + line);
-    }
-    auto trim = [](std::string s) {
-      const size_t b = s.find_first_not_of(" \t");
-      const size_t e = s.find_last_not_of(" \t\r");
-      return b == std::string::npos ? std::string() : s.substr(b, e - b + 1);
-    };
-    kv[trim(line.substr(0, eq))] = trim(line.substr(eq + 1));
-  }
+  kv.TakeString("name", c.name);
+  kv.TakeNumber("steps", c.steps);
+  kv.TakeNumber("mesh.domain_x", c.mesh.domain_x);
+  kv.TakeNumber("mesh.domain_y", c.mesh.domain_y);
+  kv.TakeNumber("mesh.domain_z", c.mesh.domain_z);
+  kv.TakeNumber("mesh.house_x0", c.mesh.house_x0);
+  kv.TakeNumber("mesh.house_x1", c.mesh.house_x1);
+  kv.TakeNumber("mesh.house_y0", c.mesh.house_y0);
+  kv.TakeNumber("mesh.house_y1", c.mesh.house_y1);
+  kv.TakeNumber("mesh.house_z1", c.mesh.house_z1);
+  kv.TakeNumber("mesh.canopy_z1", c.mesh.canopy_z1);
+  kv.TakeNumber("mesh.nx", c.mesh.nx);
+  kv.TakeNumber("mesh.ny", c.mesh.ny);
+  kv.TakeNumber("mesh.nz", c.mesh.nz);
+  kv.TakeNumber("solver.dt_s", c.solver.dt_s);
+  kv.TakeNumber("solver.eddy_viscosity", c.solver.eddy_viscosity);
+  kv.TakeNumber("solver.thermal_diffusivity", c.solver.thermal_diffusivity);
+  kv.TakeNumber("solver.screen_drag", c.solver.screen_drag);
+  kv.TakeNumber("solver.canopy_drag", c.solver.canopy_drag);
+  kv.TakeNumber("solver.canopy_heat_w", c.solver.canopy_heat_w);
+  kv.TakeNumber("solver.buoyancy_beta", c.solver.buoyancy_beta);
+  kv.TakeNumber("solver.poisson_iters", c.solver.poisson_iters);
+  kv.TakeNumber("boundary.wind_speed_ms", c.boundary.wind_speed_ms);
+  kv.TakeNumber("boundary.wind_dir_deg", c.boundary.wind_dir_deg);
+  kv.TakeNumber("boundary.exterior_temp_c", c.boundary.exterior_temp_c);
+  kv.TakeNumber("boundary.interior_temp_c", c.boundary.interior_temp_c);
 
-  auto take_str = [&](const char* key, std::string& out) {
-    auto it = kv.find(key);
-    if (it != kv.end()) {
-      out = it->second;
-      kv.erase(it);
-    }
-  };
-  auto take_num = [&](const char* key, auto& out) {
-    auto it = kv.find(key);
-    if (it != kv.end()) {
-      out = static_cast<std::remove_reference_t<decltype(out)>>(
-          std::stod(it->second));
-      kv.erase(it);
-    }
-  };
-
-  take_str("name", c.name);
-  take_num("steps", c.steps);
-  take_num("mesh.domain_x", c.mesh.domain_x);
-  take_num("mesh.domain_y", c.mesh.domain_y);
-  take_num("mesh.domain_z", c.mesh.domain_z);
-  take_num("mesh.house_x0", c.mesh.house_x0);
-  take_num("mesh.house_x1", c.mesh.house_x1);
-  take_num("mesh.house_y0", c.mesh.house_y0);
-  take_num("mesh.house_y1", c.mesh.house_y1);
-  take_num("mesh.house_z1", c.mesh.house_z1);
-  take_num("mesh.canopy_z1", c.mesh.canopy_z1);
-  take_num("mesh.nx", c.mesh.nx);
-  take_num("mesh.ny", c.mesh.ny);
-  take_num("mesh.nz", c.mesh.nz);
-  take_num("solver.dt_s", c.solver.dt_s);
-  take_num("solver.eddy_viscosity", c.solver.eddy_viscosity);
-  take_num("solver.thermal_diffusivity", c.solver.thermal_diffusivity);
-  take_num("solver.screen_drag", c.solver.screen_drag);
-  take_num("solver.canopy_drag", c.solver.canopy_drag);
-  take_num("solver.canopy_heat_w", c.solver.canopy_heat_w);
-  take_num("solver.buoyancy_beta", c.solver.buoyancy_beta);
-  take_num("solver.poisson_iters", c.solver.poisson_iters);
-  take_num("boundary.wind_speed_ms", c.boundary.wind_speed_ms);
-  take_num("boundary.wind_dir_deg", c.boundary.wind_dir_deg);
-  take_num("boundary.exterior_temp_c", c.boundary.exterior_temp_c);
-  take_num("boundary.interior_temp_c", c.boundary.interior_temp_c);
-
-  if (!kv.empty()) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "unknown case key: " + kv.begin()->first);
-  }
+  if (Status s = kv.Finish("case"); !s.ok()) return s;
   if (c.solver.poisson_iters < 1) {
     return Status(ErrorCode::kInvalidArgument,
                   "solver.poisson_iters must be at least 1");

@@ -6,8 +6,8 @@
 // single-threaded (XG_SIM_THREAD_CONFINED). None carries a lock, and
 // SampleSet mutates `mutable` state from const accessors, so even
 // concurrent reads race. Accumulate per-thread and Merge() on one
-// thread, or use the lock-free obs instruments (obs::Counter,
-// obs::Histogram) for cross-thread aggregation. xglint's
+// thread, or use the lock-free obs::Histogram (or a std::atomic counter)
+// for cross-thread aggregation. xglint's
 // confined-static rule rejects file-scope instances of these types in
 // src/ because a global accumulator is exactly the shared-unguarded
 // use this contract forbids.

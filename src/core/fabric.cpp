@@ -204,85 +204,87 @@ Fabric::Fabric(FabricConfig config)
 }
 
 void Fabric::RegisterFabricMetrics() {
-  const auto kCounter = obs::MetricSample::Type::kCounter;
-  struct Mirror {
-    const char* name;
-    const char* help;
-    const uint64_t* field;
-  };
-  const Mirror mirrors[] = {
-      {"xg_fabric_telemetry_frames_sent_total", "Telemetry frames published",
-       &metrics_.telemetry_frames_sent},
-      {"xg_fabric_telemetry_frames_stored_total",
-       "Telemetry frames durably appended at UCSB",
-       &metrics_.telemetry_frames_stored},
-      {"xg_fabric_detection_cycles_total", "Change-detection duty cycles",
-       &metrics_.detection_cycles},
-      {"xg_fabric_alerts_raised_total", "Change alerts appended",
-       &metrics_.alerts_raised},
-      {"xg_fabric_cfd_runs_completed_total", "CFD simulations completed",
-       &metrics_.cfd_runs_completed},
-      {"xg_fabric_breach_suspicions_total", "Twin-raised breach suspicions",
-       &metrics_.breach_suspicions},
-      {"xg_fabric_robot_dispatches_total", "Robot surveillance dispatches",
-       &metrics_.robot_dispatches},
-      {"xg_fabric_patrol_legs_total", "Perimeter patrol legs flown",
-       &metrics_.patrol_legs},
-      {"xg_fabric_breaches_confirmed_total", "Breaches confirmed on camera",
-       &metrics_.breaches_confirmed},
-      {"xg_fabric_spray_windows_total", "Spray-window advisories",
-       &metrics_.spray_windows},
-      {"xg_fabric_frost_alerts_total", "Frost advisories",
-       &metrics_.frost_alerts},
-      {"xg_fabric_irrigation_advisories_total", "Irrigation advisories",
-       &metrics_.irrigation_advisories},
-      {"xg_fabric_qc_rejected_readings_total", "Readings rejected by QC",
-       &metrics_.qc_rejected_readings},
-      {"xg_fabric_readings_dropped_total", "Readings lost to station faults",
-       &metrics_.readings_dropped},
-      {"xg_fabric_serve_cfd_runs_total",
-       "CFD refreshes launched by the serving tier", &metrics_.serve_cfd_runs},
-      {"xg_fabric_serve_cfd_rejected_total",
-       "Serve refreshes refused by the bounded pilot queue",
-       &metrics_.serve_cfd_rejected},
-      {"xg_resil_failovers_total",
-       "Interactive -> batch pilot failover episodes",
-       &metrics_.site_failovers},
-      {"xg_resil_stale_served_total",
-       "Advisories served from the last CFD result while degraded",
-       &metrics_.stale_advisories_served},
-      {"xg_resil_stale_expired_total",
-       "Stale serves refused because the validity window had passed",
-       &metrics_.stale_advisories_expired},
-      {"xg_resil_sf_buffered_total",
-       "Telemetry frames ever parked in store-and-forward",
-       &metrics_.telemetry_frames_buffered},
-      {"xg_resil_sf_drained_total", "Buffered frames delivered after recovery",
-       &metrics_.telemetry_frames_drained},
-  };
-  for (const Mirror& m : mirrors) {
-    const uint64_t* field = m.field;
-    registry_.RegisterCallback(
-        m.name, {}, m.help,
-        [field] { return static_cast<double>(*field); }, kCounter);
-  }
+  registry_.RegisterCounter("xg_fabric_telemetry_frames_sent_total", {},
+                            "Telemetry frames published",
+                            &metrics_.telemetry_frames_sent);
+  registry_.RegisterCounter("xg_fabric_telemetry_frames_stored_total", {},
+                            "Telemetry frames durably appended at UCSB",
+                            &metrics_.telemetry_frames_stored);
+  registry_.RegisterCounter("xg_fabric_detection_cycles_total", {},
+                            "Change-detection duty cycles",
+                            &metrics_.detection_cycles);
+  registry_.RegisterCounter("xg_fabric_alerts_raised_total", {},
+                            "Change alerts appended", &metrics_.alerts_raised);
+  registry_.RegisterCounter("xg_fabric_cfd_runs_completed_total", {},
+                            "CFD simulations completed",
+                            &metrics_.cfd_runs_completed);
+  registry_.RegisterCounter("xg_fabric_breach_suspicions_total", {},
+                            "Twin-raised breach suspicions",
+                            &metrics_.breach_suspicions);
+  registry_.RegisterCounter("xg_fabric_robot_dispatches_total", {},
+                            "Robot surveillance dispatches",
+                            &metrics_.robot_dispatches);
+  registry_.RegisterCounter("xg_fabric_patrol_legs_total", {},
+                            "Perimeter patrol legs flown",
+                            &metrics_.patrol_legs);
+  registry_.RegisterCounter("xg_fabric_breaches_confirmed_total", {},
+                            "Breaches confirmed on camera",
+                            &metrics_.breaches_confirmed);
+  registry_.RegisterCounter("xg_fabric_spray_windows_total", {},
+                            "Spray-window advisories", &metrics_.spray_windows);
+  registry_.RegisterCounter("xg_fabric_frost_alerts_total", {},
+                            "Frost advisories", &metrics_.frost_alerts);
+  registry_.RegisterCounter("xg_fabric_irrigation_advisories_total", {},
+                            "Irrigation advisories",
+                            &metrics_.irrigation_advisories);
+  registry_.RegisterCounter("xg_fabric_qc_rejected_readings_total", {},
+                            "Readings rejected by QC",
+                            &metrics_.qc_rejected_readings);
+  registry_.RegisterCounter("xg_fabric_readings_dropped_total", {},
+                            "Readings lost to station faults",
+                            &metrics_.readings_dropped);
+  registry_.RegisterCounter("xg_fabric_serve_cfd_runs_total", {},
+                            "CFD refreshes launched by the serving tier",
+                            &metrics_.serve_cfd_runs);
+  registry_.RegisterCounter(
+      "xg_fabric_serve_cfd_rejected_total", {},
+      "Serve refreshes refused by the bounded pilot queue",
+      &metrics_.serve_cfd_rejected);
+  registry_.RegisterCounter("xg_resil_failovers_total", {},
+                            "Interactive -> batch pilot failover episodes",
+                            &metrics_.site_failovers);
+  registry_.RegisterCounter(
+      "xg_resil_stale_served_total", {},
+      "Advisories served from the last CFD result while degraded",
+      &metrics_.stale_advisories_served);
+  registry_.RegisterCounter(
+      "xg_resil_stale_expired_total", {},
+      "Stale serves refused because the validity window had passed",
+      &metrics_.stale_advisories_expired);
+  registry_.RegisterCounter("xg_resil_sf_buffered_total", {},
+                            "Telemetry frames ever parked in store-and-forward",
+                            &metrics_.telemetry_frames_buffered);
+  registry_.RegisterCounter("xg_resil_sf_drained_total", {},
+                            "Buffered frames delivered after recovery",
+                            &metrics_.telemetry_frames_drained);
   registry_.RegisterCallback(
       "xg_resil_sf_dropped_total", {},
       "Buffered frames evicted by the bounded buffer",
-      [this] { return static_cast<double>(sf_.dropped_total()); }, kCounter);
-  const auto kGauge = obs::MetricSample::Type::kGauge;
+      [this] { return static_cast<double>(sf_.dropped_total()); },
+      obs::MetricSample::Type::kCounter);
   registry_.RegisterCallback(
       "xg_resil_sf_depth", {},
       "Telemetry frames currently parked in store-and-forward",
-      [this] { return static_cast<double>(sf_.size()); }, kGauge);
+      [this] { return static_cast<double>(sf_.size()); });
   registry_.RegisterCallback(
       "xg_resil_suspicion", {{"target", config_.site.name}},
       "Phi-accrual suspicion of the primary HPC site",
-      [this] { return site_detector_.PhiAt(sim_.Now().micros()); }, kGauge);
-  telemetry_latency_hist_ = &registry_.GetHistogram(
+      [this] { return site_detector_.PhiAt(sim_.Now().micros()); });
+  registry_.RegisterHistogram(
       "xg_fabric_telemetry_latency_ms", {},
-      "End-to-end telemetry append latency, " + telemetry_client_ +
-          " -> " + nodes_.ucsb + " (ms)");
+      "End-to-end telemetry append latency, " + telemetry_client_ + " -> " +
+          nodes_.ucsb + " (ms)",
+      &telemetry_latency_hist_);
 }
 
 void Fabric::ScheduleBreach(const sensors::BreachEvent& breach) {
@@ -379,8 +381,8 @@ void Fabric::PublishTelemetry() {
         const sim::SimTime latency =
             sim_.Now() - t0;  // xglint:allow(stage-stamp)
         metrics_.telemetry_latency_ms.Add(latency.millis());
-        if (telemetry_latency_hist_ != nullptr) {
-          telemetry_latency_hist_->Record(latency.micros());
+        if (config_.metrics_enabled) {
+          telemetry_latency_hist_.Record(latency.micros());
         }
         // The operator-side twin sees each stored frame; the detection
         // cycle attaches its span to this frame's trace.
@@ -726,19 +728,20 @@ CfdResult Fabric::ExecuteCfd(double alert_time_s,
   result.boundary_temp_c = boundary.exterior_temp_c;
   result.spray_advisory_ok = boundary.exterior_wind_ms < 2.5;
 
-  // Preprocessing: generate the case file from telemetry and parse it back
-  // (the input-deck pipeline the pilot runs before launching the solver).
-  cfd::CfdCase cfd_case;
-  cfd_case.mesh = config_.cfd_mesh;
-  cfd_case.steps = config_.cfd_steps;
-  cfd_case.boundary = cfd::BoundaryFromTelemetry(
-      boundary.exterior_wind_ms, boundary.exterior_dir_deg,
-      boundary.exterior_temp_c,
-      boundary.exterior_temp_c + config_.cups.greenhouse_temp_c);
-  auto parsed = cfd::ParseCase(cfd::FormatCase(cfd_case));
-  if (parsed.ok()) cfd_case = parsed.take();
-
   if (config_.cfd_mode == CfdMode::kFull) {
+    // Preprocessing: generate the case file from telemetry and parse it
+    // back (the input-deck pipeline the pilot runs before the solver).
+    cfd::CfdCase generated;
+    generated.mesh = config_.cfd_mesh;
+    generated.steps = config_.cfd_steps;
+    generated.boundary = cfd::BoundaryFromTelemetry(
+        boundary.exterior_wind_ms, boundary.exterior_dir_deg,
+        boundary.exterior_temp_c,
+        boundary.exterior_temp_c + config_.cups.greenhouse_temp_c);
+    Result<cfd::CfdCase> parsed = cfd::ParseCase(cfd::FormatCase(generated));
+    XG_INVARIANT(parsed.ok(), "the fabric's own CFD case does not parse: " +
+                                  parsed.status().ToString());
+    const cfd::CfdCase cfd_case = parsed.ok() ? parsed.take() : generated;
     cfd::Mesh mesh(cfd_case.mesh);
     cfd::Solver solver(mesh, cfd_case.solver);
     solver.Initialize(cfd_case.boundary);

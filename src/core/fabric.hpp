@@ -271,8 +271,11 @@ class Fabric {
 
   FabricConfig config_;
   sim::Simulation sim_;
-  // Declared before the components so the registry/tracer outlive every
-  // callback mirror that captures a component `this`.
+  // Declared first: components keep pointers to the registry and tracer,
+  // so both outlive them. The registry's views point into later members
+  // (components, metrics_, telemetry_latency_hist_); snapshots run only
+  // through registry() while the Fabric is alive, so none reads a
+  // destroyed view.
   obs::MetricsRegistry registry_;
   obs::Tracer tracer_;
   std::unique_ptr<cspot::Runtime> cspot_;
@@ -297,8 +300,9 @@ class Fabric {
   // SLO deadline accounting; idle when config_.slo.enabled is false.
   obs::slo::LatencyLedger ledger_;
   obs::slo::FlightRecorder flight_;
-  /// Histogram view of telemetry_latency_ms (nullptr with metrics off).
-  obs::Histogram* telemetry_latency_hist_ = nullptr;
+  /// Integer-µs twin of metrics_.telemetry_latency_ms, exported as
+  /// xg_fabric_telemetry_latency_ms (recorded only with metrics on).
+  obs::Histogram telemetry_latency_hist_;
   /// Trace of the most recently stored frame; the detection cycle and the
   /// downstream CFD/alert path attach to it.
   obs::TraceContext last_frame_trace_;

@@ -1,9 +1,9 @@
 #include "core/scenario.hpp"
 
 #include <fstream>
-#include <map>
 #include <sstream>
 
+#include "common/keyvalue.hpp"
 #include "common/table.hpp"
 
 namespace xg::core {
@@ -50,96 +50,63 @@ std::string FormatScenario(const Scenario& s) {
 }
 
 Result<Scenario> ParseScenario(const std::string& text) {
-  Scenario s;
-  std::map<std::string, std::string> kv;
-  std::istringstream is(text);
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    const size_t eq = line.find('=');
-    if (eq == std::string::npos) {
-      return Status(ErrorCode::kInvalidArgument, "malformed line: " + line);
-    }
-    auto trim = [](std::string str) {
-      const size_t b = str.find_first_not_of(" \t");
-      const size_t e = str.find_last_not_of(" \t\r");
-      return b == std::string::npos ? std::string()
-                                    : str.substr(b, e - b + 1);
-    };
-    kv[trim(line.substr(0, eq))] = trim(line.substr(eq + 1));
-  }
-
-  auto take_str = [&](const std::string& key, std::string& out) {
-    auto it = kv.find(key);
-    if (it != kv.end()) {
-      out = it->second;
-      kv.erase(it);
-    }
-  };
-  auto take_num = [&](const std::string& key, auto& out) -> bool {
-    auto it = kv.find(key);
-    if (it == kv.end()) return false;
-    out = static_cast<std::remove_reference_t<decltype(out)>>(
-        std::stod(it->second));
-    kv.erase(it);
-    return true;
-  };
-  auto take_bool = [&](const std::string& key, bool& out) {
+  Result<KeyValueDeck> parsed = KeyValueDeck::Parse(text);
+  if (!parsed.ok()) return parsed.status();
+  KeyValueDeck kv = parsed.take();
+  auto take_bool = [&kv](const std::string& key, bool& out) {
     int v = out ? 1 : 0;
-    if (take_num(key, v)) out = v != 0;
+    if (kv.TakeNumber(key, v)) out = v != 0;
   };
 
-  take_str("name", s.name);
-  take_num("hours", s.hours);
-  take_num("seed", s.fabric.seed);
+  Scenario s;
+  kv.TakeString("name", s.name);
+  kv.TakeNumber("hours", s.hours);
+  kv.TakeNumber("seed", s.fabric.seed);
   take_bool("telemetry_over_5g", s.fabric.telemetry_over_5g);
-  take_num("telemetry_period_s", s.fabric.telemetry_period_s);
-  take_num("detect_period_s", s.fabric.detect_period_s);
-  take_num("detector.window", s.fabric.detector.window);
-  take_num("detector.alpha", s.fabric.detector.alpha);
-  take_num("detector.votes_needed", s.fabric.detector.votes_needed);
+  kv.TakeNumber("telemetry_period_s", s.fabric.telemetry_period_s);
+  kv.TakeNumber("detect_period_s", s.fabric.detect_period_s);
+  kv.TakeNumber("detector.window", s.fabric.detector.window);
+  kv.TakeNumber("detector.alpha", s.fabric.detector.alpha);
+  kv.TakeNumber("detector.votes_needed", s.fabric.detector.votes_needed);
   take_bool("background_load", s.fabric.background_load);
   int strategy = static_cast<int>(s.fabric.pilot.strategy);
-  if (take_num("pilot.strategy", strategy)) {
+  if (kv.TakeNumber("pilot.strategy", strategy)) {
     if (strategy < 0 || strategy > 2) {
       return Status(ErrorCode::kInvalidArgument, "bad pilot.strategy");
     }
     s.fabric.pilot.strategy = static_cast<pilot::Strategy>(strategy);
   }
   int full = s.fabric.cfd_mode == CfdMode::kFull ? 1 : 0;
-  if (take_num("cfd_mode", full)) {
+  if (kv.TakeNumber("cfd_mode", full)) {
     s.fabric.cfd_mode = full != 0 ? CfdMode::kFull : CfdMode::kModeled;
   }
-  take_num("cfd_steps", s.fabric.cfd_steps);
+  kv.TakeNumber("cfd_steps", s.fabric.cfd_steps);
   take_bool("dispatch_robot", s.fabric.dispatch_robot);
 
   // Indexed events.
   for (int i = 0;; ++i) {
     const std::string p = "front." + std::to_string(i) + ".";
     sensors::FrontEvent f;
-    if (!take_num(p + "start_s", f.start_s)) break;
-    take_num(p + "ramp_s", f.ramp_s);
-    take_num(p + "d_wind_ms", f.d_wind_ms);
-    take_num(p + "d_dir_deg", f.d_dir_deg);
-    take_num(p + "d_temp_c", f.d_temp_c);
-    take_num(p + "d_humidity_pct", f.d_humidity_pct);
+    if (!kv.TakeNumber(p + "start_s", f.start_s)) break;
+    kv.TakeNumber(p + "ramp_s", f.ramp_s);
+    kv.TakeNumber(p + "d_wind_ms", f.d_wind_ms);
+    kv.TakeNumber(p + "d_dir_deg", f.d_dir_deg);
+    kv.TakeNumber(p + "d_temp_c", f.d_temp_c);
+    kv.TakeNumber(p + "d_humidity_pct", f.d_humidity_pct);
     s.fronts.push_back(f);
   }
   for (int i = 0;; ++i) {
     const std::string p = "breach." + std::to_string(i) + ".";
     sensors::BreachEvent b;
-    if (!take_num(p + "time_s", b.time_s)) break;
-    take_num(p + "x_m", b.x_m);
-    take_num(p + "y_m", b.y_m);
-    take_num(p + "radius_m", b.radius_m);
-    take_num(p + "severity", b.severity);
+    if (!kv.TakeNumber(p + "time_s", b.time_s)) break;
+    kv.TakeNumber(p + "x_m", b.x_m);
+    kv.TakeNumber(p + "y_m", b.y_m);
+    kv.TakeNumber(p + "radius_m", b.radius_m);
+    kv.TakeNumber(p + "severity", b.severity);
     s.breaches.push_back(b);
   }
 
-  if (!kv.empty()) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "unknown scenario key: " + kv.begin()->first);
-  }
+  if (Status st = kv.Finish("scenario"); !st.ok()) return st;
   return s;
 }
 

@@ -14,44 +14,38 @@ void Runtime::AttachObservability(obs::MetricsRegistry* registry,
   tracer_ = tracer;
   wan_.set_tracer(tracer);
   if (registry == nullptr) return;
-  const auto kCounter = obs::MetricSample::Type::kCounter;
-  struct Mirror {
-    const char* name;
-    const char* help;
-    const uint64_t* field;
-  };
-  const Mirror mirrors[] = {
-      {"xg_cspot_remote_appends_total", "Remote append operations started",
-       &counters_.remote_appends},
-      {"xg_cspot_append_attempts_total", "Append protocol attempts (retries)",
-       &counters_.attempts},
-      {"xg_cspot_size_requests_total", "Get-size round trips",
-       &counters_.size_requests},
-      {"xg_cspot_size_cache_hits_total", "Element-size cache hits",
-       &counters_.size_cache_hits},
-      {"xg_cspot_size_cache_invalidations_total",
-       "Stale element-size cache entries invalidated",
-       &counters_.size_cache_invalidations},
-      {"xg_cspot_puts_total", "Put round trips", &counters_.puts},
-      {"xg_cspot_dedup_hits_total", "Idempotent retries absorbed by dedup",
-       &counters_.dedup_hits},
-      {"xg_cspot_timeouts_total", "Per-phase response timeouts",
-       &counters_.timeouts},
-      {"xg_cspot_handler_fires_total", "Append handlers dispatched",
-       &counters_.handler_fires},
-  };
-  for (const Mirror& m : mirrors) {
-    const uint64_t* field = m.field;
-    registry->RegisterCallback(
-        m.name, {}, m.help,
-        [field] { return static_cast<double>(*field); }, kCounter);
-  }
+  registry->RegisterCounter("xg_cspot_remote_appends_total", {},
+                            "Remote append operations started",
+                            &counters_.remote_appends);
+  registry->RegisterCounter("xg_cspot_append_attempts_total", {},
+                            "Append protocol attempts (retries)",
+                            &counters_.attempts);
+  registry->RegisterCounter("xg_cspot_size_requests_total", {},
+                            "Get-size round trips", &counters_.size_requests);
+  registry->RegisterCounter("xg_cspot_size_cache_hits_total", {},
+                            "Element-size cache hits",
+                            &counters_.size_cache_hits);
+  registry->RegisterCounter("xg_cspot_size_cache_invalidations_total", {},
+                            "Stale element-size cache entries invalidated",
+                            &counters_.size_cache_invalidations);
+  registry->RegisterCounter("xg_cspot_puts_total", {}, "Put round trips",
+                            &counters_.puts);
+  registry->RegisterCounter("xg_cspot_dedup_hits_total", {},
+                            "Idempotent retries absorbed by dedup",
+                            &counters_.dedup_hits);
+  registry->RegisterCounter("xg_cspot_timeouts_total", {},
+                            "Per-phase response timeouts", &counters_.timeouts);
+  registry->RegisterCounter("xg_cspot_handler_fires_total", {},
+                            "Append handlers dispatched",
+                            &counters_.handler_fires);
   registry->RegisterCallback(
       "xg_cspot_wan_messages_sent_total", {}, "WAN messages sent",
-      [this] { return static_cast<double>(wan_.messages_sent()); }, kCounter);
+      [this] { return static_cast<double>(wan_.messages_sent()); },
+      obs::MetricSample::Type::kCounter);
   registry->RegisterCallback(
       "xg_cspot_wan_messages_lost_total", {}, "WAN messages lost",
-      [this] { return static_cast<double>(wan_.messages_lost()); }, kCounter);
+      [this] { return static_cast<double>(wan_.messages_lost()); },
+      obs::MetricSample::Type::kCounter);
 }
 
 void Runtime::AttachSlo(obs::slo::LatencyLedger* ledger) {

@@ -27,10 +27,8 @@ BatchScheduler::BatchScheduler(sim::Simulation& sim, SiteProfile site,
 void BatchScheduler::AttachObservability(obs::MetricsRegistry* registry) {
   if (registry == nullptr) return;
   const obs::Labels site_label = {{"site", site_.name}};
-  registry->RegisterCallback(
-      "xg_hpc_jobs_started_total", site_label, "Batch jobs started",
-      [this] { return static_cast<double>(jobs_started_); },
-      obs::MetricSample::Type::kCounter);
+  registry->RegisterCounter("xg_hpc_jobs_started_total", site_label,
+                            "Batch jobs started", &jobs_started_);
   registry->RegisterCallback(
       "xg_hpc_node_seconds_used_total", site_label,
       "Node-seconds consumed by finished jobs",
@@ -38,12 +36,10 @@ void BatchScheduler::AttachObservability(obs::MetricsRegistry* registry) {
       obs::MetricSample::Type::kCounter);
   registry->RegisterCallback(
       "xg_hpc_queue_length", site_label, "Jobs waiting in the batch queue",
-      [this] { return static_cast<double>(queue_.size()); },
-      obs::MetricSample::Type::kGauge);
+      [this] { return static_cast<double>(queue_.size()); });
   registry->RegisterCallback(
       "xg_hpc_free_nodes", site_label, "Idle nodes at the site",
-      [this] { return static_cast<double>(free_nodes_); },
-      obs::MetricSample::Type::kGauge);
+      [this] { return static_cast<double>(free_nodes_); });
 }
 
 void BatchScheduler::AttachFaultInjector(fault::FaultInjector& injector) {

@@ -12,23 +12,17 @@ CoreNetwork::CoreNetwork(uint64_t seed, std::string ip_prefix)
 
 void CoreNetwork::AttachObservability(obs::MetricsRegistry* registry) {
   if (registry == nullptr) return;
-  registry->RegisterCallback(
-      "xg_net5g_auth_failures_total", {}, "5G-AKA authentication failures",
-      [this] { return static_cast<double>(auth_failures_); },
-      obs::MetricSample::Type::kCounter);
-  registry->RegisterCallback(
-      "xg_net5g_policy_rejections_total", {},
-      "Slice-allowlist policy rejections",
-      [this] { return static_cast<double>(policy_rejections_); },
-      obs::MetricSample::Type::kCounter);
+  registry->RegisterCounter("xg_net5g_auth_failures_total", {},
+                            "5G-AKA authentication failures", &auth_failures_);
+  registry->RegisterCounter("xg_net5g_policy_rejections_total", {},
+                            "Slice-allowlist policy rejections",
+                            &policy_rejections_);
   registry->RegisterCallback(
       "xg_net5g_subscribers", {}, "Provisioned subscribers",
-      [this] { return static_cast<double>(subscribers_.size()); },
-      obs::MetricSample::Type::kGauge);
+      [this] { return static_cast<double>(subscribers_.size()); });
   registry->RegisterCallback(
       "xg_net5g_active_sessions", {}, "Established PDU sessions",
-      [this] { return static_cast<double>(sessions_.size()); },
-      obs::MetricSample::Type::kGauge);
+      [this] { return static_cast<double>(sessions_.size()); });
 }
 
 Status CoreNetwork::Provision(const Subscription& sub) {

@@ -1,14 +1,15 @@
-// Per-kernel hot-path timing through the metrics registry.
+// Per-kernel hot-path timing.
 //
 // Compute engines (today: the CFD solver) expose where a step spends its
 // time by recording each kernel's elapsed microseconds into an
-// obs::Histogram named `xg_cfd_kernel_ms{kernel="advect"|...}`. Like
-// Tracer, the KernelTimer never reads a host clock itself: the clock is
-// injected, so simulation code binds the virtual clock (or attaches no
-// timer at all and pays nothing) while benchmarks bind a host monotonic
-// clock and measure real wall time. The histogram's integer-microsecond
-// sum and count give exact per-kernel totals and means, which is what the
-// kernel benchmark exports.
+// obs::Histogram the timer owns, exported through the registry (if any)
+// as `xg_cfd_kernel_ms{kernel="advect"|...}`. Like Tracer, the
+// KernelTimer never reads a host clock itself: the clock is injected, so
+// simulation code binds the virtual clock (or attaches no timer at all and
+// pays nothing) while benchmarks bind a host monotonic clock and measure
+// real wall time. The histogram's integer-microsecond sum and count give
+// exact per-kernel totals and means, which is what the kernel benchmark
+// exports.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +31,9 @@ class KernelTimer {
   /// Histogram family every kernel records into, labeled by kernel name.
   static constexpr const char* kMetricName = "xg_cfd_kernel_ms";
 
-  /// Instruments are created in `registry` (must outlive the timer).
+  /// `registry` may be null. Otherwise the timer registers a view of each
+  /// kernel's histogram there, so the timer must outlive every later
+  /// Snapshot() of that registry.
   KernelTimer(MetricsRegistry* registry, Clock now_us);
 
   int64_t NowUs() const { return now_us_ ? now_us_() : 0; }
@@ -44,13 +47,14 @@ class KernelTimer {
   uint64_t Count(const std::string& kernel) const;
 
  private:
-  Histogram* Hist(const std::string& kernel) const;
+  const Histogram* Find(const std::string& kernel) const;
 
   MetricsRegistry* registry_;  ///< immutable after construction
   Clock now_us_;               ///< immutable after construction
-  /// Lookup cache so steady-state Observe() skips the registry's keyed map.
   mutable Mutex mu_;
-  mutable std::map<std::string, Histogram*> hists_ XG_GUARDED_BY(mu_);
+  /// One histogram per kernel; map nodes are pointer-stable, so the
+  /// registry's views of them stay valid.
+  std::map<std::string, Histogram> hists_ XG_GUARDED_BY(mu_);
 };
 
 /// RAII scope that times one kernel execution. A null timer is a no-op, so

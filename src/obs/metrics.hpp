@@ -1,32 +1,24 @@
 // Cross-layer metrics registry (observability pillar 1).
 //
-// Every component of the fabric — the CSPOT runtime, the 5G core, the
-// pilot controller, the batch scheduler, the Fabric assembly itself —
-// registers its instruments here so one exporter pass can observe the
-// whole system. Three instrument kinds:
+// Each component of the fabric (the CSPOT runtime, the 5G core, the pilot
+// controller, the batch scheduler, the Fabric itself) keeps its own
+// counters and histograms, which stay the single source of truth. The
+// registry names that state and owns none of it: it is one map of
+// read-only views, identified by (name, labels), that one exporter pass
+// reads. RegisterCounter views a uint64 field, RegisterHistogram an
+// obs::Histogram (exported in ms with Prometheus `le` buckets), and
+// RegisterCallback computes a scalar at snapshot time. Registering an
+// identity again replaces its view.
 //
-//   Counter    monotonic uint64 (e.g. cspot_retries_total);
-//   Gauge      settable double (e.g. hpc_free_nodes);
-//   Histogram  bounded-memory microsecond distribution (obs/histogram.hpp),
-//              exported in milliseconds with Prometheus `le` buckets.
-//
-// Instruments are identified by (name, labels); the same call with the
-// same identity returns the same instrument, so call sites can look up
-// lazily. Updates are lock-free atomics; registration and Snapshot() take
-// the registry mutex. References returned by Get* stay valid for the
-// registry's lifetime.
-//
-// Components whose counters predate this layer (RuntimeCounters,
-// FabricMetrics, ...) mirror them via RegisterCallback: the existing
-// struct stays the single source of truth and the registry reads it at
-// snapshot time — no duplicated bookkeeping.
+// Lifetime rule: whatever a view points at (the field, the histogram,
+// everything a callback captures) must outlive every later Snapshot().
+// Registration and Snapshot() take the registry mutex; the registry only
+// reads the viewed state.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -37,33 +29,6 @@
 namespace xg::obs {
 
 using Labels = std::vector<std::pair<std::string, std::string>>;
-
-/// Lock-free add for atomic<double> (CAS loop; fetch_add on floating
-/// atomics is C++20 and not yet universal).
-inline void AtomicAdd(std::atomic<double>& a, double v) {
-  double cur = a.load(std::memory_order_relaxed);
-  while (!a.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
-  }
-}
-
-class Counter {
- public:
-  void Inc(uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-  uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<uint64_t> v_{0};
-};
-
-class Gauge {
- public:
-  void Set(double v) { v_.store(v, std::memory_order_relaxed); }
-  void Add(double d) { AtomicAdd(v_, d); }
-  double value() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> v_{0.0};
-};
 
 /// One exported metric, produced by MetricsRegistry::Snapshot().
 struct MetricSample {
@@ -88,69 +53,46 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  Counter& GetCounter(const std::string& name, const Labels& labels = {},
-                      const std::string& help = "");
-  Gauge& GetGauge(const std::string& name, const Labels& labels = {},
-                  const std::string& help = "");
-  Histogram& GetHistogram(const std::string& name, const Labels& labels = {},
-                          const std::string& help = "");
-
-  /// Mirror an externally-owned value: `read` is evaluated at snapshot
-  /// time. The callback must outlive the registry; it must not call back
-  /// into this registry.
+  /// `read` runs at snapshot time and must not call into this registry.
   void RegisterCallback(const std::string& name, const Labels& labels,
                         const std::string& help, std::function<double()> read,
-                        MetricSample::Type type = MetricSample::Type::kGauge);
+                        MetricSample::Type type = MetricSample::Type::kGauge) {
+    Register({type, name, labels, help, std::move(read), nullptr});
+  }
 
-  /// Mirror an externally-owned distribution (e.g. an SLO stage Histogram):
-  /// `read` produces a full HistogramSnapshot at snapshot time. Same
-  /// lifetime rules as RegisterCallback.
-  void RegisterHistogramCallback(const std::string& name, const Labels& labels,
-                                 const std::string& help,
-                                 std::function<HistogramSnapshot()> read);
+  /// Counter view of a component-owned field.
+  void RegisterCounter(const std::string& name, const Labels& labels,
+                       const std::string& help, const uint64_t* value) {
+    Register({MetricSample::Type::kCounter, name, labels, help,
+              [value] { return static_cast<double>(*value); }, nullptr});
+  }
 
-  /// Consistent view for exporters: scalar instruments are read with
-  /// relaxed atomics (each value exact at its own read point) and
-  /// histograms via Histogram::Snapshot(), so bucket counts always
-  /// sum to the reported count even while writers keep mutating. Sorted
-  /// by (name, labels) for deterministic export output.
+  /// Histogram view of a component-owned distribution.
+  void RegisterHistogram(const std::string& name, const Labels& labels,
+                         const std::string& help, const Histogram* hist) {
+    Register({MetricSample::Type::kHistogram, name, labels, help, {}, hist});
+  }
+
+  /// Reads every view, sorted by (name, labels) for deterministic export
+  /// output. Histograms are read via Histogram::Snapshot(), so bucket
+  /// counts always sum to the reported count even while writers keep
+  /// recording.
   std::vector<MetricSample> Snapshot() const;
 
-  size_t instrument_count() const;
-
  private:
-  template <typename T>
-  struct Entry {
-    std::string name;
-    Labels labels;
-    std::string help;
-    std::unique_ptr<T> inst;
-  };
-  struct CallbackEntry {
-    std::string name;
-    Labels labels;
-    std::string help;
-    std::function<double()> read;
+  struct View {
     MetricSample::Type type;
-  };
-  struct HistCallbackEntry {
     std::string name;
     Labels labels;
     std::string help;
-    std::function<HistogramSnapshot()> read;
+    std::function<double()> read;  ///< scalar views
+    const Histogram* hist;         ///< histogram views
   };
 
-  static std::string Key(const std::string& name, const Labels& labels);
+  void Register(View view);
 
-  // Registration and snapshot hold mu_; the instruments themselves are
-  // lock-free atomics, so references returned by Get* are written to
-  // without the lock by design (std::map nodes are pointer-stable).
   mutable Mutex mu_;
-  std::map<std::string, Entry<Counter>> counters_ XG_GUARDED_BY(mu_);
-  std::map<std::string, Entry<Gauge>> gauges_ XG_GUARDED_BY(mu_);
-  std::map<std::string, Entry<Histogram>> histograms_ XG_GUARDED_BY(mu_);
-  std::map<std::string, CallbackEntry> callbacks_ XG_GUARDED_BY(mu_);
-  std::map<std::string, HistCallbackEntry> hist_callbacks_ XG_GUARDED_BY(mu_);
+  std::map<std::string, View> views_ XG_GUARDED_BY(mu_);
 };
 
 }  // namespace xg::obs

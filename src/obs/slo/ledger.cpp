@@ -181,46 +181,43 @@ double LatencyLedger::StageBudgetShare(Stage s) const {
 
 void LatencyLedger::Attach(MetricsRegistry* registry) {
   if (!registry) return;
-  auto counter = [registry](const char* name, const Labels& labels,
-                            const char* help, const uint64_t* value) {
-    registry->RegisterCallback(
-        name, labels, help, [value] { return static_cast<double>(*value); },
-        MetricSample::Type::kCounter);
-  };
-  counter("xg_slo_deadline_miss_total", {},
-          "Readings whose deadline budget was exceeded (incl. expired in "
-          "flight)",
-          &missed_total_);
-  counter("xg_slo_near_miss_total", {},
-          "Readings delivered within the near-miss fraction of their budget",
-          &near_miss_total_);
-  counter("xg_slo_completed_total", {{"path", "short"}},
-          "Readings delivered without a CFD escalation",
-          &closed_by_reason_[static_cast<int>(CloseReason::kDelivered)]);
-  counter("xg_slo_completed_total", {{"path", "full"}},
-          "Readings escalated through CFD to a twin update",
-          &closed_by_reason_[static_cast<int>(CloseReason::kFullPath)]);
+  registry->RegisterCounter(
+      "xg_slo_deadline_miss_total", {},
+      "Readings whose deadline budget was exceeded (incl. expired in flight)",
+      &missed_total_);
+  registry->RegisterCounter(
+      "xg_slo_near_miss_total", {},
+      "Readings delivered within the near-miss fraction of their budget",
+      &near_miss_total_);
+  registry->RegisterCounter(
+      "xg_slo_completed_total", {{"path", "short"}},
+      "Readings delivered without a CFD escalation",
+      &closed_by_reason_[static_cast<int>(CloseReason::kDelivered)]);
+  registry->RegisterCounter(
+      "xg_slo_completed_total", {{"path", "full"}},
+      "Readings escalated through CFD to a twin update",
+      &closed_by_reason_[static_cast<int>(CloseReason::kFullPath)]);
   for (CloseReason r :
        {CloseReason::kFailed, CloseReason::kBuffered, CloseReason::kSkipped,
         CloseReason::kEvicted, CloseReason::kExpired}) {
-    counter("xg_slo_incomplete_total", {{"reason", CloseReasonName(r)}},
-            "Readings closed before completing their journey",
-            &closed_by_reason_[static_cast<int>(r)]);
+    registry->RegisterCounter(
+        "xg_slo_incomplete_total", {{"reason", CloseReasonName(r)}},
+        "Readings closed before completing their journey",
+        &closed_by_reason_[static_cast<int>(r)]);
   }
-  registry->RegisterHistogramCallback(
+  registry->RegisterHistogram(
       "xg_slo_e2e_latency_ms", {},
-      "End-to-end consumed budget of completed readings",
-      [this] { return e2e_hist_.Snapshot(); });
+      "End-to-end consumed budget of completed readings", &e2e_hist_);
   for (Stage s : AllStages()) {
     if (s == Stage::kSensorEmit) continue;
     registry->RegisterCallback(
         "xg_slo_stage_budget_share", {{"stage", StageName(s)}},
         "Fraction of the aggregate e2e latency charged to this stage",
         [this, s] { return StageBudgetShare(s); });
-    registry->RegisterHistogramCallback(
+    registry->RegisterHistogram(
         "xg_slo_stage_latency_ms", {{"stage", StageName(s)}},
         "Budget consumed at this stage boundary per completed reading",
-        [this, s] { return StageHistogram(s).Snapshot(); });
+        &StageHistogram(s));
   }
 }
 

@@ -149,7 +149,7 @@ TraceBreakdown BreakdownTrace(const std::vector<SpanRecord>& spans,
 /// Human-readable breakdown table for demos and logs.
 std::string FormatBreakdown(const TraceBreakdown& b);
 
-// -- guard + null-safe helpers ----------------------------------------------
+// -- null-safe helpers ------------------------------------------------------
 
 inline TraceContext StartSpanIf(Tracer* t, const std::string& name,
                                 const std::string& component,
@@ -163,21 +163,5 @@ inline void AnnotateIf(Tracer* t, const TraceContext& ctx,
                        const std::string& key, const std::string& value) {
   if (t) t->Annotate(ctx, key, value);
 }
-
-/// RAII span for synchronous scopes.
-class SpanGuard {
- public:
-  SpanGuard(Tracer* tracer, const std::string& name,
-            const std::string& component, const TraceContext& parent)
-      : tracer_(tracer), ctx_(StartSpanIf(tracer, name, component, parent)) {}
-  ~SpanGuard() { EndSpanIf(tracer_, ctx_); }
-  SpanGuard(const SpanGuard&) = delete;
-  SpanGuard& operator=(const SpanGuard&) = delete;
-  const TraceContext& context() const { return ctx_; }
-
- private:
-  Tracer* tracer_;
-  TraceContext ctx_;
-};
 
 }  // namespace xg::obs

@@ -40,20 +40,14 @@ PilotController::PilotController(sim::Simulation& sim,
 void PilotController::AttachObservability(obs::MetricsRegistry* registry) {
   if (registry == nullptr) return;
   const obs::Labels strategy_label = {{"strategy", StrategyName(config_.strategy)}};
-  registry->RegisterCallback(
-      "xg_pilot_pilots_submitted_total", strategy_label, "Pilot jobs submitted",
-      [this] { return static_cast<double>(pilots_submitted_); },
-      obs::MetricSample::Type::kCounter);
-  registry->RegisterCallback(
-      "xg_pilot_tasks_completed_total", strategy_label,
-      "Application tasks completed",
-      [this] { return static_cast<double>(tasks_completed_); },
-      obs::MetricSample::Type::kCounter);
-  registry->RegisterCallback(
+  registry->RegisterCounter("xg_pilot_pilots_submitted_total", strategy_label,
+                            "Pilot jobs submitted", &pilots_submitted_);
+  registry->RegisterCounter("xg_pilot_tasks_completed_total", strategy_label,
+                            "Application tasks completed", &tasks_completed_);
+  registry->RegisterCounter(
       "xg_pilot_tasks_rejected_total", strategy_label,
       "Task submissions refused by the bounded pending queue",
-      [this] { return static_cast<double>(tasks_rejected_); },
-      obs::MetricSample::Type::kCounter);
+      &tasks_rejected_);
   registry->RegisterCallback(
       "xg_pilot_idle_node_seconds_total", strategy_label,
       "Node-seconds pilots held without running a task",
@@ -62,8 +56,7 @@ void PilotController::AttachObservability(obs::MetricsRegistry* registry) {
   registry->RegisterCallback(
       "xg_pilot_active_nodes", strategy_label,
       "Idle nodes currently held by active pilots",
-      [this] { return static_cast<double>(active_pilot_nodes()); },
-      obs::MetricSample::Type::kGauge);
+      [this] { return static_cast<double>(active_pilot_nodes()); });
 }
 
 int PilotController::RequiredNodes(double data_bytes) const {

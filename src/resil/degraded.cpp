@@ -48,12 +48,9 @@ void DegradedModeManager::AttachObservability(obs::MetricsRegistry* registry,
         "xg_resil_mode", {{"mode", DegradedModeName(mode)}},
         "1 while the fabric operates in this degraded mode",
         [flag] { return *flag ? 1.0 : 0.0; });
-    const uint64_t* count = &entries_[i];
-    registry_->RegisterCallback(
+    registry_->RegisterCounter(
         "xg_resil_mode_transitions_total", {{"mode", DegradedModeName(mode)}},
-        "Entries into this degraded mode",
-        [count] { return static_cast<double>(*count); },
-        obs::MetricSample::Type::kCounter);
+        "Entries into this degraded mode", &entries_[i]);
   }
 }
 

@@ -47,48 +47,55 @@ void AdvisoryServer::set_flight_recorder(obs::slo::FlightRecorder* flight) {
 void AdvisoryServer::AttachObservability(obs::MetricsRegistry* registry) {
   if (!registry) return;
   using Type = obs::MetricSample::Type;
-  auto counter = [&](const std::string& name, const std::string& help,
-                     std::function<double()> read) {
-    registry->RegisterCallback(name, {}, help, std::move(read), Type::kCounter);
-  };
-  counter("xg_serve_requests_total", "advisory requests submitted",
-          [this] { return static_cast<double>(counters_.requests); });
+  registry->RegisterCounter("xg_serve_requests_total", {},
+                            "advisory requests submitted",
+                            &counters_.requests);
   for (int i = 0; i < kServeStatusCount; ++i) {
-    registry->RegisterCallback(
+    registry->RegisterCounter(
         "xg_serve_responses_total",
         {{"status", ServeStatusName(static_cast<ServeStatus>(i))}},
-        "responses by status",
-        [this, i] { return static_cast<double>(counters_.responses[i]); },
-        Type::kCounter);
+        "responses by status", &counters_.responses[i]);
   }
-  counter("xg_serve_coalesced_total", "followers parked on in-flight CFD runs",
-          [this] { return static_cast<double>(counters_.coalesced); });
-  counter("xg_serve_cfd_launched_total", "CFD invocations requested",
-          [this] { return static_cast<double>(counters_.flights_launched); });
-  counter("xg_serve_cfd_failed_total", "failed or rejected CFD flights",
-          [this] { return static_cast<double>(counters_.flights_failed); });
-  counter("xg_serve_late_responses_total",
-          "responses served strictly past their deadline",
-          [this] { return static_cast<double>(counters_.late_responses); });
-  counter("xg_serve_cache_hits_fresh_total", "fresh cache hits",
-          [this] { return static_cast<double>(cache_.hits_fresh()); });
-  counter("xg_serve_cache_hits_stale_total", "stale-but-valid cache hits",
-          [this] { return static_cast<double>(cache_.hits_stale()); });
-  counter("xg_serve_cache_misses_total", "cache misses",
-          [this] { return static_cast<double>(cache_.misses()); });
-  counter("xg_serve_shed_total", "admission sheds (all reasons)",
-          [this] { return static_cast<double>(admission_.shed_total()); });
-  counter("xg_serve_overload_storms_total", "shed-storm flight dumps",
-          [this] { return static_cast<double>(governor_.storms()); });
+  registry->RegisterCounter("xg_serve_coalesced_total", {},
+                            "followers parked on in-flight CFD runs",
+                            &counters_.coalesced);
+  registry->RegisterCounter("xg_serve_cfd_launched_total", {},
+                            "CFD invocations requested",
+                            &counters_.flights_launched);
+  registry->RegisterCounter("xg_serve_cfd_failed_total", {},
+                            "failed or rejected CFD flights",
+                            &counters_.flights_failed);
+  registry->RegisterCounter("xg_serve_late_responses_total", {},
+                            "responses served strictly past their deadline",
+                            &counters_.late_responses);
+  registry->RegisterCallback(
+      "xg_serve_cache_hits_fresh_total", {}, "fresh cache hits",
+      [this] { return static_cast<double>(cache_.hits_fresh()); },
+      Type::kCounter);
+  registry->RegisterCallback(
+      "xg_serve_cache_hits_stale_total", {}, "stale-but-valid cache hits",
+      [this] { return static_cast<double>(cache_.hits_stale()); },
+      Type::kCounter);
+  registry->RegisterCallback(
+      "xg_serve_cache_misses_total", {}, "cache misses",
+      [this] { return static_cast<double>(cache_.misses()); }, Type::kCounter);
+  registry->RegisterCallback(
+      "xg_serve_shed_total", {}, "admission sheds (all reasons)",
+      [this] { return static_cast<double>(admission_.shed_total()); },
+      Type::kCounter);
+  registry->RegisterCallback(
+      "xg_serve_overload_storms_total", {}, "shed-storm flight dumps",
+      [this] { return static_cast<double>(governor_.storms()); },
+      Type::kCounter);
   registry->RegisterCallback(
       "xg_serve_overloaded", {}, "1 while the overload governor is tripped",
-      [this] { return governor_.overloaded() ? 1.0 : 0.0; }, Type::kGauge);
+      [this] { return governor_.overloaded() ? 1.0 : 0.0; });
   registry->RegisterCallback(
       "xg_serve_flights_in_air", {}, "CFD flights currently running",
-      [this] { return static_cast<double>(active_flights_); }, Type::kGauge);
-  registry->RegisterHistogramCallback(
-      "xg_serve_latency_ms", {}, "advisory serve latency (submit to response)",
-      [this] { return latency_.Snapshot(); });
+      [this] { return static_cast<double>(active_flights_); });
+  registry->RegisterHistogram("xg_serve_latency_ms", {},
+                              "advisory serve latency (submit to response)",
+                              &latency_);
 }
 
 void AdvisoryServer::Respond(const Waiter& w, ServeStatus status,

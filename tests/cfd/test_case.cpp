@@ -61,6 +61,27 @@ TEST(Case, UnknownKeyRejected) {
             std::string::npos);
 }
 
+TEST(Case, BadNumbersRejectedNamingTheKey) {
+  // Each of these used to throw out of std::stod or be read silently.
+  for (const char* value :
+       {"abc", "1e999", "-1e999", "3x", "nan", "inf", ""}) {
+    auto r =
+        ParseCase(std::string("boundary.wind_speed_ms = ") + value + "\n");
+    ASSERT_FALSE(r.ok()) << value;
+    EXPECT_EQ(r.status().code(), ErrorCode::kInvalidArgument) << value;
+    EXPECT_NE(r.status().message().find("boundary.wind_speed_ms"),
+              std::string::npos)
+        << value;
+  }
+  // An integral field takes a number that fits its type, nothing else.
+  EXPECT_FALSE(ParseCase("mesh.nx = 12.5x\n").ok());
+  EXPECT_FALSE(ParseCase("mesh.nx = 1e12\n").ok());
+  auto ok = ParseCase("mesh.nx = 2e1\nsteps = 7\n");
+  ASSERT_TRUE(ok.ok());
+  EXPECT_EQ(ok.value().mesh.nx, 20);
+  EXPECT_EQ(ok.value().steps, 7);
+}
+
 TEST(Case, MalformedLineRejected) {
   EXPECT_FALSE(ParseCase("this is not a key value pair\n").ok());
 }

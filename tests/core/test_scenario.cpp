@@ -70,6 +70,30 @@ TEST(Scenario, BadStrategyRejected) {
   EXPECT_FALSE(ParseScenario("pilot.strategy = 7\n").ok());
 }
 
+TEST(Scenario, BadNumbersRejectedNamingTheKey) {
+  // `hours = abc` used to abort with an uncaught std::invalid_argument,
+  // `1e999` with std::out_of_range; `3x` read as 3 and `nan` was taken.
+  for (const char* value : {"abc", "1e999", "3x", "nan"}) {
+    auto r = ParseScenario(std::string("hours = ") + value + "\n");
+    ASSERT_FALSE(r.ok()) << value;
+    EXPECT_EQ(r.status().code(), ErrorCode::kInvalidArgument) << value;
+    EXPECT_NE(r.status().message().find("hours"), std::string::npos) << value;
+  }
+  // A bad event start ends the event list and is still reported.
+  auto front = ParseScenario("front.0.start_s = soon\nfront.0.ramp_s = 1\n");
+  ASSERT_FALSE(front.ok());
+  EXPECT_NE(front.status().message().find("front.0.start_s"),
+            std::string::npos);
+}
+
+TEST(Scenario, FullWidthSeedRoundTrips) {
+  Scenario s;
+  s.fabric.seed = 18446744073709551615ull;
+  auto back = ParseScenario(FormatScenario(s));
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.value().fabric.seed, s.fabric.seed);
+}
+
 TEST(Scenario, EmptyFileGivesDefaults) {
   auto r = ParseScenario("");
   ASSERT_TRUE(r.ok());

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <string>
 
 #include "common/threadpool.hpp"
@@ -24,10 +25,11 @@ TEST(JsonEscapeTest, EscapesControlAndQuoteCharacters) {
 
 TEST(PrometheusText, CountersGaugesAndLabels) {
   MetricsRegistry reg;
-  reg.GetCounter("xg_cspot_retries_total", {{"path", "unl-ucsb"}},
-                 "Append retries")
-      .Inc(3);
-  reg.GetGauge("xg_hpc_free_nodes", {}, "Idle nodes").Set(12);
+  const uint64_t retries = 3;
+  reg.RegisterCounter("xg_cspot_retries_total", {{"path", "unl-ucsb"}},
+                      "Append retries", &retries);
+  reg.RegisterCallback("xg_hpc_free_nodes", {}, "Idle nodes",
+                       [] { return 12.0; });
 
   const std::string text = ToPrometheusText(reg.Snapshot());
   EXPECT_NE(text.find("# HELP xg_cspot_retries_total Append retries\n"),
@@ -45,7 +47,8 @@ TEST(PrometheusText, HistogramBucketsAreCumulativeWithInf) {
   // buckets' upper edges in milliseconds: 500 us lands in [496, 511] us,
   // 5 ms in [4864, 5119] us and 99 ms in [98304, 102399] us.
   MetricsRegistry reg;
-  Histogram& h = reg.GetHistogram("xg_lat_ms", {}, "latency");
+  Histogram h;
+  reg.RegisterHistogram("xg_lat_ms", {}, "latency", &h);
   h.Record(500);
   h.Record(5000);
   h.Record(5000);
@@ -65,8 +68,9 @@ TEST(PrometheusText, HistogramBucketsAreCumulativeWithInf) {
 
 TEST(PrometheusText, TypeHeaderEmittedOncePerFamily) {
   MetricsRegistry reg;
-  reg.GetCounter("xg_fam_total", {{"path", "a"}}).Inc();
-  reg.GetCounter("xg_fam_total", {{"path", "b"}}).Inc();
+  const uint64_t one = 1;
+  reg.RegisterCounter("xg_fam_total", {{"path", "a"}}, "", &one);
+  reg.RegisterCounter("xg_fam_total", {{"path", "b"}}, "", &one);
   const std::string text = ToPrometheusText(reg.Snapshot());
   size_t first = text.find("# TYPE xg_fam_total");
   ASSERT_NE(first, std::string::npos);
@@ -75,9 +79,12 @@ TEST(PrometheusText, TypeHeaderEmittedOncePerFamily) {
 
 TEST(MetricsJson, IsValidJsonWithAllInstrumentKinds) {
   MetricsRegistry reg;
-  reg.GetCounter("xg_c_total", {{"k", "v\"quoted\""}}).Inc(2);
-  reg.GetGauge("xg_g").Set(0.25);
-  reg.GetHistogram("xg_h_ms").Record(1000);
+  const uint64_t two = 2;
+  Histogram h;
+  h.Record(1000);
+  reg.RegisterCounter("xg_c_total", {{"k", "v\"quoted\""}}, "", &two);
+  reg.RegisterCallback("xg_g", {}, "", [] { return 0.25; });
+  reg.RegisterHistogram("xg_h_ms", {}, "", &h);
   const std::string json = MetricsToJson(reg.Snapshot());
   EXPECT_TRUE(JsonChecker(json).Valid()) << json;
   EXPECT_NE(json.find("\"name\":\"xg_c_total\""), std::string::npos);
@@ -129,8 +136,12 @@ TEST(Exporters, SnapshotWhileWritersMutate) {
   // Snapshot-vs-mutation: exporters consume value snapshots, so running
   // them while workers hammer the instruments must never tear output.
   MetricsRegistry reg;
-  Counter& c = reg.GetCounter("xg_race_total");
-  Histogram& h = reg.GetHistogram("xg_race_ms");
+  std::atomic<uint64_t> c{0};
+  Histogram h;
+  reg.RegisterCallback(
+      "xg_race_total", {}, "", [&c] { return static_cast<double>(c.load()); },
+      MetricSample::Type::kCounter);
+  reg.RegisterHistogram("xg_race_ms", {}, "", &h);
   Tracer tracer;
   // Keep the span store small so each Chrome export stays cheap while the
   // writers hammer it.
@@ -152,14 +163,14 @@ TEST(Exporters, SnapshotWhileWritersMutate) {
     } else {
       // At least one round even if the exporting worker finishes first.
       do {
-        c.Inc();
+        c.fetch_add(1, std::memory_order_relaxed);
         h.Record(static_cast<int64_t>(worker));
         TraceContext t = tracer.StartTrace("w", "bench");
         tracer.EndSpan(t);
       } while (!stop.load(std::memory_order_relaxed));
     }
   });
-  EXPECT_GT(c.value(), 0u);
+  EXPECT_GT(c.load(), 0u);
 }
 
 }  // namespace

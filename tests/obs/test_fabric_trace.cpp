@@ -206,7 +206,7 @@ TEST(FabricTrace, ObservabilityCanBeDisabled) {
   fabric.Run(1.0);
   EXPECT_GT(fabric.metrics().telemetry_frames_stored, 0u);
   EXPECT_EQ(fabric.tracer().span_count(), 0u);
-  EXPECT_EQ(fabric.registry().instrument_count(), 0u);
+  EXPECT_EQ(fabric.registry().Snapshot().size(), 0u);
 }
 
 TEST(FabricTrace, TracingDoesNotPerturbTheSimulation) {

@@ -4,44 +4,68 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "common/threadpool.hpp"
 
 namespace xg::obs {
 namespace {
 
-TEST(Counter, IncrementAndValue) {
-  Counter c;
-  EXPECT_EQ(c.value(), 0u);
-  c.Inc();
-  c.Inc(41);
-  EXPECT_EQ(c.value(), 42u);
+TEST(Registry, CounterViewReadsOwnedFieldAtSnapshot) {
+  // The owning struct stays the single source of truth; the registry
+  // reads the field only at snapshot time.
+  MetricsRegistry reg;
+  uint64_t owned = 0;
+  reg.RegisterCounter("xg_view_total", {{"path", "unl-ucsb"}}, "viewed",
+                      &owned);
+  owned = 42;
+  auto samples = reg.Snapshot();
+  ASSERT_EQ(samples.size(), 1u);
+  EXPECT_EQ(samples[0].type, MetricSample::Type::kCounter);
+  EXPECT_EQ(samples[0].help, "viewed");
+  EXPECT_DOUBLE_EQ(samples[0].value, 42.0);
+  owned = 43;
+  EXPECT_DOUBLE_EQ(reg.Snapshot()[0].value, 43.0);
 }
 
-TEST(Gauge, SetAndAdd) {
-  Gauge g;
-  g.Set(2.5);
-  g.Add(-1.0);
-  EXPECT_DOUBLE_EQ(g.value(), 1.5);
+TEST(Registry, HistogramViewReadsOwnedHistogramAtSnapshot) {
+  MetricsRegistry reg;
+  Histogram owned;
+  reg.RegisterHistogram("xg_view_ms", {}, "viewed", &owned);
+  owned.Record(1500);
+  owned.Record(2500);
+  auto samples = reg.Snapshot();
+  ASSERT_EQ(samples.size(), 1u);
+  EXPECT_EQ(samples[0].type, MetricSample::Type::kHistogram);
+  EXPECT_EQ(samples[0].hist.count, 2u);
+  EXPECT_DOUBLE_EQ(samples[0].hist.sum, 4.0);
 }
 
 TEST(Registry, SameIdentityReturnsSameInstrument) {
+  // Registering an identity again replaces the view: one series, read
+  // from the latest registration. Other label values stay separate.
   MetricsRegistry reg;
-  Counter& a = reg.GetCounter("xg_test_total", {{"path", "unl-ucsb"}});
-  Counter& b = reg.GetCounter("xg_test_total", {{"path", "unl-ucsb"}});
-  Counter& c = reg.GetCounter("xg_test_total", {{"path", "ucsb-nd"}});
-  EXPECT_EQ(&a, &b);
-  EXPECT_NE(&a, &c);
-  a.Inc(3);
-  EXPECT_EQ(b.value(), 3u);
-  EXPECT_EQ(c.value(), 0u);
+  uint64_t first = 1, second = 2, other = 3;
+  reg.RegisterCounter("xg_test_total", {{"path", "unl-ucsb"}}, "", &first);
+  reg.RegisterCounter("xg_test_total", {{"path", "unl-ucsb"}}, "", &second);
+  reg.RegisterCounter("xg_test_total", {{"path", "ucsb-nd"}}, "", &other);
+  auto samples = reg.Snapshot();
+  ASSERT_EQ(samples.size(), 2u);
+  EXPECT_EQ(samples[0].labels[0].second, "ucsb-nd");
+  EXPECT_DOUBLE_EQ(samples[0].value, 3.0);
+  EXPECT_EQ(samples[1].labels[0].second, "unl-ucsb");
+  EXPECT_DOUBLE_EQ(samples[1].value, 2.0);
 }
 
 TEST(Registry, LabelOrderDoesNotSplitInstruments) {
   MetricsRegistry reg;
-  Counter& a = reg.GetCounter("xg_t_total", {{"a", "1"}, {"b", "2"}});
-  Counter& b = reg.GetCounter("xg_t_total", {{"b", "2"}, {"a", "1"}});
-  EXPECT_EQ(&a, &b);
+  uint64_t a = 0, b = 0;
+  reg.RegisterCounter("xg_t_total", {{"a", "1"}, {"b", "2"}}, "", &a);
+  reg.RegisterCounter("xg_t_total", {{"b", "2"}, {"a", "1"}}, "", &b);
+  auto samples = reg.Snapshot();
+  ASSERT_EQ(samples.size(), 1u);
+  EXPECT_EQ(samples[0].labels[0].first, "a");
 }
 
 TEST(Registry, SanitizeMetricName) {
@@ -69,10 +93,11 @@ TEST(Registry, CallbackMirrorsExternalCounter) {
 
 TEST(Registry, SnapshotIsSortedByNameThenLabels) {
   MetricsRegistry reg;
-  reg.GetCounter("xg_b_total");
-  reg.GetGauge("xg_a_gauge");
-  reg.GetCounter("xg_b_total", {{"path", "z"}});
-  reg.GetCounter("xg_b_total", {{"path", "a"}});
+  uint64_t v = 0;
+  reg.RegisterCounter("xg_b_total", {}, "", &v);
+  reg.RegisterCallback("xg_a_gauge", {}, "", [] { return 0.0; });
+  reg.RegisterCounter("xg_b_total", {{"path", "z"}}, "", &v);
+  reg.RegisterCounter("xg_b_total", {{"path", "a"}}, "", &v);
   auto samples = reg.Snapshot();
   ASSERT_EQ(samples.size(), 4u);
   EXPECT_EQ(samples[0].name, "xg_a_gauge");
@@ -83,49 +108,61 @@ TEST(Registry, SnapshotIsSortedByNameThenLabels) {
 }
 
 TEST(Registry, ConcurrentIncrementsFromThreadPoolAreExact) {
-  // Tentpole thread-safety claim: lock-free updates from pool workers
-  // lose nothing, and registration is safe concurrently with updates.
+  // Thread-safety claim: lock-free histogram records from pool workers
+  // lose nothing through the view, and registration is safe concurrently
+  // with updates.
   MetricsRegistry reg;
-  Counter& shared = reg.GetCounter("xg_conc_shared_total");
-  Gauge& gauge = reg.GetGauge("xg_conc_gauge");
-  Histogram& hist = reg.GetHistogram("xg_conc_ms");
+  Histogram hist;
+  std::atomic<uint64_t> shared{0};
+  reg.RegisterHistogram("xg_conc_ms", {}, "", &hist);
+  reg.RegisterCallback(
+      "xg_conc_shared_total", {}, "",
+      [&shared] { return static_cast<double>(shared.load()); },
+      MetricSample::Type::kCounter);
 
-  ThreadPool pool(8);
+  constexpr size_t kWorkers = 8;
   constexpr int kPerWorker = 20000;
+  uint64_t mine[kWorkers] = {};
+  ThreadPool pool(kWorkers);
   pool.RunOnAll([&](size_t worker) {
-    // Per-worker labeled counters exercise concurrent registration too.
-    Counter& mine = reg.GetCounter(
-        "xg_conc_worker_total", {{"worker", std::to_string(worker)}});
+    // Per-worker labeled views exercise concurrent registration too.
+    reg.RegisterCounter("xg_conc_worker_total",
+                        {{"worker", std::to_string(worker)}}, "",
+                        &mine[worker]);
     for (int i = 0; i < kPerWorker; ++i) {
-      shared.Inc();
-      mine.Inc();
-      gauge.Add(1.0);
+      shared.fetch_add(1, std::memory_order_relaxed);
       hist.Record(i % 200);
     }
+    mine[worker] = kPerWorker;
   });
 
-  const uint64_t expect = 8ull * kPerWorker;
-  EXPECT_EQ(shared.value(), expect);
-  EXPECT_DOUBLE_EQ(gauge.value(), static_cast<double>(expect));
-  EXPECT_EQ(hist.count(), expect);
-  uint64_t bucket_total = 0;
-  for (uint64_t n : hist.Snapshot().counts) bucket_total += n;
-  EXPECT_EQ(bucket_total, expect);
+  const uint64_t expect = kWorkers * kPerWorker;
+  const std::vector<MetricSample> samples = reg.Snapshot();
+  EXPECT_EQ(samples.size(), 2 + kWorkers);
+  for (const MetricSample& s : samples) {
+    if (s.name == "xg_conc_ms") {
+      EXPECT_EQ(s.hist.count, expect);
+      uint64_t bucket_total = 0;
+      for (uint64_t n : s.hist.counts) bucket_total += n;
+      EXPECT_EQ(bucket_total, expect);
+    } else if (s.name == "xg_conc_shared_total") {
+      EXPECT_DOUBLE_EQ(s.value, static_cast<double>(expect));
+    } else {
+      EXPECT_DOUBLE_EQ(s.value, static_cast<double>(kPerWorker)) << s.name;
+    }
+  }
   EXPECT_EQ(hist.min_us(), 0);
   EXPECT_EQ(hist.max_us(), 199);
-  for (size_t w = 0; w < 8; ++w) {
-    EXPECT_EQ(reg.GetCounter("xg_conc_worker_total",
-                             {{"worker", std::to_string(w)}})
-                  .value(),
-              static_cast<uint64_t>(kPerWorker));
-  }
 }
 
 TEST(Registry, SnapshotWhileMutating) {
   // Exporters snapshot while writers keep incrementing: every observed
   // value must be internally sane (never torn / decreasing).
   MetricsRegistry reg;
-  Counter& c = reg.GetCounter("xg_race_total");
+  std::atomic<uint64_t> c{0};
+  reg.RegisterCallback(
+      "xg_race_total", {}, "", [&c] { return static_cast<double>(c.load()); },
+      MetricSample::Type::kCounter);
   std::atomic<bool> stop{false};
   ThreadPool pool(4);
   pool.RunOnAll([&](size_t worker) {
@@ -141,11 +178,11 @@ TEST(Registry, SnapshotWhileMutating) {
     } else {
       // At least one increment even if the snapshotter finishes first.
       do {
-        c.Inc();
+        c.fetch_add(1, std::memory_order_relaxed);
       } while (!stop.load(std::memory_order_relaxed));
     }
   });
-  EXPECT_GT(c.value(), 0u);
+  EXPECT_GT(c.load(), 0u);
 }
 
 }  // namespace

@@ -46,8 +46,11 @@ TEST(MetricsConsistency, HistogramSnapshotNeverTearsUnderWriters) {
 
 TEST(MetricsConsistency, RegistrySnapshotRacesWritersAndRegistrations) {
   MetricsRegistry reg;
-  Histogram& shared =
-      reg.GetHistogram("xg_test_latency_ms", {{"path", "shared"}});
+  Histogram shared;
+  reg.RegisterHistogram("xg_test_latency_ms", {{"path", "shared"}}, "",
+                        &shared);
+  // Counter fields the registrar views; nothing writes them concurrently.
+  const std::vector<uint64_t> ops(64, 1);
   std::atomic<bool> stop{false};
 
   std::thread histogram_writer([&shared, &stop] {
@@ -57,14 +60,14 @@ TEST(MetricsConsistency, RegistrySnapshotRacesWritersAndRegistrations) {
       v = v > 900'000 ? 200 : v * 13 / 10;
     }
   });
-  // A second thread keeps registering fresh labeled instruments while the
+  // A second thread keeps registering fresh labeled views while the
   // snapshot loop runs (registration takes the registry mutex; the export
   // must stay consistent regardless).
-  std::thread registrar([&reg, &stop] {
-    int i = 0;
-    while (!stop.load(std::memory_order_relaxed) && i < 64) {
-      reg.GetCounter("xg_test_ops_total", {{"shard", std::to_string(i)}})
-          .Inc();
+  std::thread registrar([&reg, &stop, &ops] {
+    size_t i = 0;
+    while (!stop.load(std::memory_order_relaxed) && i < ops.size()) {
+      reg.RegisterCounter("xg_test_ops_total",
+                          {{"shard", std::to_string(i)}}, "", &ops[i]);
       ++i;
     }
   });
@@ -81,13 +84,12 @@ TEST(MetricsConsistency, RegistrySnapshotRacesWritersAndRegistrations) {
 }
 
 TEST(MetricsConsistency, HdrCallbackExportIsConsistentUnderWriters) {
-  // The SLO stage histograms export through RegisterHistogramCallback;
-  // the same no-tear invariant must hold for that path.
+  // The SLO stage histograms are owned by the ledger and exported as
+  // views; the no-tear invariant must hold for an owner-held histogram.
   MetricsRegistry reg;
   Histogram stage;
-  reg.RegisterHistogramCallback("xg_slo_stage_latency_ms",
-                                {{"stage", "cfd_end"}}, "test",
-                                [&stage] { return stage.Snapshot(); });
+  reg.RegisterHistogram("xg_slo_stage_latency_ms", {{"stage", "cfd_end"}},
+                        "test", &stage);
   std::atomic<bool> stop{false};
   std::thread writer([&stage, &stop] {
     int64_t v = 1;

@@ -178,25 +178,5 @@ TEST(Breakdown, EmptyTraceIsEmpty) {
   EXPECT_TRUE(b.rows.empty());
 }
 
-TEST(SpanGuard, ClosesOnScopeExit) {
-  ManualClockTracer t;
-  TraceContext root = t.tracer.StartTrace("root", "x");
-  {
-    SpanGuard guard(&t.tracer, "scoped", "x", root);
-    EXPECT_TRUE(guard.context().valid());
-    t.now_us = 25;
-  }
-  auto spans = t.tracer.TraceSpans(root.trace_id);
-  ASSERT_EQ(spans.size(), 2u);
-  EXPECT_FALSE(spans[1].open());
-  EXPECT_EQ(spans[1].end_us, 25);
-}
-
-TEST(SpanGuard, NullTracerIsSafe) {
-  TraceContext root{1, 1};
-  SpanGuard guard(nullptr, "scoped", "x", root);
-  EXPECT_FALSE(guard.context().valid());
-}
-
 }  // namespace
 }  // namespace xg::obs
