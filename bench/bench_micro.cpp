@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the hot paths of each substrate:
 // log appends, the radio scheduler's slot loop, the statistical tests, the
-// discrete-event kernel and the WAN message path. CFD kernels are timed by
-// bench_cfd_kernels.
+// discrete-event kernel, the WAN message path and the span store. CFD
+// kernels are timed by bench_cfd_kernels.
 //
 // Uses a custom main instead of benchmark_main: every run is mirrored
 // through the shared emitter into BENCH_micro.json so regression tooling
@@ -21,6 +21,7 @@
 #include "laminar/stats_tests.hpp"
 #include "net5g/cell.hpp"
 #include "net5g/iperf.hpp"
+#include "obs/trace.hpp"
 
 namespace {
 
@@ -149,6 +150,41 @@ void BM_WanSend(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_WanSend);
+
+/// One traced span on the virtual clock: Arg 0 opens a child span, adds an
+/// integer annotation and closes it; Arg 1 records one WAN hop. The store
+/// is cleared every 2^16 spans (untimed) so it never reaches capacity; the
+/// blocks it then reallocates are part of the cost.
+void BM_TracerSpan(benchmark::State& state) {
+  obs::Tracer tracer;
+  int64_t now_us = 0;
+  tracer.set_clock([&now_us] { return now_us; });
+  const obs::HopPayload hop{tracer.Label("unl"), tracer.Label("ucsb"), 840,
+                            false};
+  obs::TraceContext root = tracer.StartTrace(obs::SpanName::kTelemetry);
+  const bool record_hop = state.range(0) == 1;
+  int64_t n = 0;
+  for (auto _ : state) {
+    ++now_us;
+    if (record_hop) {
+      tracer.RecordHop(obs::SpanName::kWanHop, root, now_us, now_us + 4, hop);
+    } else {
+      const obs::TraceContext span =
+          tracer.StartSpan(obs::SpanName::kCspotAppend, root);
+      tracer.AnnotateInt(span, "attempts", n);
+      tracer.EndSpan(span);
+    }
+    if (++n % (1 << 16) == 0) {
+      state.PauseTiming();
+      tracer.Clear();
+      root = tracer.StartTrace(obs::SpanName::kTelemetry);
+      state.ResumeTiming();
+    }
+  }
+  benchmark::DoNotOptimize(tracer.span_count());
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_TracerSpan)->ArgName("hop")->Arg(0)->Arg(1);
 
 void BM_RngGaussian(benchmark::State& state) {
   Rng rng(7);

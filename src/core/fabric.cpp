@@ -121,6 +121,7 @@ Fabric::Fabric(FabricConfig config)
   // mirrors its own counters (which remain the source of truth).
   tracer_.set_clock([this] { return sim_.Now().micros(); });
   tracer_.set_enabled(config_.tracing_enabled);
+  telemetry_client_label_ = tracer_.Label(telemetry_client_);
   obs::MetricsRegistry* reg = config_.metrics_enabled ? &registry_ : nullptr;
   obs::Tracer* tracer = config_.tracing_enabled ? &tracer_ : nullptr;
   cspot_->AttachObservability(reg, tracer);
@@ -302,8 +303,8 @@ void Fabric::ScheduleStationFault(const sensors::FaultWindow& fault) {
 void Fabric::PublishTelemetry() {
   // One trace per reading: the root span covers the reading's whole
   // journey, so its duration is the e2e latency the paper decomposes.
-  const obs::TraceContext root = tracer_.StartTrace("telemetry", "fabric");
-  tracer_.Annotate(root, "client", telemetry_client_);
+  const obs::TraceContext root = tracer_.StartTrace(obs::SpanName::kTelemetry);
+  tracer_.AnnotateLabel(root, "client", telemetry_client_label_);
   // The reporting tick doubles as the expiry sweep (a stalled journey is
   // closed as kExpired — a deadline miss — once its budget runs out), then
   // this reading's budget opens at the emit boundary. With the SLO layer
@@ -312,7 +313,7 @@ void Fabric::PublishTelemetry() {
   ledger_.SweepExpired(sim_.Now().micros());
   ledger_.Open(config_.slo.enabled ? root.trace_id : 0, sim_.Now().micros());
   const obs::TraceContext read_span =
-      tracer_.StartSpan("sensor.read", "sensors", root);
+      tracer_.StartSpan(obs::SpanName::kSensorRead, root);
 
   const sensors::AtmoState exterior = atmosphere_->Current();
   const double now_s = sim_.Now().seconds();
@@ -340,7 +341,8 @@ void Fabric::PublishTelemetry() {
   }
   TelemetryFrame frame = MakeFrame(readings, interior, now_s);
   ++metrics_.telemetry_frames_sent;
-  tracer_.Annotate(read_span, "stations", std::to_string(readings.size()));
+  tracer_.AnnotateInt(read_span, "stations",
+                      static_cast<int64_t>(readings.size()));
   tracer_.EndSpan(read_span);
 
   const sim::SimTime t0 = sim_.Now();
@@ -387,7 +389,7 @@ void Fabric::PublishTelemetry() {
         // The operator-side twin sees each stored frame; the detection
         // cycle attaches its span to this frame's trace.
         const obs::TraceContext observe =
-            tracer_.StartSpan("twin.observe", "twin", root);
+            tracer_.StartSpan(obs::SpanName::kTwinObserve, root);
         auto suspicion = twin_.Observe(frame);
         tracer_.EndSpan(observe);
         tracer_.EndSpan(root);
@@ -541,7 +543,7 @@ void Fabric::RunDetectionCycle() {
   // The window evaluation joins the latest stored frame's trace, so a
   // reading that trips the detector carries one trace end to end.
   const obs::TraceContext window =
-      tracer_.StartSpan("laminar.window", "laminar", last_frame_trace_);
+      tracer_.StartSpan(obs::SpanName::kLaminarWindow, last_frame_trace_);
   const size_t need = 2 * config_.detector.window;
   std::vector<TelemetryFrame> frames = RecentFrames(need);
 
@@ -566,7 +568,7 @@ void Fabric::RunDetectionCycle() {
       !frames.empty()) {
     changed = true;
   }
-  tracer_.Annotate(window, "frames", std::to_string(frames.size()));
+  tracer_.AnnotateInt(window, "frames", static_cast<int64_t>(frames.size()));
   tracer_.Annotate(window, "changed", changed ? "true" : "false");
   if (!changed) {
     tracer_.EndSpan(window);
@@ -611,9 +613,9 @@ void Fabric::TriggerCfd(double alert_time_s, double data_bytes,
   // The decision span covers alert pickup: fetching the boundary frame
   // from UCSB and sizing/submitting the task (the paper's Eqs 1-4).
   const obs::TraceContext decision =
-      tracer_.StartSpan("pilot.decision", "pilot", trace);
-  tracer_.Annotate(decision, "data_bytes",
-                   std::to_string(static_cast<uint64_t>(data_bytes)));
+      tracer_.StartSpan(obs::SpanName::kPilotDecision, trace);
+  tracer_.AnnotateInt(decision, "data_bytes",
+                      static_cast<int64_t>(data_bytes));
 
   // The pilot gathers the most recent telemetry from the CSPOT logs at
   // UCSB to parameterize the preprocessing pipeline.
@@ -663,12 +665,12 @@ void Fabric::TriggerCfd(double alert_time_s, double data_bytes,
                     const int64_t start_us =
                         submit_us + static_cast<int64_t>(task.wait_s * 1e6);
                     const obs::TraceContext job = tracer_.RecordSpan(
-                        "hpc.cfd", "hpc", decision, submit_us, end_us,
-                        {{"wait_s", std::to_string(task.wait_s)},
-                         {"nodes", std::to_string(task.nodes_used)},
-                         {"warm_pilot",
-                          task.ran_in_warm_pilot ? "true" : "false"}});
-                    tracer_.RecordSpan("cfd.solve", "cfd", job, start_us,
+                        obs::SpanName::kHpcCfd, decision, submit_us, end_us);
+                    tracer_.AnnotateDouble(job, "wait_s", task.wait_s);
+                    tracer_.AnnotateInt(job, "nodes", task.nodes_used);
+                    tracer_.Annotate(job, "warm_pilot",
+                                     task.ran_in_warm_pilot ? "true" : "false");
+                    tracer_.RecordSpan(obs::SpanName::kCfdSolve, job, start_us,
                                        end_us);
                     // Queue wait (pilot_submit -> cfd_start) and solve
                     // (cfd_start -> cfd_end) from the same accounting
@@ -789,7 +791,7 @@ void Fabric::StoreResult(const CfdResult& result,
       std::max(0.0, config_.detect_period_s - response_s));
   latest_result_ = result;
   const obs::TraceContext compare =
-      tracer_.StartSpan("twin.compare", "twin", trace);
+      tracer_.StartSpan(obs::SpanName::kTwinCompare, trace);
   twin_.UpdatePrediction(result);
   tracer_.EndSpan(compare);
   // End of the full escalated path: the twin holds the fresh prediction,

@@ -307,6 +307,7 @@ class Fabric {
   /// downstream CFD/alert path attach to it.
   obs::TraceContext last_frame_trace_;
   std::string telemetry_client_;
+  obs::LabelId telemetry_client_label_ = 0;  ///< in tracer_'s label table
   bool cfd_in_flight_ = false;
   bool robot_busy_ = false;
   size_t patrol_waypoint_ = 0;

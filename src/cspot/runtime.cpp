@@ -184,9 +184,12 @@ void Runtime::RemoteAppend(const std::string& client, const std::string& host,
   op->done = std::move(done);
   op->token = opts.idem_token != 0 ? opts.idem_token : next_token_++;
   op->started_us = sim_.Now().micros();
-  op->span = obs::StartSpanIf(tracer_, "cspot.append", "cspot", opts.trace);
-  obs::AnnotateIf(tracer_, op->span, "path", client + "->" + host);
-  obs::AnnotateIf(tracer_, op->span, "log", log);
+  op->span = obs::StartSpanIf(tracer_, obs::SpanName::kCspotAppend,
+                              opts.trace);
+  if (op->span.valid()) {
+    tracer_->Annotate(op->span, "path", client + "->" + host);
+    tracer_->Annotate(op->span, "log", log);
+  }
   if (op->client == kNoNode || op->host == kNoNode) {
     const std::string& missing = op->client == kNoNode ? client : host;
     FinishAttempt(op, Status(ErrorCode::kNotFound, "no node " + missing));
@@ -225,7 +228,9 @@ void Runtime::ScheduleRetry(std::shared_ptr<AppendOp> op) {
     return;
   }
   op->backoff_ms.push_back(backoff);
-  obs::AnnotateIf(tracer_, op->span, "backoff_ms", std::to_string(backoff));
+  if (tracer_ != nullptr) {
+    tracer_->AnnotateDouble(op->span, "backoff_ms", backoff);
+  }
   sim_.Schedule(sim::SimTime::Millis(backoff),
                 [this, op = std::move(op)]() { StartAttempt(op); });
 }
@@ -271,7 +276,7 @@ void Runtime::PhaseGetSize(std::shared_ptr<AppendOp> op) {
   ++counters_.size_requests;
   const uint64_t phase = op->phase_id;
   op->phase_span =
-      obs::StartSpanIf(tracer_, "cspot.get_size", "cspot", op->span);
+      obs::StartSpanIf(tracer_, obs::SpanName::kCspotGetSize, op->span);
 
   // Arm the per-phase timeout: if no response lands, retry from scratch
   // (after the policy's backoff).
@@ -328,7 +333,8 @@ void Runtime::PhasePut(std::shared_ptr<AppendOp> op, size_t assumed_size) {
                              "payload exceeds element size"));
     return;
   }
-  op->phase_span = obs::StartSpanIf(tracer_, "cspot.put", "cspot", op->span);
+  op->phase_span =
+      obs::StartSpanIf(tracer_, obs::SpanName::kCspotPut, op->span);
 
   op->timeout = sim_.Schedule(sim::SimTime::Millis(op->policy.AttemptTimeoutMs()),
                               [this, op, phase]() {
@@ -378,8 +384,8 @@ void Runtime::PhasePut(std::shared_ptr<AppendOp> op, size_t assumed_size) {
     const double host_ms = (verdict == Verdict::kOk) ? params_.storage_ms : 0.0;
     if (tracer_ != nullptr && op->phase_span.valid() && host_ms > 0.0) {
       const int64_t now_us = sim_.Now().micros();
-      tracer_->RecordSpan("cspot.storage", "cspot", op->phase_span, now_us,
-                          now_us + static_cast<int64_t>(host_ms * 1e3));
+      tracer_->RecordSpan(obs::SpanName::kCspotStorage, op->phase_span,
+                          now_us, now_us + static_cast<int64_t>(host_ms * 1e3));
     }
     sim_.Schedule(sim::SimTime::Millis(host_ms), [this, op, phase, verdict_in = verdict,
                                                   seq_in = seq]() mutable {
@@ -456,7 +462,7 @@ void Runtime::FinishAttempt(std::shared_ptr<AppendOp> op, Result<SeqNo> result) 
                 sim_.Now().micros());
   }
   if (tracer_ != nullptr && op->span.valid()) {
-    tracer_->Annotate(op->span, "attempts", std::to_string(op->attempt));
+    tracer_->AnnotateInt(op->span, "attempts", op->attempt);
     if (op->deduped) tracer_->Annotate(op->span, "deduped", "true");
     if (!result.ok()) {
       tracer_->Annotate(op->span, "error", result.status().ToString());

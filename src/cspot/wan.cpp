@@ -14,8 +14,18 @@ NodeId Wan::AddNode(const std::string& name) {
     reachable_.push_back(true);
     pairs_.resize(nodes_.size() * (nodes_.size() + 1) / 2);
     routes_valid_ = false;
+    if (tracer_ != nullptr) node_labels_.push_back(tracer_->Label(name));
   }
   return it->second;
+}
+
+void Wan::set_tracer(obs::Tracer* tracer) {
+  tracer_ = tracer;
+  node_labels_.clear();
+  if (tracer_ == nullptr) return;
+  for (const std::string& name : nodes_) {
+    node_labels_.push_back(tracer_->Label(name));
+  }
 }
 
 NodeId Wan::Find(const std::string& name) const {
@@ -128,10 +138,12 @@ resil::CircuitBreaker& Wan::BreakerFor(Pair& pair) {
                                           int64_t now_us) {
     if (tracer_ == nullptr || to != resil::BreakerState::kClosed) return;
     if (!resil_root_.valid()) {
-      resil_root_ = tracer_->StartTrace("resil.timeline", "resil");
+      resil_root_ = tracer_->StartTrace(obs::SpanName::kResilTimeline);
     }
-    tracer_->RecordSpan("resil.breaker_open", "resil", resil_root_,
-                        ptr->opened_at_us(), now_us, {{"link", key}});
+    const obs::TraceContext span =
+        tracer_->RecordSpan(obs::SpanName::kResilBreakerOpen, resil_root_,
+                            ptr->opened_at_us(), now_us);
+    tracer_->AnnotateLabel(span, "link", tracer_->Label(key));
   });
   if (registry_ != nullptr) {
     registry_->RegisterCallback(
@@ -214,14 +226,10 @@ Status Wan::Send(NodeId from, NodeId to, size_t bytes, sim::Callback deliver,
     if (traced) {
       // The hop happened on the wire whether or not the message survives
       // it, so the span covers the crossing with the sampled latency.
-      std::vector<std::pair<std::string, std::string>> args = {
-          {"from", nodes_[cur]},
-          {"to", nodes_[next]},
-          {"bytes", std::to_string(bytes)}};
-      if (lost) args.emplace_back("lost", "true");
-      tracer_->RecordSpan(air ? "net5g.access" : "wan.hop",
-                          air ? "net5g" : "wan", trace, hop_start, hop_end,
-                          std::move(args));
+      tracer_->RecordHop(
+          air ? obs::SpanName::kNet5gAccess : obs::SpanName::kWanHop, trace,
+          hop_start, hop_end,
+          {node_labels_[cur], node_labels_[next], bytes, lost});
     }
     if (lost) {
       ++messages_lost_;

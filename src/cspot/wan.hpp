@@ -77,7 +77,9 @@ class XG_SIM_THREAD_CONFINED Wan {
   /// Observability: when a tracer is attached and `trace` is valid, each
   /// link crossing of a Send is recorded as a child hop span with the
   /// exact sampled per-link latency (the per-hop decomposition of §4.4).
-  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
+  /// Node names are interned in the tracer's label table here and in
+  /// AddNode, so a hop span carries two label ids and builds no strings.
+  void set_tracer(obs::Tracer* tracer);
 
   /// SLO deadline accounting: when a ledger is attached, every surviving
   /// "5g-air" crossing of a traced Send stamps the rrc_grant / cell_egress
@@ -170,6 +172,8 @@ class XG_SIM_THREAD_CONFINED Wan {
   std::vector<std::string> nodes_;  ///< names, indexed by NodeId
   std::unordered_map<std::string, NodeId> ids_;
   std::vector<bool> reachable_;     ///< indexed by NodeId
+  /// Tracer label of each node name, indexed by NodeId; empty untraced.
+  std::vector<obs::LabelId> node_labels_;
   std::vector<Link> links_;
   /// routes_[from * N + to]. Any change to nodes, links or their state
   /// clears routes_valid_. The rebuild's breadth-first search scans links_

@@ -24,6 +24,23 @@ bool IsActuatorKind(FaultKind kind) {
 }
 }  // namespace
 
+obs::SpanName FaultSpanName(FaultKind kind) {
+  switch (kind) {
+    case FaultKind::kPartition: return obs::SpanName::kFaultPartition;
+    case FaultKind::kNodeUnreachable:
+      return obs::SpanName::kFaultNodeUnreachable;
+    case FaultKind::kMessageLoss: return obs::SpanName::kFaultMessageLoss;
+    case FaultKind::kDuplicate: return obs::SpanName::kFaultDuplicate;
+    case FaultKind::kReorder: return obs::SpanName::kFaultReorder;
+    case FaultKind::kPowerLoss: return obs::SpanName::kFaultPowerLoss;
+    case FaultKind::kRrcDrop: return obs::SpanName::kFaultRrcDrop;
+    case FaultKind::kLinkDegrade: return obs::SpanName::kFaultLinkDegrade;
+    case FaultKind::kQueueStall: return obs::SpanName::kFaultQueueStall;
+    case FaultKind::kJobKill: return obs::SpanName::kFaultJobKill;
+  }
+  return obs::SpanName::kFaultPartition;
+}
+
 FaultInjector::FaultInjector(FaultPlan plan)
     : plan_(std::move(plan)), rng_(plan_.seed() ^ 0xFA017EC7ull) {}
 
@@ -53,10 +70,9 @@ void FaultInjector::Arm(sim::Simulation& sim) {
       if (IsActuatorKind(ev->kind)) Count(LayerOf(ev->kind), ev->kind);
       obs::TraceContext span;
       if (tracer_ != nullptr) {
-        span = tracer_->StartTrace(
-            std::string("fault.") + FaultKindName(ev->kind), "fault");
-        obs::AnnotateIf(tracer_, span, "target",
-                        ev->target.empty() ? "*" : ev->target);
+        span = tracer_->StartTrace(FaultSpanName(ev->kind));
+        tracer_->Annotate(span, "target",
+                          ev->target.empty() ? "*" : ev->target);
       }
       ActuateWindow(*ev, /*begin=*/true);
       if (ev->duration_s > 0.0) {

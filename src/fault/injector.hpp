@@ -46,6 +46,9 @@ class FlightRecorder;
 
 namespace xg::fault {
 
+/// The span a window of `kind` opens: fault.<FaultKindName(kind)>.
+obs::SpanName FaultSpanName(FaultKind kind);
+
 class FaultInjector {
  public:
   /// The injector draws its RNG stream from plan.seed(): one (plan, seed)

@@ -128,9 +128,8 @@ std::string FlightRecorder::Dump(const std::string& trigger,
 
   // The stage to blame: the most recent missed record's dominant stage,
   // falling back to the most recent record of any kind.
-  const std::deque<LedgerRecord> no_records;
-  const std::deque<LedgerRecord>& records =
-      ledger_ ? ledger_->recent() : no_records;
+  const std::vector<LedgerRecord> records =
+      ledger_ ? ledger_->recent() : std::vector<LedgerRecord>{};
   const LedgerRecord* blame = nullptr;
   for (auto it = records.rbegin(); it != records.rend(); ++it) {
     if (it->missed) {

@@ -1,6 +1,7 @@
 #include "obs/slo/ledger.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdio>
 
 namespace xg::obs::slo {
@@ -18,9 +19,26 @@ const char* CloseReasonName(CloseReason r) {
   return "?";
 }
 
+namespace {
+constexpr auto kByTraceId = [](const auto& entry, uint64_t trace_id) {
+  return entry.first < trace_id;
+};
+}  // namespace
+
+std::vector<LatencyLedger::OpenEntry>::iterator LatencyLedger::LowerBound(
+    uint64_t trace_id) {
+  return std::lower_bound(open_.begin(), open_.end(), trace_id, kByTraceId);
+}
+
+const DeadlineBudget* LatencyLedger::FindOpen(uint64_t trace_id) const {
+  const auto it =
+      std::lower_bound(open_.begin(), open_.end(), trace_id, kByTraceId);
+  return it != open_.end() && it->first == trace_id ? &it->second : nullptr;
+}
+
 void LatencyLedger::Open(uint64_t trace_id, int64_t now_us) {
   if (trace_id == 0) return;
-  if (open_.count(trace_id) != 0) return;
+  if (FindOpen(trace_id) != nullptr) return;
   if (open_.size() >= kMaxInFlight) {
     // Evict the record opened earliest (ties cannot occur: one reading
     // per virtual instant opens a budget).
@@ -28,38 +46,39 @@ void LatencyLedger::Open(uint64_t trace_id, int64_t now_us) {
     for (auto it = open_.begin(); it != open_.end(); ++it) {
       if (it->second.opened_us() < oldest->second.opened_us()) oldest = it;
     }
-    DeadlineBudget evicted = oldest->second;
-    const uint64_t evicted_id = oldest->first;
+    const OpenEntry evicted = *oldest;
     open_.erase(oldest);
-    Finalize(evicted_id, evicted, CloseReason::kEvicted);
+    Finalize(evicted.first, evicted.second, CloseReason::kEvicted);
   }
-  open_.emplace(trace_id, DeadlineBudget(now_us, kDeadlineUs));
+  open_.emplace(LowerBound(trace_id), trace_id,
+                DeadlineBudget(now_us, kDeadlineUs));
   ++opened_total_;
 }
 
 bool LatencyLedger::Stamp(uint64_t trace_id, Stage stage, int64_t at_us) {
   if (trace_id == 0) return false;
-  auto it = open_.find(trace_id);
-  if (it == open_.end()) return false;
+  const auto it = LowerBound(trace_id);
+  if (it == open_.end() || it->first != trace_id) return false;
   return it->second.StampAt(stage, at_us);
 }
 
 bool LatencyLedger::Escalated(uint64_t trace_id) const {
-  auto it = open_.find(trace_id);
-  return it != open_.end() && it->second.stamped(Stage::kLaminarTrigger);
+  const DeadlineBudget* budget = FindOpen(trace_id);
+  return budget != nullptr && budget->stamped(Stage::kLaminarTrigger);
 }
 
 void LatencyLedger::Close(uint64_t trace_id, CloseReason reason) {
-  auto it = open_.find(trace_id);
-  if (it == open_.end()) return;
+  const auto it = LowerBound(trace_id);
+  if (it == open_.end() || it->first != trace_id) return;
   DeadlineBudget budget = it->second;
   open_.erase(it);
   Finalize(trace_id, budget, reason);
 }
 
 bool LatencyLedger::CloseIfIdle(uint64_t trace_id, CloseReason reason) {
-  auto it = open_.find(trace_id);
-  if (it == open_.end() || it->second.stamped(Stage::kLaminarTrigger)) {
+  const auto it = LowerBound(trace_id);
+  if (it == open_.end() || it->first != trace_id ||
+      it->second.stamped(Stage::kLaminarTrigger)) {
     return false;
   }
   DeadlineBudget budget = it->second;
@@ -105,18 +124,38 @@ void LatencyLedger::Finalize(uint64_t trace_id, DeadlineBudget budget,
   // Only completed journeys shape the latency profile. kSensorEmit opens
   // the budget and by definition consumes 0; skipping it keeps the
   // breakdown to stages that can actually spend time, and the per-stage
-  // sums still add exactly to the e2e total.
+  // sums still add exactly to the e2e total. Each stamped stage consumed
+  // the time since the previous stamped one (DeadlineBudget::stamps()).
   if (completed) {
-    for (const BudgetStamp& st : rec.budget.stamps()) {
-      if (st.stage == Stage::kSensorEmit) continue;
-      stage_hist_[static_cast<int>(st.stage)].Record(st.consumed_us);
+    int64_t prev_us = rec.budget.opened_us_;
+    for (int i = 0; i < kStageCount; ++i) {
+      const int64_t at_us = rec.budget.at_us_[i];
+      if (at_us < 0) continue;
+      if (i != static_cast<int>(Stage::kSensorEmit)) {
+        stage_hist_[i].Record(at_us - prev_us);
+      }
+      prev_us = at_us;
     }
     e2e_hist_.Record(rec.consumed_us);
   }
 
-  recent_.push_back(rec);
-  while (recent_.size() > kRecentCapacity) recent_.pop_front();
+  if (recent_.size() < kRecentCapacity) {
+    if (recent_.empty()) recent_.reserve(kRecentCapacity);
+    recent_.push_back(rec);
+  } else {
+    recent_[recent_next_] = rec;
+    recent_next_ = (recent_next_ + 1) % kRecentCapacity;
+  }
   if (on_close_) on_close_(rec);
+}
+
+std::vector<LedgerRecord> LatencyLedger::recent() const {
+  std::vector<LedgerRecord> out(
+      recent_.begin() + static_cast<std::ptrdiff_t>(recent_next_),
+      recent_.end());
+  out.insert(out.end(), recent_.begin(),
+             recent_.begin() + static_cast<std::ptrdiff_t>(recent_next_));
+  return out;
 }
 
 std::vector<LatencyLedger::InFlightView> LatencyLedger::WorstInFlight(
@@ -165,8 +204,8 @@ std::string LatencyLedger::FormatRecord(const LedgerRecord& rec) {
 
 std::string LatencyLedger::FormatRecent() const {
   std::string out;
-  for (const LedgerRecord& rec : recent_) {
-    out += FormatRecord(rec);
+  for (size_t k = 0; k < recent_.size(); ++k) {
+    out += FormatRecord(recent_[(recent_next_ + k) % recent_.size()]);
     out += '\n';
   }
   return out;

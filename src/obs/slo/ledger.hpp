@@ -44,10 +44,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/thread_annotations.hpp"
@@ -181,8 +180,8 @@ class XG_SIM_THREAD_CONFINED LatencyLedger {
   /// first; ties break on trace id for determinism).
   std::vector<InFlightView> WorstInFlight(size_t n, int64_t now_us) const;
 
-  /// Oldest-to-newest ring of recently closed records.
-  const std::deque<LedgerRecord>& recent() const { return recent_; }
+  /// The last kRecentCapacity closed records, oldest to newest (a copy).
+  std::vector<LedgerRecord> recent() const;
 
   /// Deterministic one-line rendering of a record:
   ///   trace=12 reason=delivered consumed=0.123s budget=1800s miss=0
@@ -193,11 +192,21 @@ class XG_SIM_THREAD_CONFINED LatencyLedger {
   std::string FormatRecent() const;
 
  private:
+  using OpenEntry = std::pair<uint64_t, DeadlineBudget>;
+  /// The open entry for `trace_id`, or where it would be inserted.
+  std::vector<OpenEntry>::iterator LowerBound(uint64_t trace_id);
+  /// The open budget of `trace_id`, nullptr when none is open.
+  const DeadlineBudget* FindOpen(uint64_t trace_id) const;
   void Finalize(uint64_t trace_id, DeadlineBudget budget, CloseReason reason);
 
   std::function<void(const LedgerRecord&)> on_close_;
-  std::map<uint64_t, DeadlineBudget> open_;
-  std::deque<LedgerRecord> recent_;
+  /// In-flight budgets sorted by trace id; at most kMaxInFlight. Trace ids
+  /// grow, so Open appends and closes take entries near the front.
+  std::vector<OpenEntry> open_;
+  /// Ring of the last kRecentCapacity closed records; once full,
+  /// recent_next_ is the oldest, overwritten by the next close.
+  std::vector<LedgerRecord> recent_;
+  size_t recent_next_ = 0;
   uint64_t opened_total_ = 0;
   uint64_t closed_total_ = 0;
   uint64_t missed_total_ = 0;

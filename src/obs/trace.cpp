@@ -2,9 +2,67 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <iterator>
 #include <map>
+#include <unordered_set>
+
+#include "common/contract.hpp"
 
 namespace xg::obs {
+
+namespace {
+
+struct SpanInfo {
+  const char* name;
+  const char* component;
+};
+
+constexpr SpanInfo kSpanTable[] = {
+    {"telemetry", "fabric"},
+    {"sensor.read", "sensors"},
+    {"twin.observe", "twin"},
+    {"laminar.window", "laminar"},
+    {"pilot.decision", "pilot"},
+    {"hpc.cfd", "hpc"},
+    {"cfd.solve", "cfd"},
+    {"twin.compare", "twin"},
+    {"cspot.append", "cspot"},
+    {"cspot.get_size", "cspot"},
+    {"cspot.put", "cspot"},
+    {"cspot.storage", "cspot"},
+    {"net5g.access", "net5g"},
+    {"wan.hop", "wan"},
+    {"resil.timeline", "resil"},
+    {"resil.breaker_open", "resil"},
+    {"resil.store_forward", "resil"},
+    {"resil.stale_serve", "resil"},
+    {"resil.site_failover", "resil"},
+    {"resil.overload_shed", "resil"},
+    {"fault.partition", "fault"},
+    {"fault.node_unreachable", "fault"},
+    {"fault.message_loss", "fault"},
+    {"fault.duplicate", "fault"},
+    {"fault.reorder", "fault"},
+    {"fault.power_loss", "fault"},
+    {"fault.rrc_drop", "fault"},
+    {"fault.link_degrade", "fault"},
+    {"fault.queue_stall", "fault"},
+    {"fault.job_kill", "fault"},
+};
+static_assert(std::size(kSpanTable) == kSpanNameCount);
+
+constexpr size_t kTextChunk = size_t{16} << 10;
+
+}  // namespace
+
+const char* SpanNameText(SpanName name) {
+  return kSpanTable[static_cast<size_t>(name)].name;
+}
+
+const char* SpanComponent(SpanName name) {
+  return kSpanTable[static_cast<size_t>(name)].component;
+}
 
 void Tracer::set_clock(Clock clock) {
   MutexLock lk(mu_);
@@ -16,79 +74,162 @@ void Tracer::set_capacity(size_t max_spans) {
   capacity_ = max_spans;
 }
 
-int64_t Tracer::NowUs() const { return clock_ ? clock_() : 0; }
-
-TraceContext Tracer::StartLocked(const std::string& name,
-                                 const std::string& component,
-                                 uint64_t trace_id, uint64_t parent_span) {
-  if (spans_.size() >= capacity_) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return {};
-  }
-  SpanRecord rec;
-  rec.trace_id = trace_id;
-  rec.span_id = next_span_++;
-  rec.parent_id = parent_span;
-  rec.name = name;
-  rec.component = component;
-  rec.start_us = NowUs();
-  rec.end_us = rec.start_us - 1;  // open
-  spans_.push_back(std::move(rec));
-  return {trace_id, spans_.back().span_id};
+LabelId Tracer::Label(std::string_view text) {
+  MutexLock lk(mu_);
+  const auto it = label_ids_.find(text);
+  if (it != label_ids_.end()) return it->second;
+  const auto id = static_cast<LabelId>(labels_.size());
+  labels_.emplace_back(text);
+  label_ids_.emplace(labels_.back(), id);
+  return id;
 }
 
-SpanRecord* Tracer::FindLocked(uint64_t span_id) {
-  if (spans_.empty() || span_id < spans_.front().span_id) return nullptr;
-  const uint64_t idx = span_id - spans_.front().span_id;
+int64_t Tracer::NowUs() const { return clock_ ? clock_() : 0; }
+
+Tracer::Slot* Tracer::StartLocked(SpanName name, uint64_t trace_id,
+                                  uint64_t parent_span, int64_t start_us) {
+  if (spans_.size() >= capacity_) {
+    dropped_.fetch_add(1, std::memory_order_relaxed);
+    return nullptr;
+  }
+  ++next_span_;
+  Slot& s = spans_.Append();
+  s.trace_id = trace_id;
+  s.parent_id = parent_span;
+  s.start_us = start_us;
+  s.end_us = start_us - 1;  // open
+  s.hop_bytes = 0;
+  s.hop_from = s.hop_to = 0;
+  s.first_arg = s.last_arg = kNoArg;
+  s.name = name;
+  s.hop = HopState::kNone;
+  return &s;
+}
+
+Tracer::Slot* Tracer::FindLocked(uint64_t span_id) {
+  if (span_id < first_span_) return nullptr;
+  const uint64_t idx = span_id - first_span_;
   if (idx >= spans_.size()) return nullptr;
   return &spans_[idx];
 }
 
-TraceContext Tracer::StartTrace(const std::string& name,
-                                const std::string& component) {
+TraceContext Tracer::StartTrace(SpanName name) {
   if (!enabled()) return {};
   MutexLock lk(mu_);
-  return StartLocked(name, component, next_trace_++, 0);
+  const uint64_t trace_id = next_trace_++;
+  if (StartLocked(name, trace_id, 0, NowUs()) == nullptr) return {};
+  return {trace_id, next_span_ - 1};
 }
 
-TraceContext Tracer::StartSpan(const std::string& name,
-                               const std::string& component,
-                               const TraceContext& parent) {
+TraceContext Tracer::StartSpan(SpanName name, const TraceContext& parent) {
   if (!enabled() || !parent.valid()) return {};
   MutexLock lk(mu_);
-  return StartLocked(name, component, parent.trace_id, parent.span_id);
+  if (StartLocked(name, parent.trace_id, parent.span_id, NowUs()) == nullptr) {
+    return {};
+  }
+  return {parent.trace_id, next_span_ - 1};
 }
 
 void Tracer::EndSpan(const TraceContext& ctx) {
   if (!ctx.valid()) return;
   MutexLock lk(mu_);
-  SpanRecord* rec = FindLocked(ctx.span_id);
-  if (rec == nullptr || !rec->open()) return;
-  rec->end_us = std::max(NowUs(), rec->start_us);
+  Slot* s = FindLocked(ctx.span_id);
+  if (s == nullptr || s->end_us >= s->start_us) return;
+  s->end_us = std::max(NowUs(), s->start_us);
 }
 
-void Tracer::Annotate(const TraceContext& ctx, const std::string& key,
-                      const std::string& value) {
-  if (!ctx.valid()) return;
-  MutexLock lk(mu_);
-  SpanRecord* rec = FindLocked(ctx.span_id);
-  if (rec != nullptr) rec->args.emplace_back(key, value);
-}
-
-TraceContext Tracer::RecordSpan(
-    const std::string& name, const std::string& component,
-    const TraceContext& parent, int64_t start_us, int64_t end_us,
-    std::vector<std::pair<std::string, std::string>> args) {
+TraceContext Tracer::RecordSpan(SpanName name, const TraceContext& parent,
+                                int64_t start_us, int64_t end_us) {
   if (!enabled() || !parent.valid()) return {};
   MutexLock lk(mu_);
-  TraceContext ctx = StartLocked(name, component, parent.trace_id,
-                                 parent.span_id);
-  if (!ctx.valid()) return {};
-  SpanRecord& rec = spans_.back();
-  rec.start_us = start_us;
-  rec.end_us = std::max(end_us, start_us);
-  rec.args = std::move(args);
-  return ctx;
+  Slot* s = StartLocked(name, parent.trace_id, parent.span_id, start_us);
+  if (s == nullptr) return {};
+  s->end_us = std::max(end_us, start_us);
+  return {parent.trace_id, next_span_ - 1};
+}
+
+void Tracer::RecordHop(SpanName kind, const TraceContext& parent,
+                       int64_t start_us, int64_t end_us,
+                       const HopPayload& hop) {
+  if (!enabled() || !parent.valid()) return;
+  MutexLock lk(mu_);
+  const bool known = hop.from < labels_.size() && hop.to < labels_.size();
+  XG_INVARIANT(known, "hop labels come from this tracer's Label()");
+  if (!known) return;
+  Slot* s = StartLocked(kind, parent.trace_id, parent.span_id, start_us);
+  if (s == nullptr) return;
+  s->end_us = std::max(end_us, start_us);
+  s->hop_bytes = hop.bytes;
+  s->hop_from = hop.from;
+  s->hop_to = hop.to;
+  s->hop = hop.lost ? HopState::kLost : HopState::kDelivered;
+}
+
+Tracer::Arg* Tracer::AddArgLocked(const TraceContext& ctx, SpanKey key,
+                                  ArgKind kind) {
+  Slot* s = FindLocked(ctx.span_id);
+  if (s == nullptr) return nullptr;
+  const auto index = static_cast<uint32_t>(args_.size());
+  Arg& a = args_.Append();
+  a.key = key.c_str();
+  a.text_len = 0;
+  a.next = kNoArg;
+  a.kind = kind;
+  if (s->last_arg == kNoArg) {
+    s->first_arg = index;
+  } else {
+    args_[s->last_arg].next = index;
+  }
+  s->last_arg = index;
+  return &a;
+}
+
+const char* Tracer::CopyTextLocked(std::string_view text) {
+  if (text.empty()) return "";
+  if (text.size() > text_left_) {
+    const size_t size = std::max(kTextChunk, text.size());
+    text_.push_back(std::make_unique_for_overwrite<char[]>(size));
+    text_next_ = text_.back().get();
+    text_left_ = size;
+  }
+  char* dst = text_next_;
+  std::memcpy(dst, text.data(), text.size());
+  text_next_ += text.size();
+  text_left_ -= text.size();
+  return dst;
+}
+
+void Tracer::Annotate(const TraceContext& ctx, SpanKey key,
+                      std::string_view text) {
+  if (!ctx.valid()) return;
+  MutexLock lk(mu_);
+  Arg* a = AddArgLocked(ctx, key, ArgKind::kText);
+  if (a == nullptr) return;
+  a->text = CopyTextLocked(text);
+  a->text_len = static_cast<uint32_t>(text.size());
+}
+
+void Tracer::AnnotateInt(const TraceContext& ctx, SpanKey key, int64_t value) {
+  if (!ctx.valid()) return;
+  MutexLock lk(mu_);
+  if (Arg* a = AddArgLocked(ctx, key, ArgKind::kInt)) a->i = value;
+}
+
+void Tracer::AnnotateDouble(const TraceContext& ctx, SpanKey key,
+                            double value) {
+  if (!ctx.valid()) return;
+  MutexLock lk(mu_);
+  if (Arg* a = AddArgLocked(ctx, key, ArgKind::kDouble)) a->d = value;
+}
+
+void Tracer::AnnotateLabel(const TraceContext& ctx, SpanKey key,
+                           LabelId label) {
+  if (!ctx.valid()) return;
+  MutexLock lk(mu_);
+  const bool known = label < labels_.size();
+  XG_INVARIANT(known, "labels come from this tracer's Label()");
+  if (!known) return;
+  if (Arg* a = AddArgLocked(ctx, key, ArgKind::kLabel)) a->label = label;
 }
 
 size_t Tracer::span_count() const {
@@ -96,31 +237,69 @@ size_t Tracer::span_count() const {
   return spans_.size();
 }
 
+SpanRecord Tracer::MaterializeLocked(size_t index) const {
+  const Slot& s = spans_[index];
+  SpanRecord rec;
+  rec.trace_id = s.trace_id;
+  rec.span_id = first_span_ + index;
+  rec.parent_id = s.parent_id;
+  rec.name = SpanNameText(s.name);
+  rec.component = SpanComponent(s.name);
+  rec.start_us = s.start_us;
+  rec.end_us = s.end_us;
+  if (s.hop != HopState::kNone) {
+    rec.args.emplace_back("from", labels_[s.hop_from]);
+    rec.args.emplace_back("to", labels_[s.hop_to]);
+    rec.args.emplace_back("bytes", std::to_string(s.hop_bytes));
+    if (s.hop == HopState::kLost) rec.args.emplace_back("lost", "true");
+  }
+  for (uint32_t i = s.first_arg; i != kNoArg; i = args_[i].next) {
+    const Arg& a = args_[i];
+    std::string value;
+    switch (a.kind) {
+      case ArgKind::kText: value.assign(a.text, a.text_len); break;
+      case ArgKind::kInt: value = std::to_string(a.i); break;
+      case ArgKind::kDouble: value = std::to_string(a.d); break;
+      case ArgKind::kLabel: value = labels_[a.label]; break;
+    }
+    rec.args.emplace_back(a.key, std::move(value));
+  }
+  return rec;
+}
+
 std::vector<SpanRecord> Tracer::Snapshot() const {
   MutexLock lk(mu_);
-  return spans_;
+  std::vector<SpanRecord> out;
+  out.reserve(spans_.size());
+  for (size_t i = 0; i < spans_.size(); ++i) {
+    out.push_back(MaterializeLocked(i));
+  }
+  return out;
 }
 
 std::vector<SpanRecord> Tracer::TraceSpans(uint64_t trace_id) const {
   MutexLock lk(mu_);
-  std::vector<SpanRecord> out;
-  for (const auto& s : spans_) {
-    if (s.trace_id == trace_id) out.push_back(s);
+  // (start, index): index order is span id order, the tie-break.
+  std::vector<std::pair<int64_t, size_t>> picked;
+  for (size_t i = 0; i < spans_.size(); ++i) {
+    if (spans_[i].trace_id == trace_id) {
+      picked.emplace_back(spans_[i].start_us, i);
+    }
   }
-  std::sort(out.begin(), out.end(),
-            [](const SpanRecord& a, const SpanRecord& b) {
-              if (a.start_us != b.start_us) return a.start_us < b.start_us;
-              return a.span_id < b.span_id;
-            });
+  std::sort(picked.begin(), picked.end());
+  std::vector<SpanRecord> out;
+  out.reserve(picked.size());
+  for (const auto& p : picked) out.push_back(MaterializeLocked(p.second));
   return out;
 }
 
 std::vector<uint64_t> Tracer::TraceIds() const {
   MutexLock lk(mu_);
   std::vector<uint64_t> ids;
-  for (const auto& s : spans_) {
-    if (std::find(ids.begin(), ids.end(), s.trace_id) == ids.end()) {
-      ids.push_back(s.trace_id);
+  std::unordered_set<uint64_t> seen;
+  for (size_t i = 0; i < spans_.size(); ++i) {
+    if (seen.insert(spans_[i].trace_id).second) {
+      ids.push_back(spans_[i].trace_id);
     }
   }
   return ids;
@@ -128,7 +307,12 @@ std::vector<uint64_t> Tracer::TraceIds() const {
 
 void Tracer::Clear() {
   MutexLock lk(mu_);
-  spans_.clear();
+  spans_.Clear();
+  args_.Clear();
+  text_.clear();
+  text_next_ = nullptr;
+  text_left_ = 0;
+  first_span_ = next_span_;
   dropped_.store(0, std::memory_order_relaxed);
 }
 

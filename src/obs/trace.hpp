@@ -12,16 +12,28 @@
 // (trace id + parent span id) threaded through call chains, callbacks and
 // — for the alert path — serialized through the CSPOT alert log.
 //
-// The span buffer is bounded (`set_capacity`); once full, new spans are
+// Recording builds no strings. A span is named by a `SpanName` (a static
+// name/component table), dynamic labels such as node names are interned
+// once in the tracer's label table, WAN hops carry an inline typed
+// payload, and annotations keep integers and doubles as numbers. Records
+// live in fixed 64 KiB blocks that never move. `Snapshot()` and friends
+// turn the store into `SpanRecord`s with today's text; nothing downstream
+// of them sees the compact form.
+//
+// The span store is bounded (`set_capacity`); once full, new spans are
 // counted as dropped rather than grown without limit. All operations on a
 // disabled tracer, or with an invalid context, are cheap no-ops so
 // instrumented code needs no conditionals.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -35,6 +47,54 @@ struct TraceContext {
   uint64_t trace_id = 0;
   uint64_t span_id = 0;
   bool valid() const { return trace_id != 0 && span_id != 0; }
+};
+
+/// Every span the system opens. `SpanNameText` / `SpanComponent` give the
+/// exported name and component lane.
+enum class SpanName : uint8_t {
+  // core::Fabric, one reading's journey: telemetry (the root),
+  // sensor.read, twin.observe, laminar.window, pilot.decision, hpc.cfd,
+  // cfd.solve, twin.compare.
+  kTelemetry, kSensorRead, kTwinObserve, kLaminarWindow, kPilotDecision,
+  kHpcCfd, kCfdSolve, kTwinCompare,
+  // cspot::Runtime appends: cspot.append, .get_size, .put, .storage.
+  kCspotAppend, kCspotGetSize, kCspotPut, kCspotStorage,
+  // cspot::Wan link crossings (RecordHop): net5g.access, wan.hop.
+  kNet5gAccess, kWanHop,
+  // resil.timeline, resil.breaker_open and resil.<DegradedModeName>.
+  kResilTimeline, kResilBreakerOpen, kResilStoreForward, kResilStaleServe,
+  kResilSiteFailover, kResilOverloadShed,
+  // fault.<FaultKindName>: one root span per injected window.
+  kFaultPartition, kFaultNodeUnreachable, kFaultMessageLoss, kFaultDuplicate,
+  kFaultReorder, kFaultPowerLoss, kFaultRrcDrop, kFaultLinkDegrade,
+  kFaultQueueStall, kFaultJobKill,
+};
+inline constexpr int kSpanNameCount = 30;
+
+const char* SpanNameText(SpanName name);
+const char* SpanComponent(SpanName name);
+
+/// Index into a tracer's label table; valid for that tracer's lifetime.
+using LabelId = uint32_t;
+
+/// An annotation key. Only a string literal converts to it, so the tracer
+/// can keep the pointer instead of a copy.
+class SpanKey {
+ public:
+  template <size_t N>
+  consteval SpanKey(const char (&key)[N]) : key_(key) {}  // NOLINT implicit
+  const char* c_str() const { return key_; }
+
+ private:
+  const char* key_;
+};
+
+/// A WAN link crossing, recorded inline with its span.
+struct HopPayload {
+  LabelId from = 0;
+  LabelId to = 0;
+  uint64_t bytes = 0;
+  bool lost = false;
 };
 
 struct SpanRecord {
@@ -66,30 +126,39 @@ class Tracer {
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
   void set_capacity(size_t max_spans);
 
+  /// Intern `text` in the label table: the same text always gets the same
+  /// id. Ids stay valid for the tracer's lifetime (Clear keeps them).
+  LabelId Label(std::string_view text);
+
   /// Open a root span in a fresh trace. Returns an invalid context (and
   /// records nothing) when disabled or at capacity.
-  TraceContext StartTrace(const std::string& name,
-                          const std::string& component);
+  TraceContext StartTrace(SpanName name);
 
   /// Open a child span. Invalid `parent` => invalid result, nothing
   /// recorded (so an untraced request stays untraced end to end).
-  TraceContext StartSpan(const std::string& name, const std::string& component,
-                         const TraceContext& parent);
+  TraceContext StartSpan(SpanName name, const TraceContext& parent);
 
   /// Close the span identified by `ctx` at the current clock. No-op for
   /// invalid contexts or already-closed spans.
   void EndSpan(const TraceContext& ctx);
 
-  /// Attach a key=value annotation to an open or closed span.
-  void Annotate(const TraceContext& ctx, const std::string& key,
-                const std::string& value);
+  /// Record an already-timed span, e.g. a CFD job reconstructed from the
+  /// pilot's wait/runtime accounting.
+  TraceContext RecordSpan(SpanName name, const TraceContext& parent,
+                          int64_t start_us, int64_t end_us);
 
-  /// Record an already-timed span, e.g. a WAN hop whose latency was
-  /// sampled up front and scheduled as one delivery event.
-  TraceContext RecordSpan(
-      const std::string& name, const std::string& component,
-      const TraceContext& parent, int64_t start_us, int64_t end_us,
-      std::vector<std::pair<std::string, std::string>> args = {});
+  /// Record one link crossing whose latency was sampled up front. Exports
+  /// as args from, to, bytes and (when lost) lost=true.
+  void RecordHop(SpanName kind, const TraceContext& parent, int64_t start_us,
+                 int64_t end_us, const HopPayload& hop);
+
+  /// Attach a key=value annotation to an open or closed span. Text is
+  /// copied; numbers are stored as numbers and exported with
+  /// std::to_string; a label exports as its text.
+  void Annotate(const TraceContext& ctx, SpanKey key, std::string_view text);
+  void AnnotateInt(const TraceContext& ctx, SpanKey key, int64_t value);
+  void AnnotateDouble(const TraceContext& ctx, SpanKey key, double value);
+  void AnnotateLabel(const TraceContext& ctx, SpanKey key, LabelId label);
 
   size_t span_count() const;
   uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
@@ -98,25 +167,110 @@ class Tracer {
   std::vector<SpanRecord> Snapshot() const;
   /// Spans belonging to one trace, ordered by (start_us, span_id).
   std::vector<SpanRecord> TraceSpans(uint64_t trace_id) const;
-  /// Trace ids in first-seen order (bounded by the span buffer).
+  /// Trace ids in first-seen order (bounded by the span store).
   std::vector<uint64_t> TraceIds() const;
+  /// Drop every span and reset the drop count; labels stay interned.
   void Clear();
 
  private:
+  /// Append-only array in fixed 64 KiB blocks. An element never moves,
+  /// and a freed block is a size malloc recycles for the next tracer.
+  template <typename T>
+  class Blocks {
+   public:
+    static constexpr size_t kPerBlock = (size_t{64} << 10) / sizeof(T);
+    size_t size() const { return size_; }
+    T& operator[](size_t i) { return blocks_[i / kPerBlock][i % kPerBlock]; }
+    const T& operator[](size_t i) const {
+      return blocks_[i / kPerBlock][i % kPerBlock];
+    }
+    T& Append() {
+      if (size_ == blocks_.size() * kPerBlock) {
+        blocks_.push_back(std::make_unique_for_overwrite<T[]>(kPerBlock));
+      }
+      return (*this)[size_++];
+    }
+    void Clear() {
+      blocks_.clear();
+      size_ = 0;
+    }
+
+   private:
+    std::vector<std::unique_ptr<T[]>> blocks_;
+    size_t size_ = 0;
+  };
+
+  static constexpr uint32_t kNoArg = UINT32_MAX;
+  enum class HopState : uint8_t { kNone, kDelivered, kLost };
+
+  /// One span, 64 bytes. Its id is the store's first id plus its index.
+  struct Slot {
+    uint64_t trace_id;
+    uint64_t parent_id;
+    int64_t start_us;
+    int64_t end_us;
+    uint64_t hop_bytes;
+    LabelId hop_from;
+    LabelId hop_to;
+    uint32_t first_arg;  ///< head of this span's annotation list
+    uint32_t last_arg;
+    SpanName name;
+    HopState hop;
+  };
+  static_assert(sizeof(Slot) == 64);
+
+  enum class ArgKind : uint8_t { kText, kInt, kDouble, kLabel };
+  /// One annotation, 32 bytes, linked in insertion order per span.
+  struct Arg {
+    const char* key;
+    union {
+      const char* text;  ///< in the text arena
+      int64_t i;
+      double d;
+      LabelId label;
+    };
+    uint32_t text_len;
+    uint32_t next;
+    ArgKind kind;
+  };
+  static_assert(sizeof(Arg) == 32);
+
   int64_t NowUs() const XG_REQUIRES(mu_);
-  TraceContext StartLocked(const std::string& name,
-                           const std::string& component, uint64_t trace_id,
-                           uint64_t parent_span) XG_REQUIRES(mu_);
+  /// Appends a span and returns its slot, or nullptr when at capacity.
+  Slot* StartLocked(SpanName name, uint64_t trace_id, uint64_t parent_span,
+                    int64_t start_us) XG_REQUIRES(mu_);
   /// Ids are handed out contiguously to *appended* spans (a drop does not
   /// consume an id), so lookup is offset arithmetic from the first span.
-  SpanRecord* FindLocked(uint64_t span_id) XG_REQUIRES(mu_);
+  Slot* FindLocked(uint64_t span_id) XG_REQUIRES(mu_);
+  /// Appends an annotation to the span's list; nullptr for unknown spans.
+  Arg* AddArgLocked(const TraceContext& ctx, SpanKey key, ArgKind kind)
+      XG_REQUIRES(mu_);
+  const char* CopyTextLocked(std::string_view text) XG_REQUIRES(mu_);
+  SpanRecord MaterializeLocked(size_t index) const XG_REQUIRES(mu_);
+
+  struct LabelHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
 
   mutable Mutex mu_;
   std::atomic<bool> enabled_{true};
   std::atomic<uint64_t> dropped_{0};
   Clock clock_ XG_GUARDED_BY(mu_);
   size_t capacity_ XG_GUARDED_BY(mu_) = 1 << 18;
-  std::vector<SpanRecord> spans_ XG_GUARDED_BY(mu_);
+  Blocks<Slot> spans_ XG_GUARDED_BY(mu_);
+  Blocks<Arg> args_ XG_GUARDED_BY(mu_);
+  /// Free-text annotations: 16 KiB chunks filled front to back (a longer
+  /// text gets a chunk of its own). Chunks never move.
+  std::vector<std::unique_ptr<char[]>> text_ XG_GUARDED_BY(mu_);
+  char* text_next_ XG_GUARDED_BY(mu_) = nullptr;
+  size_t text_left_ XG_GUARDED_BY(mu_) = 0;
+  std::vector<std::string> labels_ XG_GUARDED_BY(mu_);
+  std::unordered_map<std::string, LabelId, LabelHash, std::equal_to<>>
+      label_ids_ XG_GUARDED_BY(mu_);
+  uint64_t first_span_ XG_GUARDED_BY(mu_) = 1;  ///< id of spans_[0]
   uint64_t next_trace_ XG_GUARDED_BY(mu_) = 1;
   uint64_t next_span_ XG_GUARDED_BY(mu_) = 1;
 };
@@ -151,17 +305,16 @@ std::string FormatBreakdown(const TraceBreakdown& b);
 
 // -- null-safe helpers ------------------------------------------------------
 
-inline TraceContext StartSpanIf(Tracer* t, const std::string& name,
-                                const std::string& component,
+inline TraceContext StartSpanIf(Tracer* t, SpanName name,
                                 const TraceContext& parent) {
-  return t ? t->StartSpan(name, component, parent) : TraceContext{};
+  return t ? t->StartSpan(name, parent) : TraceContext{};
 }
 inline void EndSpanIf(Tracer* t, const TraceContext& ctx) {
   if (t) t->EndSpan(ctx);
 }
-inline void AnnotateIf(Tracer* t, const TraceContext& ctx,
-                       const std::string& key, const std::string& value) {
-  if (t) t->Annotate(ctx, key, value);
+inline void AnnotateIf(Tracer* t, const TraceContext& ctx, SpanKey key,
+                       std::string_view text) {
+  if (t) t->Annotate(ctx, key, text);
 }
 
 }  // namespace xg::obs

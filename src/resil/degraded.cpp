@@ -36,6 +36,16 @@ const char* DegradedModeName(DegradedMode m) {
   return "?";
 }
 
+obs::SpanName DegradedModeSpanName(DegradedMode m) {
+  switch (m) {
+    case DegradedMode::kStoreForward: return obs::SpanName::kResilStoreForward;
+    case DegradedMode::kStaleServe: return obs::SpanName::kResilStaleServe;
+    case DegradedMode::kSiteFailover: return obs::SpanName::kResilSiteFailover;
+    case DegradedMode::kOverloadShed: return obs::SpanName::kResilOverloadShed;
+  }
+  return obs::SpanName::kResilStoreForward;
+}
+
 void DegradedModeManager::AttachObservability(obs::MetricsRegistry* registry,
                                               obs::Tracer* tracer) {
   registry_ = registry;
@@ -90,12 +100,11 @@ void DegradedModeManager::Exit(DegradedMode m, int64_t now_us) {
     // All episodes hang off one lazily-opened root trace so the recovery
     // timeline reads as a single track in the Chrome trace view.
     if (!root_.valid()) {
-      root_ = tracer_->StartTrace("resil.timeline", "resil");
+      root_ = tracer_->StartTrace(obs::SpanName::kResilTimeline);
     }
-    std::vector<std::pair<std::string, std::string>> args;
-    if (!ep.detail.empty()) args.emplace_back("detail", ep.detail);
-    tracer_->RecordSpan(std::string("resil.") + DegradedModeName(m), "resil",
-                        root_, ep.enter_us, now_us, std::move(args));
+    const obs::TraceContext span = tracer_->RecordSpan(
+        DegradedModeSpanName(m), root_, ep.enter_us, now_us);
+    if (!ep.detail.empty()) tracer_->Annotate(span, "detail", ep.detail);
   }
 }
 

@@ -84,6 +84,8 @@ enum class DegradedMode {
 inline constexpr int kDegradedModeCount = 4;
 
 const char* DegradedModeName(DegradedMode m);
+/// The span an episode of `m` records: resil.<DegradedModeName(m)>.
+obs::SpanName DegradedModeSpanName(DegradedMode m);
 
 class XG_SIM_THREAD_CONFINED DegradedModeManager {
  public:

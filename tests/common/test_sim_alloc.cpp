@@ -1,11 +1,15 @@
-// Allocation gate for the event kernel and the WAN message path: once
-// warmed up, a schedule+step cycle (or an untraced Wan::Send and its
-// delivery) whose capture fits the inline buffer must not touch the heap.
+// Allocation gate for the event kernel, the WAN message path, the span
+// store and the SLO ledger: once warmed up, a schedule+step cycle (or a
+// Wan::Send and its delivery) whose capture fits the inline buffer must
+// not touch the heap, and neither may recording spans inside an already
+// allocated block or opening, stamping and closing a reading's budget.
 // The global operator new is replaced by a counting one, which is why this
 // test is its own executable.
 #include "common/rng.hpp"
 #include "common/sim.hpp"
 #include "cspot/wan.hpp"
+#include "obs/slo/ledger.hpp"
+#include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
 
@@ -115,6 +119,104 @@ TEST(WanAlloc, SteadyStateSendDoesNotAllocate) {
   EXPECT_EQ(allocated, 0u);
   EXPECT_EQ(delivered, 10'100u);
   EXPECT_NE(wan.breaker("a", "c"), nullptr);
+}
+
+TEST(TracerAlloc, SteadyStateSpansDoNotAllocate) {
+  obs::Tracer tracer;
+  int64_t now_us = 0;
+  tracer.set_clock([&now_us] { return now_us; });
+  const obs::HopPayload hop{tracer.Label("unl"), tracer.Label("ucsb"), 840,
+                            false};
+  const obs::TraceContext root = tracer.StartTrace(obs::SpanName::kTelemetry);
+  tracer.AnnotateInt(root, "stations", 6);  // allocates the first arg block
+
+  // 600 more spans and 300 annotations: inside the blocks already held.
+  constexpr int kRounds = 300;
+  const uint64_t before = g_allocations.load();
+  for (int i = 0; i < kRounds; ++i) {
+    now_us += 10;
+    const obs::TraceContext span =
+        tracer.StartSpan(obs::SpanName::kCspotAppend, root);
+    tracer.AnnotateInt(span, "attempts", i);
+    tracer.RecordHop(obs::SpanName::kWanHop, span, now_us, now_us + 4, hop);
+    tracer.EndSpan(span);
+  }
+  const uint64_t allocated = g_allocations.load() - before;
+
+  EXPECT_EQ(allocated, 0u);
+  EXPECT_EQ(tracer.span_count(), 1u + 2 * kRounds);
+  const obs::SpanRecord last = tracer.Snapshot().back();
+  EXPECT_EQ(last.name, "wan.hop");
+  ASSERT_EQ(last.args.size(), 3u);
+  EXPECT_EQ(last.args[0].second, "unl");
+  EXPECT_EQ(last.args[2].second, "840");
+}
+
+TEST(TracerAlloc, TracedWanSendDoesNotAllocate) {
+  Simulation sim;
+  obs::Tracer tracer;
+  tracer.set_clock([&sim] { return sim.Now().micros(); });
+  cspot::Wan wan(sim, 3);
+  const cspot::NodeId a = wan.AddNode("a");
+  wan.AddNode("b");
+  wan.set_tracer(&tracer);  // labels for the nodes so far
+  const cspot::NodeId c = wan.AddNode("c");
+  cspot::LinkParams p;
+  ASSERT_TRUE(wan.AddLink("a", "b", p).ok());
+  ASSERT_TRUE(wan.AddLink("b", "c", p).ok());
+  const obs::TraceContext root = tracer.StartTrace(obs::SpanName::kTelemetry);
+
+  uint64_t delivered = 0;
+  auto send_and_deliver = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      ASSERT_TRUE(wan.Send(a, c, 64, Delivery{&delivered, {}}, root).ok());
+      ASSERT_TRUE(sim.Step());
+    }
+  };
+  send_and_deliver(100);  // warm-up: route table, fault target, span block
+
+  const uint64_t before = g_allocations.load();
+  send_and_deliver(300);  // 600 hop spans, still inside the first block
+  const uint64_t allocated = g_allocations.load() - before;
+
+  EXPECT_EQ(allocated, 0u);
+  EXPECT_EQ(delivered, 400u);
+  const std::vector<obs::SpanRecord> spans = tracer.Snapshot();
+  ASSERT_EQ(spans.size(), 801u);
+  EXPECT_EQ(spans.back().args[0].second, "b");
+  EXPECT_EQ(spans.back().args[1].second, "c");
+  EXPECT_EQ(spans.back().args[2].second, "64");
+}
+
+TEST(LedgerAlloc, SteadyStateClosesDoNotAllocate) {
+  using obs::slo::CloseReason;
+  using obs::slo::Stage;
+  obs::slo::LatencyLedger ledger;
+  // The fabric's pattern: each reading opens, stamps its way to the
+  // repository and retires the previous reading's budget.
+  auto reading = [&ledger](uint64_t id) {
+    const int64_t t0 = static_cast<int64_t>(id) * 300'000'000;
+    ledger.SweepExpired(t0);
+    ledger.Open(id, t0);
+    ledger.Stamp(id, Stage::kRrcGrant, t0 + 11'000);
+    ledger.Stamp(id, Stage::kWanHop, t0 + 45'000);
+    ledger.Stamp(id, Stage::kCspotAppend, t0 + 56'000);
+    ledger.Stamp(id, Stage::kReplicationAck, t0 + 85'000);
+    ledger.CloseIfIdle(id - 1, id % 5 == 0 ? CloseReason::kBuffered
+                                           : CloseReason::kDelivered);
+  };
+  uint64_t id = 1;
+  for (; id <= 2 * obs::slo::kRecentCapacity; ++id) reading(id);  // warm-up
+
+  const uint64_t before = g_allocations.load();
+  for (const uint64_t end = id + 10'000; id < end; ++id) reading(id);
+  const uint64_t allocated = g_allocations.load() - before;
+
+  EXPECT_EQ(allocated, 0u);
+  EXPECT_EQ(ledger.in_flight(), 1u);
+  EXPECT_EQ(ledger.closed_total(), id - 2);
+  EXPECT_EQ(ledger.StageHistogram(Stage::kWanHop).count(),
+            ledger.closed_by_reason(CloseReason::kDelivered));
 }
 
 }  // namespace

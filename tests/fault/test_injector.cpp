@@ -143,5 +143,13 @@ TEST(FaultInjector, FormatCountsIsStableAndLabelled) {
   EXPECT_NE(counts.find("layer=net5g,kind=rrc_drop} 2"), std::string::npos);
 }
 
+TEST(FaultInjector, EveryKindSpanIsNamedFaultDotKind) {
+  for (FaultKind k : AllFaultKinds()) {
+    EXPECT_EQ(obs::SpanNameText(FaultSpanName(k)),
+              std::string("fault.") + FaultKindName(k));
+    EXPECT_EQ(obs::SpanComponent(FaultSpanName(k)), std::string("fault"));
+  }
+}
+
 }  // namespace
 }  // namespace xg::fault

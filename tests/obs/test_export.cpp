@@ -101,14 +101,15 @@ TEST(ChromeTrace, ValidJsonWithThreadNamesAndCompleteEvents) {
   Tracer tracer;
   tracer.set_clock([&now] { return now; });
 
-  TraceContext root = tracer.StartTrace("telemetry", "fabric");
+  TraceContext root = tracer.StartTrace(SpanName::kTelemetry);
   now = 40;
-  TraceContext hop = tracer.RecordSpan("net5g.access", "net5g", root, 0, 21000,
-                                       {{"from", "unl"}});
-  ASSERT_TRUE(hop.valid());
+  tracer.RecordHop(SpanName::kNet5gAccess, root, 0, 21000,
+                   HopPayload{tracer.Label("unl"), tracer.Label("unl-gw"), 64,
+                              false});
+  ASSERT_EQ(tracer.span_count(), 2u);
   now = 50000;
   tracer.EndSpan(root);
-  TraceContext open_span = tracer.StartTrace("still-open", "fabric");
+  TraceContext open_span = tracer.StartTrace(SpanName::kTelemetry);
   ASSERT_TRUE(open_span.valid());
 
   const std::string json = ToChromeTraceJson(tracer.Snapshot());
@@ -165,7 +166,7 @@ TEST(Exporters, SnapshotWhileWritersMutate) {
       do {
         c.fetch_add(1, std::memory_order_relaxed);
         h.Record(static_cast<int64_t>(worker));
-        TraceContext t = tracer.StartTrace("w", "bench");
+        TraceContext t = tracer.StartTrace(SpanName::kTelemetry);
         tracer.EndSpan(t);
       } while (!stop.load(std::memory_order_relaxed));
     }

@@ -108,5 +108,15 @@ TEST(DegradedModeManager, ExportsGaugesAndSpans) {
   EXPECT_TRUE(saw_span);
 }
 
+TEST(DegradedModeManager, EveryModeSpanIsNamedResilDotMode) {
+  for (int i = 0; i < kDegradedModeCount; ++i) {
+    const auto m = static_cast<DegradedMode>(i);
+    EXPECT_EQ(obs::SpanNameText(DegradedModeSpanName(m)),
+              std::string("resil.") + DegradedModeName(m));
+    EXPECT_EQ(obs::SpanComponent(DegradedModeSpanName(m)),
+              std::string("resil"));
+  }
+}
+
 }  // namespace
 }  // namespace xg::resil
