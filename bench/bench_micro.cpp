@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <vector>
 
 #include "bench/bench_json.hpp"
 
@@ -22,6 +23,7 @@
 #include "net5g/cell.hpp"
 #include "net5g/iperf.hpp"
 #include "obs/trace.hpp"
+#include "serve/server.hpp"
 
 namespace {
 
@@ -185,6 +187,34 @@ void BM_TracerSpan(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_TracerSpan)->ArgName("hop")->Arg(0)->Arg(1);
+
+/// One fresh-hit advisory request: Submit (quantize, hash, admit, park in
+/// the request slab) plus the step that runs its sojourn event, looks the
+/// key up in a warm cache and answers. The result never ages out, so every
+/// iteration is a fresh hit.
+void BM_ServeSubmit(benchmark::State& state) {
+  sim::Simulation sim;
+  serve::ServeConfig cfg;
+  cfg.enabled = true;
+  cfg.cache.fresh_us = cfg.cache.validity_us = int64_t{1} << 50;
+  serve::AdvisoryServer server(sim, cfg);
+  serve::AdvisoryServer::Request req;
+  req.conditions = serve::FieldConditions{3.1, 180.0, 20.0, 50.0};
+  server.Publish(req.conditions, std::vector<uint8_t>(64, 1), 0);
+  uint64_t fresh = 0;
+  for (auto _ : state) {
+    req.budget = obs::slo::DeadlineBudget(sim.Now().micros(), 10'000'000);
+    server.Submit(req, [&fresh](const serve::AdvisoryServer::Response& r) {
+      fresh += r.status == serve::ServeStatus::kServedFresh ? 1 : 0;
+    });
+    sim.Step();
+  }
+  if (fresh != static_cast<uint64_t>(state.iterations())) {
+    state.SkipWithError("a request was not a fresh hit");
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ServeSubmit);
 
 void BM_RngGaussian(benchmark::State& state) {
   Rng rng(7);

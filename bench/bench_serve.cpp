@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <string>
@@ -34,7 +35,11 @@
 #include "common/sim.hpp"
 #include "common/table.hpp"
 #include "resil/degraded.hpp"
-#include "serve/serve.hpp"
+#include "serve/cache.hpp"
+#include "serve/loadgen.hpp"
+#include "serve/overload.hpp"
+#include "serve/quantize.hpp"
+#include "serve/server.hpp"
 
 namespace {
 

@@ -66,44 +66,56 @@ class EventHandle {
   uint32_t gen_ = 0;
 };
 
-/// Move-only `void()` callable. A callable of up to kInlineBytes (and no
-/// stricter alignment than std::max_align_t) is stored in an inline buffer,
-/// so scheduling it does not allocate; a larger one is moved to the heap
-/// behind a std::unique_ptr kept in that buffer.
-class Callback {
+/// Move-only callable with signature `Sig`, e.g. `InlineFunction<void()>`.
+/// A callable of up to kInlineBytes (and no stricter alignment than
+/// std::max_align_t) is stored in an inline buffer, so passing it on does
+/// not allocate; a larger one is moved to the heap behind a std::unique_ptr
+/// kept in that buffer.
+template <typename Sig>
+class InlineFunction;
+
+template <typename R, typename... Args>
+class InlineFunction<R(Args...)> {
  public:
   static constexpr size_t kInlineBytes = 48;
 
-  Callback() = default;
+  InlineFunction() = default;
   // Implicit, like std::function, so call sites pass lambdas unchanged.
   template <typename F, typename D = std::decay_t<F>,
-            typename = std::enable_if_t<!std::is_same_v<D, Callback> &&
-                                        std::is_invocable_v<D&>>>
-  Callback(F&& f) {
+            typename = std::enable_if_t<!std::is_same_v<D, InlineFunction> &&
+                                        std::is_invocable_r_v<R, D&, Args...>>>
+  InlineFunction(F&& f) {
     if constexpr (sizeof(D) <= kInlineBytes &&
                   alignof(D) <= alignof(std::max_align_t) &&
                   std::is_nothrow_move_constructible_v<D>) {
       Emplace<D>(std::forward<F>(f));
-      invoke_ = [](void* p) { (*static_cast<D*>(p))(); };
+      invoke_ = [](void* p, Args... args) -> R {
+        return (*static_cast<D*>(p))(std::forward<Args>(args)...);
+      };
     } else {
       using Boxed = std::unique_ptr<D>;
       Emplace<Boxed>(std::make_unique<D>(std::forward<F>(f)));
-      invoke_ = [](void* p) { (**static_cast<Boxed*>(p))(); };
+      invoke_ = [](void* p, Args... args) -> R {
+        return (**static_cast<Boxed*>(p))(std::forward<Args>(args)...);
+      };
     }
   }
-  Callback(Callback&& o) noexcept { Take(o); }
-  Callback& operator=(Callback&& o) noexcept {
+  InlineFunction(InlineFunction&& o) noexcept { Take(o); }
+  InlineFunction& operator=(InlineFunction&& o) noexcept {
     if (this != &o) {
       Reset();
       Take(o);
     }
     return *this;
   }
-  Callback(const Callback&) = delete;
-  Callback& operator=(const Callback&) = delete;
-  ~Callback() { Reset(); }
+  InlineFunction(const InlineFunction&) = delete;
+  InlineFunction& operator=(const InlineFunction&) = delete;
+  ~InlineFunction() { Reset(); }
 
-  void operator()() { invoke_(buf_); }
+  explicit operator bool() const { return invoke_ != nullptr; }
+  R operator()(Args... args) {
+    return invoke_(buf_, std::forward<Args>(args)...);
+  }
 
  private:
   // Trivially copyable callables (most lambdas) move by memcpy and need no
@@ -120,7 +132,7 @@ class Callback {
       };
     }
   }
-  void Take(Callback& o) noexcept {
+  void Take(InlineFunction& o) noexcept {
     if (o.manage_ != nullptr) {
       o.manage_(o.buf_, buf_);
     } else {
@@ -138,9 +150,12 @@ class Callback {
   // Zeroed so that moving a callable smaller than the buffer copies no
   // indeterminate bytes.
   alignas(std::max_align_t) unsigned char buf_[kInlineBytes] = {};
-  void (*invoke_)(void*) = nullptr;
+  R (*invoke_)(void*, Args...) = nullptr;
   void (*manage_)(void* self, void* dst) = nullptr;
 };
+
+/// The event kernel's callback: a move-only `void()` with inline storage.
+using Callback = InlineFunction<void()>;
 
 /// Deterministic single-threaded event loop.
 ///

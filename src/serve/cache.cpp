@@ -10,20 +10,20 @@ AdvisoryCache::AdvisoryCache(CacheConfig cfg) : cfg_(cfg) {
   shards_.resize(cfg_.shards);
 }
 
-AdvisoryCache::LookupResult AdvisoryCache::Lookup(const ConditionKey& key,
+AdvisoryCache::LookupResult AdvisoryCache::Lookup(const HashedKey& key,
                                                   int64_t now_us) {
   Shard& sh = ShardFor(key);
-  auto it = sh.index.find(key);
-  if (it == sh.index.end()) {
+  const auto* found = sh.index.Find(key);
+  if (found == nullptr) {
     ++misses_;
     return {};
   }
-  auto node = it->second;
+  const auto node = *found;
   const int64_t age_us = now_us - node->complete_us;
   if (!WithinValidityUs(age_us, cfg_.validity_us)) {
     ++expired_;
+    sh.index.Erase(key);
     sh.lru.erase(node);
-    sh.index.erase(it);
     return {.outcome = Outcome::kExpired, .age_us = age_us};
   }
   // Touch: move to the recency front.
@@ -42,7 +42,7 @@ AdvisoryCache::LookupResult AdvisoryCache::Lookup(const ConditionKey& key,
   return r;
 }
 
-void AdvisoryCache::Insert(const ConditionKey& key,
+void AdvisoryCache::Insert(const HashedKey& key,
                            std::vector<uint8_t> payload, int64_t complete_us) {
   Shard& sh = ShardFor(key);
   ++insertions_;
@@ -50,20 +50,20 @@ void AdvisoryCache::Insert(const ConditionKey& key,
     latest_payload_ = payload;
     latest_complete_us_ = complete_us;
   }
-  auto it = sh.index.find(key);
-  if (it != sh.index.end()) {
-    it->second->payload = std::move(payload);
-    it->second->complete_us = complete_us;
-    sh.lru.splice(sh.lru.begin(), sh.lru, it->second);
+  if (const auto* found = sh.index.Find(key)) {
+    const auto node = *found;
+    node->payload = std::move(payload);
+    node->complete_us = complete_us;
+    sh.lru.splice(sh.lru.begin(), sh.lru, node);
     return;
   }
   if (sh.lru.size() >= cfg_.shard_capacity) {
     ++evictions_;
-    sh.index.erase(sh.lru.back().key);
+    sh.index.Erase(sh.lru.back().key);
     sh.lru.pop_back();
   }
   sh.lru.push_front(Entry{key, std::move(payload), complete_us});
-  sh.index[key] = sh.lru.begin();
+  sh.index.Insert(key, sh.lru.begin());
 }
 
 const std::vector<uint8_t>* AdvisoryCache::LatestValid(int64_t now_us) const {

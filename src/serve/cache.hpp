@@ -22,17 +22,17 @@
 // miss rule (see WithinValidityUs, shared with core::Fabric's stale-serve
 // path).
 //
-// Each shard is a bounded LRU (std::map for deterministic iteration +
-// intrusive recency list); eviction order is therefore identical across
-// same-seed runs.
+// Each shard is a bounded LRU: a recency list plus a flat hash index
+// (KeyTable) into it. Only the list is ever walked, and only from its tail
+// for eviction, so eviction order is identical across same-seed runs.
 #pragma once
 
 #include <cstdint>
 #include <list>
-#include <map>
 #include <vector>
 
 #include "common/thread_annotations.hpp"
+#include "serve/key_table.hpp"
 #include "serve/quantize.hpp"
 
 namespace xg::serve {
@@ -73,12 +73,12 @@ class XG_SIM_THREAD_CONFINED AdvisoryCache {
 
   /// Look up `key` at virtual time `now_us`. An expired entry is erased
   /// (outcome kExpired) so shard capacity is not held by dead results.
-  LookupResult Lookup(const ConditionKey& key, int64_t now_us);
+  LookupResult Lookup(const HashedKey& key, int64_t now_us);
 
   /// Insert/overwrite the result for `key`. `complete_us` is when the CFD
   /// run finished (freshness anchor). Also updates the cache-wide
   /// latest-result fallback used by the shed path.
-  void Insert(const ConditionKey& key, std::vector<uint8_t> payload,
+  void Insert(const HashedKey& key, std::vector<uint8_t> payload,
               int64_t complete_us);
 
   /// Most recent still-valid payload across all keys, or nullptr. This is
@@ -99,17 +99,17 @@ class XG_SIM_THREAD_CONFINED AdvisoryCache {
 
  private:
   struct Entry {
-    ConditionKey key;
+    HashedKey key;
     std::vector<uint8_t> payload;
     int64_t complete_us = 0;
   };
   struct Shard {
-    // Recency list, most recent at front; map values point into it.
+    // Recency list, most recent at front; index values point into it.
     std::list<Entry> lru;
-    std::map<ConditionKey, std::list<Entry>::iterator> index;
+    KeyTable<std::list<Entry>::iterator> index;
   };
 
-  Shard& ShardFor(const ConditionKey& key) {
+  Shard& ShardFor(const HashedKey& key) {
     return shards_[key.ShardOf(shards_.size())];
   }
 

@@ -24,7 +24,7 @@ uint64_t ConditionKey::Hash() const {
 }
 
 size_t ConditionKey::ShardOf(size_t shards) const {
-  return shards == 0 ? 0 : static_cast<size_t>(Hash() % shards);
+  return HashedKey(*this).ShardOf(shards);
 }
 
 std::string ConditionKey::Describe() const {

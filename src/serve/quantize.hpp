@@ -12,7 +12,9 @@
 //
 // The hash is FNV-1a over the bucket indices (never std::hash), so key ->
 // shard placement is identical across runs, platforms, and libstdc++
-// versions — the same-seed byte-identity the chaos suite depends on.
+// versions — the same-seed byte-identity the chaos suite depends on. The
+// server hashes each request's key once (HashedKey) and carries the hash
+// through admission, the cache and the flight table.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +49,7 @@ struct ConditionKey {
   int32_t humidity = 0;
 
   bool operator==(const ConditionKey& o) const = default;
-  /// Lexicographic order for deterministic map storage.
+  /// Lexicographic order, for callers that keep keys in ordered maps.
   bool operator<(const ConditionKey& o) const;
 
   /// Deterministic FNV-1a over the four bucket indices.
@@ -56,6 +58,24 @@ struct ConditionKey {
   size_t ShardOf(size_t shards) const;
   /// "w3 d7 t21 h12" — metric/log label form.
   std::string Describe() const;
+};
+
+/// A ConditionKey with its Hash() computed once. Shard placement and the
+/// serving tier's flat indexes (KeyTable) read `hash`; the indexes still
+/// compare the full key on a hash match.
+struct HashedKey {
+  ConditionKey key;
+  uint64_t hash = 0;
+
+  HashedKey() = default;
+  // Implicit: hashing happens here, once, wherever a bare key enters the
+  // cache or the server.
+  HashedKey(const ConditionKey& k) : key(k), hash(k.Hash()) {}
+
+  /// Same placement as ConditionKey::ShardOf, without rehashing.
+  size_t ShardOf(size_t shards) const {
+    return shards == 0 ? 0 : static_cast<size_t>(hash % shards);
+  }
 };
 
 class Quantizer {

@@ -98,7 +98,7 @@ void AdvisoryServer::AttachObservability(obs::MetricsRegistry* registry) {
                               &latency_);
 }
 
-void AdvisoryServer::Respond(const Waiter& w, ServeStatus status,
+void AdvisoryServer::Respond(Waiter& w, ServeStatus status,
                              AdmitDecision admit,
                              const std::vector<uint8_t>* payload,
                              int64_t result_age_us) {
@@ -109,7 +109,7 @@ void AdvisoryServer::Respond(const Waiter& w, ServeStatus status,
   r.payload = payload;
   r.latency_us = now - w.submit_us;
   r.result_age_us = result_age_us;
-  r.late = w.budget.open() && w.budget.MissedAt(now);
+  r.late = now > w.deadline_us;
   ++counters_.responses[static_cast<int>(status)];
   if (r.late) ++counters_.late_responses;
   latency_.Record(r.latency_us);
@@ -120,7 +120,7 @@ void AdvisoryServer::Respond(const Waiter& w, ServeStatus status,
   if (w.cb) w.cb(r);
 }
 
-void AdvisoryServer::RespondFallback(const Waiter& w, const ConditionKey& key,
+void AdvisoryServer::RespondFallback(Waiter& w, const HashedKey& key,
                                      AdmitDecision admit) {
   const int64_t now = NowUs();
   // Per-key entry first (the nearest conditions), then the cache-wide
@@ -141,54 +141,73 @@ void AdvisoryServer::RespondFallback(const Waiter& w, const ConditionKey& key,
 void AdvisoryServer::Submit(const Request& req, Callback cb) {
   const int64_t now = NowUs();
   ++counters_.requests;
-  const ConditionKey key = quantizer_.KeyFor(req.conditions);
+  const HashedKey key = quantizer_.KeyFor(req.conditions);
   const size_t shard = key.ShardOf(cache_.config().shards);
-  const int64_t remaining =
-      req.budget.open() ? req.budget.RemainingUs(now) : -1;
-  const auto ticket = admission_.Admit(shard, now, remaining);
-  Waiter w{std::move(cb), req.budget, now};
+  const bool has_deadline = req.budget.open();
+  Waiter w{std::move(cb),
+           has_deadline ? req.budget.opened_us() + req.budget.budget_us()
+                        : kNoDeadline,
+           now};
+  const auto ticket =
+      admission_.Admit(shard, now, has_deadline ? w.deadline_us - now : -1);
   if (ticket.decision != AdmitDecision::kAdmit) {
     // Shed fast path: no queueing, serve whatever valid result exists.
     RespondFallback(w, key, ticket.decision);
     return;
   }
-  const FieldConditions conditions = req.conditions;
+  uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<uint32_t>(admitted_.size());
+    admitted_.push_back(Admitted{std::move(w), key, req.conditions});
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    admitted_[slot] = Admitted{std::move(w), key, req.conditions};
+  }
   sim_.Schedule(sim::SimTime::Micros(ticket.sojourn_us),
-                [this, key, conditions, w = std::move(w)]() mutable {
-                  Waiter waiter = std::move(w);
-                  auto hit = cache_.Lookup(key, NowUs());
-                  if (hit.outcome == AdvisoryCache::Outcome::kFresh) {
-                    Respond(waiter, ServeStatus::kServedFresh,
-                            AdmitDecision::kAdmit, hit.payload, hit.age_us);
-                  } else if (hit.outcome == AdvisoryCache::Outcome::kStale) {
-                    Respond(waiter, ServeStatus::kServedStale,
-                            AdmitDecision::kAdmit, hit.payload, hit.age_us);
-                  } else {
-                    JoinFlight(key, conditions, std::move(waiter));
-                  }
-                });
+                [this, slot] { ServeAdmitted(slot); });
 }
 
-void AdvisoryServer::JoinFlight(const ConditionKey& key,
+void AdvisoryServer::ServeAdmitted(uint32_t slot) {
+  // Move the request out first: answering it may submit another request,
+  // which may reuse the slot or grow the slab.
+  Admitted& a = admitted_[slot];
+  Waiter w = std::move(a.waiter);
+  const HashedKey key = a.key;
+  const FieldConditions conditions = a.conditions;
+  free_slots_.push_back(slot);
+  auto hit = cache_.Lookup(key, NowUs());
+  if (hit.outcome == AdvisoryCache::Outcome::kFresh) {
+    Respond(w, ServeStatus::kServedFresh, AdmitDecision::kAdmit, hit.payload,
+            hit.age_us);
+  } else if (hit.outcome == AdvisoryCache::Outcome::kStale) {
+    Respond(w, ServeStatus::kServedStale, AdmitDecision::kAdmit, hit.payload,
+            hit.age_us);
+  } else {
+    JoinFlight(key, conditions, std::move(w));
+  }
+}
+
+void AdvisoryServer::JoinFlight(const HashedKey& key,
                                 const FieldConditions& conditions, Waiter w) {
   const int64_t now = NowUs();
   // A deadline-carrying waiter only parks when the refresh estimate fits
   // the remaining budget (inclusive, per the budget rule). Otherwise the
   // stale fast path beats a guaranteed-late fresh result.
-  if (w.budget.open() && w.budget.RemainingUs(now) < cfg_.expected_refresh_us) {
+  if (w.deadline_us - now < cfg_.expected_refresh_us) {
     RespondFallback(w, key, AdmitDecision::kAdmit);
     return;
   }
-  auto it = flights_.find(key);
-  if (it == flights_.end()) {
+  Flight* fl = flights_.Find(key);
+  if (fl == nullptr) {
     const bool can_fly = active_flights_ < cfg_.max_concurrent_cfd;
     if (!can_fly && launch_queue_.size() >= cfg_.max_pending_flights) {
       // Flight tier saturated — bounded by design; divert.
       RespondFallback(w, key, AdmitDecision::kAdmit);
       return;
     }
-    it = flights_.emplace(key, Flight{conditions, false, {}}).first;
-    it->second.waiters.push_back(std::move(w));
+    flights_.Insert(key, Flight{conditions, false, {}})
+        .waiters.push_back(std::move(w));
     if (can_fly) {
       LaunchFlight(key);
     } else {
@@ -196,68 +215,70 @@ void AdvisoryServer::JoinFlight(const ConditionKey& key,
     }
     return;
   }
-  if (it->second.waiters.size() >= cfg_.max_waiters_per_flight) {
+  if (fl->waiters.size() >= cfg_.max_waiters_per_flight) {
     RespondFallback(w, key, AdmitDecision::kAdmit);
     return;
   }
   ++counters_.coalesced;
-  it->second.waiters.push_back(std::move(w));
+  fl->waiters.push_back(std::move(w));
 }
 
-void AdvisoryServer::LaunchFlight(const ConditionKey& key) {
-  auto it = flights_.find(key);
-  if (it == flights_.end()) return;
-  Flight& fl = it->second;
-  fl.launched = true;
+void AdvisoryServer::LaunchFlight(const HashedKey& key) {
+  Flight* fl = flights_.Find(key);
+  if (fl == nullptr) return;
+  fl->launched = true;
   ++active_flights_;
   ++counters_.flights_launched;
   if (!launcher_) {
     FailFlight(key);
     return;
   }
+  // A copy: the launcher may re-enter the server and move the flight.
+  const FieldConditions conditions = fl->conditions;
   const bool accepted = launcher_(
-      key, fl.conditions,
+      key.key, conditions,
       [this, key](std::vector<uint8_t> payload, int64_t complete_us) {
         OnFlightDone(key, std::move(payload), complete_us);
       });
   if (!accepted) FailFlight(key);
 }
 
-void AdvisoryServer::OnFlightDone(const ConditionKey& key,
+void AdvisoryServer::OnFlightDone(const HashedKey& key,
                                   std::vector<uint8_t> payload,
                                   int64_t complete_us) {
-  auto it = flights_.find(key);
-  if (it == flights_.end()) return;  // absorbed by a Publish meanwhile
+  Flight* found = flights_.Find(key);
+  if (found == nullptr) return;  // absorbed by a Publish meanwhile
   if (payload.empty()) {
     FailFlight(key);
     return;
   }
-  Flight fl = std::move(it->second);
-  flights_.erase(it);
+  Flight fl = std::move(*found);
+  flights_.Erase(key);
   if (active_flights_ > 0) --active_flights_;
   ++counters_.flights_completed;
   cache_.Insert(key, std::move(payload), complete_us);
   const int64_t now = NowUs();
   auto hit = cache_.Lookup(key, now);
-  for (const Waiter& w : fl.waiters) {
+  for (Waiter& w : fl.waiters) {
     Respond(w, ServeStatus::kServedFresh, AdmitDecision::kAdmit, hit.payload,
             hit.age_us);
   }
   PumpLaunchQueue();
 }
 
-void AdvisoryServer::FailFlight(const ConditionKey& key) {
-  auto it = flights_.find(key);
-  if (it == flights_.end()) return;
-  Flight fl = std::move(it->second);
-  flights_.erase(it);
+void AdvisoryServer::FailFlight(const HashedKey& key) {
+  Flight* found = flights_.Find(key);
+  if (found == nullptr) return;
+  Flight fl = std::move(*found);
+  flights_.Erase(key);
   if (fl.launched && active_flights_ > 0) --active_flights_;
   ++counters_.flights_failed;
   if (flight_) {
-    flight_->Note("serve", "cfd flight failed key=" + key.Describe() + " (" +
-                               std::to_string(fl.waiters.size()) + " waiters)");
+    flight_->Note("serve", "cfd flight failed key=" + key.key.Describe() +
+                               " (" + std::to_string(fl.waiters.size()) +
+                               " waiters)");
   }
-  for (const Waiter& w : fl.waiters) {
+  for (Waiter& w : fl.waiters) {
     const int64_t now = NowUs();
     if (const auto* latest = cache_.LatestValid(now)) {
       Respond(w, ServeStatus::kServedStaleShed, AdmitDecision::kAdmit, latest,
@@ -271,9 +292,9 @@ void AdvisoryServer::FailFlight(const ConditionKey& key) {
 
 void AdvisoryServer::PumpLaunchQueue() {
   while (active_flights_ < cfg_.max_concurrent_cfd && !launch_queue_.empty()) {
-    const ConditionKey key = launch_queue_.front();
+    const HashedKey key = launch_queue_.front();
     launch_queue_.pop_front();
-    if (flights_.count(key) == 0) continue;  // absorbed by a Publish
+    if (flights_.Find(key) == nullptr) continue;  // absorbed by a Publish
     LaunchFlight(key);
   }
 }
@@ -281,20 +302,20 @@ void AdvisoryServer::PumpLaunchQueue() {
 void AdvisoryServer::Publish(const FieldConditions& conditions,
                              std::vector<uint8_t> payload,
                              int64_t complete_us) {
-  const ConditionKey key = quantizer_.KeyFor(conditions);
+  const HashedKey key = quantizer_.KeyFor(conditions);
   cache_.Insert(key, std::move(payload), complete_us);
   // A pending (not yet launched) flight on this key is now redundant: the
   // fabric's own run was the single flight. Serve its waiters from the
   // fresh insert and drop it from the launch queue lazily (PumpLaunchQueue
   // skips erased keys).
-  auto it = flights_.find(key);
-  if (it == flights_.end() || it->second.launched) return;
-  Flight fl = std::move(it->second);
-  flights_.erase(it);
+  Flight* found = flights_.Find(key);
+  if (found == nullptr || found->launched) return;
+  Flight fl = std::move(*found);
+  flights_.Erase(key);
   ++counters_.flights_absorbed;
   const int64_t now = NowUs();
   auto hit = cache_.Lookup(key, now);
-  for (const Waiter& w : fl.waiters) {
+  for (Waiter& w : fl.waiters) {
     Respond(w, ServeStatus::kServedFresh, AdmitDecision::kAdmit, hit.payload,
             hit.age_us);
   }

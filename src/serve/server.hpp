@@ -22,12 +22,17 @@
 // shed storms trigger FlightRecorder dumps. The server never talks to
 // core directly: CFD launches go through an injected CfdLauncher and
 // results arrive as opaque serialized payloads (Publish / flight done).
+//
+// A steady-state request touches no heap and no ordered map: its key is
+// hashed once (HashedKey), an admitted request waits out its sojourn in a
+// slab slot that the event captures by index, and the cache and the
+// flight table are flat hash indexes (KeyTable).
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
+#include <limits>
 #include <vector>
 
 #include "common/sim.hpp"
@@ -39,6 +44,7 @@
 #include "resil/degraded.hpp"
 #include "serve/admission.hpp"
 #include "serve/cache.hpp"
+#include "serve/key_table.hpp"
 #include "serve/overload.hpp"
 #include "serve/quantize.hpp"
 
@@ -96,12 +102,16 @@ class XG_SIM_THREAD_CONFINED AdvisoryServer {
     /// strictly past the deadline (DeadlineBudget::MissedAt semantics).
     bool late = false;
   };
-  using Callback = std::function<void(const Response&)>;
+  /// Move-only; a capture of up to sim::InlineFunction's inline size does
+  /// not allocate.
+  using Callback = sim::InlineFunction<void(const Response&)>;
 
   /// Launch one CFD run for `key`; call `done(payload, complete_us)` when
   /// it finishes (empty payload = failure). Return false to reject the
-  /// launch outright (bounded pilot queue full).
-  using CfdLauncher = std::function<bool(
+  /// launch outright (bounded pilot queue full). Called once per flight,
+  /// not per request; `done` stays a copyable std::function because
+  /// backends hand it on through their own job queues.
+  using CfdLauncher = sim::InlineFunction<bool(
       const ConditionKey& key, const FieldConditions& conditions,
       std::function<void(std::vector<uint8_t>, int64_t)> done)>;
 
@@ -150,9 +160,16 @@ class XG_SIM_THREAD_CONFINED AdvisoryServer {
   size_t flights_pending() const { return launch_queue_.size(); }
 
  private:
+  /// Deadline of a request that carries no budget: never missed, and its
+  /// remaining time never falls short.
+  static constexpr int64_t kNoDeadline = std::numeric_limits<int64_t>::max();
+
+  /// One owed response. The request's DeadlineBudget reduces to its
+  /// absolute deadline: RemainingUs(now) is `deadline_us - now` and
+  /// MissedAt(now) is `now > deadline_us` (exactly at it is on time).
   struct Waiter {
     Callback cb;
-    obs::slo::DeadlineBudget budget;
+    int64_t deadline_us = kNoDeadline;
     int64_t submit_us = 0;
   };
   struct Flight {
@@ -160,20 +177,26 @@ class XG_SIM_THREAD_CONFINED AdvisoryServer {
     bool launched = false;
     std::vector<Waiter> waiters;
   };
+  /// An admitted request waiting out its modeled sojourn, in a slab slot.
+  struct Admitted {
+    Waiter waiter;
+    HashedKey key;
+    FieldConditions conditions;
+  };
 
-  void Respond(const Waiter& w, ServeStatus status, AdmitDecision admit,
+  void Respond(Waiter& w, ServeStatus status, AdmitDecision admit,
                const std::vector<uint8_t>* payload, int64_t result_age_us);
   /// Stale fast path: per-key entry, then cache-wide latest; kShed if
   /// neither is valid.
-  void RespondFallback(const Waiter& w, const ConditionKey& key,
-                       AdmitDecision admit);
-  void ServeAdmitted(const ConditionKey& key, Waiter w);
-  void JoinFlight(const ConditionKey& key, const FieldConditions& conditions,
+  void RespondFallback(Waiter& w, const HashedKey& key, AdmitDecision admit);
+  /// The sojourn event of the request in slab slot `slot`.
+  void ServeAdmitted(uint32_t slot);
+  void JoinFlight(const HashedKey& key, const FieldConditions& conditions,
                   Waiter w);
-  void LaunchFlight(const ConditionKey& key);
-  void OnFlightDone(const ConditionKey& key, std::vector<uint8_t> payload,
+  void LaunchFlight(const HashedKey& key);
+  void OnFlightDone(const HashedKey& key, std::vector<uint8_t> payload,
                     int64_t complete_us);
-  void FailFlight(const ConditionKey& key);
+  void FailFlight(const HashedKey& key);
   void PumpLaunchQueue();
   void OnOverloadTransition(bool overloaded, int64_t now_us, double rate);
   void OnStorm(int64_t now_us, double rate, uint64_t shed, uint64_t total);
@@ -190,10 +213,15 @@ class XG_SIM_THREAD_CONFINED AdvisoryServer {
   resil::DegradedModeManager* degraded_ = nullptr;
   obs::slo::FlightRecorder* flight_ = nullptr;
 
-  std::map<ConditionKey, Flight> flights_;
+  /// Admitted requests in their sojourn; `free_slots_` lists the unused
+  /// slots. Grows to the peak number of requests in service, then stays.
+  std::vector<Admitted> admitted_;
+  std::vector<uint32_t> free_slots_;
+
+  KeyTable<Flight> flights_;
   /// Keys of created-but-not-launched flights, FIFO; bounded by
   /// max_pending_flights.
-  std::deque<ConditionKey> launch_queue_;
+  std::deque<HashedKey> launch_queue_;
   size_t active_flights_ = 0;
 
   Counters counters_;

@@ -1,8 +1,9 @@
 // Allocation gate for the event kernel, the WAN message path, the span
-// store and the SLO ledger: once warmed up, a schedule+step cycle (or a
-// Wan::Send and its delivery) whose capture fits the inline buffer must
-// not touch the heap, and neither may recording spans inside an already
-// allocated block or opening, stamping and closing a reading's budget.
+// store, the SLO ledger and the advisory server: once warmed up, a
+// schedule+step cycle (or a Wan::Send and its delivery) whose capture fits
+// the inline buffer must not touch the heap, and neither may recording
+// spans inside an already allocated block, opening, stamping and closing a
+// reading's budget, or serving an advisory request from the cache.
 // The global operator new is replaced by a counting one, which is why this
 // test is its own executable.
 #include "common/rng.hpp"
@@ -10,6 +11,7 @@
 #include "cspot/wan.hpp"
 #include "obs/slo/ledger.hpp"
 #include "obs/trace.hpp"
+#include "serve/server.hpp"
 
 #include <gtest/gtest.h>
 
@@ -18,6 +20,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 namespace {
 std::atomic<uint64_t> g_allocations{0};
@@ -217,6 +220,70 @@ TEST(LedgerAlloc, SteadyStateClosesDoNotAllocate) {
   EXPECT_EQ(ledger.closed_total(), id - 2);
   EXPECT_EQ(ledger.StageHistogram(Stage::kWanHop).count(),
             ledger.closed_by_reason(CloseReason::kDelivered));
+}
+
+// A server whose one cached result stays fresh for the whole test.
+struct WarmServer {
+  Simulation sim;
+  serve::AdvisoryServer server{sim, Config()};
+  serve::FieldConditions conditions{3.1, 180.0, 20.0, 50.0};
+  uint64_t responses[serve::kServeStatusCount] = {};
+
+  static serve::ServeConfig Config() {
+    serve::ServeConfig cfg;
+    cfg.enabled = true;
+    cfg.cache.fresh_us = cfg.cache.validity_us = int64_t{1} << 50;
+    return cfg;
+  }
+  WarmServer() { server.Publish(conditions, std::vector<uint8_t>(64, 1), 0); }
+
+  void Submit(int64_t budget_us) {
+    serve::AdvisoryServer::Request req;
+    req.conditions = conditions;
+    req.budget = obs::slo::DeadlineBudget(sim.Now().micros(), budget_us);
+    server.Submit(req, [this](const serve::AdvisoryServer::Response& r) {
+      ++responses[static_cast<int>(r.status)];
+    });
+  }
+  uint64_t served(serve::ServeStatus s) const {
+    return responses[static_cast<int>(s)];
+  }
+};
+
+TEST(ServeAlloc, FreshHitSubmitDoesNotAllocate) {
+  WarmServer w;
+  auto submit_and_serve = [&w](int n) {
+    for (int i = 0; i < n; ++i) {
+      w.Submit(10'000'000);
+      ASSERT_TRUE(w.sim.Step());  // the sojourn event answers it
+    }
+  };
+  submit_and_serve(100);  // warm-up: request slab, event slots
+
+  const uint64_t before = g_allocations.load();
+  submit_and_serve(10'000);
+  const uint64_t allocated = g_allocations.load() - before;
+
+  EXPECT_EQ(allocated, 0u);
+  EXPECT_EQ(w.served(serve::ServeStatus::kServedFresh), 10'100u);
+  EXPECT_EQ(w.sim.pending(), 0u);
+}
+
+TEST(ServeAlloc, ShedFastPathDoesNotAllocate) {
+  WarmServer w;
+  // A budget shorter than one modeled service time: admission sheds on
+  // the deadline and the stale fast path answers synchronously.
+  const int64_t budget_us = w.server.config().admission.service_us / 2;
+  for (int i = 0; i < 100; ++i) w.Submit(budget_us);  // warm-up
+
+  const uint64_t before = g_allocations.load();
+  for (int i = 0; i < 10'000; ++i) w.Submit(budget_us);
+  const uint64_t allocated = g_allocations.load() - before;
+
+  EXPECT_EQ(allocated, 0u);
+  EXPECT_EQ(w.served(serve::ServeStatus::kServedStaleShed), 10'100u);
+  EXPECT_EQ(w.server.admission().shed_deadline(), 10'100u);
+  EXPECT_EQ(w.sim.pending(), 0u);
 }
 
 }  // namespace

@@ -292,5 +292,33 @@ TEST(ChaosServe, OverloadStormIsBitIdenticalPerSeed) {
   EXPECT_EQ(a.dumps, b.dumps);
 }
 
+// ---------------------------------------------------------------------------
+// Golden transcripts: the scenarios' response streams, pinned by hash
+// ---------------------------------------------------------------------------
+
+uint64_t Fnv1a(const Transcript& transcript) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::string& line : transcript) {
+    for (const char c : line + "\n") {
+      h ^= static_cast<uint8_t>(c);
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+// Same-seed reruns above prove each scenario deterministic; these pin the
+// streams themselves, so a change in which request is served, shed or
+// parked, or when, fails here. Build this test against the previous tree
+// to confirm the old values before updating them.
+TEST(ChaosServe, TranscriptsMatchGolden) {
+  const uint64_t herd = Fnv1a(RunColdHerd(42).transcript);
+  const uint64_t outage = Fnv1a(RunOutageHerd(42).transcript);
+  const uint64_t storm = Fnv1a(RunOverloadStorm(42).transcript);
+  EXPECT_EQ(herd, 0x263d87764799c1bbull) << std::hex << "cold herd 0x" << herd;
+  EXPECT_EQ(outage, 0xf39eda56df6fa31dull) << std::hex << "outage herd 0x" << outage;
+  EXPECT_EQ(storm, 0x69a896c832eb759full) << std::hex << "overload storm 0x" << storm;
+}
+
 }  // namespace
 }  // namespace xg::core
