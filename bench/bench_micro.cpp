@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the hot paths of each substrate:
 // log appends, the radio scheduler's slot loop, the statistical tests, the
-// discrete-event kernel, the WAN message path and the span store. CFD
-// kernels are timed by bench_cfd_kernels.
+// discrete-event kernel, the WAN message path, the CSPOT append protocol
+// and the span store. CFD kernels are timed by bench_cfd_kernels.
 //
 // Uses a custom main instead of benchmark_main: every run is mirrored
 // through the shared emitter into BENCH_micro.json so regression tooling
@@ -18,6 +18,7 @@
 #include "common/rng.hpp"
 #include "common/sim.hpp"
 #include "cspot/log.hpp"
+#include "cspot/runtime.hpp"
 #include "cspot/wan.hpp"
 #include "laminar/stats_tests.hpp"
 #include "net5g/cell.hpp"
@@ -153,6 +154,45 @@ void BM_WanSend(benchmark::State& state) {
 }
 BENCHMARK(BM_WanSend);
 
+/// One untraced steady-state two-phase remote append of a telemetry-sized
+/// payload over one link: get-size, put, the host's storage delay and the
+/// ack, run to the completion. The caller's payload copy is part of the
+/// cost, as a caller serializes each frame. Every 2^16 appends the log is
+/// recreated (untimed) so its dedup table does not grow without bound.
+void BM_CspotAppend(benchmark::State& state) {
+  sim::Simulation sim;
+  cspot::Runtime rt(sim, 9);
+  rt.AddNode("c");
+  rt.AddNode("s");
+  cspot::LinkParams p;
+  p.jitter_ms = 0.5;
+  (void)rt.wan().AddLink("c", "s", p);
+  const cspot::LogConfig log_cfg{"log", 512, 64};
+  (void)rt.CreateLog("s", log_cfg);
+  const cspot::NodeId c = rt.wan().Find("c"), s = rt.wan().Find("s");
+  cspot::LogId log = rt.ResolveLog(s, "log");
+  const std::vector<uint8_t> frame(476, 7);
+  uint64_t acked = 0, appends = 0;
+  for (auto _ : state) {
+    rt.RemoteAppend(c, s, log, frame, cspot::AppendOptions{},
+                    [&acked](Result<cspot::SeqNo> r,
+                             const fault::FaultOutcome&) {
+                      acked += r.ok() ? 1 : 0;
+                    });
+    sim.Run();
+    if ((++appends & 0xFFFF) == 0) {
+      state.PauseTiming();
+      (void)rt.GetNode("s")->DeleteLog("log");
+      (void)rt.CreateLog("s", log_cfg);
+      log = rt.ResolveLog(s, "log");
+      state.ResumeTiming();
+    }
+  }
+  if (acked != appends) state.SkipWithError("an append failed");
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_CspotAppend);
+
 /// One traced span on the virtual clock: Arg 0 opens a child span, adds an
 /// integer annotation and closes it; Arg 1 records one WAN hop. The store
 /// is cleared every 2^16 spans (untimed) so it never reaches capacity; the
@@ -224,17 +264,26 @@ void BM_RngGaussian(benchmark::State& state) {
 }
 BENCHMARK(BM_RngGaussian);
 
-/// Prints the standard console report while collecting every run, so the
-/// JSON artifact can be written after the benchmarks finish.
-class CollectingReporter : public benchmark::ConsoleReporter {
+/// Hands every run to the library's display reporter, which honours
+/// --benchmark_format and --benchmark_color (by default colouring only a
+/// terminal), while collecting the runs so the JSON artifact can be
+/// written after the benchmarks finish. Construct after Initialize.
+class CollectingReporter : public benchmark::BenchmarkReporter {
  public:
+  bool ReportContext(const Context& context) override {
+    return display_->ReportContext(context);
+  }
   void ReportRuns(const std::vector<Run>& report) override {
     collected_.insert(collected_.end(), report.begin(), report.end());
-    benchmark::ConsoleReporter::ReportRuns(report);
+    display_->ReportRuns(report);
   }
+  void Finalize() override { display_->Finalize(); }
   const std::vector<Run>& collected() const { return collected_; }
 
  private:
+  // Owned by the library.
+  benchmark::BenchmarkReporter* display_ =
+      benchmark::CreateDefaultDisplayReporter();
   std::vector<Run> collected_;
 };
 

@@ -49,16 +49,22 @@ struct AlertRecord {
   uint64_t span_id = 0;
 };
 
-// Stable idempotence token for a serialized telemetry frame (FNV-1a over
-// the payload; frames embed their capture time, so distinct frames hash
-// apart). A frame whose append half-succeeded (ack lost) and was then
-// buffered dedups at UCSB when the drain re-ships it.
+// Stable idempotence token for a serialized telemetry frame: FNV-1a's
+// xor-multiply over 8-byte words, then over the tail bytes. Frames embed
+// their capture time, so distinct frames hash apart, and a frame whose
+// append half-succeeded (ack lost) and was then buffered dedups at UCSB
+// when the drain re-ships the same bytes. The token only keys the dedup
+// table; no output depends on its value.
 uint64_t FrameToken(const std::vector<uint8_t>& payload) {
+  constexpr uint64_t kPrime = 0x100000001b3ull;
   uint64_t h = 0xcbf29ce484222325ull;
-  for (uint8_t b : payload) {
-    h ^= b;
-    h *= 0x100000001b3ull;
+  size_t i = 0;
+  for (; i + sizeof(uint64_t) <= payload.size(); i += sizeof(uint64_t)) {
+    uint64_t word;
+    std::memcpy(&word, payload.data() + i, sizeof(word));
+    h = (h ^ word) * kPrime;
   }
+  for (; i < payload.size(); ++i) h = (h ^ payload[i]) * kPrime;
   return h == 0 ? 1 : h;
 }
 }  // namespace
@@ -94,6 +100,13 @@ Fabric::Fabric(FabricConfig config)
     auto created = cspot_->CreateLog(nodes_.ucsb, cfg);
     XG_INVARIANT(created.ok(), "fabric log creation failed: " + cfg.name);
   }
+  // The data path addresses sites and logs by id from here on.
+  client_id_ = cspot_->wan().Find(telemetry_client_);
+  ucsb_id_ = cspot_->wan().Find(nodes_.ucsb);
+  nd_id_ = cspot_->wan().Find(nodes_.nd);
+  telemetry_log_ = cspot_->ResolveLog(ucsb_id_, kTelemetryLog);
+  alert_log_ = cspot_->ResolveLog(ucsb_id_, kAlertLog);
+  result_log_ = cspot_->ResolveLog(ucsb_id_, kResultLog);
 
   scheduler_ = std::make_unique<hpc::BatchScheduler>(sim_, config_.site,
                                                      config_.seed ^ 0x5C);
@@ -317,16 +330,18 @@ void Fabric::PublishTelemetry() {
 
   const sensors::AtmoState exterior = atmosphere_->Current();
   const double now_s = sim_.Now().seconds();
-  const std::vector<sensors::Reading> raw = cups_->MeasureAll(exterior, now_s);
+  std::vector<sensors::Reading> readings = cups_->MeasureAll(exterior, now_s);
 
   // Ingest pipeline: fault injection (the physical world) then QC
   // screening (the edge software) before anything enters the telemetry
-  // stream the detector and twin consume.
-  std::vector<sensors::Reading> readings;
+  // stream the detector and twin consume. Survivors are compacted in
+  // place and the vector becomes the frame's station block.
   std::vector<bool> interior;
+  interior.reserve(readings.size());
   const auto& stations = cups_->stations();
-  for (size_t i = 0; i < raw.size(); ++i) {
-    auto injected = station_faults_->Apply(raw[i]);
+  size_t kept = 0;
+  for (size_t i = 0; i < readings.size(); ++i) {
+    auto injected = station_faults_->Apply(readings[i]);
     if (!injected.has_value()) {
       ++metrics_.readings_dropped;
       continue;
@@ -336,17 +351,18 @@ void Fabric::PublishTelemetry() {
       ++metrics_.qc_rejected_readings;
       continue;
     }
-    readings.push_back(*injected);
+    readings[kept++] = *injected;
     interior.push_back(stations[i].interior());
   }
-  TelemetryFrame frame = MakeFrame(readings, interior, now_s);
+  readings.resize(kept);
+  TelemetryFrame frame = MakeFrame(std::move(readings), interior, now_s);
   ++metrics_.telemetry_frames_sent;
   tracer_.AnnotateInt(read_span, "stations",
-                      static_cast<int64_t>(readings.size()));
+                      static_cast<int64_t>(frame.stations.size()));
   tracer_.EndSpan(read_span);
 
   const sim::SimTime t0 = sim_.Now();
-  const std::vector<uint8_t> payload = SerializeFrame(frame);
+  std::vector<uint8_t> payload = SerializeFrame(frame);
 
   // Degraded path: the access link is known-down, so park the frame
   // instead of burning a full retry schedule against an open breaker.
@@ -362,9 +378,9 @@ void Fabric::PublishTelemetry() {
   opts.retry = kTelemetryRetry;
   opts.idem_token = FrameToken(payload);
   cspot_->RemoteAppend(
-      telemetry_client_, nodes_.ucsb, kTelemetryLog, payload, opts,
-      [this, t0, frame, root, payload](Result<cspot::SeqNo> r,
-                                       const fault::FaultOutcome&) {
+      client_id_, ucsb_id_, telemetry_log_, std::move(payload), opts,
+      [this, t0, root, frame = std::move(frame)](Result<cspot::SeqNo> r,
+                                                 const fault::FaultOutcome&) {
         if (!r.ok()) {
           XG_LOG(kWarn, "fabric")
               << "telemetry append failed: " << r.status().ToString();
@@ -374,7 +390,7 @@ void Fabric::PublishTelemetry() {
           // ack was lost dedups instead of appending twice.
           EnterStoreForward("telemetry append failed: " +
                             r.status().ToString());
-          ParkFrame(root, payload);
+          ParkFrame(root, SerializeFrame(frame));
           return;
         }
         ++metrics_.telemetry_frames_stored;
@@ -443,14 +459,14 @@ void Fabric::StoreForwardTick() {
   // probe period. While the breaker for the access link is open the
   // attempts fail without touching the wire; the breaker's own half-open
   // probing decides when traffic flows again.
-  const std::vector<uint8_t> probe = sf_.Front();
+  std::vector<uint8_t> probe = sf_.Front();
   cspot::AppendOptions opts;
   opts.retry.max_attempts = 2;
   opts.retry.attempt_timeout_ms = kTelemetryRetry.attempt_timeout_ms;
   opts.idem_token = FrameToken(probe);
   sf_probe_inflight_ = true;
   cspot_->RemoteAppend(
-      telemetry_client_, nodes_.ucsb, kTelemetryLog, probe, opts,
+      client_id_, ucsb_id_, telemetry_log_, std::move(probe), opts,
       [this](Result<cspot::SeqNo> r, const fault::FaultOutcome&) {
         sf_probe_inflight_ = false;
         if (!r.ok()) {
@@ -525,13 +541,13 @@ pilot::PilotController& Fabric::PlacementPilot(int64_t now_us) {
   return *pilot_;
 }
 
+const cspot::LogStorage& Fabric::TelemetryLog() const {
+  return *cspot_->NodeAt(ucsb_id_)->Find(telemetry_log_);
+}
+
 std::vector<TelemetryFrame> Fabric::RecentFrames(size_t n) const {
   std::vector<TelemetryFrame> frames;
-  cspot::Node* ucsb = cspot_->GetNode(nodes_.ucsb);
-  if (ucsb == nullptr) return frames;
-  cspot::LogStorage* log = ucsb->GetLog(kTelemetryLog);
-  if (log == nullptr) return frames;
-  for (const auto& bytes : log->Tail(n)) {
+  for (const auto& bytes : TelemetryLog().Tail(n)) {
     auto f = DeserializeFrame(bytes);
     if (f.ok()) frames.push_back(f.take());
   }
@@ -544,16 +560,29 @@ void Fabric::RunDetectionCycle() {
   // reading that trips the detector carries one trace end to end.
   const obs::TraceContext window =
       tracer_.StartSpan(obs::SpanName::kLaminarWindow, last_frame_trace_);
+  // The detector reads two fields per frame straight from the stored
+  // bytes; a frame that does not decode is skipped. One struct, so the
+  // visitor captures a single reference and fits std::function's buffer.
   const size_t need = 2 * config_.detector.window;
-  std::vector<TelemetryFrame> frames = RecentFrames(need);
+  struct {
+    std::vector<double> wind, temp;
+    double data_bytes = 0.0;
+  } w;
+  w.wind.reserve(need);
+  w.temp.reserve(need);
+  TelemetryLog().VisitTail(need, [&w](std::span<const uint8_t> bytes) {
+    const std::optional<FrameSummary> f = SummarizeFrame(bytes);
+    if (!f.has_value()) return;
+    w.wind.push_back(f->exterior_wind_ms);
+    w.temp.push_back(f->exterior_temp_c);
+    w.data_bytes +=
+        static_cast<double>(TelemetryFrame::WireBytesFor(f->stations));
+  });
+  const std::vector<double>& wind = w.wind;
+  const std::vector<double>& temp = w.temp;
 
   bool changed = false;
-  if (frames.size() >= need) {
-    std::vector<double> wind, temp;
-    for (const auto& f : frames) {
-      wind.push_back(f.exterior_wind_ms);
-      temp.push_back(f.exterior_temp_c);
-    }
+  if (wind.size() >= need) {
     const laminar::ChangeDecision dw = detector_.Evaluate(wind);
     const laminar::ChangeDecision dt = detector_.Evaluate(temp);
     changed = dw.changed || dt.changed;
@@ -565,27 +594,23 @@ void Fabric::RunDetectionCycle() {
   // Bootstrap: the very first cycle with data runs a calibration
   // simulation even without a statistically detectable change.
   if (!changed && metrics_.cfd_runs_completed == 0 && !cfd_in_flight_ &&
-      !frames.empty()) {
+      !wind.empty()) {
     changed = true;
   }
-  tracer_.AnnotateInt(window, "frames", static_cast<int64_t>(frames.size()));
+  tracer_.AnnotateInt(window, "frames", static_cast<int64_t>(wind.size()));
   tracer_.Annotate(window, "changed", changed ? "true" : "false");
   if (!changed) {
     tracer_.EndSpan(window);
     return;
   }
 
-  double data_bytes = 0.0;
-  for (const auto& f : frames) {
-    data_bytes += static_cast<double>(f.WireBytes());
-  }
   // The alert record carries the trace context through the CSPOT log to
   // the ND-side poller (context propagation through persisted state).
-  AlertRecord alert{sim_.Now().seconds(), data_bytes, window.trace_id,
+  AlertRecord alert{sim_.Now().seconds(), w.data_bytes, window.trace_id,
                     window.span_id};
   std::vector<uint8_t> bytes(sizeof(AlertRecord));
   std::memcpy(bytes.data(), &alert, sizeof(AlertRecord));
-  auto r = cspot_->LocalAppend(nodes_.ucsb, kAlertLog, bytes);
+  auto r = cspot_->LocalAppend(ucsb_id_, alert_log_, bytes);
   if (r.ok()) {
     ++metrics_.alerts_raised;
     // Escalation boundary: once laminar_trigger is stamped the reading's
@@ -620,14 +645,14 @@ void Fabric::TriggerCfd(double alert_time_s, double data_bytes,
   // The pilot gathers the most recent telemetry from the CSPOT logs at
   // UCSB to parameterize the preprocessing pipeline.
   cspot_->RemoteLatestSeq(
-      nodes_.nd, nodes_.ucsb, kTelemetryLog,
+      nd_id_, ucsb_id_, telemetry_log_,
       [this, alert_time_s, data_bytes, decision](Result<cspot::SeqNo> latest) {
         if (!latest.ok() || latest.value() == cspot::kNoSeq) {
           AbandonEscalation(decision);
           return;
         }
         cspot_->RemoteGet(
-            nodes_.nd, nodes_.ucsb, kTelemetryLog, latest.value(),
+            nd_id_, ucsb_id_, telemetry_log_, latest.value(),
             [this, alert_time_s, data_bytes,
              decision](Result<std::vector<uint8_t>> bytes) {
               Result<TelemetryFrame> frame =
@@ -835,7 +860,7 @@ void Fabric::StoreResult(const CfdResult& result,
 
   cspot::AppendOptions opts;
   opts.trace = trace;
-  cspot_->RemoteAppend(nodes_.nd, nodes_.ucsb, kResultLog,
+  cspot_->RemoteAppend(nd_id_, ucsb_id_, result_log_,
                        SerializeResult(result), opts,
                        [this, result](Result<cspot::SeqNo> r,
                                       const fault::FaultOutcome&) {
@@ -969,13 +994,13 @@ void Fabric::Run(double hours) {
       [this, horizon, last_alert]() {
         if (sim_.Now() > horizon) return false;
         cspot_->RemoteLatestSeq(
-            nodes_.nd, nodes_.ucsb, kAlertLog,
+            nd_id_, ucsb_id_, alert_log_,
             [this, last_alert](Result<cspot::SeqNo> latest) {
               if (!latest.ok() || latest.value() == cspot::kNoSeq) return;
               if (latest.value() <= *last_alert) return;
               const cspot::SeqNo seq = latest.value();
               cspot_->RemoteGet(
-                  nodes_.nd, nodes_.ucsb, kAlertLog, seq,
+                  nd_id_, ucsb_id_, alert_log_, seq,
                   [this, last_alert, seq](Result<std::vector<uint8_t>> bytes) {
                     if (!bytes.ok() ||
                         bytes.value().size() < sizeof(AlertRecord)) {

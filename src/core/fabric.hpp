@@ -267,6 +267,8 @@ class Fabric {
   /// Shared breach check at the robot's current position; repairs and
   /// accounts a confirmed breach. Returns true when one was confirmed.
   bool ConfirmBreachAtRobot(bool via_patrol);
+  /// The telemetry log at UCSB.
+  const cspot::LogStorage& TelemetryLog() const;
   std::vector<TelemetryFrame> RecentFrames(size_t n) const;
 
   FabricConfig config_;
@@ -307,6 +309,10 @@ class Fabric {
   /// downstream CFD/alert path attach to it.
   obs::TraceContext last_frame_trace_;
   std::string telemetry_client_;
+  /// Sites and logs, resolved once at construction.
+  cspot::NodeId client_id_ = cspot::kNoNode, ucsb_id_ = cspot::kNoNode,
+                nd_id_ = cspot::kNoNode;
+  cspot::LogId telemetry_log_, alert_log_, result_log_;
   obs::LabelId telemetry_client_label_ = 0;  ///< in tracer_'s label table
   bool cfd_in_flight_ = false;
   bool robot_busy_ = false;

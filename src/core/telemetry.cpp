@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <optional>
+#include <span>
 
 namespace xg::core {
 
@@ -13,24 +15,44 @@ void Put(std::vector<uint8_t>& out, const T& v) {
 }
 
 template <typename T>
-bool Take(const std::vector<uint8_t>& in, size_t& off, T& v) {
+bool Take(std::span<const uint8_t> in, size_t& off, T& v) {
   if (off + sizeof(T) > in.size()) return false;
   std::memcpy(&v, in.data() + off, sizeof(T));
   off += sizeof(T);
   return true;
 }
+
+constexpr size_t kFrameHeaderBytes = 5 * sizeof(double) + sizeof(uint32_t);
 }  // namespace
 
 std::vector<uint8_t> SerializeFrame(const TelemetryFrame& f) {
-  std::vector<uint8_t> out;
-  Put(out, f.time_s);
-  Put(out, f.exterior_wind_ms);
-  Put(out, f.exterior_dir_deg);
-  Put(out, f.exterior_temp_c);
-  Put(out, f.exterior_humidity_pct);
-  Put(out, static_cast<uint32_t>(f.stations.size()));
-  for (const auto& r : f.stations) Put(out, r);
+  std::vector<uint8_t> out(kFrameHeaderBytes +
+                           f.stations.size() * sizeof(sensors::Reading));
+  const double fixed[] = {f.time_s, f.exterior_wind_ms, f.exterior_dir_deg,
+                          f.exterior_temp_c, f.exterior_humidity_pct};
+  const auto n = static_cast<uint32_t>(f.stations.size());
+  std::memcpy(out.data(), fixed, sizeof(fixed));
+  std::memcpy(out.data() + sizeof(fixed), &n, sizeof(n));
+  if (n > 0) {
+    std::memcpy(out.data() + kFrameHeaderBytes, f.stations.data(),
+                n * sizeof(sensors::Reading));
+  }
   return out;
+}
+
+std::optional<FrameSummary> SummarizeFrame(std::span<const uint8_t> bytes) {
+  FrameSummary s;
+  size_t off = 0;
+  double skip = 0.0;
+  uint32_t n = 0;
+  if (!Take(bytes, off, skip) || !Take(bytes, off, s.exterior_wind_ms) ||
+      !Take(bytes, off, skip) || !Take(bytes, off, s.exterior_temp_c) ||
+      !Take(bytes, off, skip) || !Take(bytes, off, n) ||
+      bytes.size() - off < n * sizeof(sensors::Reading)) {
+    return std::nullopt;
+  }
+  s.stations = n;
+  return s;
 }
 
 Result<TelemetryFrame> DeserializeFrame(const std::vector<uint8_t>& bytes) {
@@ -52,11 +74,12 @@ Result<TelemetryFrame> DeserializeFrame(const std::vector<uint8_t>& bytes) {
   return f;
 }
 
-TelemetryFrame MakeFrame(const std::vector<sensors::Reading>& readings,
+TelemetryFrame MakeFrame(std::vector<sensors::Reading> stations,
                          const std::vector<bool>& is_interior, double time_s) {
   TelemetryFrame f;
   f.time_s = time_s;
-  f.stations = readings;
+  f.stations = std::move(stations);
+  const std::vector<sensors::Reading>& readings = f.stations;
   double sum_w = 0.0, sum_t = 0.0, sum_h = 0.0;
   double sum_sin = 0.0, sum_cos = 0.0;
   size_t n_ext = 0;

@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "common/result.hpp"
@@ -25,17 +27,28 @@ struct TelemetryFrame {
   double exterior_humidity_pct = 0.0;
   std::vector<sensors::Reading> stations;
 
-  size_t WireBytes() const {
-    return 48 + stations.size() * sizeof(sensors::Reading);
+  size_t WireBytes() const { return WireBytesFor(stations.size()); }
+  static size_t WireBytesFor(size_t stations) {
+    return 48 + stations * sizeof(sensors::Reading);
   }
 };
 
 std::vector<uint8_t> SerializeFrame(const TelemetryFrame& f);
 Result<TelemetryFrame> DeserializeFrame(const std::vector<uint8_t>& bytes);
 
+/// The change detector's view of a serialized frame, read in place without
+/// copying the station block.
+struct FrameSummary {
+  double exterior_wind_ms = 0.0;
+  double exterior_temp_c = 0.0;
+  uint32_t stations = 0;
+};
+/// nullopt exactly when DeserializeFrame would fail on `bytes`.
+std::optional<FrameSummary> SummarizeFrame(std::span<const uint8_t> bytes);
+
 /// Aggregate raw station readings into a frame (exterior means; interior
 /// stations ride along for the twin).
-TelemetryFrame MakeFrame(const std::vector<sensors::Reading>& readings,
+TelemetryFrame MakeFrame(std::vector<sensors::Reading> stations,
                          const std::vector<bool>& is_interior, double time_s);
 
 struct StationPrediction {

@@ -40,7 +40,23 @@ std::optional<BreachSuspicion> DigitalTwin::Observe(
                        config_.stale_rel_tolerance * prediction_boundary_wind_)) {
     return std::nullopt;
   }
-  last_residual_sigma_.clear();
+  // Refill the residual map from last frame's nodes: the same stations
+  // report every frame, so a steady-state frame allocates none.
+  std::map<int32_t, double> spare;
+  spare.swap(last_residual_sigma_);
+  auto set_residual = [this, &spare](int32_t id, double sigma) {
+    if (auto it = last_residual_sigma_.find(id);
+        it != last_residual_sigma_.end()) {
+      it->second = sigma;
+    } else if (spare.empty()) {
+      last_residual_sigma_.emplace(id, sigma);
+    } else {
+      auto node = spare.extract(spare.begin());
+      node.key() = id;
+      node.mapped() = sigma;
+      last_residual_sigma_.insert(std::move(node));
+    }
+  };
 
   const bool calibrating = !calibrated();
   std::vector<const StationInfo*> deviating;
@@ -71,7 +87,7 @@ std::optional<BreachSuspicion> DigitalTwin::Observe(
     const double expected = st.calibration * predicted;
     const double sigma =
         std::abs(r.wind_speed_ms - expected) / config_.noise_floor_ms;
-    last_residual_sigma_[r.station_id] = sigma;
+    set_residual(r.station_id, sigma);
     if (sigma <= config_.deviation_sigma && predicted > 1e-3) {
       // Healthy reading: keep the calibration tracking slow model drift
       // (the paper's "data calibrations ... necessary to maintain model

@@ -18,84 +18,105 @@ Status ValidateLogConfig(const LogConfig& config) {
   return Status::Ok();
 }
 
-std::vector<std::vector<uint8_t>> LogStorage::Tail(size_t n) const {
-  std::vector<std::vector<uint8_t>> out;
-  const SeqNo latest = Latest();
-  if (latest == kNoSeq) return out;
-  SeqNo first = latest - static_cast<SeqNo>(n) + 1;
-  if (first < Earliest()) first = Earliest();
-  for (SeqNo s = first; s <= latest; ++s) {
-    auto r = Get(s);
-    if (r.ok()) out.push_back(r.take());
+Result<SeqNo> LogStorage::Append(const std::vector<uint8_t>& payload) {
+  XG_REQUIRE(payload.size() <= config_.element_size, kInvalidArgument,
+             "payload exceeds element size of log " + config_.name);
+  MutexLock lk(mu_);
+  // CSPOT's dense-sequence invariant: Append is the only writer and hands
+  // out consecutive numbers; a gap here would break Laminar's replay.
+  const SeqNo seq = next_seq_;
+  Status s = WriteSlot(seq, payload);
+  if (!s.ok()) return s;
+  next_seq_ = seq + 1;
+  s = Persist();
+  if (!s.ok()) return s;
+  return seq;
+}
+
+SeqNo LogStorage::EarliestLocked() const {
+  const auto history = static_cast<SeqNo>(config_.history);
+  return next_seq_ > history ? next_seq_ - history : 0;
+}
+
+Result<std::vector<uint8_t>> LogStorage::Get(SeqNo seq) const {
+  MutexLock lk(mu_);
+  if (seq < 0 || seq >= next_seq_) {
+    return Status(ErrorCode::kNotFound, "sequence number never written");
   }
+  if (seq < EarliestLocked()) {
+    return Status(ErrorCode::kNotFound, "element evicted from history");
+  }
+  std::vector<uint8_t> out;
+  Status s = ReadSlot(
+      seq, [&out](std::span<const uint8_t> p) { out.assign(p.begin(), p.end()); });
+  if (!s.ok()) return s;
   return out;
 }
 
-MemoryLog::MemoryLog(LogConfig config) : config_(std::move(config)) {
+SeqNo LogStorage::Latest() const {
+  MutexLock lk(mu_);
+  return next_seq_ == 0 ? kNoSeq : next_seq_ - 1;
+}
+
+SeqNo LogStorage::Earliest() const {
+  MutexLock lk(mu_);
+  return next_seq_ == 0 ? kNoSeq : EarliestLocked();
+}
+
+Status LogStorage::TruncateTo(SeqNo last_retained) {
+  XG_REQUIRE(last_retained >= kNoSeq, kInvalidArgument,
+             "truncation point below kNoSeq: " + config_.name);
+  MutexLock lk(mu_);
+  if (last_retained + 1 >= next_seq_) return Status::Ok();
+  // Rolling back the sequence counter makes Get() reject the dropped seqs.
+  const SeqNo new_next = last_retained + 1;
+  Forget(std::max(new_next, EarliestLocked()), next_seq_);
+  next_seq_ = new_next;
+  return Persist();
+}
+
+void LogStorage::VisitTail(size_t n, const Visitor& fn) const {
+  MutexLock lk(mu_);
+  const SeqNo first =
+      std::max(next_seq_ - static_cast<SeqNo>(std::min(n, config_.history)),
+               SeqNo{0});
+  for (SeqNo s = first; s < next_seq_; ++s) (void)ReadSlot(s, fn);
+}
+
+std::vector<std::vector<uint8_t>> LogStorage::Tail(size_t n) const {
+  std::vector<std::vector<uint8_t>> out;
+  VisitTail(n, [&out](std::span<const uint8_t> payload) {
+    out.emplace_back(payload.begin(), payload.end());
+  });
+  return out;
+}
+
+MemoryLog::MemoryLog(LogConfig config) : LogStorage(std::move(config)) {
   // Constructors cannot return a Status; geometry is validated by the
   // creating factories (Node::CreateLog, FileLog::Open). Still guard the
   // zero-history case that would make every ring index undefined.
   XG_INVARIANT(config_.history > 0, "MemoryLog history must be positive");
   if (config_.history == 0) config_.history = 1;
+  MutexLock lk(mu_);
   ring_.resize(config_.history);
 }
 
-Result<SeqNo> MemoryLog::Append(const std::vector<uint8_t>& payload) {
-  XG_REQUIRE(payload.size() <= config_.element_size, kInvalidArgument,
-             "payload exceeds element size of log " + config_.name);
-  MutexLock lk(mu_);
-  const SeqNo seq = next_seq_++;
+Status MemoryLog::WriteSlot(SeqNo seq, const std::vector<uint8_t>& payload) {
   ring_[static_cast<size_t>(seq) % config_.history] = payload;
-  // CSPOT's dense-sequence invariant: Append is the only writer and hands
-  // out consecutive numbers; a gap here would break Laminar's replay.
-  XG_ENSURE(seq + 1 == next_seq_, kInternal, "sequence numbers must be dense");
-  return seq;
+  return Status::Ok();
 }
 
-Result<std::vector<uint8_t>> MemoryLog::Get(SeqNo seq) const {
-  MutexLock lk(mu_);
-  if (seq < 0 || seq >= next_seq_) {
-    return Status(ErrorCode::kNotFound, "sequence number never written");
-  }
-  const SeqNo earliest =
-      next_seq_ > static_cast<SeqNo>(config_.history)
-          ? next_seq_ - static_cast<SeqNo>(config_.history)
-          : 0;
-  if (seq < earliest) {
-    return Status(ErrorCode::kNotFound, "element evicted from history");
-  }
-  return ring_[static_cast<size_t>(seq) % config_.history];
+Status MemoryLog::ReadSlot(SeqNo seq, const Visitor& fn) const {
+  fn(ring_[static_cast<size_t>(seq) % config_.history]);
+  return Status::Ok();
 }
 
-SeqNo MemoryLog::Latest() const {
-  MutexLock lk(mu_);
-  return next_seq_ == 0 ? kNoSeq : next_seq_ - 1;
-}
-
-SeqNo MemoryLog::Earliest() const {
-  MutexLock lk(mu_);
-  if (next_seq_ == 0) return kNoSeq;
-  return next_seq_ > static_cast<SeqNo>(config_.history)
-             ? next_seq_ - static_cast<SeqNo>(config_.history)
-             : 0;
-}
-
-Status MemoryLog::TruncateTo(SeqNo last_retained) {
-  XG_REQUIRE(last_retained >= kNoSeq, kInvalidArgument,
-             "truncation point below kNoSeq: " + config_.name);
-  MutexLock lk(mu_);
-  if (last_retained + 1 >= next_seq_) return Status::Ok();
-  // Rolling back the sequence counter makes Get() reject the dropped
-  // seqs; clearing their slots keeps a later wrap-around from exposing
-  // the dropped payloads as if they were older retained elements.
-  const SeqNo new_next = last_retained + 1;
-  const SeqNo clear_from =
-      std::max(new_next, next_seq_ - static_cast<SeqNo>(config_.history));
-  for (SeqNo s = clear_from; s < next_seq_; ++s) {
+void MemoryLog::Forget(SeqNo from, SeqNo to) {
+  // A later wrap-around must not expose the dropped payloads as if they
+  // were older retained elements.
+  for (SeqNo s = from; s < to; ++s) {
     ring_[static_cast<size_t>(s) % config_.history].clear();
   }
-  next_seq_ = new_next;
-  return Status::Ok();
 }
 
 namespace {
@@ -110,7 +131,7 @@ struct FileHeader {
 }  // namespace
 
 FileLog::FileLog(std::string path, LogConfig config)
-    : path_(std::move(path)), config_(std::move(config)) {}
+    : LogStorage(std::move(config)), path_(std::move(path)) {}
 
 FileLog::~FileLog() {
   if (file_ != nullptr) std::fclose(file_);
@@ -171,11 +192,7 @@ Result<std::unique_ptr<FileLog>> FileLog::Open(const std::string& path,
   return log;
 }
 
-Result<SeqNo> FileLog::Append(const std::vector<uint8_t>& payload) {
-  XG_REQUIRE(payload.size() <= config_.element_size, kInvalidArgument,
-             "payload exceeds element size of log " + config_.name);
-  MutexLock lk(mu_);
-  const SeqNo seq = next_seq_;
+Status FileLog::WriteSlot(SeqNo seq, const std::vector<uint8_t>& payload) {
   const auto len = static_cast<uint32_t>(payload.size());
   std::vector<uint8_t> slot(SlotBytes(), 0);
   std::memcpy(slot.data(), &len, sizeof(len));
@@ -184,24 +201,10 @@ Result<SeqNo> FileLog::Append(const std::vector<uint8_t>& payload) {
       std::fwrite(slot.data(), slot.size(), 1, file_) != 1) {
     return Status(ErrorCode::kUnavailable, "slot write failed: " + path_);
   }
-  next_seq_ = seq + 1;
-  Status hs = WriteHeader();  // persists the sequence counter
-  if (!hs.ok()) return hs;
-  return seq;
+  return Status::Ok();
 }
 
-Result<std::vector<uint8_t>> FileLog::Get(SeqNo seq) const {
-  MutexLock lk(mu_);
-  if (seq < 0 || seq >= next_seq_) {
-    return Status(ErrorCode::kNotFound, "sequence number never written");
-  }
-  const SeqNo earliest =
-      next_seq_ > static_cast<SeqNo>(config_.history)
-          ? next_seq_ - static_cast<SeqNo>(config_.history)
-          : 0;
-  if (seq < earliest) {
-    return Status(ErrorCode::kNotFound, "element evicted from history");
-  }
+Status FileLog::ReadSlot(SeqNo seq, const Visitor& fn) const {
   uint32_t len = 0;
   if (std::fseek(file_, SlotOffset(seq), SEEK_SET) != 0 ||
       std::fread(&len, sizeof(len), 1, file_) != 1 ||
@@ -212,31 +215,8 @@ Result<std::vector<uint8_t>> FileLog::Get(SeqNo seq) const {
   if (len > 0 && std::fread(payload.data(), len, 1, file_) != 1) {
     return Status(ErrorCode::kInternal, "payload read failed: " + path_);
   }
-  return payload;
-}
-
-SeqNo FileLog::Latest() const {
-  MutexLock lk(mu_);
-  return next_seq_ == 0 ? kNoSeq : next_seq_ - 1;
-}
-
-SeqNo FileLog::Earliest() const {
-  MutexLock lk(mu_);
-  if (next_seq_ == 0) return kNoSeq;
-  return next_seq_ > static_cast<SeqNo>(config_.history)
-             ? next_seq_ - static_cast<SeqNo>(config_.history)
-             : 0;
-}
-
-Status FileLog::TruncateTo(SeqNo last_retained) {
-  XG_REQUIRE(last_retained >= kNoSeq, kInvalidArgument,
-             "truncation point below kNoSeq: " + config_.name);
-  MutexLock lk(mu_);
-  if (last_retained + 1 >= next_seq_) return Status::Ok();
-  next_seq_ = last_retained + 1;
-  // The header is the durability frontier: persisting the rolled-back
-  // counter makes the truncated slots unreadable on any reopen too.
-  return WriteHeader();
+  fn(payload);
+  return Status::Ok();
 }
 
 }  // namespace xg::cspot

@@ -15,7 +15,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,32 +44,34 @@ constexpr size_t kMaxElementSize = size_t{1} << 30;  // 1 GiB per element
 /// Validates geometry; kInvalidArgument on violation.
 Status ValidateLogConfig(const LogConfig& config);
 
-/// Abstract storage: the runtime and transport talk to this interface.
+/// Storage the runtime and transport talk to. The base owns what both
+/// backends share (geometry, lock, sequence counter, retention window);
+/// a backend supplies the slot I/O.
 class LogStorage {
  public:
   virtual ~LogStorage() = default;
 
-  virtual const LogConfig& config() const = 0;
+  const LogConfig& config() const { return config_; }
 
   /// Append a payload (must fit the element size). Returns the assigned
   /// sequence number. Sequence numbers start at 0 and are dense.
-  virtual Result<SeqNo> Append(const std::vector<uint8_t>& payload) = 0;
+  Result<SeqNo> Append(const std::vector<uint8_t>& payload);
 
   /// Read the payload at a sequence number. Fails with kNotFound if the
   /// entry has been evicted from the history window or was never written.
-  virtual Result<std::vector<uint8_t>> Get(SeqNo seq) const = 0;
+  Result<std::vector<uint8_t>> Get(SeqNo seq) const;
 
   /// Latest assigned sequence number, or kNoSeq when empty.
-  virtual SeqNo Latest() const = 0;
+  SeqNo Latest() const;
 
   /// Earliest sequence number still retained, or kNoSeq when empty.
-  virtual SeqNo Earliest() const = 0;
+  SeqNo Earliest() const;
 
   /// Discard every element with seq > `last_retained` (power-loss
   /// truncation to the last durable sequence number). `kNoSeq` empties
   /// the log; a value >= Latest() is a no-op. Subsequent appends reuse
   /// the truncated sequence numbers, preserving density.
-  virtual Status TruncateTo(SeqNo last_retained) = 0;
+  Status TruncateTo(SeqNo last_retained);
 
   /// Number of retained elements.
   size_t Size() const {
@@ -76,10 +80,36 @@ class LogStorage {
     return static_cast<size_t>(l - Earliest() + 1);
   }
 
-  /// Read the most recent `n` payloads, oldest first (fewer if not
-  /// retained). The log-scan primitive handlers use for multi-event
-  /// synchronization.
+  /// Call `fn` on each of the most recent `n` payloads in place, oldest
+  /// first (fewer if not retained), under the log's lock: `fn` must not
+  /// call back into this log. The log-scan primitive handlers use for
+  /// multi-event synchronization.
+  using Visitor = std::function<void(std::span<const uint8_t>)>;
+  void VisitTail(size_t n, const Visitor& fn) const;
+
+  /// VisitTail into copies.
   std::vector<std::vector<uint8_t>> Tail(size_t n) const;
+
+ protected:
+  explicit LogStorage(LogConfig config) : config_(std::move(config)) {}
+
+  /// Store `seq`'s payload; the counter moves past `seq` only on success.
+  virtual Status WriteSlot(SeqNo seq, const std::vector<uint8_t>& payload)
+      XG_REQUIRES(mu_) = 0;
+  /// Call `fn` on retained `seq`'s payload.
+  virtual Status ReadSlot(SeqNo seq, const Visitor& fn) const
+      XG_REQUIRES(mu_) = 0;
+  /// Make the counter durable after it moved.
+  virtual Status Persist() XG_REQUIRES(mu_) { return Status::Ok(); }
+  /// Drop the payloads of truncated seqs [from, to).
+  virtual void Forget(SeqNo /*from*/, SeqNo /*to*/) XG_REQUIRES(mu_) {}
+
+  LogConfig config_;  ///< immutable once constructed
+  mutable Mutex mu_;
+  SeqNo next_seq_ XG_GUARDED_BY(mu_) = 0;
+
+ private:
+  SeqNo EarliestLocked() const XG_REQUIRES(mu_);
 };
 
 /// In-memory circular log.
@@ -87,18 +117,14 @@ class MemoryLog : public LogStorage {
  public:
   explicit MemoryLog(LogConfig config);
 
-  const LogConfig& config() const override { return config_; }
-  Result<SeqNo> Append(const std::vector<uint8_t>& payload) override;
-  Result<std::vector<uint8_t>> Get(SeqNo seq) const override;
-  SeqNo Latest() const override;
-  SeqNo Earliest() const override;
-  Status TruncateTo(SeqNo last_retained) override;
-
  private:
-  LogConfig config_;  ///< immutable after construction
-  mutable Mutex mu_;
+  Status WriteSlot(SeqNo seq, const std::vector<uint8_t>& payload) override
+      XG_REQUIRES(mu_);
+  Status ReadSlot(SeqNo seq, const Visitor& fn) const override
+      XG_REQUIRES(mu_);
+  void Forget(SeqNo from, SeqNo to) override XG_REQUIRES(mu_);
+
   std::vector<std::vector<uint8_t>> ring_ XG_GUARDED_BY(mu_);
-  SeqNo next_seq_ XG_GUARDED_BY(mu_) = 0;
 };
 
 /// File-backed circular log with a fixed-size binary layout:
@@ -113,25 +139,20 @@ class FileLog : public LogStorage {
                                                LogConfig config);
   ~FileLog() override;
 
-  const LogConfig& config() const override { return config_; }
-  Result<SeqNo> Append(const std::vector<uint8_t>& payload) override;
-  Result<std::vector<uint8_t>> Get(SeqNo seq) const override;
-  SeqNo Latest() const override;
-  SeqNo Earliest() const override;
-  Status TruncateTo(SeqNo last_retained) override;
-
  private:
   FileLog(std::string path, LogConfig config);
+  Status WriteSlot(SeqNo seq, const std::vector<uint8_t>& payload) override
+      XG_REQUIRES(mu_);
+  Status ReadSlot(SeqNo seq, const Visitor& fn) const override
+      XG_REQUIRES(mu_);
+  Status Persist() override XG_REQUIRES(mu_) { return WriteHeader(); }
   Status WriteHeader() XG_REQUIRES(mu_);
   Status ReadHeader() XG_REQUIRES(mu_);
 
-  std::string path_;   ///< immutable after construction
-  LogConfig config_;   ///< immutable after construction
-  mutable Mutex mu_;
+  std::string path_;  ///< immutable after construction
   /// The FILE* value is set once in Open(); the lock serializes the
   /// seek/read/write cursor underneath it.
   mutable std::FILE* file_ XG_GUARDED_BY(mu_) = nullptr;
-  SeqNo next_seq_ XG_GUARDED_BY(mu_) = 0;
 
   size_t SlotBytes() const { return sizeof(uint32_t) + config_.element_size; }
   long SlotOffset(SeqNo seq) const;

@@ -21,6 +21,7 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "common/result.hpp"
 #include "common/rng.hpp"
@@ -79,6 +80,7 @@ class XG_SIM_THREAD_CONFINED Runtime {
  public:
   Runtime(sim::Simulation& sim, uint64_t seed,
           RuntimeParams params = RuntimeParams{});
+  ~Runtime();
 
   sim::Simulation& simulation() { return sim_; }
   Wan& wan() { return wan_; }
@@ -106,16 +108,25 @@ class XG_SIM_THREAD_CONFINED Runtime {
   /// The injector must outlive this runtime; call before Arm().
   void AttachFaultInjector(fault::FaultInjector& injector);
 
-  /// Create a node (also registered with the WAN). The calls below take
-  /// node names and resolve each to its WAN NodeId once, on entry.
+  /// Create a node (also registered with the WAN). The data-path calls
+  /// below take NodeIds (`wan().Find`) and LogIds (`ResolveLog`) resolved
+  /// once by the caller; their name-taking edges resolve on each call.
   Node& AddNode(const std::string& name);
   Node* GetNode(const std::string& name) { return NodeAt(wan_.Find(name)); }
+  Node* NodeAt(NodeId id) {
+    return id < nodes_.size() ? nodes_[id].get() : nullptr;
+  }
+  /// `log`'s handle on `host` (Node::Resolve); no log if `host` is unknown.
+  LogId ResolveLog(NodeId host, const std::string& log);
 
   /// Create a memory-backed log on a node.
   Result<LogStorage*> CreateLog(const std::string& node, const LogConfig& cfg);
 
   /// Local append: assigns a sequence number and fires handlers after the
-  /// dispatch delay. Fails when the node is powered down.
+  /// dispatch delay. Fails when the node is powered down. The id form
+  /// takes an existing node.
+  Result<SeqNo> LocalAppend(NodeId node, LogId log,
+                            const std::vector<uint8_t>& payload);
   Result<SeqNo> LocalAppend(const std::string& node, const std::string& log,
                             const std::vector<uint8_t>& payload);
 
@@ -126,52 +137,72 @@ class XG_SIM_THREAD_CONFINED Runtime {
   /// Append completion: the assigned seq (or error) plus the unified
   /// failure-surface outcome (attempt count, dedup absorption).
   using AppendCallback =
-      std::function<void(Result<SeqNo>, const fault::FaultOutcome&)>;
+      sim::InlineFunction<void(Result<SeqNo>, const fault::FaultOutcome&)>;
   using ReadCallback = std::function<void(Result<std::vector<uint8_t>>)>;
   using SeqCallback = std::function<void(Result<SeqNo>)>;
 
   /// Asynchronous remote append (two-phase protocol, retry + dedup).
-  /// `done` fires exactly once, in virtual time.
+  /// `done` fires exactly once, in virtual time. Both nodes must exist.
+  void RemoteAppend(NodeId client, NodeId host, LogId log,
+                    std::vector<uint8_t> payload, const AppendOptions& opts,
+                    AppendCallback done);
   void RemoteAppend(const std::string& client, const std::string& host,
                     const std::string& log, std::vector<uint8_t> payload,
                     const AppendOptions& opts, AppendCallback done);
 
   /// One-round-trip remote reads.
-  void RemoteLatestSeq(const std::string& client, const std::string& host,
-                       const std::string& log, SeqCallback done);
-  void RemoteGet(const std::string& client, const std::string& host,
-                 const std::string& log, SeqNo seq, ReadCallback done);
-
-  /// Drop a client's cached element size (test hook).
-  void InvalidateSizeCache(const std::string& client, const std::string& host,
-                           const std::string& log);
+  void RemoteLatestSeq(NodeId client, NodeId host, LogId log,
+                       SeqCallback done);
+  void RemoteGet(NodeId client, NodeId host, LogId log, SeqNo seq,
+                 ReadCallback done);
 
  private:
   struct AppendOp;
+  struct OpPool;
+  class Claim;
+  /// A client-side callback's address of its op. The generation moves on
+  /// when the slot is recycled, so a late reply, timeout or backoff finds
+  /// no op instead of the slot's next one.
+  struct OpKey {
+    uint32_t slot = 0, gen = 0;
+  };
+  enum class Verdict : uint8_t {
+    kOk, kNotFound, kSizeMismatch, kDedup, kStorageError
+  };
 
-  void StartAttempt(std::shared_ptr<AppendOp> op);
+  /// The op at `key` if unfinished and in `phase` (0: any), else nullptr.
+  AppendOp* Current(OpKey key, uint64_t phase = 0);
+  const std::string& LogName(const AppendOp& op);
+  void StartAttempt(OpKey key);
   /// Charge the attempt's observed retry cause, then re-enter StartAttempt
   /// after the policy's backoff (immediately when backoff is disabled).
-  void ScheduleRetry(std::shared_ptr<AppendOp> op);
+  void ScheduleRetry(AppendOp& op);
   /// Classify the WAN's most recent send failure into the op's cause slot.
   void NoteSendFailure(AppendOp& op);
-  void PhaseGetSize(std::shared_ptr<AppendOp> op);
-  void PhasePut(std::shared_ptr<AppendOp> op, size_t assumed_size);
-  void FinishAttempt(std::shared_ptr<AppendOp> op, Result<SeqNo> result);
-  void FireHandlers(Node& host, const std::string& log, SeqNo seq,
+  void ArmTimeout(AppendOp& op);
+  void PhaseGetSize(AppendOp& op);
+  void PhasePut(AppendOp& op, size_t assumed_size);
+  /// The put at the host, whose caller holds a Claim on `op`.
+  void ServePut(AppendOp& op, uint64_t phase, size_t assumed_size);
+  void OnAck(OpKey key, uint64_t phase, Verdict verdict, SeqNo seq);
+  /// Hand the outcome to the completion; recycle the slot unless claimed.
+  void FinishAttempt(AppendOp& op, Result<SeqNo> result,
+                     bool exhausted = false);
+  void FireHandlers(NodeId host, LogId log, SeqNo seq,
                     const std::vector<uint8_t>& payload);
-  Node* NodeAt(NodeId id) {
-    return id < nodes_.size() ? nodes_[id].get() : nullptr;
-  }
+  template <typename T, typename Read>
+  void RemoteRead(NodeId client, NodeId host, LogId log,
+                  std::function<void(Result<T>)> done, Read read);
 
   sim::Simulation& sim_;
   Wan wan_;
   Rng rng_;
   RuntimeParams params_;
   std::vector<std::unique_ptr<Node>> nodes_;  ///< indexed by NodeId
-  /// Element size by (client, host, log).
-  std::map<std::tuple<NodeId, NodeId, std::string>, size_t, std::less<>>
-      size_cache_;
+  /// Element size by (client, host, log slot). A log name keeps its slot
+  /// across DeleteLog, so a recreated log hits its stale entry.
+  std::map<std::tuple<NodeId, NodeId, uint32_t>, size_t> size_cache_;
+  std::unique_ptr<OpPool> pool_;  ///< left to its last Claim if we die first
   RuntimeCounters counters_;
   obs::Tracer* tracer_ = nullptr;
   obs::slo::LatencyLedger* slo_ = nullptr;

@@ -125,7 +125,6 @@ class XG_SIM_THREAD_CONFINED Wan {
   /// admitted as a half-open probe. Off for a bare Wan; core::Fabric
   /// always enables it.
   void EnableCircuitBreakers(resil::BreakerConfig cfg);
-  bool circuit_breakers_enabled() const { return breakers_enabled_; }
 
   /// The breaker guarding the (a, b) endpoint pair, nullptr when breakers
   /// are disabled or no traffic has crossed the pair yet.

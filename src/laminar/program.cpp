@@ -175,16 +175,19 @@ Status Program::Deploy() {
   // Create logs and handlers.
   const cspot::LogConfig base{"", kTokenLogElement, kTokenLogHistory};
   for (size_t i = 0; i < ops_.size(); ++i) {
-    const Operand& op = ops_[i];
+    Operand& op = ops_[i];
     if (rt_.GetNode(op.host) == nullptr) {
       return Status(ErrorCode::kNotFound, "no CSPOT node " + op.host);
     }
+    op.host_id = rt_.wan().Find(op.host);
     if (op.kind != OpKind::kSink && op.kind != OpKind::kConst) {
       cspot::LogConfig out = base;
       out.name = OutLog(static_cast<int>(i));
       auto r = rt_.CreateLog(op.host, out);
       if (!r.ok()) return r.status();
+      op.out_log = rt_.ResolveLog(op.host_id, out.name);
     }
+    op.in_logs.resize(op.inputs.size());
     for (size_t s = 0; s < op.inputs.size(); ++s) {
       if (ops_[static_cast<size_t>(op.inputs[s])].kind == OpKind::kConst) {
         continue;  // consts are folded, no log
@@ -193,6 +196,7 @@ Status Program::Deploy() {
       in.name = InLog(static_cast<int>(i), s);
       auto r = rt_.CreateLog(op.host, in);
       if (!r.ok()) return r.status();
+      op.in_logs[s] = rt_.ResolveLog(op.host_id, in.name);
       const int op_id = static_cast<int>(i);
       Status hs = rt_.RegisterHandler(
           op.host, in.name,
@@ -227,10 +231,8 @@ Result<Value> Program::InputAt(int op, size_t slot, int64_t iteration) const {
   const Operand& o = ops_[static_cast<size_t>(op)];
   const Operand& producer = ops_[static_cast<size_t>(o.inputs[slot])];
   if (producer.kind == OpKind::kConst) return producer.constant;
-  cspot::Node* node =
-      const_cast<cspot::Runtime&>(rt_).GetNode(o.host);
-  if (node == nullptr) return Status(ErrorCode::kNotFound, "host missing");
-  cspot::LogStorage* log = node->GetLog(InLog(op, slot));
+  const cspot::LogStorage* log =
+      slot < o.in_logs.size() ? Storage(o, o.in_logs[slot]) : nullptr;
   if (log == nullptr) return Status(ErrorCode::kNotFound, "input log missing");
   for (const auto& bytes : log->Tail(kTokenLogHistory)) {
     auto token = DeserializeToken(bytes);
@@ -244,9 +246,7 @@ Result<Value> Program::InputAt(int op, size_t slot, int64_t iteration) const {
 Result<Value> Program::OutputAt(int op, int64_t iteration) const {
   const Operand& o = ops_[static_cast<size_t>(op)];
   if (o.kind == OpKind::kConst) return o.constant;
-  cspot::Node* node = const_cast<cspot::Runtime&>(rt_).GetNode(o.host);
-  if (node == nullptr) return Status(ErrorCode::kNotFound, "host missing");
-  cspot::LogStorage* log = node->GetLog(OutLog(op));
+  const cspot::LogStorage* log = Storage(o, o.out_log);
   if (log == nullptr) return Status(ErrorCode::kNotFound, "no output log");
   for (const auto& bytes : log->Tail(kTokenLogHistory)) {
     auto token = DeserializeToken(bytes);
@@ -257,11 +257,14 @@ Result<Value> Program::OutputAt(int op, int64_t iteration) const {
   return Status(ErrorCode::kNotFound, "operand did not fire for iteration");
 }
 
+cspot::LogStorage* Program::Storage(const Operand& o, cspot::LogId log) const {
+  cspot::Node* node = rt_.NodeAt(o.host_id);
+  return node == nullptr ? nullptr : node->Find(log);
+}
+
 int64_t Program::FiringCount(int op) const {
   const Operand& o = ops_[static_cast<size_t>(op)];
-  cspot::Node* node = const_cast<cspot::Runtime&>(rt_).GetNode(o.host);
-  if (node == nullptr) return 0;
-  cspot::LogStorage* log = node->GetLog(OutLog(op));
+  const cspot::LogStorage* log = Storage(o, o.out_log);
   if (log == nullptr) return 0;
   return log->Latest() + 1;
 }
@@ -282,17 +285,14 @@ void Program::TryFire(int op, int64_t iteration) {
     for (;;) {
       // Next unfired iteration = latest output + 1.
       int64_t next = 0;
-      cspot::Node* node = rt_.GetNode(o.host);
-      if (node != nullptr) {
-        cspot::LogStorage* out_log = node->GetLog(OutLog(op));
-        if (out_log != nullptr && out_log->Latest() != cspot::kNoSeq) {
-          // The output log stores tokens in firing order; the latest
-          // token's iteration is the last fired.
-          auto latest = out_log->Get(out_log->Latest());
-          if (latest.ok()) {
-            auto tok = DeserializeToken(latest.value());
-            if (tok.ok()) next = tok.value().iteration + 1;
-          }
+      const cspot::LogStorage* out_log = Storage(o, o.out_log);
+      if (out_log != nullptr && out_log->Latest() != cspot::kNoSeq) {
+        // The output log stores tokens in firing order; the latest
+        // token's iteration is the last fired.
+        auto latest = out_log->Get(out_log->Latest());
+        if (latest.ok()) {
+          auto tok = DeserializeToken(latest.value());
+          if (tok.ok()) next = tok.value().iteration + 1;
         }
       }
       auto in = InputAt(op, 0, next);
@@ -379,7 +379,7 @@ Status Program::Emit(int op, int64_t iteration, const Value& v) {
              "operand " + o.name + " already emitted iteration " +
                  std::to_string(iteration));
   const std::vector<uint8_t> payload = SerializeToken(Token{iteration, v});
-  auto r = rt_.LocalAppend(o.host, OutLog(op), payload);
+  auto r = rt_.LocalAppend(o.host_id, o.out_log, payload);
   if (!r.ok()) {
     XG_LOG(kWarn, "laminar") << "emit failed on " << o.name << ": "
                              << r.status().ToString();
@@ -393,15 +393,15 @@ Status Program::Emit(int op, int64_t iteration, const Value& v) {
     for (size_t s = 0; s < c.inputs.size(); ++s) {
       if (c.inputs[s] == op) {
         slot = s;
-        const std::string in_log = InLog(consumer, slot);
+        const cspot::LogId in_log = c.in_logs[slot];
         if (c.host == o.host) {
-          auto lr = rt_.LocalAppend(c.host, in_log, payload);
+          auto lr = rt_.LocalAppend(c.host_id, in_log, payload);
           if (!lr.ok()) {
             XG_LOG(kWarn, "laminar")
                 << "local forward failed: " << lr.status().ToString();
           }
         } else {
-          rt_.RemoteAppend(o.host, c.host, in_log, payload,
+          rt_.RemoteAppend(o.host_id, c.host_id, in_log, payload,
                            cspot::AppendOptions{},
                            [](Result<cspot::SeqNo>,
                               const fault::FaultOutcome&) {});

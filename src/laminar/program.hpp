@@ -125,12 +125,18 @@ class Program {
     Value constant;  ///< const value, or reduce initializer
     size_t window = 0;
     std::vector<int> consumers;
+    // Resolved by Deploy: the host and the operand's logs on it.
+    cspot::NodeId host_id = cspot::kNoNode;
+    cspot::LogId out_log;
+    std::vector<cspot::LogId> in_logs;  ///< per input slot
   };
 
   int AddOperand(Operand op);
   std::string OutLog(int op) const;
   std::string InLog(int op, size_t slot) const;
   ValueType InputType(const Operand& op, size_t slot) const;
+  /// The log `log` on `o`'s host; nullptr when missing.
+  cspot::LogStorage* Storage(const Operand& o, cspot::LogId log) const;
 
   /// Try to fire `op` for `iteration`; no-op unless all inputs present and
   /// the output log lacks the iteration.

@@ -1,13 +1,17 @@
 // Allocation gate for the event kernel, the WAN message path, the span
-// store, the SLO ledger and the advisory server: once warmed up, a
-// schedule+step cycle (or a Wan::Send and its delivery) whose capture fits
-// the inline buffer must not touch the heap, and neither may recording
-// spans inside an already allocated block, opening, stamping and closing a
-// reading's budget, or serving an advisory request from the cache.
+// store, the SLO ledger, the advisory server and the CSPOT append path:
+// once warmed up, a schedule+step cycle (or a Wan::Send and its delivery)
+// whose capture fits the inline buffer must not touch the heap, and
+// neither may recording spans inside an already allocated block, opening,
+// stamping and closing a reading's budget, or serving an advisory request
+// from the cache; a remote append allocates only its stored copy, and a
+// default fabric day stays under a pinned allocation count.
 // The global operator new is replaced by a counting one, which is why this
 // test is its own executable.
 #include "common/rng.hpp"
 #include "common/sim.hpp"
+#include "core/fabric.hpp"
+#include "cspot/runtime.hpp"
 #include "cspot/wan.hpp"
 #include "obs/slo/ledger.hpp"
 #include "obs/trace.hpp"
@@ -15,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -284,6 +289,98 @@ TEST(ServeAlloc, ShedFastPathDoesNotAllocate) {
   EXPECT_EQ(w.served(serve::ServeStatus::kServedStaleShed), 10'100u);
   EXPECT_EQ(w.server.admission().shed_deadline(), 10'100u);
   EXPECT_EQ(w.sim.pending(), 0u);
+}
+
+// Two nodes and one log whose history outlasts the test, so every append
+// stores its payload in a fresh ring slot: one allocation, the stored copy.
+struct AppendRig {
+  Simulation sim;
+  obs::Tracer tracer;
+  cspot::Runtime rt{sim, 5};
+  cspot::NodeId client = cspot::kNoNode, host = cspot::kNoNode;
+  cspot::LogId log;
+  uint64_t acked = 0;
+
+  explicit AppendRig(bool traced) {
+    rt.AddNode("c");
+    rt.AddNode("s");
+    client = rt.wan().Find("c");
+    host = rt.wan().Find("s");
+    cspot::LinkParams p;
+    p.jitter_ms = 0.5;
+    EXPECT_TRUE(rt.wan().AddLink("c", "s", p).ok());
+    EXPECT_TRUE(rt.CreateLog("s", cspot::LogConfig{"log", 512, 4096}).ok());
+    log = rt.ResolveLog(host, "log");
+    if (traced) {
+      tracer.set_clock([this] { return sim.Now().micros(); });
+      rt.AttachObservability(nullptr, &tracer);
+    }
+  }
+  // One two-phase append through its ack; the caller built the payload.
+  void Append(std::vector<uint8_t> payload, const obs::TraceContext& trace) {
+    cspot::AppendOptions opts;
+    opts.trace = trace;
+    rt.RemoteAppend(client, host, log, std::move(payload), opts,
+                    [this](Result<cspot::SeqNo> r, const fault::FaultOutcome&) {
+                      acked += r.ok() ? 1 : 0;
+                    });
+    sim.Run();
+  }
+};
+
+void ExpectAppendAllocatesOnlyTheStoredCopy(bool traced) {
+  AppendRig rig(traced);
+  const obs::TraceContext root =
+      traced ? rig.tracer.StartTrace(obs::SpanName::kTelemetry)
+             : obs::TraceContext{};
+  // Warm-up: op pool, event slots, route, the first span, argument and
+  // text blocks, and the dedup table grown to 256 cells (it doubles again
+  // at 128 tokens).
+  for (int i = 0; i < 65; ++i) {
+    rig.Append(std::vector<uint8_t>(476, static_cast<uint8_t>(i)), root);
+  }
+  // 60 more appends: 8 spans each traced, still inside the first block.
+  constexpr int kAppends = 60;
+  uint64_t total = 0, worst = 0;
+  for (int i = 0; i < kAppends; ++i) {
+    std::vector<uint8_t> payload(476, static_cast<uint8_t>(i));
+    const uint64_t before = g_allocations.load();
+    rig.Append(std::move(payload), root);
+    const uint64_t allocated = g_allocations.load() - before;
+    total += allocated;
+    worst = std::max(worst, allocated);
+  }
+  EXPECT_EQ(worst, 1u);
+  EXPECT_EQ(total, static_cast<uint64_t>(kAppends));
+  EXPECT_EQ(rig.acked, 125u);
+  EXPECT_EQ(rig.rt.counters().size_requests, 125u);
+  if (traced) {
+    EXPECT_EQ(rig.tracer.span_count(), 1u + 8 * 125);
+  }
+}
+
+TEST(CspotAlloc, SteadyStateRemoteAppendAllocatesOnlyThePayload) {
+  ExpectAppendAllocatesOnlyTheStoredCopy(/*traced=*/false);
+}
+
+TEST(CspotAlloc, SteadyStateTracedRemoteAppendAllocatesOnlyThePayload) {
+  ExpectAppendAllocatesOnlyTheStoredCopy(/*traced=*/true);
+}
+
+// One default 24 h day (seed 1, 287 frames). Measured: 4541 allocations
+// inside Run; before telemetry frames took resolved log ids, pooled append
+// ops and a flat dedup table, the same day made 13964 (about 48 a frame).
+TEST(FabricAlloc, DefaultDayAllocationBound) {
+  constexpr uint64_t kBound = 4700;
+  core::FabricConfig cfg;
+  cfg.seed = 1;
+  core::Fabric fabric(cfg);
+  const uint64_t before = g_allocations.load();
+  fabric.Run(24.0);
+  const uint64_t allocated = g_allocations.load() - before;
+
+  EXPECT_LE(allocated, kBound);
+  EXPECT_EQ(fabric.metrics().telemetry_frames_stored, 287u);
 }
 
 }  // namespace

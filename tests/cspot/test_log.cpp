@@ -229,16 +229,31 @@ TEST(DedupContract, ConflictingSeqForTokenRaisesInvariant) {
   xg::contract::ResetViolationStats();
   Node node("n");
   ASSERT_TRUE(node.CreateLog(LogConfig{"l", 64, 16}).ok());
-  node.DedupRecord("l", /*token=*/7, /*seq=*/3);
-  node.DedupRecord("l", 7, 3);  // idempotent re-record: fine
+  DedupTable& dedup = *node.Dedup(node.Resolve("l"));
+  dedup.Record(/*token=*/7, /*seq=*/3);
+  dedup.Record(7, 3);  // idempotent re-record: fine
   EXPECT_EQ(xg::contract::ViolationCount(), 0u);
-  node.DedupRecord("l", 7, 4);  // same token, different seq: double write
+  dedup.Record(7, 4);  // same token, different seq: double write
   EXPECT_EQ(xg::contract::ViolationCount(), 1u);
   // The original mapping stays authoritative.
-  auto seq = node.DedupLookup("l", 7);
-  ASSERT_TRUE(seq.ok());
-  EXPECT_EQ(seq.value(), 3);
+  EXPECT_EQ(dedup.Find(7), 3);
   xg::contract::ResetViolationStats();
+}
+
+TEST(LogHandle, StaleAfterDeleteAndValidBeforeCreate) {
+  Node node("n");
+  const LogId early = node.Resolve("l");  // before the log exists
+  EXPECT_EQ(node.Find(early), nullptr);
+  ASSERT_TRUE(node.CreateLog(LogConfig{"l", 16, 4}).ok());
+  EXPECT_EQ(node.Find(early), node.GetLog("l"));
+  ASSERT_TRUE(node.DeleteLog("l").ok());
+  ASSERT_TRUE(node.CreateLog(LogConfig{"l", 32, 4}).ok());
+  // The old handle misses the recreated log; the name keeps its slot.
+  EXPECT_EQ(node.Find(early), nullptr);
+  const LogId fresh = node.Resolve("l");
+  EXPECT_EQ(fresh.slot, early.slot);
+  EXPECT_EQ(node.Find(fresh)->config().element_size, 32u);
+  EXPECT_EQ(node.LogName(early), "l");
 }
 
 }  // namespace

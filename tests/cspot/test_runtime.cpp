@@ -354,15 +354,18 @@ TEST_F(RuntimeTest, RemoteAppendUnknownNodeFailsNotFound) {
 
 TEST_F(RuntimeTest, RemoteReads) {
   ASSERT_TRUE((rt_.LocalAppend("server", "log", Payload(8, 42))).ok());
+  const NodeId client = rt_.wan().Find("client");
+  const NodeId server = rt_.wan().Find("server");
+  const LogId log = rt_.ResolveLog(server, "log");
   Result<SeqNo> latest = Status(ErrorCode::kInternal, "pending");
-  rt_.RemoteLatestSeq("client", "server", "log",
+  rt_.RemoteLatestSeq(client, server, log,
                       [&latest](Result<SeqNo> r) { latest = std::move(r); });
   sim_.Run();
   ASSERT_TRUE(latest.ok());
   EXPECT_EQ(latest.value(), 0);
 
   Result<std::vector<uint8_t>> got = Status(ErrorCode::kInternal, "pending");
-  rt_.RemoteGet("client", "server", "log", 0,
+  rt_.RemoteGet(client, server, log, 0,
                 [&got](Result<std::vector<uint8_t>> r) { got = std::move(r); });
   sim_.Run();
   ASSERT_TRUE(got.ok());
@@ -371,7 +374,9 @@ TEST_F(RuntimeTest, RemoteReads) {
 
 TEST_F(RuntimeTest, RemoteReadMissingLog) {
   Result<SeqNo> latest = Status(ErrorCode::kInternal, "pending");
-  rt_.RemoteLatestSeq("client", "server", "ghost",
+  const NodeId server = rt_.wan().Find("server");
+  rt_.RemoteLatestSeq(rt_.wan().Find("client"), server,
+                      rt_.ResolveLog(server, "ghost"),
                       [&latest](Result<SeqNo> r) { latest = std::move(r); });
   sim_.Run();
   EXPECT_EQ(latest.status().code(), ErrorCode::kNotFound);
@@ -427,6 +432,37 @@ TEST(Topology, FiveGPathSlowerThanWired) {
   ASSERT_TRUE(w5g.ok());
   ASSERT_TRUE(wired.ok());
   EXPECT_GT(w5g.value(), 4.0 * wired.value());
+}
+
+TEST(RuntimeLifetime, HostStepsOutliveTheRuntime) {
+  // A runtime destroyed while the simulation still holds a request and a
+  // duplicate on their way to the host: the pending events keep its
+  // append ops alive until the simulation lets them go.
+  sim::Simulation sim;
+  fault::FaultPlan plan(4);
+  plan.Duplicate(fault::FaultPlan::LinkTarget("c", "s"), 0.0, 10.0, 1.0,
+                 /*extra_delay_ms=*/50.0);
+  fault::FaultInjector injector(plan);
+  {
+    Runtime rt(sim, 4);
+    rt.AddNode("c");
+    rt.AddNode("s");
+    ASSERT_TRUE(rt.wan().AddLink("c", "s", LinkParams{}).ok());
+    ASSERT_TRUE(rt.CreateLog("s", LogConfig{"log", 64, 8}).ok());
+    rt.AttachFaultInjector(injector);
+    injector.Arm(sim);
+    bool acked = false;
+    rt.RemoteAppend("c", "s", "log", Payload(8), AppendOptions{},
+                    [&acked](Result<SeqNo> r, const fault::FaultOutcome&) {
+                      acked = r.ok();
+                    });
+    // The ack arrives first; the duplicates are still in flight.
+    while (!acked && sim.Step()) {
+    }
+    ASSERT_TRUE(acked);
+    EXPECT_GT(sim.pending(), 0u);
+  }
+  // The simulation, destroyed here, releases the ops (ASan checks it).
 }
 
 }  // namespace

@@ -122,16 +122,18 @@ TEST(PowerFail, DropsDedupEntriesAboveTheDurableFrontier) {
   Node node("edge");
   ASSERT_TRUE(node.CreateLog(LogConfig{"telemetry", 8, 32}).ok());
   LogStorage* log = node.GetLog("telemetry");
+  const LogId id = node.Resolve("telemetry");
   for (uint8_t i = 0; i < 4; ++i) {
     Result<SeqNo> seq = log->Append(Payload(i));
     ASSERT_TRUE(seq.ok());
-    node.DedupRecord("telemetry", /*token=*/100 + i, seq.value());
+    node.Dedup(id)->Record(/*token=*/100 + i, seq.value());
   }
   ASSERT_TRUE(node.PowerFail(2).ok());
-  EXPECT_TRUE(node.DedupLookup("telemetry", 100).ok());   // seq 0 durable
-  EXPECT_TRUE(node.DedupLookup("telemetry", 101).ok());   // seq 1 durable
-  EXPECT_FALSE(node.DedupLookup("telemetry", 102).ok());  // seq 2 lost
-  EXPECT_FALSE(node.DedupLookup("telemetry", 103).ok());  // seq 3 lost
+  const DedupTable& dedup = *node.Dedup(id);
+  EXPECT_EQ(dedup.Find(100), 0);       // seq 0 durable
+  EXPECT_EQ(dedup.Find(101), 1);       // seq 1 durable
+  EXPECT_EQ(dedup.Find(102), kNoSeq);  // seq 2 lost
+  EXPECT_EQ(dedup.Find(103), kNoSeq);  // seq 3 lost
 }
 
 TEST(PowerFail, LosingMoreThanRetainedEmptiesTheLog) {
