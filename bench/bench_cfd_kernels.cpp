@@ -21,7 +21,6 @@
 #include <iterator>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_json.hpp"
@@ -167,11 +166,12 @@ int main(int argc, char** argv) {
 
   unsigned max_threads = threads_override > 0
                              ? threads_override
-                             : std::max(1u, std::thread::hardware_concurrency());
+                             : static_cast<unsigned>(AvailableCpus());
   // The smoke run still needs a pooled run to check against serial.
   if (smoke) max_threads = 2;
 
-  // Thread sweep: 1, 2, 4, ... up to the hardware (or requested) width.
+  // Thread sweep: 1, 2, 4, ... up to the CPUs this process may use (or the
+  // requested width).
   std::vector<RunResult> runs;
   for (unsigned t = 1; t <= max_threads; t *= 2) {
     runs.push_back(TimeSolver(mesh, warmup, steps, t));

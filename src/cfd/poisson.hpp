@@ -20,7 +20,8 @@
 // all-Neumann null space never arises.
 //
 // Everything runs in place in the caller's mesh-sized array; the only
-// temporaries are one x-y plane, or two x-z slabs, per task. The pooled path
+// temporaries are one x-y plane, or two x-z slabs, per task, held in
+// scratch the solver allocates once per task slot and reuses. The pooled path
 // splits the y transforms over k-planes and the z transforms plus x sweeps
 // over y-modes, so each value sees the same arithmetic in the same order
 // as on the serial path: results are bitwise independent of worker count.
@@ -55,8 +56,9 @@ class PoissonSolver {
 
   /// Solves A x = b in place: on entry the interior cells of the
   /// mesh-sized array `x` hold b, on return the solution. Boundary cells
-  /// are neither read nor written. `pool` may be null.
-  void Solve(double* x, ThreadPool* pool) const;
+  /// are neither read nor written. `pool` may be null. Not reentrant: the
+  /// solver owns the scratch.
+  void Solve(double* x, ThreadPool* pool);
 
   /// Writes the ghost values A assumes into the boundary cells of `p`
   /// (0 on Dirichlet faces, the adjacent interior cell on Neumann faces),
@@ -75,6 +77,11 @@ class PoissonSolver {
   bool dirichlet_y_lo_ = true, dirichlet_y_hi_ = true;
   std::vector<double> diag_x_;  ///< diagonal of Lx
   LaplacianModes y_, z_;
+  /// Per-task scratch: an x-y plane for the y transforms, or an x-z slab,
+  /// its Thomas factors and the mz line shifts for the x sweeps. One slot
+  /// per task, grown to the pool's size on first use.
+  size_t scratch_per_task_;
+  std::vector<double> scratch_;
 };
 
 }  // namespace xg::cfd

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <utility>
 
 #include "obs/kerneltimer.hpp"
@@ -25,6 +26,132 @@ double WindProfile(double z_m) {
   const double z = std::max(0.5, z_m);
   return std::max(0.3, std::pow(z / 10.0, 0.14));
 }
+
+// Lane packs. Each kernel's arithmetic is one generic body over a pack of
+// doubles: V2 (two lanes, one SSE2 register on x86-64) for the row, V1 for
+// an odd last cell. The operators act lane by lane with the IEEE double
+// operation the scalar expression would use, in the same order, so every
+// lane is bitwise the scalar result. Branches become masks: a comparison
+// yields an all-ones/all-zeros lane mask and Select blends by bits.
+using V2 = double __attribute__((vector_size(2 * sizeof(double))));
+using V1 = double __attribute__((vector_size(sizeof(double))));
+
+template <typename V>
+constexpr int kLanes = static_cast<int>(sizeof(V) / sizeof(double));
+
+template <typename V>
+using Mask = decltype(V{} < V{});
+
+/// A pack as it sits in a field: any double may start one. Lanes are
+/// read and written as the doubles they are, so the accesses keep the
+/// fields' alias set (gcc merges them into one unaligned vector access);
+/// a memcpy or an intrinsic's may-alias type would make every store
+/// clobber the kernel's constants and pointers, reloaded per cell.
+template <typename V>
+inline V Load(const double* p) {
+  V v;
+  for (int l = 0; l < kLanes<V>; ++l) v[l] = p[l];
+  return v;
+}
+
+template <typename V>
+inline void Store(double* p, V v) {
+  for (int l = 0; l < kLanes<V>; ++l) p[l] = v[l];
+}
+
+/// Lane-wise m ? a : b.
+template <typename V>
+inline V Select(Mask<V> m, V a, V b) {
+  using M = Mask<V>;
+  return (V)(((M)a & m) | ((M)b & ~m));
+}
+
+/// Lane-wise std::max(acc, x): keeps acc unless acc < x, so a NaN x is
+/// ignored as the scalar fold ignores it.
+template <typename V>
+inline V Max(V acc, V x) {
+  return Select<V>(acc < x, x, acc);
+}
+
+/// Lane-wise |x|: clears the sign bit, as std::abs does.
+template <typename V>
+inline V Abs(V x) {
+  using M = Mask<V>;
+  return (V)((M)x & ~(M)(-V{}));
+}
+
+/// Lane-wise std::sqrt (correctly rounded, so bitwise the scalar result).
+template <typename V>
+inline V Sqrt(V x) {
+  V r;
+  for (int l = 0; l < kLanes<V>; ++l) r[l] = std::sqrt(x[l]);
+  return r;
+}
+
+/// Running max over packs of either width, from 0 like the scalar fold
+/// std::max(acc, x). Max is exact and, NaN aside, does not
+/// depend on order, so folding per lane gives the scalar fold's value.
+struct MaxFold {
+  V2 two{};
+  V1 one{};
+  void Add(V2 x) { two = Max(two, x); }
+  void Add(V1 x) { one = Max(one, x); }
+  double Value() const { return std::max({two[0], two[1], one[0]}); }
+};
+
+/// Runs cell(c, V{}) over the `n` cells of a row from index c: two lanes
+/// at a time, then the odd last cell at one lane.
+template <typename Cell>
+inline void ForRow(size_t c, int n, Cell&& cell) {
+  int i = 0;
+  for (; i + 2 <= n; i += 2) cell(c + static_cast<size_t>(i), V2{});
+  if (i < n) cell(c + static_cast<size_t>(i), V1{});
+}
+
+/// Runs cell(c, V{}) over every interior cell of the horizontal slabs
+/// [kb, ke), row by row.
+template <typename Cell>
+inline void ForInterior(const Mesh& mesh, int kb, int ke, Cell&& cell) {
+  const int nx = mesh.nx(), ny = mesh.ny();
+  for (int k = kb; k < ke; ++k) {
+    for (int j = 1; j < ny - 1; ++j) ForRow(mesh.Index(1, j, k), nx - 2, cell);
+  }
+}
+
+/// Strides and coefficients of the uniform-mesh stencils (x stride 1).
+struct Stencil {
+  explicit Stencil(const Mesh& m)
+      : sy(static_cast<size_t>(m.nx())),
+        sz(static_cast<size_t>(m.nx()) * static_cast<size_t>(m.ny())),
+        cx(1.0 / (m.dx() * m.dx())),
+        cy(1.0 / (m.dy() * m.dy())),
+        cz(1.0 / (m.dz() * m.dz())),
+        idx2(1.0 / (2.0 * m.dx())),
+        idy2(1.0 / (2.0 * m.dy())),
+        idz2(1.0 / (2.0 * m.dz())) {}
+
+  /// 7-point Laplacian of f at c.
+  template <typename V>
+  V Laplacian(const double* f, size_t c) const {
+    const V fc = Load<V>(f + c);
+    return cx * (Load<V>(f + c + 1) - 2.0 * fc + Load<V>(f + c - 1)) +
+           cy * (Load<V>(f + c + sy) - 2.0 * fc + Load<V>(f + c - sy)) +
+           cz * (Load<V>(f + c + sz) - 2.0 * fc + Load<V>(f + c - sz));
+  }
+
+  /// Central-difference divergence of (u, v, w) at c.
+  template <typename V>
+  V Divergence(const double* u, const double* v, const double* w,
+               size_t c) const {
+    return (Load<V>(u + c + 1) - Load<V>(u + c - 1)) * idx2 +
+           (Load<V>(v + c + sy) - Load<V>(v + c - sy)) * idy2 +
+           (Load<V>(w + c + sz) - Load<V>(w + c - sz)) * idz2;
+  }
+
+  size_t sy, sz;
+  double cx, cy, cz;
+  double idx2, idy2, idz2;
+};
 
 /// Partial accumulator for interior-mean reductions.
 struct SumCount {
@@ -75,9 +202,6 @@ Solver::Solver(const Mesh& mesh, SolverParams params, ThreadPool* pool)
                               static_cast<uint64_t>(ny - 2) *
                               static_cast<uint64_t>(nz - 2)
                         : 0;
-  double wx, wy;
-  WindVector(wx, wy);
-  poisson_.Configure(wx, wy);
 }
 
 void Solver::WindVector(double& wx, double& wy) const {
@@ -93,6 +217,10 @@ void Solver::Initialize(const Boundary& bc) {
   double wx, wy;
   WindVector(wx, wy);
   poisson_.Configure(wx, wy);
+  inflow_x_lo_ = wx > 0;
+  inflow_x_hi_ = wx < 0;
+  inflow_y_lo_ = wy > 0;
+  inflow_y_hi_ = wy < 0;
   const int nx = mesh_.nx(), ny = mesh_.ny(), nz = mesh_.nz();
   for (int k = 0; k < nz; ++k) {
     const double prof = WindProfile(mesh_.Z(k));
@@ -108,6 +236,11 @@ void Solver::Initialize(const Boundary& bc) {
       }
     }
   }
+  // The stages only ever rewrite interior cells and the zero-gradient
+  // faces, so both buffers must carry the fixed faces from here on. The
+  // rest of prev_ is written by the first stage before anything reads it.
+  WriteFixedBounds(cur_, wx, wy);
+  WriteFixedBounds(prev_, wx, wy);
   ApplyBounds(cur_, true);
 }
 
@@ -139,98 +272,72 @@ T Solver::ReduceSlabs(T identity, Map&& map, Combine&& combine) const {
   return acc;
 }
 
-void Solver::ApplyBounds(Fields& f, bool with_scalar) const {
+void Solver::WriteFixedBounds(Fields& f, double wx, double wy) const {
   const int nx = mesh_.nx(), ny = mesh_.ny(), nz = mesh_.nz();
-  double wx, wy;
-  WindVector(wx, wy);
   const double t_in = bc_.exterior_temp_c;
-  double* XG_RESTRICT u = f.u.data();
-  double* XG_RESTRICT v = f.v.data();
-  double* XG_RESTRICT w = f.w.data();
-  double* XG_RESTRICT t = f.t.data();
-
-  // Lateral faces: Dirichlet inflow where the wind enters, zero-gradient
-  // outflow elsewhere — one fused sweep over all transported fields.
-  for (int k = 0; k < nz; ++k) {
+  // Lateral inflow faces on levels 1..nz-2 (the ground and top planes
+  // are their own faces). x faces stop short of the y rows, which own the
+  // corners.
+  for (int k = 1; k < nz - 1; ++k) {
     const double prof = WindProfile(mesh_.Z(k));
-    for (int j = 0; j < ny; ++j) {
-      {  // x-min face (inward normal +x)
-        const size_t c = mesh_.Index(0, j, k), n = mesh_.Index(1, j, k);
-        if (wx > 0) {
-          u[c] = wx * prof;
-          v[c] = wy * prof;
-          w[c] = 0.0;
-          if (with_scalar) t[c] = t_in;
-        } else {
-          u[c] = u[n];
-          v[c] = v[n];
-          w[c] = w[n];
-          if (with_scalar) t[c] = t[n];
-        }
-      }
-      {  // x-max face (inward normal -x)
-        const size_t c = mesh_.Index(nx - 1, j, k), n = mesh_.Index(nx - 2, j, k);
-        if (wx < 0) {
-          u[c] = wx * prof;
-          v[c] = wy * prof;
-          w[c] = 0.0;
-          if (with_scalar) t[c] = t_in;
-        } else {
-          u[c] = u[n];
-          v[c] = v[n];
-          w[c] = w[n];
-          if (with_scalar) t[c] = t[n];
-        }
-      }
+    const auto inflow = [&](size_t c) {
+      f.u[c] = wx * prof;
+      f.v[c] = wy * prof;
+      f.w[c] = 0.0;
+      f.t[c] = t_in;
+    };
+    for (int j = 1; j < ny - 1; ++j) {
+      if (inflow_x_lo_) inflow(mesh_.Index(0, j, k));
+      if (inflow_x_hi_) inflow(mesh_.Index(nx - 1, j, k));
     }
     for (int i = 0; i < nx; ++i) {
-      {  // y-min face (inward normal +y)
-        const size_t c = mesh_.Index(i, 0, k), n = mesh_.Index(i, 1, k);
-        if (wy > 0) {
-          u[c] = wx * prof;
-          v[c] = wy * prof;
-          w[c] = 0.0;
-          if (with_scalar) t[c] = t_in;
-        } else {
-          u[c] = u[n];
-          v[c] = v[n];
-          w[c] = w[n];
-          if (with_scalar) t[c] = t[n];
-        }
+      if (inflow_y_lo_) inflow(mesh_.Index(i, 0, k));
+      if (inflow_y_hi_) inflow(mesh_.Index(i, ny - 1, k));
+    }
+  }
+  // Ground: no-slip. Top: free-slip, zero normal velocity.
+  const size_t plane = static_cast<size_t>(nx) * static_cast<size_t>(ny);
+  std::fill_n(f.u.begin(), plane, 0.0);
+  std::fill_n(f.v.begin(), plane, 0.0);
+  std::fill_n(f.w.begin(), plane, 0.0);
+  std::fill_n(f.w.begin() + mesh_.Index(0, 0, nz - 1), plane, 0.0);
+}
+
+void Solver::ApplyBounds(Fields& f, bool with_scalar) const {
+  const int nx = mesh_.nx(), ny = mesh_.ny(), nz = mesh_.nz();
+  const size_t row = static_cast<size_t>(nx);
+  const size_t plane = row * static_cast<size_t>(ny);
+  double* const all[] = {f.u.data(), f.v.data(), f.w.data(), f.t.data()};
+  const std::span<double* const> fields(all, with_scalar ? 4 : 3);
+
+  // Zero-gradient lateral outflow faces: x faces of rows 1..ny-2 first,
+  // then whole y rows, whose end cells copy the x faces just written.
+  for (int k = 1; k < nz - 1; ++k) {
+    for (double* XG_RESTRICT x : fields) {
+      for (int j = 1; j < ny - 1; ++j) {
+        double* r = x + mesh_.Index(0, j, k);
+        if (!inflow_x_lo_) r[0] = r[1];
+        if (!inflow_x_hi_) r[nx - 1] = r[nx - 2];
       }
-      {  // y-max face (inward normal -y)
-        const size_t c = mesh_.Index(i, ny - 1, k), n = mesh_.Index(i, ny - 2, k);
-        if (wy < 0) {
-          u[c] = wx * prof;
-          v[c] = wy * prof;
-          w[c] = 0.0;
-          if (with_scalar) t[c] = t_in;
-        } else {
-          u[c] = u[n];
-          v[c] = v[n];
-          w[c] = w[n];
-          if (with_scalar) t[c] = t[n];
-        }
+      if (!inflow_y_lo_) {
+        std::copy_n(x + mesh_.Index(0, 1, k), row, x + mesh_.Index(0, 0, k));
+      }
+      if (!inflow_y_hi_) {
+        std::copy_n(x + mesh_.Index(0, ny - 2, k), row,
+                    x + mesh_.Index(0, ny - 1, k));
       }
     }
   }
-  // Ground: no-slip, zero-gradient scalar. Top: free-slip (zero normal
-  // velocity), zero-gradient scalar.
-  for (int j = 0; j < ny; ++j) {
-    for (int i = 0; i < nx; ++i) {
-      const size_t g = mesh_.Index(i, j, 0);
-      const size_t above = mesh_.Index(i, j, 1);
-      u[g] = v[g] = w[g] = 0.0;
-      const size_t top = mesh_.Index(i, j, nz - 1);
-      const size_t below = mesh_.Index(i, j, nz - 2);
-      u[top] = u[below];
-      v[top] = v[below];
-      w[top] = 0.0;
-      if (with_scalar) {
-        t[g] = t[above];
-        t[top] = t[below];
-      }
-    }
+  // Ground: zero-gradient scalar. Top: zero-gradient tangential velocity
+  // and scalar.
+  const size_t top = mesh_.Index(0, 0, nz - 1);
+  for (double* XG_RESTRICT x : fields.first(2)) {
+    std::copy_n(x + top - plane, plane, x + top);
+  }
+  if (with_scalar) {
+    double* XG_RESTRICT t = f.t.data();
+    std::copy_n(t + plane, plane, t);
+    std::copy_n(t + top - plane, plane, t + top);
   }
 }
 
@@ -239,9 +346,8 @@ void Solver::Advect() {
   const double dt = params_.dt_s;
   const double idx = 1.0 / mesh_.dx(), idy = 1.0 / mesh_.dy(),
                idz = 1.0 / mesh_.dz();
-  const int nx = mesh_.nx(), ny = mesh_.ny();
-  const size_t sx = 1, sy = static_cast<size_t>(nx),
-               sz = static_cast<size_t>(nx) * static_cast<size_t>(ny);
+  const Stencil st(mesh_);
+  const size_t sy = st.sy, sz = st.sz;
   const double* XG_RESTRICT u0 = prev_.u.data();
   const double* XG_RESTRICT v0 = prev_.v.data();
   const double* XG_RESTRICT w0 = prev_.w.data();
@@ -252,28 +358,31 @@ void Solver::Advect() {
   double* XG_RESTRICT t = cur_.t.data();
 
   ForSlabs([&](int kb, int ke) {
-    for (int k = kb; k < ke; ++k) {
-      for (int j = 1; j < ny - 1; ++j) {
-        size_t c = mesh_.Index(1, j, k);
-        for (int i = 1; i < nx - 1; ++i, ++c) {
-          const double uu = u0[c], vv = v0[c], ww = w0[c];
-          const auto upwind = [&](const double* XG_RESTRICT fld) {
-            // First-order upwind derivative along each axis.
-            const double dfx = uu >= 0 ? (fld[c] - fld[c - sx]) * idx
-                                       : (fld[c + sx] - fld[c]) * idx;
-            const double dfy = vv >= 0 ? (fld[c] - fld[c - sy]) * idy
-                                       : (fld[c + sy] - fld[c]) * idy;
-            const double dfz = ww >= 0 ? (fld[c] - fld[c - sz]) * idz
-                                       : (fld[c + sz] - fld[c]) * idz;
-            return uu * dfx + vv * dfy + ww * dfz;
-          };
-          u[c] = u0[c] - dt * upwind(u0);
-          v[c] = v0[c] - dt * upwind(v0);
-          w[c] = w0[c] - dt * upwind(w0);
-          t[c] = t0[c] - dt * upwind(t0);
-        }
-      }
-    }
+    ForInterior(mesh_, kb, ke, [=](size_t c, auto lanes) {
+      using V = decltype(lanes);
+      const V uu = Load<V>(u0 + c), vv = Load<V>(v0 + c), ww = Load<V>(w0 + c);
+      // First-order upwind: per axis, the one-sided difference on the
+      // side the flow comes from. Both differences are formed, the upwind
+      // one is selected, and only it is scaled.
+      const Mask<V> back_x = uu >= V{}, back_y = vv >= V{}, back_z = ww >= V{};
+      const auto upwind = [&](const double* XG_RESTRICT fld) {
+        const V f = Load<V>(fld + c);
+        const V dfx = Select<V>(back_x, f - Load<V>(fld + c - 1),
+                                Load<V>(fld + c + 1) - f) *
+                      idx;
+        const V dfy = Select<V>(back_y, f - Load<V>(fld + c - sy),
+                                Load<V>(fld + c + sy) - f) *
+                      idy;
+        const V dfz = Select<V>(back_z, f - Load<V>(fld + c - sz),
+                                Load<V>(fld + c + sz) - f) *
+                      idz;
+        return uu * dfx + vv * dfy + ww * dfz;
+      };
+      Store(u + c, uu - dt * upwind(u0));
+      Store(v + c, vv - dt * upwind(v0));
+      Store(w + c, ww - dt * upwind(w0));
+      Store(t + c, Load<V>(t0 + c) - dt * upwind(t0));
+    });
   });
   ApplyBounds(cur_, true);
   total_updates_ += interior_cells_;
@@ -282,12 +391,7 @@ void Solver::Advect() {
 void Solver::DiffuseAndForce() {
   std::swap(cur_, prev_);
   const double dt = params_.dt_s;
-  const double cx = 1.0 / (mesh_.dx() * mesh_.dx());
-  const double cy = 1.0 / (mesh_.dy() * mesh_.dy());
-  const double cz = 1.0 / (mesh_.dz() * mesh_.dz());
-  const int nx = mesh_.nx(), ny = mesh_.ny();
-  const size_t sx = 1, sy = static_cast<size_t>(nx),
-               sz = static_cast<size_t>(nx) * static_cast<size_t>(ny);
+  const Stencil st(mesh_);
   const double dtnu = dt * params_.eddy_viscosity;
   const double dtkappa = dt * params_.thermal_diffusivity;
   const double gbeta = dt * params_.gravity * params_.buoyancy_beta;
@@ -305,75 +409,48 @@ void Solver::DiffuseAndForce() {
   const CellType* XG_RESTRICT type = mesh_.types().data();
 
   ForSlabs([&](int kb, int ke) {
-    for (int k = kb; k < ke; ++k) {
-      for (int j = 1; j < ny - 1; ++j) {
-        size_t c = mesh_.Index(1, j, k);
-        for (int i = 1; i < nx - 1; ++i, ++c) {
-          const auto lap = [&](const double* XG_RESTRICT fld) {
-            return cx * (fld[c + sx] - 2.0 * fld[c] + fld[c - sx]) +
-                   cy * (fld[c + sy] - 2.0 * fld[c] + fld[c - sy]) +
-                   cz * (fld[c + sz] - 2.0 * fld[c] + fld[c - sz]);
-          };
-          double un = u0[c] + dtnu * lap(u0);
-          double vn = v0[c] + dtnu * lap(v0);
-          double wn = w0[c] + dtnu * lap(w0);
-          double tn = t0[c] + dtkappa * lap(t0);
+    ForInterior(mesh_, kb, ke, [=](size_t c, auto lanes) {
+      using V = decltype(lanes);
+      V un = Load<V>(u0 + c) + dtnu * st.Laplacian<V>(u0, c);
+      V vn = Load<V>(v0 + c) + dtnu * st.Laplacian<V>(v0, c);
+      V wn = Load<V>(w0 + c) + dtnu * st.Laplacian<V>(w0, c);
+      V tn = Load<V>(t0 + c) + dtkappa * st.Laplacian<V>(t0, c);
 
-          // Boussinesq buoyancy relative to the exterior air temperature.
-          wn += gbeta * (t0[c] - t_ext);
+      // Boussinesq buoyancy relative to the exterior air temperature.
+      wn += gbeta * (Load<V>(t0 + c) - t_ext);
 
-          // Porous drag (implicit per cell: unconditionally stable) and
-          // canopy heat, both from the precomputed per-cell arrays.
-          if (type[c] != CellType::kFluid) {
-            const double cd = drag[c];
-            const double speed = std::sqrt(un * un + vn * vn + wn * wn);
-            const double damp = 1.0 / (1.0 + dt * cd * speed);
-            un *= damp;
-            vn *= damp;
-            wn *= damp;
-            tn += heat[c];
-          }
-          u[c] = un;
-          v[c] = vn;
-          w[c] = wn;
-          t[c] = tn;
-        }
+      // Porous drag (implicit per cell: unconditionally stable) and
+      // canopy heat, from the precomputed per-cell arrays, applied to the
+      // non-fluid lanes only. Most packs hold no porous cell and skip it.
+      Mask<V> porous{};
+      bool any = false;
+      for (int l = 0; l < kLanes<V>; ++l) {
+        porous[l] = type[c + static_cast<size_t>(l)] != CellType::kFluid ? -1 : 0;
+        any = any || porous[l] != 0;
       }
-    }
+      if (any) {
+        const V speed = Sqrt(un * un + vn * vn + wn * wn);
+        const V damp = 1.0 / (1.0 + dt * Load<V>(drag + c) * speed);
+        un = Select<V>(porous, un * damp, un);
+        vn = Select<V>(porous, vn * damp, vn);
+        wn = Select<V>(porous, wn * damp, wn);
+        tn = Select<V>(porous, tn + Load<V>(heat + c), tn);
+      }
+      Store(u + c, un);
+      Store(v + c, vn);
+      Store(w + c, wn);
+      Store(t + c, tn);
+    });
   });
   ApplyBounds(cur_, true);
   total_updates_ += interior_cells_;
 }
 
-void Solver::SolvePressure(StepStats& stats) {
-  const int nx = mesh_.nx(), ny = mesh_.ny();
+void Solver::SolvePressure(StepStats& stats, bool diagnostics) {
   const double dt = params_.dt_s;
-  const double idx2 = 1.0 / (2.0 * mesh_.dx()), idy2 = 1.0 / (2.0 * mesh_.dy()),
-               idz2 = 1.0 / (2.0 * mesh_.dz());
-  const size_t sx = 1, sy = static_cast<size_t>(nx),
-               sz = static_cast<size_t>(nx) * static_cast<size_t>(ny);
-  const double cx = 1.0 / (mesh_.dx() * mesh_.dx());
-  const double cy = 1.0 / (mesh_.dy() * mesh_.dy());
-  const double cz = 1.0 / (mesh_.dz() * mesh_.dz());
+  const Stencil st(mesh_);
   double* XG_RESTRICT p = p_.data();
   double* XG_RESTRICT div = div_.data();
-  // A p at an interior cell once FillGhosts has set the boundary cells.
-  const auto lap = [&](size_t c) {
-    return cx * (p[c + sx] - 2 * p[c] + p[c - sx]) +
-           cy * (p[c + sy] - 2 * p[c] + p[c - sy]) +
-           cz * (p[c + sz] - 2 * p[c] + p[c - sz]);
-  };
-  // Runs cell(c) over every interior cell.
-  const auto for_interior = [&](auto&& cell) {
-    ForSlabs([&](int kb, int ke) {
-      for (int k = kb; k < ke; ++k) {
-        for (int j = 1; j < ny - 1; ++j) {
-          size_t c = mesh_.Index(1, j, k);
-          for (int i = 1; i < nx - 1; ++i, ++c) cell(c);
-        }
-      }
-    });
-  };
 
   {
     // Covers the whole pressure solve; the "sor" label is kept so kernel
@@ -384,11 +461,17 @@ void Solver::SolvePressure(StepStats& stats) {
     const double* XG_RESTRICT u = cur_.u.data();
     const double* XG_RESTRICT v = cur_.v.data();
     const double* XG_RESTRICT w = cur_.w.data();
-    for_interior([&](size_t c) {
-      div[c] = ((u[c + sx] - u[c - sx]) * idx2 +
-                (v[c + sy] - v[c - sy]) * idy2 +
-                (w[c + sz] - w[c - sz]) * idz2) /
-               dt;
+    // The first pass solves A p = b in place, so p starts as b. b itself
+    // is kept only for a defect correction or the residual.
+    const bool solves = params_.poisson_iters > 0;
+    const bool keep_b = diagnostics || params_.poisson_iters > 1;
+    ForSlabs([&](int kb, int ke) {
+      ForInterior(mesh_, kb, ke, [=](size_t c, auto lanes) {
+        using V = decltype(lanes);
+        const V b = st.Divergence<V>(u, v, w, c) / dt;
+        if (keep_b) Store(div + c, b);
+        if (solves) Store(p + c, b);
+      });
     });
 
     // The first pass solves A p = b directly. Each further pass is one
@@ -397,37 +480,43 @@ void Solver::SolvePressure(StepStats& stats) {
     // (that one rewrites every cell).
     for (int pass = 0; pass < params_.poisson_iters; ++pass) {
       if (pass == 0) {
-        for_interior([&](size_t c) { p[c] = div[c]; });
         poisson_.Solve(p, pool_);
       } else {
         double* XG_RESTRICT d = prev_.u.data();
-        for_interior([&](size_t c) { d[c] = div[c] - lap(c); });
+        ForSlabs([&](int kb, int ke) {
+          ForInterior(mesh_, kb, ke, [=](size_t c, auto lanes) {
+            using V = decltype(lanes);
+            Store(d + c, Load<V>(div + c) - st.Laplacian<V>(p, c));
+          });
+        });
         poisson_.Solve(d, pool_);
-        for_interior([&](size_t c) { p[c] += d[c]; });
+        ForSlabs([&](int kb, int ke) {
+          ForInterior(mesh_, kb, ke, [=](size_t c, auto lanes) {
+            using V = decltype(lanes);
+            Store(p + c, Load<V>(p + c) + Load<V>(d + c));
+          });
+        });
       }
       poisson_.FillGhosts(p);
       total_updates_ += interior_cells_;
     }
   }
+  if (!diagnostics) return;
 
-  // Residual max |A p - b| against the scale max |b|: the per-step proof
-  // that the solve converged.
+  // Residual max |A p - b| against the scale max |b|: the proof that the
+  // solve converged.
   obs::KernelScope ks(timer_, "residual");
   const ResidualMax r = ReduceSlabs(
       ResidualMax{},
       [&](int kb, int ke) {
-        ResidualMax local;
-        for (int k = kb; k < ke; ++k) {
-          for (int j = 1; j < ny - 1; ++j) {
-            size_t c = mesh_.Index(1, j, k);
-            for (int i = 1; i < nx - 1; ++i, ++c) {
-              local.residual =
-                  std::max(local.residual, std::abs(lap(c) - div[c]));
-              local.rhs = std::max(local.rhs, std::abs(div[c]));
-            }
-          }
-        }
-        return local;
+        MaxFold residual, rhs;
+        ForInterior(mesh_, kb, ke, [=, &residual, &rhs](size_t c, auto lanes) {
+          using V = decltype(lanes);
+          const V b = Load<V>(div + c);
+          residual.Add(Abs(st.Laplacian<V>(p, c) - b));
+          rhs.Add(Abs(b));
+        });
+        return ResidualMax{residual.Value(), rhs.Value()};
       },
       &CombineResidualMax);
   stats.poisson_residual = r.residual;
@@ -436,32 +525,29 @@ void Solver::SolvePressure(StepStats& stats) {
 
 void Solver::Project() {
   const double dt = params_.dt_s;
-  const double idx2 = 1.0 / (2.0 * mesh_.dx()), idy2 = 1.0 / (2.0 * mesh_.dy()),
-               idz2 = 1.0 / (2.0 * mesh_.dz());
-  const int nx = mesh_.nx(), ny = mesh_.ny();
-  const size_t sx = 1, sy = static_cast<size_t>(nx),
-               sz = static_cast<size_t>(nx) * static_cast<size_t>(ny);
+  const Stencil st(mesh_);
+  const size_t sy = st.sy, sz = st.sz;
+  const double idx2 = st.idx2, idy2 = st.idy2, idz2 = st.idz2;
   const double* XG_RESTRICT p = p_.data();
   double* XG_RESTRICT u = cur_.u.data();
   double* XG_RESTRICT v = cur_.v.data();
   double* XG_RESTRICT w = cur_.w.data();
   ForSlabs([&](int kb, int ke) {
-    for (int k = kb; k < ke; ++k) {
-      for (int j = 1; j < ny - 1; ++j) {
-        size_t c = mesh_.Index(1, j, k);
-        for (int i = 1; i < nx - 1; ++i, ++c) {
-          u[c] -= dt * (p[c + sx] - p[c - sx]) * idx2;
-          v[c] -= dt * (p[c + sy] - p[c - sy]) * idy2;
-          w[c] -= dt * (p[c + sz] - p[c - sz]) * idz2;
-        }
-      }
-    }
+    ForInterior(mesh_, kb, ke, [=](size_t c, auto lanes) {
+      using V = decltype(lanes);
+      Store(u + c, Load<V>(u + c) -
+                       dt * (Load<V>(p + c + 1) - Load<V>(p + c - 1)) * idx2);
+      Store(v + c, Load<V>(v + c) -
+                       dt * (Load<V>(p + c + sy) - Load<V>(p + c - sy)) * idy2);
+      Store(w + c, Load<V>(w + c) -
+                       dt * (Load<V>(p + c + sz) - Load<V>(p + c - sz)) * idz2);
+    });
   });
   ApplyBounds(cur_, false);
   total_updates_ += interior_cells_;
 }
 
-StepStats Solver::Step() {
+StepStats Solver::StepOnce(bool diagnostics) {
   StepStats stats;
   {
     obs::KernelScope ks(timer_, "advect");
@@ -471,12 +557,12 @@ StepStats Solver::Step() {
     obs::KernelScope ks(timer_, "diffuse_force");
     DiffuseAndForce();
   }
-  SolvePressure(stats);
+  SolvePressure(stats, diagnostics);
   {
     obs::KernelScope ks(timer_, "project");
     Project();
   }
-  {
+  if (diagnostics) {
     obs::KernelScope ks(timer_, "max_divergence");
     stats.max_divergence = MaxDivergence();
   }
@@ -484,9 +570,11 @@ StepStats Solver::Step() {
   return stats;
 }
 
+StepStats Solver::Step() { return StepOnce(true); }
+
 StepStats Solver::Run(int steps) {
   StepStats last;
-  for (int s = 0; s < steps; ++s) last = Step();
+  for (int s = 0; s < steps; ++s) last = StepOnce(s + 1 == steps);
   return last;
 }
 
@@ -559,30 +647,19 @@ double Solver::InteriorMeanTemperature() const {
 }
 
 double Solver::MaxDivergence() const {
-  const double idx2 = 1.0 / (2.0 * mesh_.dx()), idy2 = 1.0 / (2.0 * mesh_.dy()),
-               idz2 = 1.0 / (2.0 * mesh_.dz());
-  const int nx = mesh_.nx(), ny = mesh_.ny();
-  const size_t sx = 1, sy = static_cast<size_t>(nx),
-               sz = static_cast<size_t>(nx) * static_cast<size_t>(ny);
+  const Stencil st(mesh_);
   const double* XG_RESTRICT u = cur_.u.data();
   const double* XG_RESTRICT v = cur_.v.data();
   const double* XG_RESTRICT w = cur_.w.data();
   return ReduceSlabs(
       0.0,
       [&](int kb, int ke) {
-        double local = 0.0;
-        for (int k = kb; k < ke; ++k) {
-          for (int j = 1; j < ny - 1; ++j) {
-            size_t c = mesh_.Index(1, j, k);
-            for (int i = 1; i < nx - 1; ++i, ++c) {
-              const double d = (u[c + sx] - u[c - sx]) * idx2 +
-                               (v[c + sy] - v[c - sy]) * idy2 +
-                               (w[c + sz] - w[c - sz]) * idz2;
-              local = std::max(local, std::abs(d));
-            }
-          }
-        }
-        return local;
+        MaxFold local;
+        ForInterior(mesh_, kb, ke, [=, &local](size_t c, auto lanes) {
+          using V = decltype(lanes);
+          local.Add(Abs(st.Divergence<V>(u, v, w, c)));
+        });
+        return local.Value();
       },
       [](double a, double b) { return std::max(a, b); });
 }

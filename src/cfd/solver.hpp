@@ -19,12 +19,19 @@
 //
 // Hot-path layout (see DESIGN.md "CFD hot path"): the transported fields
 // live in a double-buffered SoA set — Advect and DiffuseAndForce swap the
-// current/previous buffers instead of copying five full vectors per step,
-// and each stage ends with one fused boundary sweep. Per-cell type, drag,
-// and heat-source arrays are precomputed so no geometry predicate runs
-// inside a kernel. Reductions (Poisson residual, max divergence, interior
-// means) take one partial per horizontal slab and combine them in
-// ascending k, so they do not depend on the worker count.
+// current/previous buffers instead of copying five full vectors per step.
+// Every stencil kernel is written once over a lane pack and runs each row
+// two cells at a time, the odd last cell at one lane, each lane doing the
+// scalar expression in the scalar order, so fields are bitwise what one
+// cell at a time would give. Per-cell type, drag, and heat-source arrays
+// are precomputed so no geometry predicate runs inside a kernel. Boundary
+// faces whose value is fixed for a solve (inflow faces, no-slip ground,
+// the top's normal velocity) are written into both buffers by Initialize;
+// each stage then ends with one sweep that only copies the zero-gradient
+// faces. Reductions (Poisson residual, max divergence, interior means)
+// take one partial per horizontal slab and combine them in ascending k, so
+// they do not depend on the worker count. The two diagnostics are computed
+// by Step() and by the last step of Run(), the only ones returned.
 //
 // The solver is domain-decomposed over horizontal slabs and runs on a
 // ThreadPool; cell-update counts are exposed so the HPC performance model
@@ -93,8 +100,13 @@ class Solver {
   /// `pool` may be null for serial execution.
   Solver(const Mesh& mesh, SolverParams params, ThreadPool* pool = nullptr);
 
+  /// Sets the initial field and the boundary state for a solve; Step and
+  /// Run require it. The mesh must be at least 3 cells along each axis.
   void Initialize(const Boundary& bc);
+  /// One time step with its diagnostics (residual, max divergence).
   StepStats Step();
+  /// `steps` time steps; returns what the last Step() would (zero stats
+  /// for steps <= 0). Earlier steps skip the diagnostics nobody reads.
   StepStats Run(int steps);
 
   const Mesh& mesh() const { return mesh_; }
@@ -135,13 +147,20 @@ class Solver {
   uint64_t interior_cell_count() const { return interior_cells_; }
 
  private:
-  /// One fused boundary sweep: velocity faces and, when `with_scalar`,
-  /// the temperature faces in the same traversal.
+  /// Writes the faces whose value is fixed for the solve into `f`:
+  /// inflow faces, the no-slip ground, the top's zero normal velocity.
+  void WriteFixedBounds(Fields& f, double wx, double wy) const;
+  /// The per-stage boundary sweep: copies the zero-gradient faces
+  /// (outflow laterals, top velocity, and when `with_scalar` the ground
+  /// and top temperature). Together with WriteFixedBounds it leaves every
+  /// boundary cell, corners included, as one sweep writing every face
+  /// would: x faces, then y faces, level by level, then ground and top.
   void ApplyBounds(Fields& f, bool with_scalar) const;
   void Advect();
   void DiffuseAndForce();
-  void SolvePressure(StepStats& stats);
+  void SolvePressure(StepStats& stats, bool diagnostics);
   void Project();
+  StepStats StepOnce(bool diagnostics);
   /// Inward wind components (+x east-to-west etc.) from the boundary.
   void WindVector(double& wx, double& wy) const;
 
@@ -159,6 +178,10 @@ class Solver {
   ThreadPool* pool_;
   obs::KernelTimer* timer_ = nullptr;
   Boundary bc_;
+  /// Lateral faces the wind enters through (fixed Dirichlet inflow); the
+  /// others are zero-gradient outflow. Set by Initialize.
+  bool inflow_x_lo_ = false, inflow_x_hi_ = false;
+  bool inflow_y_lo_ = false, inflow_y_hi_ = false;
   Fields cur_, prev_;
   std::vector<double> p_, div_;
   PoissonSolver poisson_;

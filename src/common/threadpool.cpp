@@ -2,6 +2,10 @@
 
 #include <algorithm>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 namespace xg {
 
 namespace {
@@ -12,10 +16,19 @@ namespace {
 thread_local const ThreadPool* tl_worker_pool = nullptr;
 }  // namespace
 
-ThreadPool::ThreadPool(size_t threads) {
-  if (threads == 0) {
-    threads = std::max<size_t>(1, std::thread::hardware_concurrency());
+size_t AvailableCpus() {
+#if defined(__linux__)
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    const int n = CPU_COUNT(&set);
+    if (n > 0) return static_cast<size_t>(n);
   }
+#endif
+  return std::max<size_t>(1, std::thread::hardware_concurrency());
+}
+
+ThreadPool::ThreadPool(size_t threads) {
+  if (threads == 0) threads = AvailableCpus();
   ranges_.assign(threads, {0, 0});
   workers_.reserve(threads);
   for (size_t i = 0; i < threads; ++i) {

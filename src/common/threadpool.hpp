@@ -23,10 +23,14 @@
 
 namespace xg {
 
+/// CPUs this process may run on: the size of its affinity mask where the
+/// platform has one (so `taskset -c 1` gives 1), else
+/// std::thread::hardware_concurrency(); at least 1.
+size_t AvailableCpus();
+
 class ThreadPool {
  public:
-  /// Creates `threads` workers. `threads == 0` means hardware concurrency
-  /// (at least 1).
+  /// Creates `threads` workers. `threads == 0` means AvailableCpus().
   explicit ThreadPool(size_t threads = 0);
   ~ThreadPool();
 
@@ -41,15 +45,25 @@ class ThreadPool {
   /// execution and flags a contract violation.
   template <typename Fn>
   void ParallelFor(size_t n, Fn&& fn) {
+    ParallelForChunks(n, [&](size_t begin, size_t end, size_t) {
+      fn(begin, end);
+    });
+  }
+
+  /// As ParallelFor, and also passes the chunk's index (< size(); 0 when a
+  /// nested call runs inline), so a body can use per-chunk scratch:
+  /// fn(begin, end, chunk).
+  template <typename Fn>
+  void ParallelForChunks(size_t n, Fn&& fn) {
     if (n == 0) return;
     XG_INVARIANT(!OnWorkerThread(),
                  "nested ParallelFor on the same ThreadPool would deadlock");
     if (OnWorkerThread()) {
-      fn(size_t{0}, n);
+      fn(size_t{0}, n, size_t{0});
       return;
     }
     using Body = std::remove_reference_t<Fn>;
-    Dispatch(n, &RangeTrampoline<Body>, const_cast<void*>(
+    Dispatch(n, &ChunkTrampoline<Body>, const_cast<void*>(
                     static_cast<const void*>(std::addressof(fn))));
   }
 
@@ -63,12 +77,9 @@ class ThreadPool {
       return;
     }
     // One unit of work per worker: chunking assigns index w to worker w.
-    auto body = [&](size_t begin, size_t end, size_t) {
+    ParallelForChunks(workers_.size(), [&](size_t begin, size_t end, size_t) {
       for (size_t i = begin; i < end; ++i) fn(i);
-    };
-    using Body = decltype(body);
-    Dispatch(workers_.size(), &WorkerRangeTrampoline<Body>,
-             const_cast<void*>(static_cast<const void*>(&body)));
+    });
   }
 
   /// True when called from one of this pool's worker threads (i.e. from
@@ -80,13 +91,8 @@ class ThreadPool {
   using RawFn = void (*)(void*, size_t, size_t, size_t);
 
   template <typename Body>
-  static void RangeTrampoline(void* ctx, size_t begin, size_t end,
-                              size_t /*worker*/) {
-    (*static_cast<Body*>(ctx))(begin, end);
-  }
-  template <typename Body>
-  static void WorkerRangeTrampoline(void* ctx, size_t begin, size_t end,
-                                    size_t worker) {
+  static void ChunkTrampoline(void* ctx, size_t begin, size_t end,
+                              size_t worker) {
     (*static_cast<Body*>(ctx))(begin, end, worker);
   }
 

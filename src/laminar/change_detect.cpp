@@ -14,14 +14,14 @@ std::string ChangeDecision::Describe() const {
   return buf;
 }
 
-ChangeDecision ChangeDetector::Compare(const std::vector<double>& previous,
-                                       const std::vector<double>& recent) const {
+ChangeDecision ChangeDetector::Compare(std::span<const double> previous,
+                                       std::span<const double> recent) {
   ChangeDecision d;
   if (previous.size() < 2 || recent.size() < 2) return d;
   d.enough_data = true;
   d.welch = WelchTTest(previous, recent);
-  d.mann_whitney = MannWhitneyU(previous, recent);
-  d.kolmogorov_smirnov = KolmogorovSmirnov(previous, recent);
+  d.mann_whitney = MannWhitneyU(previous, recent, scratch_);
+  d.kolmogorov_smirnov = KolmogorovSmirnov(previous, recent, scratch_);
   d.votes = static_cast<int>(d.welch.reject(config_.alpha)) +
             static_cast<int>(d.mann_whitney.reject(config_.alpha)) +
             static_cast<int>(d.kolmogorov_smirnov.reject(config_.alpha));
@@ -29,14 +29,10 @@ ChangeDecision ChangeDetector::Compare(const std::vector<double>& previous,
   return d;
 }
 
-ChangeDecision ChangeDetector::Evaluate(const std::vector<double>& series) const {
+ChangeDecision ChangeDetector::Evaluate(std::span<const double> series) {
   const size_t n = config_.window;
   if (series.size() < 2 * n) return ChangeDecision{};
-  std::vector<double> previous(series.end() - static_cast<long>(2 * n),
-                               series.end() - static_cast<long>(n));
-  std::vector<double> recent(series.end() - static_cast<long>(n),
-                             series.end());
-  return Compare(previous, recent);
+  return Compare(series.subspan(series.size() - 2 * n, n), series.last(n));
 }
 
 ChangeDetectionGraph BuildChangeDetectionProgram(
@@ -50,7 +46,7 @@ ChangeDetectionGraph BuildChangeDetectionProgram(
   ChangeDetector detector(config);
   g.decision = program.AddMap(
       "vote", detect_host, g.window, ValueType::kBool,
-      [detector](const Value& v) {
+      [detector](const Value& v) mutable {
         const auto& series = v.AsVector();
         return Value(detector.Evaluate(series).changed);
       });

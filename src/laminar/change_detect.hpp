@@ -9,8 +9,8 @@
 // statistical difference, and a voting rule arbitrates between them.
 #pragma once
 
+#include <span>
 #include <string>
-#include <vector>
 
 #include "laminar/program.hpp"
 #include "laminar/stats_tests.hpp"
@@ -44,15 +44,18 @@ class ChangeDetector {
   const ChangeDetectorConfig& config() const { return config_; }
 
   /// Compare the last `window` samples of `series` against the `window`
-  /// samples before them. Requires series.size() >= 2*window.
-  ChangeDecision Evaluate(const std::vector<double>& series) const;
+  /// samples before them. Requires series.size() >= 2*window. Reads the
+  /// windows in place; once the detector's scratch has grown to them, an
+  /// evaluation allocates nothing.
+  ChangeDecision Evaluate(std::span<const double> series);
 
   /// Compare two explicit windows.
-  ChangeDecision Compare(const std::vector<double>& previous,
-                         const std::vector<double>& recent) const;
+  ChangeDecision Compare(std::span<const double> previous,
+                         std::span<const double> recent);
 
  private:
   ChangeDetectorConfig config_;
+  RankScratch scratch_;
 };
 
 /// Handles built by BuildChangeDetectionProgram.

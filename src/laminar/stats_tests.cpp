@@ -7,12 +7,12 @@
 namespace xg::laminar {
 
 namespace {
-double Mean(const std::vector<double>& v) {
+double Mean(std::span<const double> v) {
   if (v.empty()) return 0.0;
   return std::accumulate(v.begin(), v.end(), 0.0) / static_cast<double>(v.size());
 }
 
-double SampleVar(const std::vector<double>& v, double mean) {
+double SampleVar(std::span<const double> v, double mean) {
   if (v.size() < 2) return 0.0;
   double s = 0.0;
   for (double x : v) s += (x - mean) * (x - mean);
@@ -64,8 +64,7 @@ double StudentTTwoSidedP(double t, double df) {
   return std::clamp(p, 0.0, 1.0);
 }
 
-TestOutcome WelchTTest(const std::vector<double>& a,
-                       const std::vector<double>& b) {
+TestOutcome WelchTTest(std::span<const double> a, std::span<const double> b) {
   TestOutcome out;
   if (a.size() < 2 || b.size() < 2) return out;
   const double na = static_cast<double>(a.size());
@@ -88,41 +87,37 @@ TestOutcome WelchTTest(const std::vector<double>& a,
   return out;
 }
 
-TestOutcome MannWhitneyU(const std::vector<double>& a,
-                         const std::vector<double>& b) {
+TestOutcome MannWhitneyU(std::span<const double> a, std::span<const double> b,
+                         RankScratch& scratch) {
   TestOutcome out;
   const size_t na = a.size(), nb = b.size();
   if (na == 0 || nb == 0) return out;
 
   // Rank the pooled sample with midranks for ties.
-  struct Obs {
-    double x;
-    int group;
-  };
-  std::vector<Obs> pooled;
-  pooled.reserve(na + nb);
+  using Obs = RankScratch::Obs;
+  std::vector<Obs>& pooled = scratch.pooled;
+  pooled.clear();
   for (double x : a) pooled.push_back({x, 0});
   for (double x : b) pooled.push_back({x, 1});
   std::sort(pooled.begin(), pooled.end(),
             [](const Obs& l, const Obs& r) { return l.x < r.x; });
 
-  std::vector<double> ranks(pooled.size());
+  // Sum a's midranks in pooled order while walking the tie groups.
   double tie_correction = 0.0;
+  double rank_sum_a = 0.0;
   for (size_t i = 0; i < pooled.size();) {
     size_t j = i;
     while (j < pooled.size() && pooled[j].x == pooled[i].x) ++j;
     const double midrank =
         (static_cast<double>(i + 1) + static_cast<double>(j)) / 2.0;
-    for (size_t k = i; k < j; ++k) ranks[k] = midrank;
+    for (size_t k = i; k < j; ++k) {
+      if (pooled[k].group == 0) rank_sum_a += midrank;
+    }
     const double t = static_cast<double>(j - i);
     tie_correction += t * t * t - t;
     i = j;
   }
 
-  double rank_sum_a = 0.0;
-  for (size_t i = 0; i < pooled.size(); ++i) {
-    if (pooled[i].group == 0) rank_sum_a += ranks[i];
-  }
   const double dna = static_cast<double>(na), dnb = static_cast<double>(nb);
   const double u_a = rank_sum_a - dna * (dna + 1.0) / 2.0;
   const double u = std::min(u_a, dna * dnb - u_a);
@@ -144,11 +139,14 @@ TestOutcome MannWhitneyU(const std::vector<double>& a,
   return out;
 }
 
-TestOutcome KolmogorovSmirnov(const std::vector<double>& a,
-                              const std::vector<double>& b) {
+TestOutcome KolmogorovSmirnov(std::span<const double> a,
+                              std::span<const double> b, RankScratch& scratch) {
   TestOutcome out;
   if (a.empty() || b.empty()) return out;
-  std::vector<double> sa = a, sb = b;
+  std::vector<double>& sa = scratch.sorted_a;
+  std::vector<double>& sb = scratch.sorted_b;
+  sa.assign(a.begin(), a.end());
+  sb.assign(b.begin(), b.end());
   std::sort(sa.begin(), sa.end());
   std::sort(sb.begin(), sb.end());
 

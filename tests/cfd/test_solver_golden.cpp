@@ -20,7 +20,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "cfd/mesh.hpp"
 #include "common/threadpool.hpp"
@@ -139,6 +143,96 @@ TEST(SolverGolden, SerialAndPooledFieldsAgreeBitwise) {
   ASSERT_EQ(serial.w(), pooled.w());
   ASSERT_EQ(serial.temperature(), pooled.temperature());
   ASSERT_EQ(serial.pressure(), pooled.pressure());
+}
+
+/// FNV-1a over the bit patterns of a field, so -0.0 and 0.0 differ.
+uint64_t FieldHash(const std::vector<double>& field) {
+  uint64_t h = 14695981039346656037ull;
+  for (double x : field) {
+    uint64_t bits;
+    std::memcpy(&bits, &x, sizeof bits);
+    for (int b = 0; b < 8; ++b) {
+      h ^= (bits >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+// Bitwise pin of the full field state after 120 steps (the fabric's
+// cfd_steps) on the default 48x40x12 mesh, so a kernel rewrite that
+// reorders one operation anywhere is caught, not only one that moves a
+// summary scalar past kTol. The three south-west winds leave x-max and
+// y-max as outflow faces; the fourth case, a north-east wind on a mesh 47
+// cells wide, makes x-min and y-min the outflow faces and gives every row
+// an odd interior width, so the one-lane tail of the two-lane kernels
+// runs. All hashes were captured
+// from the scalar kernels as they stood before the two-lane rewrite (the
+// parent commit's solver, built unmodified), and any change to the
+// stepping arithmetic that is meant to keep results must reproduce them.
+// They assume IEEE double arithmetic without contraction into FMA (the
+// x86-64 baseline; no -march, no -ffast-math).
+TEST(SolverGolden, FieldHashesMatchParent) {
+  struct Case {
+    double dir_deg, speed_ms;
+    int nx;
+    std::array<uint64_t, 5> want;  ///< u, v, w, T, p
+  };
+  const Case cases[] = {
+      {270.0, 3.0, 48,
+       {0x387132b36dce28a6, 0x5ba3cbc70cce76b4, 0xbf7444dae92ad45c,
+        0xa52d8013e923eca3, 0x078e8c5df5b6bfff}},
+      {225.0, 4.5, 48,
+       {0xccdbd50b77b2fe19, 0x5cb80682fbde016c, 0xe9661e89440d066f,
+        0xc08a41bed7bfb315, 0xe8d7e2e02497f99a}},
+      {200.0, 1.5, 48,
+       {0xee147f4d99653768, 0xcd1c930e17345138, 0xdad73e86762ca131,
+        0x8cbfb115f92b1dcf, 0x16db4e7989fb0bce}},
+      {45.0, 2.0, 47,
+       {0xefeb623a92f2dc2a, 0xeaec2304a4760781, 0x85c6330645ac3695,
+        0x8aeecbbbd4d97f80, 0x6078d23ca900a72b}},
+  };
+  for (const Case& c : cases) {
+    MeshParams mp;
+    mp.nx = c.nx;
+    const Mesh mesh(mp);
+    Boundary bc;
+    bc.wind_dir_deg = c.dir_deg;
+    bc.wind_speed_ms = c.speed_ms;
+    Solver s(mesh, SolverParams{});
+    s.Initialize(bc);
+    s.Run(120);
+    const std::array<uint64_t, 5> got = {
+        FieldHash(s.u()), FieldHash(s.v()), FieldHash(s.w()),
+        FieldHash(s.temperature()), FieldHash(s.pressure())};
+    EXPECT_EQ(got, c.want) << std::hex << "dir " << c.dir_deg << " speed "
+                           << c.speed_ms << ": {0x" << got[0] << ", 0x"
+                           << got[1] << ", 0x" << got[2] << ", 0x" << got[3]
+                           << ", 0x" << got[4] << "}";
+  }
+}
+
+// Run(n) computes the diagnostics only on its last step; what it returns
+// must be exactly what the n-th Step() returns.
+TEST(SolverGolden, RunReturnsTheLastStepsStats) {
+  Mesh mesh(GoldenMesh());
+  const Golden g = GoldenCase(0);
+  Solver stepped(mesh, SolverParams{}), run(mesh, SolverParams{});
+  stepped.Initialize(g.bc);
+  run.Initialize(g.bc);
+  StepStats want;
+  for (int s = 0; s < 7; ++s) want = stepped.Step();
+  const StepStats got = run.Run(7);
+  EXPECT_EQ(got.max_divergence, want.max_divergence);
+  EXPECT_EQ(got.poisson_residual, want.poisson_residual);
+  EXPECT_EQ(got.poisson_rhs, want.poisson_rhs);
+  EXPECT_EQ(got.cell_updates, want.cell_updates);
+  EXPECT_GT(got.poisson_rhs, 0.0);
+  EXPECT_GT(got.max_divergence, 0.0);
+  EXPECT_EQ(run.u(), stepped.u());
+  EXPECT_EQ(run.temperature(), stepped.temperature());
+  EXPECT_EQ(run.pressure(), stepped.pressure());
+  EXPECT_EQ(run.Run(0).cell_updates, 0u);
 }
 
 }  // namespace

@@ -6,9 +6,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <numeric>
 #include <thread>
 #include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 namespace xg {
 namespace {
@@ -16,6 +21,46 @@ namespace {
 TEST(ThreadPool, SizeDefaultsToHardware) {
   ThreadPool pool;
   EXPECT_GE(pool.size(), 1u);
+}
+
+#if defined(__linux__)
+// The default size follows the affinity mask, not the machine: narrow this
+// thread to one CPU (the pool is sized from the calling thread's mask),
+// build a default pool, then put the mask back.
+TEST(ThreadPool, DefaultSizeFollowsAffinity) {
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(AvailableCpus(), static_cast<size_t>(CPU_COUNT(&saved)));
+  int first = 0;
+  while (first < CPU_SETSIZE && !CPU_ISSET(first, &saved)) ++first;
+  ASSERT_LT(first, CPU_SETSIZE);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const size_t narrowed_cpus = AvailableCpus();
+  const size_t narrowed_pool = ThreadPool().size();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(narrowed_cpus, 1u);
+  EXPECT_EQ(narrowed_pool, 1u);
+}
+#endif
+
+TEST(ThreadPool, ParallelForChunksNamesEachChunkOnce) {
+  ThreadPool pool(3);
+  std::vector<std::atomic<int>> owner(10);
+  for (auto& o : owner) o.store(-1);
+  pool.ParallelForChunks(owner.size(), [&](size_t b, size_t e, size_t chunk) {
+    ASSERT_LT(chunk, pool.size());
+    for (size_t i = b; i < e; ++i) owner[i].store(static_cast<int>(chunk));
+  });
+  // Contiguous chunks in ascending order: chunk indices never decrease.
+  for (size_t i = 0; i < owner.size(); ++i) {
+    ASSERT_GE(owner[i].load(), 0);
+    if (i > 0) {
+      EXPECT_GE(owner[i].load(), owner[i - 1].load());
+    }
+  }
 }
 
 TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {

@@ -16,7 +16,7 @@ std::vector<double> Steady(Rng& rng, size_t n, double mean, double sd) {
 
 TEST(ChangeDetector, TooLittleDataIsInconclusive) {
   ChangeDetector d;
-  auto dec = d.Evaluate({1.0, 2.0, 3.0});
+  auto dec = d.Evaluate(std::vector{1.0, 2.0, 3.0});
   EXPECT_FALSE(dec.enough_data);
   EXPECT_FALSE(dec.changed);
 }
@@ -47,8 +47,8 @@ TEST(ChangeDetector, FrontTriggersAlert) {
 
 TEST(ChangeDetector, CompareReportsPerTestOutcomes) {
   ChangeDetector d;
-  auto dec = d.Compare({1, 1.1, 0.9, 1, 1.05, 0.95},
-                       {9, 9.1, 8.9, 9, 9.05, 8.95});
+  auto dec = d.Compare(std::vector<double>{1, 1.1, 0.9, 1, 1.05, 0.95},
+                       std::vector<double>{9, 9.1, 8.9, 9, 9.05, 8.95});
   EXPECT_TRUE(dec.welch.reject());
   EXPECT_TRUE(dec.mann_whitney.reject());
   EXPECT_TRUE(dec.kolmogorov_smirnov.reject());

@@ -55,13 +55,17 @@ TEST(Welch, HandComputedStatistic) {
 }
 
 TEST(Welch, TooFewSamplesNeverRejects) {
-  EXPECT_FALSE(WelchTTest({1.0}, {5.0, 6.0}).reject());
+  EXPECT_FALSE(WelchTTest(std::vector{1.0}, std::vector{5.0, 6.0}).reject());
   EXPECT_FALSE(WelchTTest({}, {}).reject());
 }
 
 TEST(Welch, ZeroVarianceCases) {
-  EXPECT_FALSE(WelchTTest({2.0, 2.0, 2.0}, {2.0, 2.0, 2.0}).reject());
-  EXPECT_TRUE(WelchTTest({2.0, 2.0, 2.0}, {3.0, 3.0, 3.0}).reject());
+  EXPECT_FALSE(
+      WelchTTest(std::vector{2.0, 2.0, 2.0}, std::vector{2.0, 2.0, 2.0})
+          .reject());
+  EXPECT_TRUE(
+      WelchTTest(std::vector{2.0, 2.0, 2.0}, std::vector{3.0, 3.0, 3.0})
+          .reject());
 }
 
 TEST(MannWhitney, IdenticalSamplesDoNotReject) {
