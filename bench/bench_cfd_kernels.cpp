@@ -1,15 +1,13 @@
-// CFD kernel benchmark: per-kernel hot-path timing for the solver and a
-// thread sweep, with speedup reported against the 1-thread run. Emits a
-// machine-readable BENCH_cfd.json artifact so CI and regression tooling can
-// gate on kernel performance.
+// CFD kernel benchmark: per-kernel hot-path timing for the solver's step
+// on one thread. Emits a machine-readable BENCH_cfd.json artifact so CI
+// and regression tooling can track kernel performance.
 //
 // The run is also a correctness gate: the exit status is nonzero if any
-// pooled run's final fields (u, v, w, T, p) differ bitwise from the
-// 1-thread run, or if any timed step leaves a Poisson residual above
-// 1e-10 * max|b|, or if the artifact cannot be written.
+// timed step leaves a Poisson residual above 1e-10 * max|b|, or if the
+// artifact cannot be written.
 //
 // Usage:
-//   bench_cfd_kernels [--smoke] [--out PATH] [--steps N] [--threads N]
+//   bench_cfd_kernels [--smoke] [--out PATH] [--steps N]
 //
 // --smoke shrinks the mesh and step count so the whole run finishes in
 // well under a second; CI runs it as the kernel gate.
@@ -27,7 +25,6 @@
 #include "cfd/mesh.hpp"
 #include "cfd/solver.hpp"
 #include "common/table.hpp"
-#include "common/threadpool.hpp"
 #include "obs/kerneltimer.hpp"
 #include "obs/metrics.hpp"
 
@@ -49,13 +46,10 @@ constexpr const char* kKernels[] = {"advect",   "diffuse_force",  "sor",
 constexpr double kResidualTolerance = 1e-10;
 
 struct RunResult {
-  unsigned threads = 1;
   double step_ms = 0.0;
   double cells_per_sec = 0.0;
   /// Worst residual / max|b| over the timed steps.
   double residual_ratio = 0.0;
-  /// Final u, v, w, T, p, concatenated, for the bitwise pooled check.
-  std::vector<double> fields;
   // Parallel arrays over kKernels.
   std::vector<double> kernel_total_ms;
   std::vector<uint64_t> kernel_calls;
@@ -70,11 +64,8 @@ cfd::Boundary BenchBoundary() {
   return bc;
 }
 
-RunResult TimeSolver(const cfd::Mesh& mesh, int warmup, int steps,
-                     unsigned threads) {
-  ThreadPool pool(threads);
-  cfd::Solver solver(mesh, cfd::SolverParams{},
-                     threads > 1 ? &pool : nullptr);
+RunResult TimeSolver(const cfd::Mesh& mesh, int warmup, int steps) {
+  cfd::Solver solver(mesh, cfd::SolverParams{});
   obs::MetricsRegistry registry;
   obs::KernelTimer timer(&registry, &NowUs);
   solver.set_kernel_timer(&timer);
@@ -104,16 +95,10 @@ RunResult TimeSolver(const cfd::Mesh& mesh, int warmup, int steps,
     calls_after.push_back(timer.Count(k));
   }
 
-  r.threads = threads;
   const double secs = static_cast<double>(t1 - t0) / 1e6;
   r.step_ms = secs / steps * 1e3;
   r.cells_per_sec =
       secs > 0 ? steps * static_cast<double>(mesh.cell_count()) / secs : 0.0;
-  for (const std::vector<double>* f :
-       {&solver.u(), &solver.v(), &solver.w(), &solver.temperature(),
-        &solver.pressure()}) {
-    r.fields.insert(r.fields.end(), f->begin(), f->end());
-  }
   for (size_t k = 0; k < std::size(kKernels); ++k) {
     r.kernel_total_ms.push_back(ms_after[k] - ms_before[k]);
     r.kernel_calls.push_back(calls_after[k] - calls_before[k]);
@@ -132,7 +117,6 @@ int main(int argc, char** argv) {
   bool smoke = false;
   std::string out_path = "BENCH_cfd.json";
   int steps_override = 0;
-  unsigned threads_override = 0;
   for (int a = 1; a < argc; ++a) {
     const std::string arg = argv[a];
     if (arg == "--smoke") {
@@ -141,11 +125,9 @@ int main(int argc, char** argv) {
       out_path = argv[++a];
     } else if (arg == "--steps" && a + 1 < argc) {
       steps_override = std::atoi(argv[++a]);
-    } else if (arg == "--threads" && a + 1 < argc) {
-      threads_override = static_cast<unsigned>(std::atoi(argv[++a]));
     } else {
       return Fail("unknown argument: " + arg +
-                  " (usage: [--smoke] [--out PATH] [--steps N] [--threads N])");
+                  " (usage: [--smoke] [--out PATH] [--steps N])");
     }
   }
 
@@ -164,62 +146,28 @@ int main(int argc, char** argv) {
   int steps = smoke ? 4 : 30;
   if (steps_override > 0) steps = steps_override;
 
-  unsigned max_threads = threads_override > 0
-                             ? threads_override
-                             : static_cast<unsigned>(AvailableCpus());
-  // The smoke run still needs a pooled run to check against serial.
-  if (smoke) max_threads = 2;
-
-  // Thread sweep: 1, 2, 4, ... up to the CPUs this process may use (or the
-  // requested width).
-  std::vector<RunResult> runs;
-  for (unsigned t = 1; t <= max_threads; t *= 2) {
-    runs.push_back(TimeSolver(mesh, warmup, steps, t));
-    if (t == max_threads) break;
-    if (t * 2 > max_threads) {
-      runs.push_back(TimeSolver(mesh, warmup, steps, max_threads));
-      break;
-    }
-  }
-
-  const RunResult& r1 = runs.front();
-  const auto speedup = [&](const RunResult& r) {
-    return r1.cells_per_sec > 0 ? r.cells_per_sec / r1.cells_per_sec : 0.0;
-  };
-  bool pooled_match = true;
-  double residual_ratio = 0.0;
-  for (const RunResult& r : runs) {
-    pooled_match = pooled_match && r.fields == r1.fields;
-    if (!(r.residual_ratio <= residual_ratio)) residual_ratio = r.residual_ratio;
-  }
-
-  Table per_thread({"Threads", "Step (ms)", "Mcells/s", "vs 1 thread"});
-  for (const RunResult& r : runs) {
-    per_thread.AddRow({Table::Num(r.threads, 0), Table::Num(r.step_ms, 3),
-                       Table::Num(r.cells_per_sec / 1e6, 2),
-                       Table::Num(speedup(r), 2)});
-  }
-  per_thread.Print(std::cout, "Full Step() throughput");
+  const RunResult r = TimeSolver(mesh, warmup, steps);
+  Table step({"Step (ms)", "Mcells/s"});
+  step.AddRow({Table::Num(r.step_ms, 3), Table::Num(r.cells_per_sec / 1e6, 2)});
+  step.Print(std::cout, "Full Step() throughput");
 
   Table per_kernel({"Kernel", "Total (ms)", "Calls", "Mean (ms)"});
   for (size_t k = 0; k < std::size(kKernels); ++k) {
-    const uint64_t calls = r1.kernel_calls[k];
+    const uint64_t calls = r.kernel_calls[k];
     per_kernel.AddRow(
-        {kKernels[k], Table::Num(r1.kernel_total_ms[k], 3),
+        {kKernels[k], Table::Num(r.kernel_total_ms[k], 3),
          Table::Num(static_cast<double>(calls), 0),
-         Table::Num(calls > 0 ? r1.kernel_total_ms[k] / calls : 0.0, 4)});
+         Table::Num(calls > 0 ? r.kernel_total_ms[k] / calls : 0.0, 4)});
   }
-  per_kernel.Print(std::cout, "Per-kernel breakdown (1 thread)");
-  std::cout << "Worst Poisson residual / max|b|: " << residual_ratio
-            << " (limit " << kResidualTolerance << ")\n"
-            << "Pooled fields match 1 thread bitwise: "
-            << (pooled_match ? "yes" : "NO") << "\n";
+  per_kernel.Print(std::cout, "Per-kernel breakdown");
+  std::cout << "Worst Poisson residual / max|b|: " << r.residual_ratio
+            << " (limit " << kResidualTolerance << ")\n";
 
   std::ofstream out(out_path);
   if (!out) return Fail("cannot open " + out_path + " for writing");
   bench::JsonWriter jw(out);
   jw.BeginObject();
-  jw.Field("schema", "xg-bench-cfd-v2");
+  jw.Field("schema", "xg-bench-cfd-v3");
   jw.Field("smoke", smoke);
   jw.Key("mesh");
   jw.BeginObject();
@@ -230,40 +178,29 @@ int main(int argc, char** argv) {
   jw.EndObject();
   jw.Field("steps", steps);
   jw.Field("warmup_steps", warmup);
-  jw.Key("runs");
+  jw.Field("step_ms", r.step_ms);
+  jw.Field("cells_per_sec", r.cells_per_sec);
+  jw.Key("kernels");
   jw.BeginArray();
-  for (const RunResult& r : runs) {
+  for (size_t k = 0; k < std::size(kKernels); ++k) {
     jw.BeginObject();
-    jw.Field("threads", r.threads);
-    jw.Field("step_ms", r.step_ms);
-    jw.Field("cells_per_sec", r.cells_per_sec);
-    jw.Field("speedup_vs_1_thread", speedup(r));
-    jw.Key("kernels");
-    jw.BeginArray();
-    for (size_t k = 0; k < std::size(kKernels); ++k) {
-      jw.BeginObject();
-      jw.Field("name", kKernels[k]);
-      jw.Field("total_ms", r.kernel_total_ms[k]);
-      jw.Field("calls", r.kernel_calls[k]);
-      jw.Field("mean_ms", r.kernel_calls[k] > 0
-                              ? r.kernel_total_ms[k] / r.kernel_calls[k]
-                              : 0.0);
-      jw.EndObject();
-    }
-    jw.EndArray();
+    jw.Field("name", kKernels[k]);
+    jw.Field("total_ms", r.kernel_total_ms[k]);
+    jw.Field("calls", r.kernel_calls[k]);
+    jw.Field("mean_ms", r.kernel_calls[k] > 0
+                            ? r.kernel_total_ms[k] / r.kernel_calls[k]
+                            : 0.0);
     jw.EndObject();
   }
   jw.EndArray();
-  jw.Field("max_poisson_residual_ratio", residual_ratio);
-  jw.Field("pooled_matches_serial", pooled_match);
+  jw.Field("max_poisson_residual_ratio", r.residual_ratio);
   jw.EndObject();
   if (!jw.Complete()) return Fail("internal error: unbalanced JSON");
   out << "\n";
   out.close();
   if (!out) return Fail("write to " + out_path + " failed");
   std::cout << "Data written to " << out_path << "\n";
-  if (!pooled_match) return Fail("pooled fields differ from the 1-thread run");
-  if (!(residual_ratio <= kResidualTolerance)) {
+  if (!(r.residual_ratio <= kResidualTolerance)) {
     return Fail("Poisson residual above tolerance");
   }
   return 0;

@@ -45,8 +45,7 @@ int main() {
   cfd_case = parsed.take();
 
   cfd::Mesh mesh(cfd_case.mesh);
-  ThreadPool pool;
-  cfd::Solver solver(mesh, cfd_case.solver, &pool);
+  cfd::Solver solver(mesh, cfd_case.solver);
   solver.Initialize(cfd_case.boundary);
   std::cout << "Running " << cfd_case.steps << " steps on "
             << mesh.cell_count() << " cells ("

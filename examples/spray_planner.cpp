@@ -15,7 +15,6 @@
 #include "cfd/scalar.hpp"
 #include "cfd/solver.hpp"
 #include "common/table.hpp"
-#include "common/threadpool.hpp"
 #include "core/advisor.hpp"
 #include "sensors/atmosphere.hpp"
 
@@ -28,7 +27,6 @@ int main() {
   mp.ny = 30;
   mp.nz = 10;
   cfd::Mesh mesh(mp);
-  ThreadPool pool;
   core::InterventionAdvisor advisor;
 
   cfd::SprayRelease release;
@@ -49,7 +47,7 @@ int main() {
     atmo.Advance(t - atmo.now_s());
     const sensors::AtmoState ext = atmo.Current();
 
-    cfd::Solver solver(mesh, cfd::SolverParams{}, &pool);
+    cfd::Solver solver(mesh, cfd::SolverParams{});
     cfd::Boundary bc;
     bc.wind_speed_ms = ext.wind_speed_ms;
     bc.wind_dir_deg = ext.wind_dir_deg;

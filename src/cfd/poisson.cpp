@@ -9,20 +9,6 @@ namespace xg::cfd {
 namespace {
 constexpr double kPi = 3.14159265358979323846;
 
-/// Runs body(begin, end, task) over [0, n), split across the pool when one
-/// is attached; `task` (< the pool's size, 0 when serial) names the chunk.
-template <typename Body>
-void ForRange(ThreadPool* pool, int n, Body&& body) {
-  if (pool != nullptr && n > 1) {
-    pool->ParallelForChunks(
-        static_cast<size_t>(n), [&](size_t b, size_t e, size_t task) {
-          body(static_cast<int>(b), static_cast<int>(e), task);
-        });
-  } else {
-    body(0, n, size_t{0});
-  }
-}
-
 /// out[i] = sum over t of coef(t) * in(t)[i] for i < n, accumulated from
 /// 0 in ascending t. The rows are contiguous x lines. Blocks of kBlock
 /// outputs stay in registers across the whole sum; when n is not a
@@ -92,9 +78,8 @@ PoissonSolver::PoissonSolver(const Mesh& mesh)
       my_(std::max(0, mesh.ny() - 2)),
       mz_(std::max(0, mesh.nz() - 2)),
       cx_(1.0 / (mesh.dx() * mesh.dx())),
-      scratch_per_task_(std::max(static_cast<size_t>(mx_) * my_,
-                                 2 * static_cast<size_t>(mx_) * mz_ + mz_)),
-      scratch_(scratch_per_task_) {
+      scratch_(std::max(static_cast<size_t>(mx_) * my_,
+                        2 * static_cast<size_t>(mx_) * mz_ + mz_)) {
   Configure(0.0, 0.0);
 }
 
@@ -146,64 +131,56 @@ void PoissonSolver::SweepX(double* slab, double* cp,
   }
 }
 
-void PoissonSolver::Solve(double* x, ThreadPool* pool) {
+void PoissonSolver::Solve(double* x) {
   if (mx_ == 0 || my_ == 0 || mz_ == 0) return;
-  const size_t tasks = pool != nullptr ? pool->size() : 1;
-  if (scratch_.size() < tasks * scratch_per_task_) {
-    scratch_.resize(tasks * scratch_per_task_);
-  }
-  const auto scratch = [&](size_t task) {
-    return scratch_.data() + task * scratch_per_task_;
-  };
-  const size_t mx = static_cast<size_t>(mx_);
-  const size_t my = static_cast<size_t>(my_), mz = static_cast<size_t>(mz_);
-  // Interior x line for interior (y, z) indices (j, k).
-  const auto line = [&](int j, int k) { return x + mesh_.Index(1, j + 1, k + 1); };
-  const double* qy = y_.q.data();
-  const double* qz = z_.q.data();
+  // Kept as separate functions: with both phases inlined into one body,
+  // gcc 12 compiled the loop nests ~25% slower.
+  TransformY(x, false);
+  SolveModes(x);
+  TransformY(x, true);
+}
 
-  // Along y, one k-plane per task: x^_a = sum_b Qy[b][a] x_b, or the
+void PoissonSolver::TransformY(double* x, bool inverse) {
+  // Along y, one k-plane at a time: x^_a = sum_b Qy[b][a] x_b, or the
   // inverse x_a = sum_b Qy[a][b] x^_b.
-  const auto transform_y = [&](bool inverse) {
-    ForRange(pool, mz_, [&](int kb, int ke, size_t task) {
-      double* plane = scratch(task);
-      for (int k = kb; k < ke; ++k) {
-        for (int j = 0; j < my_; ++j) {
-          std::copy_n(line(j, k), mx, plane + j * mx);
-        }
-        for (int a = 0; a < my_; ++a) {
-          Combine(
-              line(a, k), mx_, my_,
-              [&](int b) { return inverse ? qy[a * my + b] : qy[b * my + a]; },
-              [&](int b) { return plane + b * mx; });
-        }
-      }
-    });
-  };
-
-  transform_y(false);
-  // Per y-mode a, one x-z slab per task: transform along z, sweep each
-  // (a, c) line along x with the shift mu_y[a] + mu_z[c], transform back.
-  ForRange(pool, my_, [&](int ab, int ae, size_t task) {
-    double* slab = scratch(task);
-    double* cp = slab + mx * mz;
-    double* shift = cp + mx * mz;
-    for (int a = ab; a < ae; ++a) {
-      for (int c = 0; c < mz_; ++c) {
-        Combine(
-            slab + c * mx, mx_, mz_, [&](int k) { return qz[k * mz + c]; },
-            [&](int k) { return line(a, k); });
-        shift[c] = y_.mu[a] + z_.mu[c];
-      }
-      SweepX(slab, cp, shift);
-      for (int k = 0; k < mz_; ++k) {
-        Combine(
-            line(a, k), mx_, mz_, [&](int c) { return qz[k * mz + c]; },
-            [&](int c) { return slab + c * mx; });
-      }
+  const size_t mx = static_cast<size_t>(mx_), my = static_cast<size_t>(my_);
+  const double* qy = y_.q.data();
+  double* plane = scratch_.data();
+  for (int k = 0; k < mz_; ++k) {
+    for (int j = 0; j < my_; ++j) {
+      std::copy_n(Line(x, j, k), mx, plane + j * mx);
     }
-  });
-  transform_y(true);
+    for (int a = 0; a < my_; ++a) {
+      Combine(
+          Line(x, a, k), mx_, my_,
+          [&](int b) { return inverse ? qy[a * my + b] : qy[b * my + a]; },
+          [&](int b) { return plane + b * mx; });
+    }
+  }
+}
+
+void PoissonSolver::SolveModes(double* x) {
+  // Per y-mode a, one x-z slab: transform along z, sweep each (a, c) line
+  // along x with the shift mu_y[a] + mu_z[c], transform back.
+  const size_t mx = static_cast<size_t>(mx_), mz = static_cast<size_t>(mz_);
+  const double* qz = z_.q.data();
+  double* slab = scratch_.data();
+  double* cp = slab + mx * mz;
+  double* shift = cp + mx * mz;
+  for (int a = 0; a < my_; ++a) {
+    for (int c = 0; c < mz_; ++c) {
+      Combine(
+          slab + c * mx, mx_, mz_, [&](int k) { return qz[k * mz + c]; },
+          [&](int k) { return Line(x, a, k); });
+      shift[c] = y_.mu[a] + z_.mu[c];
+    }
+    SweepX(slab, cp, shift);
+    for (int k = 0; k < mz_; ++k) {
+      Combine(
+          Line(x, a, k), mx_, mz_, [&](int c) { return qz[k * mz + c]; },
+          [&](int c) { return slab + c * mx; });
+    }
+  }
 }
 
 void PoissonSolver::FillGhosts(double* p) const {

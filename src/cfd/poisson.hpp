@@ -20,17 +20,13 @@
 // all-Neumann null space never arises.
 //
 // Everything runs in place in the caller's mesh-sized array; the only
-// temporaries are one x-y plane, or two x-z slabs, per task, held in
-// scratch the solver allocates once per task slot and reuses. The pooled path
-// splits the y transforms over k-planes and the z transforms plus x sweeps
-// over y-modes, so each value sees the same arithmetic in the same order
-// as on the serial path: results are bitwise independent of worker count.
+// temporaries are one x-y plane, or two x-z slabs, held in scratch the
+// solver allocates once and reuses.
 #pragma once
 
 #include <vector>
 
 #include "cfd/mesh.hpp"
-#include "common/threadpool.hpp"
 
 namespace xg::cfd {
 
@@ -56,9 +52,9 @@ class PoissonSolver {
 
   /// Solves A x = b in place: on entry the interior cells of the
   /// mesh-sized array `x` hold b, on return the solution. Boundary cells
-  /// are neither read nor written. `pool` may be null. Not reentrant: the
-  /// solver owns the scratch.
-  void Solve(double* x, ThreadPool* pool);
+  /// are neither read nor written. Not reentrant: the solver owns the
+  /// scratch.
+  void Solve(double* x);
 
   /// Writes the ghost values A assumes into the boundary cells of `p`
   /// (0 on Dirichlet faces, the adjacent interior cell on Neumann faces),
@@ -66,6 +62,16 @@ class PoissonSolver {
   void FillGhosts(double* p) const;
 
  private:
+  /// Interior x line of `x` for interior (y, z) indices (j, k).
+  double* Line(double* x, int j, int k) const {
+    return x + mesh_.Index(1, j + 1, k + 1);
+  }
+  /// Transforms every k-plane of `x` along y into the Ly eigenbasis, or
+  /// back when `inverse`.
+  void TransformY(double* x, bool inverse);
+  /// Per y-mode: transforms along z, solves each line along x, and
+  /// transforms back.
+  void SolveModes(double* x);
   /// Solves (Lx + shift[c] I) x = x in place for each of the mz x lines
   /// of an x-z slab (line c at slab + c * mx); `cp` holds mx * mz doubles.
   void SweepX(double* slab, double* cp, const double* shift) const;
@@ -77,10 +83,8 @@ class PoissonSolver {
   bool dirichlet_y_lo_ = true, dirichlet_y_hi_ = true;
   std::vector<double> diag_x_;  ///< diagonal of Lx
   LaplacianModes y_, z_;
-  /// Per-task scratch: an x-y plane for the y transforms, or an x-z slab,
-  /// its Thomas factors and the mz line shifts for the x sweeps. One slot
-  /// per task, grown to the pool's size on first use.
-  size_t scratch_per_task_;
+  /// Scratch: an x-y plane for the y transforms, or an x-z slab, its
+  /// Thomas factors and the mz line shifts for the x sweeps.
   std::vector<double> scratch_;
 };
 

@@ -118,6 +118,20 @@ inline void ForInterior(const Mesh& mesh, int kb, int ke, Cell&& cell) {
   }
 }
 
+/// ForInterior over every interior slab.
+template <typename Cell>
+inline void ForInterior(const Mesh& mesh, Cell&& cell) {
+  ForInterior(mesh, 1, mesh.nz() - 1, cell);
+}
+
+/// Folds one partial map(k) -> T per interior slab k, in ascending k.
+template <typename T, typename Map, typename Combine>
+T ReduceSlabs(const Mesh& mesh, T identity, Map&& map, Combine&& combine) {
+  T acc = identity;
+  for (int k = 1; k < mesh.nz() - 1; ++k) acc = combine(acc, map(k));
+  return acc;
+}
+
 /// Strides and coefficients of the uniform-mesh stencils (x stride 1).
 struct Stencil {
   explicit Stencil(const Mesh& m)
@@ -174,8 +188,8 @@ ResidualMax CombineResidualMax(ResidualMax a, ResidualMax b) {
 }
 }  // namespace
 
-Solver::Solver(const Mesh& mesh, SolverParams params, ThreadPool* pool)
-    : mesh_(mesh), params_(params), pool_(pool), poisson_(mesh) {
+Solver::Solver(const Mesh& mesh, SolverParams params)
+    : mesh_(mesh), params_(params), poisson_(mesh) {
   const size_t n = mesh_.cell_count();
   cur_.Assign(n);
   prev_.Assign(n);
@@ -242,34 +256,6 @@ void Solver::Initialize(const Boundary& bc) {
   WriteFixedBounds(cur_, wx, wy);
   WriteFixedBounds(prev_, wx, wy);
   ApplyBounds(cur_, true);
-}
-
-template <typename Body>
-void Solver::ForSlabs(Body&& body) const {
-  const int nz = mesh_.nz();
-  if (nz <= 2) return;
-  if (pool_ != nullptr && nz > 3) {
-    // Slab decomposition over k in [1, nz-1).
-    pool_->ParallelFor(static_cast<size_t>(nz - 2), [&](size_t b, size_t e) {
-      body(static_cast<int>(b) + 1, static_cast<int>(e) + 1);
-    });
-  } else {
-    body(1, nz - 1);
-  }
-}
-
-template <typename T, typename Map, typename Combine>
-T Solver::ReduceSlabs(T identity, Map&& map, Combine&& combine) const {
-  // One partial per slab, so the fold order never depends on how the
-  // slabs were spread over workers.
-  const int nz = mesh_.nz();
-  std::vector<T> part(static_cast<size_t>(std::max(0, nz - 2)), identity);
-  ForSlabs([&](int kb, int ke) {
-    for (int k = kb; k < ke; ++k) part[static_cast<size_t>(k - 1)] = map(k, k + 1);
-  });
-  T acc = identity;
-  for (const T& x : part) acc = combine(acc, x);
-  return acc;
 }
 
 void Solver::WriteFixedBounds(Fields& f, double wx, double wy) const {
@@ -357,32 +343,30 @@ void Solver::Advect() {
   double* XG_RESTRICT w = cur_.w.data();
   double* XG_RESTRICT t = cur_.t.data();
 
-  ForSlabs([&](int kb, int ke) {
-    ForInterior(mesh_, kb, ke, [=](size_t c, auto lanes) {
-      using V = decltype(lanes);
-      const V uu = Load<V>(u0 + c), vv = Load<V>(v0 + c), ww = Load<V>(w0 + c);
-      // First-order upwind: per axis, the one-sided difference on the
-      // side the flow comes from. Both differences are formed, the upwind
-      // one is selected, and only it is scaled.
-      const Mask<V> back_x = uu >= V{}, back_y = vv >= V{}, back_z = ww >= V{};
-      const auto upwind = [&](const double* XG_RESTRICT fld) {
-        const V f = Load<V>(fld + c);
-        const V dfx = Select<V>(back_x, f - Load<V>(fld + c - 1),
-                                Load<V>(fld + c + 1) - f) *
-                      idx;
-        const V dfy = Select<V>(back_y, f - Load<V>(fld + c - sy),
-                                Load<V>(fld + c + sy) - f) *
-                      idy;
-        const V dfz = Select<V>(back_z, f - Load<V>(fld + c - sz),
-                                Load<V>(fld + c + sz) - f) *
-                      idz;
-        return uu * dfx + vv * dfy + ww * dfz;
-      };
-      Store(u + c, uu - dt * upwind(u0));
-      Store(v + c, vv - dt * upwind(v0));
-      Store(w + c, ww - dt * upwind(w0));
-      Store(t + c, Load<V>(t0 + c) - dt * upwind(t0));
-    });
+  ForInterior(mesh_, [=](size_t c, auto lanes) {
+    using V = decltype(lanes);
+    const V uu = Load<V>(u0 + c), vv = Load<V>(v0 + c), ww = Load<V>(w0 + c);
+    // First-order upwind: per axis, the one-sided difference on the
+    // side the flow comes from. Both differences are formed, the upwind
+    // one is selected, and only it is scaled.
+    const Mask<V> back_x = uu >= V{}, back_y = vv >= V{}, back_z = ww >= V{};
+    const auto upwind = [&](const double* XG_RESTRICT fld) {
+      const V f = Load<V>(fld + c);
+      const V dfx = Select<V>(back_x, f - Load<V>(fld + c - 1),
+                              Load<V>(fld + c + 1) - f) *
+                    idx;
+      const V dfy = Select<V>(back_y, f - Load<V>(fld + c - sy),
+                              Load<V>(fld + c + sy) - f) *
+                    idy;
+      const V dfz = Select<V>(back_z, f - Load<V>(fld + c - sz),
+                              Load<V>(fld + c + sz) - f) *
+                    idz;
+      return uu * dfx + vv * dfy + ww * dfz;
+    };
+    Store(u + c, uu - dt * upwind(u0));
+    Store(v + c, vv - dt * upwind(v0));
+    Store(w + c, ww - dt * upwind(w0));
+    Store(t + c, Load<V>(t0 + c) - dt * upwind(t0));
   });
   ApplyBounds(cur_, true);
   total_updates_ += interior_cells_;
@@ -408,39 +392,37 @@ void Solver::DiffuseAndForce() {
   const double* XG_RESTRICT heat = cell_heat_.data();
   const CellType* XG_RESTRICT type = mesh_.types().data();
 
-  ForSlabs([&](int kb, int ke) {
-    ForInterior(mesh_, kb, ke, [=](size_t c, auto lanes) {
-      using V = decltype(lanes);
-      V un = Load<V>(u0 + c) + dtnu * st.Laplacian<V>(u0, c);
-      V vn = Load<V>(v0 + c) + dtnu * st.Laplacian<V>(v0, c);
-      V wn = Load<V>(w0 + c) + dtnu * st.Laplacian<V>(w0, c);
-      V tn = Load<V>(t0 + c) + dtkappa * st.Laplacian<V>(t0, c);
+  ForInterior(mesh_, [=](size_t c, auto lanes) {
+    using V = decltype(lanes);
+    V un = Load<V>(u0 + c) + dtnu * st.Laplacian<V>(u0, c);
+    V vn = Load<V>(v0 + c) + dtnu * st.Laplacian<V>(v0, c);
+    V wn = Load<V>(w0 + c) + dtnu * st.Laplacian<V>(w0, c);
+    V tn = Load<V>(t0 + c) + dtkappa * st.Laplacian<V>(t0, c);
 
-      // Boussinesq buoyancy relative to the exterior air temperature.
-      wn += gbeta * (Load<V>(t0 + c) - t_ext);
+    // Boussinesq buoyancy relative to the exterior air temperature.
+    wn += gbeta * (Load<V>(t0 + c) - t_ext);
 
-      // Porous drag (implicit per cell: unconditionally stable) and
-      // canopy heat, from the precomputed per-cell arrays, applied to the
-      // non-fluid lanes only. Most packs hold no porous cell and skip it.
-      Mask<V> porous{};
-      bool any = false;
-      for (int l = 0; l < kLanes<V>; ++l) {
-        porous[l] = type[c + static_cast<size_t>(l)] != CellType::kFluid ? -1 : 0;
-        any = any || porous[l] != 0;
-      }
-      if (any) {
-        const V speed = Sqrt(un * un + vn * vn + wn * wn);
-        const V damp = 1.0 / (1.0 + dt * Load<V>(drag + c) * speed);
-        un = Select<V>(porous, un * damp, un);
-        vn = Select<V>(porous, vn * damp, vn);
-        wn = Select<V>(porous, wn * damp, wn);
-        tn = Select<V>(porous, tn + Load<V>(heat + c), tn);
-      }
-      Store(u + c, un);
-      Store(v + c, vn);
-      Store(w + c, wn);
-      Store(t + c, tn);
-    });
+    // Porous drag (implicit per cell: unconditionally stable) and
+    // canopy heat, from the precomputed per-cell arrays, applied to the
+    // non-fluid lanes only. Most packs hold no porous cell and skip it.
+    Mask<V> porous{};
+    bool any = false;
+    for (int l = 0; l < kLanes<V>; ++l) {
+      porous[l] = type[c + static_cast<size_t>(l)] != CellType::kFluid ? -1 : 0;
+      any = any || porous[l] != 0;
+    }
+    if (any) {
+      const V speed = Sqrt(un * un + vn * vn + wn * wn);
+      const V damp = 1.0 / (1.0 + dt * Load<V>(drag + c) * speed);
+      un = Select<V>(porous, un * damp, un);
+      vn = Select<V>(porous, vn * damp, vn);
+      wn = Select<V>(porous, wn * damp, wn);
+      tn = Select<V>(porous, tn + Load<V>(heat + c), tn);
+    }
+    Store(u + c, un);
+    Store(v + c, vn);
+    Store(w + c, wn);
+    Store(t + c, tn);
   });
   ApplyBounds(cur_, true);
   total_updates_ += interior_cells_;
@@ -465,13 +447,11 @@ void Solver::SolvePressure(StepStats& stats, bool diagnostics) {
     // is kept only for a defect correction or the residual.
     const bool solves = params_.poisson_iters > 0;
     const bool keep_b = diagnostics || params_.poisson_iters > 1;
-    ForSlabs([&](int kb, int ke) {
-      ForInterior(mesh_, kb, ke, [=](size_t c, auto lanes) {
-        using V = decltype(lanes);
-        const V b = st.Divergence<V>(u, v, w, c) / dt;
-        if (keep_b) Store(div + c, b);
-        if (solves) Store(p + c, b);
-      });
+    ForInterior(mesh_, [=](size_t c, auto lanes) {
+      using V = decltype(lanes);
+      const V b = st.Divergence<V>(u, v, w, c) / dt;
+      if (keep_b) Store(div + c, b);
+      if (solves) Store(p + c, b);
     });
 
     // The first pass solves A p = b directly. Each further pass is one
@@ -480,21 +460,17 @@ void Solver::SolvePressure(StepStats& stats, bool diagnostics) {
     // (that one rewrites every cell).
     for (int pass = 0; pass < params_.poisson_iters; ++pass) {
       if (pass == 0) {
-        poisson_.Solve(p, pool_);
+        poisson_.Solve(p);
       } else {
         double* XG_RESTRICT d = prev_.u.data();
-        ForSlabs([&](int kb, int ke) {
-          ForInterior(mesh_, kb, ke, [=](size_t c, auto lanes) {
-            using V = decltype(lanes);
-            Store(d + c, Load<V>(div + c) - st.Laplacian<V>(p, c));
-          });
+        ForInterior(mesh_, [=](size_t c, auto lanes) {
+          using V = decltype(lanes);
+          Store(d + c, Load<V>(div + c) - st.Laplacian<V>(p, c));
         });
-        poisson_.Solve(d, pool_);
-        ForSlabs([&](int kb, int ke) {
-          ForInterior(mesh_, kb, ke, [=](size_t c, auto lanes) {
-            using V = decltype(lanes);
-            Store(p + c, Load<V>(p + c) + Load<V>(d + c));
-          });
+        poisson_.Solve(d);
+        ForInterior(mesh_, [=](size_t c, auto lanes) {
+          using V = decltype(lanes);
+          Store(p + c, Load<V>(p + c) + Load<V>(d + c));
         });
       }
       poisson_.FillGhosts(p);
@@ -507,10 +483,10 @@ void Solver::SolvePressure(StepStats& stats, bool diagnostics) {
   // solve converged.
   obs::KernelScope ks(timer_, "residual");
   const ResidualMax r = ReduceSlabs(
-      ResidualMax{},
-      [&](int kb, int ke) {
+      mesh_, ResidualMax{},
+      [&](int k) {
         MaxFold residual, rhs;
-        ForInterior(mesh_, kb, ke, [=, &residual, &rhs](size_t c, auto lanes) {
+        ForInterior(mesh_, k, k + 1, [=, &residual, &rhs](size_t c, auto lanes) {
           using V = decltype(lanes);
           const V b = Load<V>(div + c);
           residual.Add(Abs(st.Laplacian<V>(p, c) - b));
@@ -532,16 +508,14 @@ void Solver::Project() {
   double* XG_RESTRICT u = cur_.u.data();
   double* XG_RESTRICT v = cur_.v.data();
   double* XG_RESTRICT w = cur_.w.data();
-  ForSlabs([&](int kb, int ke) {
-    ForInterior(mesh_, kb, ke, [=](size_t c, auto lanes) {
-      using V = decltype(lanes);
-      Store(u + c, Load<V>(u + c) -
-                       dt * (Load<V>(p + c + 1) - Load<V>(p + c - 1)) * idx2);
-      Store(v + c, Load<V>(v + c) -
-                       dt * (Load<V>(p + c + sy) - Load<V>(p + c - sy)) * idy2);
-      Store(w + c, Load<V>(w + c) -
-                       dt * (Load<V>(p + c + sz) - Load<V>(p + c - sz)) * idz2);
-    });
+  ForInterior(mesh_, [=](size_t c, auto lanes) {
+    using V = decltype(lanes);
+    Store(u + c, Load<V>(u + c) -
+                     dt * (Load<V>(p + c + 1) - Load<V>(p + c - 1)) * idx2);
+    Store(v + c, Load<V>(v + c) -
+                     dt * (Load<V>(p + c + sy) - Load<V>(p + c - sy)) * idy2);
+    Store(w + c, Load<V>(w + c) -
+                     dt * (Load<V>(p + c + sz) - Load<V>(p + c - sz)) * idz2);
   });
   ApplyBounds(cur_, false);
   total_updates_ += interior_cells_;
@@ -603,17 +577,15 @@ double Solver::InteriorMeanSpeed() const {
   const double* XG_RESTRICT v = cur_.v.data();
   const double* XG_RESTRICT w = cur_.w.data();
   const SumCount total = ReduceSlabs(
-      SumCount{},
-      [&](int kb, int ke) {
+      mesh_, SumCount{},
+      [&](int k) {
         SumCount part;
-        for (int k = kb; k < ke; ++k) {
-          for (int j = 1; j < ny - 1; ++j) {
-            size_t c = mesh_.Index(1, j, k);
-            for (int i = 1; i < nx - 1; ++i, ++c) {
-              if (inside[c] == 0) continue;
-              part.sum += std::sqrt(u[c] * u[c] + v[c] * v[c] + w[c] * w[c]);
-              ++part.n;
-            }
+        for (int j = 1; j < ny - 1; ++j) {
+          size_t c = mesh_.Index(1, j, k);
+          for (int i = 1; i < nx - 1; ++i, ++c) {
+            if (inside[c] == 0) continue;
+            part.sum += std::sqrt(u[c] * u[c] + v[c] * v[c] + w[c] * w[c]);
+            ++part.n;
           }
         }
         return part;
@@ -627,17 +599,15 @@ double Solver::InteriorMeanTemperature() const {
   const unsigned char* XG_RESTRICT inside = mesh_.inside_house().data();
   const double* XG_RESTRICT t = cur_.t.data();
   const SumCount total = ReduceSlabs(
-      SumCount{},
-      [&](int kb, int ke) {
+      mesh_, SumCount{},
+      [&](int k) {
         SumCount part;
-        for (int k = kb; k < ke; ++k) {
-          for (int j = 1; j < ny - 1; ++j) {
-            size_t c = mesh_.Index(1, j, k);
-            for (int i = 1; i < nx - 1; ++i, ++c) {
-              if (inside[c] == 0) continue;
-              part.sum += t[c];
-              ++part.n;
-            }
+        for (int j = 1; j < ny - 1; ++j) {
+          size_t c = mesh_.Index(1, j, k);
+          for (int i = 1; i < nx - 1; ++i, ++c) {
+            if (inside[c] == 0) continue;
+            part.sum += t[c];
+            ++part.n;
           }
         }
         return part;
@@ -652,10 +622,10 @@ double Solver::MaxDivergence() const {
   const double* XG_RESTRICT v = cur_.v.data();
   const double* XG_RESTRICT w = cur_.w.data();
   return ReduceSlabs(
-      0.0,
-      [&](int kb, int ke) {
+      mesh_, 0.0,
+      [&](int k) {
         MaxFold local;
-        ForInterior(mesh_, kb, ke, [=, &local](size_t c, auto lanes) {
+        ForInterior(mesh_, k, k + 1, [=, &local](size_t c, auto lanes) {
           using V = decltype(lanes);
           local.Add(Abs(st.Divergence<V>(u, v, w, c)));
         });

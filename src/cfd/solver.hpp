@@ -29,15 +29,16 @@
 // the top's normal velocity) are written into both buffers by Initialize;
 // each stage then ends with one sweep that only copies the zero-gradient
 // faces. Reductions (Poisson residual, max divergence, interior means)
-// take one partial per horizontal slab and combine them in ascending k, so
-// they do not depend on the worker count. The two diagnostics are computed
-// by Step() and by the last step of Run(), the only ones returned.
+// take one partial per horizontal slab and combine them in ascending k.
+// The two diagnostics are computed by Step() and by the last step of
+// Run(), the only ones returned.
 //
-// The solver is domain-decomposed over horizontal slabs and runs on a
-// ThreadPool; cell-update counts are exposed so the HPC performance model
-// can be calibrated against real measured per-cell cost. A KernelTimer can
-// be attached to record per-kernel times into a metrics registry (clock
-// injected by the caller; detached timing costs one pointer test).
+// The solver runs on the caller's thread: the paper's 64-core OpenFOAM
+// run is modelled by hpc::CfdPerfModel, not reproduced in process.
+// Cell-update counts are exposed so that model can be calibrated against
+// real measured per-cell cost. A KernelTimer can be attached to record
+// per-kernel times into a metrics registry (clock injected by the caller;
+// detached timing costs one pointer test).
 #pragma once
 
 #include <cstdint>
@@ -45,7 +46,6 @@
 
 #include "cfd/mesh.hpp"
 #include "cfd/poisson.hpp"
-#include "common/threadpool.hpp"
 
 namespace xg::obs {
 class KernelTimer;
@@ -97,8 +97,7 @@ struct Fields {
 
 class Solver {
  public:
-  /// `pool` may be null for serial execution.
-  Solver(const Mesh& mesh, SolverParams params, ThreadPool* pool = nullptr);
+  Solver(const Mesh& mesh, SolverParams params);
 
   /// Sets the initial field and the boundary state for a solve; Step and
   /// Run require it. The mesh must be at least 3 cells along each axis.
@@ -164,18 +163,8 @@ class Solver {
   /// Inward wind components (+x east-to-west etc.) from the boundary.
   void WindVector(double& wx, double& wy) const;
 
-  /// Run body(kb, ke) over the interior slab range k in [1, nz-1),
-  /// decomposed across the pool when one is attached.
-  template <typename Body>
-  void ForSlabs(Body&& body) const;
-  /// Reduce map(k, k + 1) -> T over each interior slab k, folding the
-  /// partials in ascending k on the serial and pooled paths alike.
-  template <typename T, typename Map, typename Combine>
-  T ReduceSlabs(T identity, Map&& map, Combine&& combine) const;
-
   const Mesh& mesh_;
   SolverParams params_;
-  ThreadPool* pool_;
   obs::KernelTimer* timer_ = nullptr;
   Boundary bc_;
   /// Lateral faces the wind enters through (fixed Dirichlet inflow); the

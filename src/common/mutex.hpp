@@ -3,12 +3,11 @@
 // xg::Mutex wraps std::mutex as a clang Thread Safety Analysis capability
 // type and xg::MutexLock replaces std::lock_guard as a scoped capability,
 // so `-Wthread-safety -Werror` (the CI analyze lane) can prove that every
-// XG_GUARDED_BY member is only touched with its lock held. xg::CondVar
-// wraps std::condition_variable_any to wait directly on a Mutex; predicate
-// waits are deliberately not offered — write the `while (!pred) Wait(mu);`
-// loop in the caller, where the analysis can see the lock is held while
-// the predicate reads guarded state (a lambda predicate is analyzed as a
-// separate function with no lock context and would defeat the checking).
+// XG_GUARDED_BY member is only touched with its lock held.
+//
+// Only process-global state takes a lock (the log level and sink, the
+// contract counters, obs::LogSink); everything a fabric owns is confined
+// to the one thread that runs it (see XG_SIM_THREAD_CONFINED).
 //
 // The xglint `unannotated-mutex` rule enforces the migration: any
 // std::mutex / std::lock_guard / std::condition_variable spelled under
@@ -18,8 +17,7 @@
 // forward; there is no state beyond the wrapped primitive.
 #pragma once
 
-#include <condition_variable>  // xglint:allow(unannotated-mutex)
-#include <mutex>               // xglint:allow(unannotated-mutex)
+#include <mutex>  // xglint:allow(unannotated-mutex)
 
 #include "common/thread_annotations.hpp"
 
@@ -53,26 +51,6 @@ class XG_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-/// Condition variable that waits on an xg::Mutex. Wait() requires the
-/// capability, so a caller that forgot to lock is a compile error in the
-/// analyze lane. Notify may be called with or without the lock held.
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  /// Atomically releases `mu`, blocks, and reacquires `mu` before
-  /// returning. Spurious wakeups happen; always wait in a predicate loop.
-  void Wait(Mutex& mu) XG_REQUIRES(mu) { cv_.wait(mu); }
-
-  void NotifyOne() { cv_.notify_one(); }
-  void NotifyAll() { cv_.notify_all(); }
-
- private:
-  std::condition_variable_any cv_;  // xglint:allow(unannotated-mutex)
 };
 
 }  // namespace xg

@@ -3,14 +3,13 @@
 // distributions (Fig 7), and end-to-end timing (Section 4.4).
 //
 // THREAD-SAFETY: every accumulator in this header is explicitly
-// single-threaded (XG_SIM_THREAD_CONFINED). None carries a lock, and
-// SampleSet mutates `mutable` state from const accessors, so even
-// concurrent reads race. Accumulate per-thread and Merge() on one
-// thread, or use the lock-free obs::Histogram (or a std::atomic counter)
-// for cross-thread aggregation. xglint's
-// confined-static rule rejects file-scope instances of these types in
-// src/ because a global accumulator is exactly the shared-unguarded
-// use this contract forbids.
+// single-threaded (XG_SIM_THREAD_CONFINED), like everything else a
+// fabric owns. None carries a lock, and SampleSet mutates `mutable`
+// state from const accessors, so even concurrent reads race. To combine
+// runs made on several threads, accumulate per thread and Merge() on one
+// thread. xglint's confined-static rule rejects file-scope instances of
+// these types in src/ because a global accumulator is exactly the
+// shared-unguarded use this contract forbids.
 #pragma once
 
 #include <cstddef>

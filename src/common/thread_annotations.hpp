@@ -9,30 +9,26 @@
 // error; under GCC (the default local toolchain) the macros expand to
 // nothing and cost nothing.
 //
-// This matters because the fabric is about to stop being single-threaded:
-// the parallel event-kernel refactor (ROADMAP open item 1) shards the
-// virtual clock across worker threads, and the deadline guarantees the
-// paper makes (sensor -> 5G -> CSPOT -> CFD -> twin inside the advisory
-// validity window) only survive that refactor if every piece of shared
-// state is accounted for at compile time — TSan can only bless the
-// interleavings a test happens to produce.
+// The threading contract is "one fabric, one thread": everything a fabric
+// owns (the event kernel, the layers, the tracer, the metrics registry,
+// CSPOT logs, the fault injector) is built, driven and read on the one
+// thread that runs it, and carries no lock. Parallelism, when wanted, is
+// across fabrics (seeds, sweeps), which share nothing but the
+// process-global log sink and contract state — the only places under
+// src/ that still take a lock, and the only ones the analysis checks.
 //
 // Convention summary (the full table lives in DESIGN.md §13):
 //   XG_CAPABILITY("mutex")     on a lock class (xg::Mutex)
 //   XG_SCOPED_CAPABILITY       on an RAII lock holder (xg::MutexLock)
 //   XG_GUARDED_BY(mu)          on data members the lock protects
-//   XG_PT_GUARDED_BY(mu)       pointer member: *pointee* is protected
 //   XG_REQUIRES(mu)            function must be called with `mu` held
 //   XG_ACQUIRE / XG_RELEASE    function takes / drops the capability
 //   XG_EXCLUDES(mu)            function must NOT be called with `mu` held
-//   XG_NO_THREAD_SAFETY_ANALYSIS  opt-out for code the analysis cannot
-//                                 model (document why at the use site)
 //
-// Classes with *no* lock are not thereby safe: state owned by the single
-// simulation thread is marked XG_SIM_THREAD_CONFINED (documentation-only,
-// enforced by convention + the xglint unannotated-mutex rule keeping
-// hidden std::mutex members out), which is exactly the inventory the
-// shard refactor must partition.
+// Classes with *no* lock are not thereby safe: state owned by a fabric's
+// thread is marked XG_SIM_THREAD_CONFINED (documentation-only, enforced by
+// convention + the xglint unannotated-mutex and raw-thread rules keeping
+// hidden std::mutex members and threads out of src/).
 #pragma once
 
 // clang implements the analysis attributes; GCC accepts and ignores some
@@ -49,46 +45,19 @@
 
 #define XG_CAPABILITY(x) XG_THREAD_ANNOTATION_(capability(x))
 #define XG_SCOPED_CAPABILITY XG_THREAD_ANNOTATION_(scoped_lockable)
-
 #define XG_GUARDED_BY(x) XG_THREAD_ANNOTATION_(guarded_by(x))
-#define XG_PT_GUARDED_BY(x) XG_THREAD_ANNOTATION_(pt_guarded_by(x))
-
-#define XG_ACQUIRED_BEFORE(...) \
-  XG_THREAD_ANNOTATION_(acquired_before(__VA_ARGS__))
-#define XG_ACQUIRED_AFTER(...) \
-  XG_THREAD_ANNOTATION_(acquired_after(__VA_ARGS__))
-
 #define XG_REQUIRES(...) \
   XG_THREAD_ANNOTATION_(requires_capability(__VA_ARGS__))
-#define XG_REQUIRES_SHARED(...) \
-  XG_THREAD_ANNOTATION_(requires_shared_capability(__VA_ARGS__))
-
 #define XG_ACQUIRE(...) XG_THREAD_ANNOTATION_(acquire_capability(__VA_ARGS__))
-#define XG_ACQUIRE_SHARED(...) \
-  XG_THREAD_ANNOTATION_(acquire_shared_capability(__VA_ARGS__))
 #define XG_RELEASE(...) XG_THREAD_ANNOTATION_(release_capability(__VA_ARGS__))
-#define XG_RELEASE_SHARED(...) \
-  XG_THREAD_ANNOTATION_(release_shared_capability(__VA_ARGS__))
-
 #define XG_TRY_ACQUIRE(...) \
   XG_THREAD_ANNOTATION_(try_acquire_capability(__VA_ARGS__))
-#define XG_TRY_ACQUIRE_SHARED(...) \
-  XG_THREAD_ANNOTATION_(try_acquire_shared_capability(__VA_ARGS__))
-
 #define XG_EXCLUDES(...) XG_THREAD_ANNOTATION_(locks_excluded(__VA_ARGS__))
-
-#define XG_ASSERT_CAPABILITY(x) XG_THREAD_ANNOTATION_(assert_capability(x))
-#define XG_RETURN_CAPABILITY(x) XG_THREAD_ANNOTATION_(lock_returned(x))
-
-#define XG_NO_THREAD_SAFETY_ANALYSIS \
-  XG_THREAD_ANNOTATION_(no_thread_safety_analysis)
 
 /// Documentation marker (expands to nothing on every compiler): the class
 /// carries mutable state with NO internal lock because it is owned by the
-/// single simulation thread — construction, mutation and reads all happen
-/// between event callbacks on the virtual clock. Cross-thread readers
-/// (exporters, dashboards) must go through a mirror that IS synchronized
-/// (obs::MetricsRegistry callbacks, atomics) rather than touching the
-/// object. The parallel-kernel refactor must either keep each instance
-/// inside one shard or promote its state to xg::Mutex-guarded.
+/// thread that runs its fabric — construction, mutation and reads
+/// (exporters and dashboards included) all happen on that thread. Two
+/// fabrics on two threads are fine; one instance shared by two threads is
+/// a data race.
 #define XG_SIM_THREAD_CONFINED

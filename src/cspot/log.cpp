@@ -21,7 +21,6 @@ Status ValidateLogConfig(const LogConfig& config) {
 Result<SeqNo> LogStorage::Append(const std::vector<uint8_t>& payload) {
   XG_REQUIRE(payload.size() <= config_.element_size, kInvalidArgument,
              "payload exceeds element size of log " + config_.name);
-  MutexLock lk(mu_);
   // CSPOT's dense-sequence invariant: Append is the only writer and hands
   // out consecutive numbers; a gap here would break Laminar's replay.
   const SeqNo seq = next_seq_;
@@ -33,17 +32,11 @@ Result<SeqNo> LogStorage::Append(const std::vector<uint8_t>& payload) {
   return seq;
 }
 
-SeqNo LogStorage::EarliestLocked() const {
-  const auto history = static_cast<SeqNo>(config_.history);
-  return next_seq_ > history ? next_seq_ - history : 0;
-}
-
 Result<std::vector<uint8_t>> LogStorage::Get(SeqNo seq) const {
-  MutexLock lk(mu_);
   if (seq < 0 || seq >= next_seq_) {
     return Status(ErrorCode::kNotFound, "sequence number never written");
   }
-  if (seq < EarliestLocked()) {
+  if (seq < Earliest()) {
     return Status(ErrorCode::kNotFound, "element evicted from history");
   }
   std::vector<uint8_t> out;
@@ -54,29 +47,26 @@ Result<std::vector<uint8_t>> LogStorage::Get(SeqNo seq) const {
 }
 
 SeqNo LogStorage::Latest() const {
-  MutexLock lk(mu_);
   return next_seq_ == 0 ? kNoSeq : next_seq_ - 1;
 }
 
 SeqNo LogStorage::Earliest() const {
-  MutexLock lk(mu_);
-  return next_seq_ == 0 ? kNoSeq : EarliestLocked();
+  if (next_seq_ == 0) return kNoSeq;
+  return std::max(next_seq_ - static_cast<SeqNo>(config_.history), SeqNo{0});
 }
 
 Status LogStorage::TruncateTo(SeqNo last_retained) {
   XG_REQUIRE(last_retained >= kNoSeq, kInvalidArgument,
              "truncation point below kNoSeq: " + config_.name);
-  MutexLock lk(mu_);
   if (last_retained + 1 >= next_seq_) return Status::Ok();
   // Rolling back the sequence counter makes Get() reject the dropped seqs.
   const SeqNo new_next = last_retained + 1;
-  Forget(std::max(new_next, EarliestLocked()), next_seq_);
+  Forget(std::max(new_next, Earliest()), next_seq_);
   next_seq_ = new_next;
   return Persist();
 }
 
 void LogStorage::VisitTail(size_t n, const Visitor& fn) const {
-  MutexLock lk(mu_);
   const SeqNo first =
       std::max(next_seq_ - static_cast<SeqNo>(std::min(n, config_.history)),
                SeqNo{0});
@@ -97,7 +87,6 @@ MemoryLog::MemoryLog(LogConfig config) : LogStorage(std::move(config)) {
   // zero-history case that would make every ring index undefined.
   XG_INVARIANT(config_.history > 0, "MemoryLog history must be positive");
   if (config_.history == 0) config_.history = 1;
-  MutexLock lk(mu_);
   ring_.resize(config_.history);
 }
 
@@ -173,9 +162,6 @@ Result<std::unique_ptr<FileLog>> FileLog::Open(const std::string& path,
   Status geometry = ValidateLogConfig(config);
   if (!geometry.ok()) return geometry;
   auto log = std::unique_ptr<FileLog>(new FileLog(path, std::move(config)));
-  // The log is not shared yet, but the header helpers assume the lock
-  // (XG_REQUIRES), so take it for the recovery/creation sequence.
-  MutexLock lk(log->mu_);
   // Try reopen first (crash recovery path), else create fresh.
   log->file_ = std::fopen(path.c_str(), "r+b");
   if (log->file_ != nullptr) {

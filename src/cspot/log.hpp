@@ -11,7 +11,10 @@
 //    functional dataflow semantics on top.
 //
 // Two storage backends: in-memory (simulation speed) and file-backed
-// (demonstrates crash-survival of program state across power loss).
+// (demonstrates crash-survival of program state across power loss). A log
+// belongs to the thread that runs its fabric and carries no lock
+// (XG_SIM_THREAD_CONFINED): CSPOT's atomic append is atomic because
+// nothing else runs between an event's start and end.
 #pragma once
 
 #include <cstdint>
@@ -21,8 +24,8 @@
 #include <string>
 #include <vector>
 
-#include "common/mutex.hpp"
 #include "common/result.hpp"
+#include "common/thread_annotations.hpp"
 
 namespace xg::cspot {
 
@@ -45,9 +48,9 @@ constexpr size_t kMaxElementSize = size_t{1} << 30;  // 1 GiB per element
 Status ValidateLogConfig(const LogConfig& config);
 
 /// Storage the runtime and transport talk to. The base owns what both
-/// backends share (geometry, lock, sequence counter, retention window);
-/// a backend supplies the slot I/O.
-class LogStorage {
+/// backends share (geometry, sequence counter, retention window); a
+/// backend supplies the slot I/O.
+class XG_SIM_THREAD_CONFINED LogStorage {
  public:
   virtual ~LogStorage() = default;
 
@@ -81,9 +84,9 @@ class LogStorage {
   }
 
   /// Call `fn` on each of the most recent `n` payloads in place, oldest
-  /// first (fewer if not retained), under the log's lock: `fn` must not
-  /// call back into this log. The log-scan primitive handlers use for
-  /// multi-event synchronization.
+  /// first (fewer if not retained); `fn` must not append to or truncate
+  /// this log. The log-scan primitive handlers use for multi-event
+  /// synchronization.
   using Visitor = std::function<void(std::span<const uint8_t>)>;
   void VisitTail(size_t n, const Visitor& fn) const;
 
@@ -94,22 +97,16 @@ class LogStorage {
   explicit LogStorage(LogConfig config) : config_(std::move(config)) {}
 
   /// Store `seq`'s payload; the counter moves past `seq` only on success.
-  virtual Status WriteSlot(SeqNo seq, const std::vector<uint8_t>& payload)
-      XG_REQUIRES(mu_) = 0;
+  virtual Status WriteSlot(SeqNo seq, const std::vector<uint8_t>& payload) = 0;
   /// Call `fn` on retained `seq`'s payload.
-  virtual Status ReadSlot(SeqNo seq, const Visitor& fn) const
-      XG_REQUIRES(mu_) = 0;
+  virtual Status ReadSlot(SeqNo seq, const Visitor& fn) const = 0;
   /// Make the counter durable after it moved.
-  virtual Status Persist() XG_REQUIRES(mu_) { return Status::Ok(); }
+  virtual Status Persist() { return Status::Ok(); }
   /// Drop the payloads of truncated seqs [from, to).
-  virtual void Forget(SeqNo /*from*/, SeqNo /*to*/) XG_REQUIRES(mu_) {}
+  virtual void Forget(SeqNo /*from*/, SeqNo /*to*/) {}
 
   LogConfig config_;  ///< immutable once constructed
-  mutable Mutex mu_;
-  SeqNo next_seq_ XG_GUARDED_BY(mu_) = 0;
-
- private:
-  SeqNo EarliestLocked() const XG_REQUIRES(mu_);
+  SeqNo next_seq_ = 0;
 };
 
 /// In-memory circular log.
@@ -118,13 +115,11 @@ class MemoryLog : public LogStorage {
   explicit MemoryLog(LogConfig config);
 
  private:
-  Status WriteSlot(SeqNo seq, const std::vector<uint8_t>& payload) override
-      XG_REQUIRES(mu_);
-  Status ReadSlot(SeqNo seq, const Visitor& fn) const override
-      XG_REQUIRES(mu_);
-  void Forget(SeqNo from, SeqNo to) override XG_REQUIRES(mu_);
+  Status WriteSlot(SeqNo seq, const std::vector<uint8_t>& payload) override;
+  Status ReadSlot(SeqNo seq, const Visitor& fn) const override;
+  void Forget(SeqNo from, SeqNo to) override;
 
-  std::vector<std::vector<uint8_t>> ring_ XG_GUARDED_BY(mu_);
+  std::vector<std::vector<uint8_t>> ring_;
 };
 
 /// File-backed circular log with a fixed-size binary layout:
@@ -141,18 +136,14 @@ class FileLog : public LogStorage {
 
  private:
   FileLog(std::string path, LogConfig config);
-  Status WriteSlot(SeqNo seq, const std::vector<uint8_t>& payload) override
-      XG_REQUIRES(mu_);
-  Status ReadSlot(SeqNo seq, const Visitor& fn) const override
-      XG_REQUIRES(mu_);
-  Status Persist() override XG_REQUIRES(mu_) { return WriteHeader(); }
-  Status WriteHeader() XG_REQUIRES(mu_);
-  Status ReadHeader() XG_REQUIRES(mu_);
+  Status WriteSlot(SeqNo seq, const std::vector<uint8_t>& payload) override;
+  Status ReadSlot(SeqNo seq, const Visitor& fn) const override;
+  Status Persist() override { return WriteHeader(); }
+  Status WriteHeader();
+  Status ReadHeader();
 
   std::string path_;  ///< immutable after construction
-  /// The FILE* value is set once in Open(); the lock serializes the
-  /// seek/read/write cursor underneath it.
-  mutable std::FILE* file_ XG_GUARDED_BY(mu_) = nullptr;
+  std::FILE* file_ = nullptr;  ///< set once in Open()
 
   size_t SlotBytes() const { return sizeof(uint32_t) + config_.element_size; }
   long SlotOffset(SeqNo seq) const;

@@ -114,19 +114,16 @@ const FaultEvent* FaultInjector::Roll(FaultKind kind, const std::string& query,
 }
 
 void FaultInjector::Count(Layer layer, FaultKind kind, uint64_t n) {
-  MutexLock lk(mu_);
   counts_[{layer, kind}] += n;
 }
 
 uint64_t FaultInjector::injected_total() const {
-  MutexLock lk(mu_);
   uint64_t total = 0;
   for (const auto& [key, n] : counts_) total += n;
   return total;
 }
 
 uint64_t FaultInjector::injected_total(Layer layer) const {
-  MutexLock lk(mu_);
   uint64_t total = 0;
   for (const auto& [key, n] : counts_) {
     if (key.first == layer) total += n;
@@ -135,7 +132,6 @@ uint64_t FaultInjector::injected_total(Layer layer) const {
 }
 
 uint64_t FaultInjector::injected_total(Layer layer, FaultKind kind) const {
-  MutexLock lk(mu_);
   auto it = counts_.find({layer, kind});
   return it == counts_.end() ? 0 : it->second;
 }
@@ -159,7 +155,6 @@ void FaultInjector::AttachObservability(obs::MetricsRegistry* registry,
 }
 
 std::string FaultInjector::FormatCounts() const {
-  MutexLock lk(mu_);
   std::ostringstream out;
   for (const auto& [key, n] : counts_) {
     out << "xg_fault_injected_total{layer=" << LayerName(key.first)

@@ -22,8 +22,9 @@
 // rrc_drop once per window rising edge). Counts export through the obs
 // registry as `xg_fault_injected_total{layer=...,kind=...}`.
 //
-// Thread safety: counters are mutex-guarded (exporter threads read them);
-// Arm/OnWindow/Roll belong to the single simulation thread.
+// The injector belongs to the thread that runs its fabric and carries no
+// lock (XG_SIM_THREAD_CONFINED); exporters read the counters on that
+// thread.
 #pragma once
 
 #include <cstdint>
@@ -33,9 +34,9 @@
 #include <utility>
 #include <vector>
 
-#include "common/mutex.hpp"
 #include "common/rng.hpp"
 #include "common/sim.hpp"
+#include "common/thread_annotations.hpp"
 #include "fault/plan.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -49,7 +50,7 @@ namespace xg::fault {
 /// The span a window of `kind` opens: fault.<FaultKindName(kind)>.
 obs::SpanName FaultSpanName(FaultKind kind);
 
-class FaultInjector {
+class XG_SIM_THREAD_CONFINED FaultInjector {
  public:
   /// The injector draws its RNG stream from plan.seed(): one (plan, seed)
   /// pair => one injected-fault sequence, bit-for-bit.
@@ -113,15 +114,11 @@ class FaultInjector {
  private:
   void ActuateWindow(const FaultEvent& event, bool begin);
 
-  // plan_/rng_/actuators_ and the armed flag belong to the single
-  // simulation thread (see the class comment); only the counters are
-  // shared with exporter threads and carry the lock.
-  FaultPlan plan_ XG_SIM_THREAD_CONFINED;
-  Rng rng_ XG_SIM_THREAD_CONFINED;
+  FaultPlan plan_;
+  Rng rng_;
   bool armed_ = false;
   std::map<FaultKind, std::vector<Actuator>> actuators_;
-  mutable Mutex mu_;
-  std::map<std::pair<Layer, FaultKind>, uint64_t> counts_ XG_GUARDED_BY(mu_);
+  std::map<std::pair<Layer, FaultKind>, uint64_t> counts_;
   obs::Tracer* tracer_ = nullptr;
   obs::slo::FlightRecorder* flight_ = nullptr;
 };

@@ -18,6 +18,13 @@ double SampleVar(std::span<const double> v, double mean) {
   for (double x : v) s += (x - mean) * (x - mean);
   return s / static_cast<double>(v.size() - 1);
 }
+
+/// ln|Gamma(x)|. std::lgamma also writes the sign to the global `signgam`,
+/// a data race between fabrics on two threads; lgamma_r returns it instead.
+double LogGamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
 }  // namespace
 
 double RegularizedIncompleteBeta(double a, double b, double x) {
@@ -25,7 +32,7 @@ double RegularizedIncompleteBeta(double a, double b, double x) {
   if (x >= 1.0) return 1.0;
   // Lentz continued fraction for I_x(a,b); use the symmetry transform for
   // convergence when x > (a+1)/(a+b+2).
-  const double ln_beta = std::lgamma(a) + std::lgamma(b) - std::lgamma(a + b);
+  const double ln_beta = LogGamma(a) + LogGamma(b) - LogGamma(a + b);
   const double front =
       std::exp(a * std::log(x) + b * std::log(1.0 - x) - ln_beta);
   if (x > (a + 1.0) / (a + b + 2.0)) {

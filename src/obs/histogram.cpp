@@ -17,8 +17,7 @@ constexpr size_t kBucketTotal =
         (Histogram::kSubCount / 2);
 }  // namespace
 
-Histogram::Histogram()
-    : counts_(std::vector<std::atomic<uint64_t>>(kBucketTotal)) {}
+Histogram::Histogram() : counts_(kBucketTotal, 0) {}
 
 size_t Histogram::BucketIndex(int64_t value_us) {
   if (value_us < 0) value_us = 0;
@@ -47,25 +46,11 @@ int64_t Histogram::BucketUpperUs(size_t i) {
 
 void Histogram::Record(int64_t value_us) {
   if (value_us < 0) value_us = 0;
-  counts_[BucketIndex(value_us)].fetch_add(1, std::memory_order_relaxed);
-  sum_us_.fetch_add(value_us, std::memory_order_relaxed);
-  int64_t cur = min_us_.load(std::memory_order_relaxed);
-  while (value_us < cur &&
-         !min_us_.compare_exchange_weak(cur, value_us,
-                                        std::memory_order_relaxed)) {
-  }
-  cur = max_us_.load(std::memory_order_relaxed);
-  while (value_us > cur &&
-         !max_us_.compare_exchange_weak(cur, value_us,
-                                        std::memory_order_relaxed)) {
-  }
-  // Release-publish the observation: a reader that acquires count() >= n
-  // sees the bucket increments and extrema of the first n observations.
-  count_.fetch_add(1, std::memory_order_release);
-}
-
-int64_t Histogram::min_us() const {
-  return count() == 0 ? 0 : min_us_.load(std::memory_order_relaxed);
+  ++counts_[BucketIndex(value_us)];
+  sum_us_ += value_us;
+  min_us_ = std::min(min_us_, value_us);
+  max_us_ = std::max(max_us_, value_us);
+  ++count_;
 }
 
 double Histogram::MeanUs() const {
@@ -84,44 +69,22 @@ int64_t Histogram::Percentile(double p) const {
       static_cast<uint64_t>(std::ceil(p / 100.0 * static_cast<double>(n)));
   uint64_t cum = 0;
   for (size_t i = 0; i < counts_.size(); ++i) {
-    cum += counts_[i].load(std::memory_order_relaxed);
-    if (cum >= rank) {
-      // min/max, not std::clamp: a racing writer may briefly leave lo > hi.
-      return std::min(std::max(BucketUpperUs(i), lo), hi);
-    }
+    cum += counts_[i];
+    if (cum >= rank) return std::clamp(BucketUpperUs(i), lo, hi);
   }
   return hi;
 }
 
 HistogramSnapshot Histogram::Snapshot() const {
-  std::vector<uint64_t> raw(counts_.size());
-  uint64_t total = 0;
-  // Seqlock-style consistency: both the buckets and the total are
-  // monotone, and Record publishes the bucket increment before the count,
-  // so "sum of buckets == count" identifies a consistent cut. A bounded
-  // number of attempts keeps the exporter wait-free against a writer
-  // storm; the final pass still exports its own bucket sum as the count.
-  for (int attempt = 0; attempt < 64; ++attempt) {
-    total = 0;
-    const uint64_t before = count_.load(std::memory_order_acquire);
-    for (size_t i = 0; i < counts_.size(); ++i) {
-      raw[i] = counts_[i].load(std::memory_order_relaxed);
-      total += raw[i];
-    }
-    if (total == before &&
-        count_.load(std::memory_order_acquire) == before) {
-      break;
-    }
-  }
   HistogramSnapshot snap;
-  for (size_t i = 0; i < raw.size(); ++i) {
-    if (raw[i] == 0) continue;
+  for (size_t i = 0; i < counts_.size(); ++i) {
+    if (counts_[i] == 0) continue;
     snap.bounds.push_back(static_cast<double>(BucketUpperUs(i)) / 1e3);
-    snap.counts.push_back(raw[i]);
+    snap.counts.push_back(counts_[i]);
   }
   snap.counts.push_back(0);  // the implicit +Inf bucket is always empty
-  snap.count = total;        // every value has a finite bucket
-  snap.sum = static_cast<double>(sum_us_.load(std::memory_order_relaxed)) / 1e3;
+  snap.count = count_;       // every value has a finite bucket
+  snap.sum = static_cast<double>(sum_us_) / 1e3;
   return snap;
 }
 

@@ -16,16 +16,17 @@
 // reported percentile therefore never exceeds the max nor falls below the
 // min; p >= 100 is the exact max and p <= 0 the exact min.
 //
-// Counts, the total, the sum, the min and the max are all atomics, so
-// recording is lock-free and safe from concurrent threads; Snapshot() is
-// a seqlock-style read that always returns a consistent cut. Sums are
-// integer microseconds, so same-seed runs reproduce bit-identically.
+// A histogram belongs to the thread that runs its fabric and carries no
+// lock (XG_SIM_THREAD_CONFINED). Sums are integer microseconds, so
+// same-seed runs reproduce bit-identically.
 #pragma once
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <vector>
+
+#include "common/thread_annotations.hpp"
 
 namespace xg::obs {
 
@@ -38,7 +39,7 @@ struct HistogramSnapshot {
   double sum = 0.0;
 };
 
-class Histogram {
+class XG_SIM_THREAD_CONFINED Histogram {
  public:
   /// Linear sub-buckets per octave; 32 bounds relative error by ~6%.
   static constexpr int64_t kSubCount = 32;
@@ -51,12 +52,12 @@ class Histogram {
   /// Record one value in microseconds (negative values clamp to zero).
   void Record(int64_t value_us);
 
-  uint64_t count() const { return count_.load(std::memory_order_acquire); }
+  uint64_t count() const { return count_; }
   /// Exact sum of recorded values in integer microseconds.
-  int64_t sum_us() const { return sum_us_.load(std::memory_order_relaxed); }
+  int64_t sum_us() const { return sum_us_; }
   /// Smallest / largest recorded value; 0 while empty.
-  int64_t min_us() const;
-  int64_t max_us() const { return max_us_.load(std::memory_order_relaxed); }
+  int64_t min_us() const { return count_ == 0 ? 0 : min_us_; }
+  int64_t max_us() const { return max_us_; }
   double MeanUs() const;
 
   /// Percentile p in [0, 100], in microseconds, by the rule in the file
@@ -69,17 +70,17 @@ class Histogram {
   /// Bucket index for a value (exposed for the boundary tests).
   static size_t BucketIndex(int64_t value_us);
 
-  /// Consistent sparse snapshot for the metrics registry: bounds are the
-  /// non-empty buckets' upper edges in milliseconds, counts are
-  /// per-bucket, and the counts sum to `count`.
+  /// Sparse snapshot for the metrics registry: bounds are the non-empty
+  /// buckets' upper edges in milliseconds, counts are per-bucket, and the
+  /// counts sum to `count`.
   HistogramSnapshot Snapshot() const;
 
  private:
-  std::vector<std::atomic<uint64_t>> counts_;
-  std::atomic<uint64_t> count_{0};
-  std::atomic<int64_t> sum_us_{0};
-  std::atomic<int64_t> min_us_{std::numeric_limits<int64_t>::max()};
-  std::atomic<int64_t> max_us_{0};
+  std::vector<uint64_t> counts_;
+  uint64_t count_ = 0;
+  int64_t sum_us_ = 0;
+  int64_t min_us_ = std::numeric_limits<int64_t>::max();
+  int64_t max_us_ = 0;
 };
 
 }  // namespace xg::obs

@@ -8,7 +8,6 @@ KernelTimer::KernelTimer(MetricsRegistry* registry, Clock now_us)
     : registry_(registry), now_us_(std::move(now_us)) {}
 
 void KernelTimer::Observe(const std::string& kernel, int64_t elapsed_us) {
-  MutexLock lk(mu_);
   auto [it, inserted] = hists_.try_emplace(kernel);
   if (inserted && registry_ != nullptr) {
     registry_->RegisterHistogram(kMetricName, {{"kernel", kernel}},
@@ -19,7 +18,6 @@ void KernelTimer::Observe(const std::string& kernel, int64_t elapsed_us) {
 }
 
 const Histogram* KernelTimer::Find(const std::string& kernel) const {
-  MutexLock lk(mu_);
   auto it = hists_.find(kernel);
   return it != hists_.end() ? &it->second : nullptr;
 }

@@ -17,12 +17,12 @@
 #include <map>
 #include <string>
 
-#include "common/mutex.hpp"
+#include "common/thread_annotations.hpp"
 #include "obs/metrics.hpp"
 
 namespace xg::obs {
 
-class KernelTimer {
+class XG_SIM_THREAD_CONFINED KernelTimer {
  public:
   /// Returns "now" in microseconds on whatever clock the caller measures
   /// kernels against. Must be monotonic within one timed region.
@@ -49,12 +49,11 @@ class KernelTimer {
  private:
   const Histogram* Find(const std::string& kernel) const;
 
-  MetricsRegistry* registry_;  ///< immutable after construction
-  Clock now_us_;               ///< immutable after construction
-  mutable Mutex mu_;
+  MetricsRegistry* registry_;
+  Clock now_us_;
   /// One histogram per kernel; map nodes are pointer-stable, so the
   /// registry's views of them stay valid.
-  std::map<std::string, Histogram> hists_ XG_GUARDED_BY(mu_);
+  std::map<std::string, Histogram> hists_;
 };
 
 /// RAII scope that times one kernel execution. A null timer is a no-op, so

@@ -25,12 +25,10 @@ void MetricsRegistry::Register(View view) {
     key += '\x1e';
     key += v;
   }
-  MutexLock lk(mu_);
   views_[key] = std::move(view);
 }
 
 std::vector<MetricSample> MetricsRegistry::Snapshot() const {
-  MutexLock lk(mu_);
   std::vector<MetricSample> out;
   out.reserve(views_.size());
   for (const auto& [key, v] : views_) {

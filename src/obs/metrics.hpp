@@ -12,8 +12,9 @@
 //
 // Lifetime rule: whatever a view points at (the field, the histogram,
 // everything a callback captures) must outlive every later Snapshot().
-// Registration and Snapshot() take the registry mutex; the registry only
-// reads the viewed state.
+// The registry only reads the viewed state, and like that state it
+// belongs to the fabric's thread (XG_SIM_THREAD_CONFINED): exporters read
+// it between events, on that thread.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +24,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/mutex.hpp"
+#include "common/thread_annotations.hpp"
 #include "obs/histogram.hpp"
 
 namespace xg::obs {
@@ -47,7 +48,7 @@ struct MetricSample {
 /// _bytes) spelled out — see DESIGN.md "Observability".
 std::string SanitizeMetricName(const std::string& name);
 
-class MetricsRegistry {
+class XG_SIM_THREAD_CONFINED MetricsRegistry {
  public:
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
@@ -74,9 +75,7 @@ class MetricsRegistry {
   }
 
   /// Reads every view, sorted by (name, labels) for deterministic export
-  /// output. Histograms are read via Histogram::Snapshot(), so bucket
-  /// counts always sum to the reported count even while writers keep
-  /// recording.
+  /// output. Histograms are read via Histogram::Snapshot().
   std::vector<MetricSample> Snapshot() const;
 
  private:
@@ -91,8 +90,7 @@ class MetricsRegistry {
 
   void Register(View view);
 
-  mutable Mutex mu_;
-  std::map<std::string, View> views_ XG_GUARDED_BY(mu_);
+  std::map<std::string, View> views_;
 };
 
 }  // namespace xg::obs

@@ -64,18 +64,7 @@ const char* SpanComponent(SpanName name) {
   return kSpanTable[static_cast<size_t>(name)].component;
 }
 
-void Tracer::set_clock(Clock clock) {
-  MutexLock lk(mu_);
-  clock_ = std::move(clock);
-}
-
-void Tracer::set_capacity(size_t max_spans) {
-  MutexLock lk(mu_);
-  capacity_ = max_spans;
-}
-
 LabelId Tracer::Label(std::string_view text) {
-  MutexLock lk(mu_);
   const auto it = label_ids_.find(text);
   if (it != label_ids_.end()) return it->second;
   const auto id = static_cast<LabelId>(labels_.size());
@@ -84,12 +73,10 @@ LabelId Tracer::Label(std::string_view text) {
   return id;
 }
 
-int64_t Tracer::NowUs() const { return clock_ ? clock_() : 0; }
-
-Tracer::Slot* Tracer::StartLocked(SpanName name, uint64_t trace_id,
-                                  uint64_t parent_span, int64_t start_us) {
+Tracer::Slot* Tracer::NewSpan(SpanName name, uint64_t trace_id,
+                              uint64_t parent_span, int64_t start_us) {
   if (spans_.size() >= capacity_) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
+    ++dropped_;
     return nullptr;
   }
   ++next_span_;
@@ -106,7 +93,7 @@ Tracer::Slot* Tracer::StartLocked(SpanName name, uint64_t trace_id,
   return &s;
 }
 
-Tracer::Slot* Tracer::FindLocked(uint64_t span_id) {
+Tracer::Slot* Tracer::Find(uint64_t span_id) {
   if (span_id < first_span_) return nullptr;
   const uint64_t idx = span_id - first_span_;
   if (idx >= spans_.size()) return nullptr;
@@ -115,16 +102,14 @@ Tracer::Slot* Tracer::FindLocked(uint64_t span_id) {
 
 TraceContext Tracer::StartTrace(SpanName name) {
   if (!enabled()) return {};
-  MutexLock lk(mu_);
   const uint64_t trace_id = next_trace_++;
-  if (StartLocked(name, trace_id, 0, NowUs()) == nullptr) return {};
+  if (NewSpan(name, trace_id, 0, NowUs()) == nullptr) return {};
   return {trace_id, next_span_ - 1};
 }
 
 TraceContext Tracer::StartSpan(SpanName name, const TraceContext& parent) {
   if (!enabled() || !parent.valid()) return {};
-  MutexLock lk(mu_);
-  if (StartLocked(name, parent.trace_id, parent.span_id, NowUs()) == nullptr) {
+  if (NewSpan(name, parent.trace_id, parent.span_id, NowUs()) == nullptr) {
     return {};
   }
   return {parent.trace_id, next_span_ - 1};
@@ -132,8 +117,7 @@ TraceContext Tracer::StartSpan(SpanName name, const TraceContext& parent) {
 
 void Tracer::EndSpan(const TraceContext& ctx) {
   if (!ctx.valid()) return;
-  MutexLock lk(mu_);
-  Slot* s = FindLocked(ctx.span_id);
+  Slot* s = Find(ctx.span_id);
   if (s == nullptr || s->end_us >= s->start_us) return;
   s->end_us = std::max(NowUs(), s->start_us);
 }
@@ -141,8 +125,7 @@ void Tracer::EndSpan(const TraceContext& ctx) {
 TraceContext Tracer::RecordSpan(SpanName name, const TraceContext& parent,
                                 int64_t start_us, int64_t end_us) {
   if (!enabled() || !parent.valid()) return {};
-  MutexLock lk(mu_);
-  Slot* s = StartLocked(name, parent.trace_id, parent.span_id, start_us);
+  Slot* s = NewSpan(name, parent.trace_id, parent.span_id, start_us);
   if (s == nullptr) return {};
   s->end_us = std::max(end_us, start_us);
   return {parent.trace_id, next_span_ - 1};
@@ -152,11 +135,10 @@ void Tracer::RecordHop(SpanName kind, const TraceContext& parent,
                        int64_t start_us, int64_t end_us,
                        const HopPayload& hop) {
   if (!enabled() || !parent.valid()) return;
-  MutexLock lk(mu_);
   const bool known = hop.from < labels_.size() && hop.to < labels_.size();
   XG_INVARIANT(known, "hop labels come from this tracer's Label()");
   if (!known) return;
-  Slot* s = StartLocked(kind, parent.trace_id, parent.span_id, start_us);
+  Slot* s = NewSpan(kind, parent.trace_id, parent.span_id, start_us);
   if (s == nullptr) return;
   s->end_us = std::max(end_us, start_us);
   s->hop_bytes = hop.bytes;
@@ -165,9 +147,9 @@ void Tracer::RecordHop(SpanName kind, const TraceContext& parent,
   s->hop = hop.lost ? HopState::kLost : HopState::kDelivered;
 }
 
-Tracer::Arg* Tracer::AddArgLocked(const TraceContext& ctx, SpanKey key,
-                                  ArgKind kind) {
-  Slot* s = FindLocked(ctx.span_id);
+Tracer::Arg* Tracer::AddArg(const TraceContext& ctx, SpanKey key,
+                            ArgKind kind) {
+  Slot* s = Find(ctx.span_id);
   if (s == nullptr) return nullptr;
   const auto index = static_cast<uint32_t>(args_.size());
   Arg& a = args_.Append();
@@ -184,60 +166,49 @@ Tracer::Arg* Tracer::AddArgLocked(const TraceContext& ctx, SpanKey key,
   return &a;
 }
 
-const char* Tracer::CopyTextLocked(std::string_view text) {
-  if (text.empty()) return "";
+void Tracer::Annotate(const TraceContext& ctx, SpanKey key,
+                      std::string_view text) {
+  if (!ctx.valid()) return;
+  Arg* a = AddArg(ctx, key, ArgKind::kText);
+  if (a == nullptr) return;
+  a->text_len = static_cast<uint32_t>(text.size());
+  if (text.empty()) {
+    a->text = "";
+    return;
+  }
   if (text.size() > text_left_) {
     const size_t size = std::max(kTextChunk, text.size());
     text_.push_back(std::make_unique_for_overwrite<char[]>(size));
     text_next_ = text_.back().get();
     text_left_ = size;
   }
-  char* dst = text_next_;
-  std::memcpy(dst, text.data(), text.size());
+  a->text = text_next_;
+  std::memcpy(text_next_, text.data(), text.size());
   text_next_ += text.size();
   text_left_ -= text.size();
-  return dst;
-}
-
-void Tracer::Annotate(const TraceContext& ctx, SpanKey key,
-                      std::string_view text) {
-  if (!ctx.valid()) return;
-  MutexLock lk(mu_);
-  Arg* a = AddArgLocked(ctx, key, ArgKind::kText);
-  if (a == nullptr) return;
-  a->text = CopyTextLocked(text);
-  a->text_len = static_cast<uint32_t>(text.size());
 }
 
 void Tracer::AnnotateInt(const TraceContext& ctx, SpanKey key, int64_t value) {
   if (!ctx.valid()) return;
-  MutexLock lk(mu_);
-  if (Arg* a = AddArgLocked(ctx, key, ArgKind::kInt)) a->i = value;
+  if (Arg* a = AddArg(ctx, key, ArgKind::kInt)) a->i = value;
 }
 
 void Tracer::AnnotateDouble(const TraceContext& ctx, SpanKey key,
                             double value) {
   if (!ctx.valid()) return;
-  MutexLock lk(mu_);
-  if (Arg* a = AddArgLocked(ctx, key, ArgKind::kDouble)) a->d = value;
+  if (Arg* a = AddArg(ctx, key, ArgKind::kDouble)) a->d = value;
 }
 
 void Tracer::AnnotateLabel(const TraceContext& ctx, SpanKey key,
                            LabelId label) {
   if (!ctx.valid()) return;
-  MutexLock lk(mu_);
   const bool known = label < labels_.size();
   XG_INVARIANT(known, "labels come from this tracer's Label()");
   if (!known) return;
-  if (Arg* a = AddArgLocked(ctx, key, ArgKind::kLabel)) a->label = label;
+  if (Arg* a = AddArg(ctx, key, ArgKind::kLabel)) a->label = label;
 }
 
-size_t Tracer::span_count() const {
-  MutexLock lk(mu_);
-  return spans_.size();
-}
-
-SpanRecord Tracer::MaterializeLocked(size_t index) const {
+SpanRecord Tracer::Materialize(size_t index) const {
   const Slot& s = spans_[index];
   SpanRecord rec;
   rec.trace_id = s.trace_id;
@@ -268,17 +239,15 @@ SpanRecord Tracer::MaterializeLocked(size_t index) const {
 }
 
 std::vector<SpanRecord> Tracer::Snapshot() const {
-  MutexLock lk(mu_);
   std::vector<SpanRecord> out;
   out.reserve(spans_.size());
   for (size_t i = 0; i < spans_.size(); ++i) {
-    out.push_back(MaterializeLocked(i));
+    out.push_back(Materialize(i));
   }
   return out;
 }
 
 std::vector<SpanRecord> Tracer::TraceSpans(uint64_t trace_id) const {
-  MutexLock lk(mu_);
   // (start, index): index order is span id order, the tie-break.
   std::vector<std::pair<int64_t, size_t>> picked;
   for (size_t i = 0; i < spans_.size(); ++i) {
@@ -289,12 +258,11 @@ std::vector<SpanRecord> Tracer::TraceSpans(uint64_t trace_id) const {
   std::sort(picked.begin(), picked.end());
   std::vector<SpanRecord> out;
   out.reserve(picked.size());
-  for (const auto& p : picked) out.push_back(MaterializeLocked(p.second));
+  for (const auto& p : picked) out.push_back(Materialize(p.second));
   return out;
 }
 
 std::vector<uint64_t> Tracer::TraceIds() const {
-  MutexLock lk(mu_);
   std::vector<uint64_t> ids;
   std::unordered_set<uint64_t> seen;
   for (size_t i = 0; i < spans_.size(); ++i) {
@@ -306,14 +274,13 @@ std::vector<uint64_t> Tracer::TraceIds() const {
 }
 
 void Tracer::Clear() {
-  MutexLock lk(mu_);
   spans_.Clear();
   args_.Clear();
   text_.clear();
   text_next_ = nullptr;
   text_left_ = 0;
   first_span_ = next_span_;
-  dropped_.store(0, std::memory_order_relaxed);
+  dropped_ = 0;
 }
 
 // ---------------------------------------------------------------------------

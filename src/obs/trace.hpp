@@ -23,10 +23,10 @@
 // The span store is bounded (`set_capacity`); once full, new spans are
 // counted as dropped rather than grown without limit. All operations on a
 // disabled tracer, or with an invalid context, are cheap no-ops so
-// instrumented code needs no conditionals.
+// instrumented code needs no conditionals. A tracer belongs to the thread
+// that runs its fabric and carries no lock (XG_SIM_THREAD_CONFINED).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -37,7 +37,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/mutex.hpp"
+#include "common/thread_annotations.hpp"
 
 namespace xg::obs {
 
@@ -111,7 +111,7 @@ struct SpanRecord {
   int64_t duration_us() const { return open() ? 0 : end_us - start_us; }
 };
 
-class Tracer {
+class XG_SIM_THREAD_CONFINED Tracer {
  public:
   /// Returns the current time in microseconds. Bind the simulation clock:
   ///   tracer.set_clock([&sim] { return sim.Now().micros(); });
@@ -121,10 +121,10 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  void set_clock(Clock clock);
-  void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void set_capacity(size_t max_spans);
+  void set_clock(Clock clock) { clock_ = std::move(clock); }
+  void set_enabled(bool on) { enabled_ = on; }
+  bool enabled() const { return enabled_; }
+  void set_capacity(size_t max_spans) { capacity_ = max_spans; }
 
   /// Intern `text` in the label table: the same text always gets the same
   /// id. Ids stay valid for the tracer's lifetime (Clear keeps them).
@@ -160,8 +160,8 @@ class Tracer {
   void AnnotateDouble(const TraceContext& ctx, SpanKey key, double value);
   void AnnotateLabel(const TraceContext& ctx, SpanKey key, LabelId label);
 
-  size_t span_count() const;
-  uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
+  size_t span_count() const { return spans_.size(); }
+  uint64_t dropped() const { return dropped_; }
 
   /// Copy of every recorded span (open spans included, `end_us` < start).
   std::vector<SpanRecord> Snapshot() const;
@@ -235,18 +235,16 @@ class Tracer {
   };
   static_assert(sizeof(Arg) == 32);
 
-  int64_t NowUs() const XG_REQUIRES(mu_);
+  int64_t NowUs() const { return clock_ ? clock_() : 0; }
   /// Appends a span and returns its slot, or nullptr when at capacity.
-  Slot* StartLocked(SpanName name, uint64_t trace_id, uint64_t parent_span,
-                    int64_t start_us) XG_REQUIRES(mu_);
+  Slot* NewSpan(SpanName name, uint64_t trace_id, uint64_t parent_span,
+                int64_t start_us);
   /// Ids are handed out contiguously to *appended* spans (a drop does not
   /// consume an id), so lookup is offset arithmetic from the first span.
-  Slot* FindLocked(uint64_t span_id) XG_REQUIRES(mu_);
+  Slot* Find(uint64_t span_id);
   /// Appends an annotation to the span's list; nullptr for unknown spans.
-  Arg* AddArgLocked(const TraceContext& ctx, SpanKey key, ArgKind kind)
-      XG_REQUIRES(mu_);
-  const char* CopyTextLocked(std::string_view text) XG_REQUIRES(mu_);
-  SpanRecord MaterializeLocked(size_t index) const XG_REQUIRES(mu_);
+  Arg* AddArg(const TraceContext& ctx, SpanKey key, ArgKind kind);
+  SpanRecord Materialize(size_t index) const;
 
   struct LabelHash {
     using is_transparent = void;
@@ -255,24 +253,23 @@ class Tracer {
     }
   };
 
-  mutable Mutex mu_;
-  std::atomic<bool> enabled_{true};
-  std::atomic<uint64_t> dropped_{0};
-  Clock clock_ XG_GUARDED_BY(mu_);
-  size_t capacity_ XG_GUARDED_BY(mu_) = 1 << 18;
-  Blocks<Slot> spans_ XG_GUARDED_BY(mu_);
-  Blocks<Arg> args_ XG_GUARDED_BY(mu_);
+  bool enabled_ = true;
+  uint64_t dropped_ = 0;
+  Clock clock_;
+  size_t capacity_ = 1 << 18;
+  Blocks<Slot> spans_;
+  Blocks<Arg> args_;
   /// Free-text annotations: 16 KiB chunks filled front to back (a longer
   /// text gets a chunk of its own). Chunks never move.
-  std::vector<std::unique_ptr<char[]>> text_ XG_GUARDED_BY(mu_);
-  char* text_next_ XG_GUARDED_BY(mu_) = nullptr;
-  size_t text_left_ XG_GUARDED_BY(mu_) = 0;
-  std::vector<std::string> labels_ XG_GUARDED_BY(mu_);
+  std::vector<std::unique_ptr<char[]>> text_;
+  char* text_next_ = nullptr;
+  size_t text_left_ = 0;
+  std::vector<std::string> labels_;
   std::unordered_map<std::string, LabelId, LabelHash, std::equal_to<>>
-      label_ids_ XG_GUARDED_BY(mu_);
-  uint64_t first_span_ XG_GUARDED_BY(mu_) = 1;  ///< id of spans_[0]
-  uint64_t next_trace_ XG_GUARDED_BY(mu_) = 1;
-  uint64_t next_span_ XG_GUARDED_BY(mu_) = 1;
+      label_ids_;
+  uint64_t first_span_ = 1;  ///< id of spans_[0]
+  uint64_t next_trace_ = 1;
+  uint64_t next_span_ = 1;
 };
 
 // -- critical-path breakdown -------------------------------------------------

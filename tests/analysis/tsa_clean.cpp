@@ -6,8 +6,7 @@
 // load-bearing in both directions.
 //
 // The file also exercises the shim vocabulary end to end: scoped locking,
-// EXCLUDES contracts, REQUIRES helpers, and the explicit predicate-loop
-// CondVar wait that keeps the predicate visible to the analysis.
+// EXCLUDES contracts and REQUIRES helpers.
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"
 
@@ -18,7 +17,6 @@ class BoundedCounter {
   void Add(int amount) XG_EXCLUDES(mu_) {
     xg::MutexLock lk(mu_);
     AddLocked(amount);
-    cv_.NotifyAll();
   }
 
   int Read() const XG_EXCLUDES(mu_) {
@@ -26,19 +24,10 @@ class BoundedCounter {
     return value_;
   }
 
-  /// Blocks until the counter reaches `target`. The predicate loop is
-  /// written out (no lambda) so the analysis sees the guarded read under
-  /// the lock that CondVar::Wait requires.
-  void AwaitAtLeast(int target) XG_EXCLUDES(mu_) {
-    xg::MutexLock lk(mu_);
-    while (value_ < target) cv_.Wait(mu_);
-  }
-
  private:
   void AddLocked(int amount) XG_REQUIRES(mu_) { value_ += amount; }
 
   mutable xg::Mutex mu_;
-  xg::CondVar cv_;
   int value_ XG_GUARDED_BY(mu_) = 0;
 };
 
@@ -47,6 +36,5 @@ class BoundedCounter {
 int TsaCleanProbe() {
   BoundedCounter c;
   c.Add(2);
-  c.AwaitAtLeast(1);
   return c.Read();
 }

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "cfd/mesh.hpp"
-#include "common/threadpool.hpp"
 
 namespace xg::cfd {
 namespace {
@@ -132,7 +131,7 @@ TEST(Poisson, DirectSolveMeetsToleranceForEveryWindSignPattern) {
           }
         }
         std::vector<double> p = b;
-        solver.Solve(p.data(), nullptr);
+        solver.Solve(p.data());
         EXPECT_LE(MaxResidual(mesh, wx, wy, p, b), 1e-10 * b_max)
             << mp.nx << "x" << mp.ny << "x" << mp.nz << " wx=" << wx
             << (std::signbit(wx) ? " (-)" : "") << " wy=" << wy
@@ -147,7 +146,7 @@ TEST(Poisson, BoundaryCellsAreLeftAlone) {
   PoissonSolver solver(mesh);
   solver.Configure(1.0, -1.0);
   std::vector<double> x(mesh.cell_count(), 7.0);
-  solver.Solve(x.data(), nullptr);
+  solver.Solve(x.data());
   for (int k = 0; k < mesh.nz(); ++k) {
     for (int j = 0; j < mesh.ny(); ++j) {
       for (int i = 0; i < mesh.nx(); ++i) {
@@ -175,24 +174,6 @@ TEST(Poisson, FillGhostsMatchesTheFaceRule) {
   EXPECT_EQ(p[mesh.Index(5, mesh.ny() - 1, k)], 0.0);
   EXPECT_EQ(p[mesh.Index(5, j, 0)], p[mesh.Index(5, j, 1)]);
   EXPECT_EQ(p[mesh.Index(5, j, mesh.nz() - 1)], p[mesh.Index(5, j, mesh.nz() - 2)]);
-}
-
-TEST(Poisson, PooledSolveMatchesSerialBitwise) {
-  const Mesh mesh(MeshOf(17, 11, 9));
-  PoissonSolver solver(mesh);
-  solver.Configure(-1.0, 2.0);
-  std::mt19937_64 rng(7);
-  std::uniform_real_distribution<double> uni(-1.0, 1.0);
-  std::vector<double> serial(mesh.cell_count());
-  for (double& v : serial) v = uni(rng);
-  for (size_t workers : {2u, 3u, 10u}) {
-    std::vector<double> pooled = serial;
-    std::vector<double> expect = serial;
-    solver.Solve(expect.data(), nullptr);
-    ThreadPool pool(workers);
-    solver.Solve(pooled.data(), &pool);
-    ASSERT_EQ(expect, pooled) << workers << " workers";
-  }
 }
 
 }  // namespace

@@ -184,27 +184,6 @@ TEST(Solver, EastAndWestWindsAreMirrorSymmetric) {
               0.25 * west.InteriorMeanSpeed() + 0.05);
 }
 
-TEST(Solver, ParallelMatchesSerialBitwise) {
-  // Every kernel, the pressure transforms included, computes each value in
-  // a fixed order whatever the split, so the threaded run must reproduce
-  // the serial fields exactly.
-  Mesh mesh(SmallMesh());
-  Solver serial(mesh, SolverParams{});
-  ThreadPool pool(4);
-  Solver parallel(mesh, SolverParams{}, &pool);
-  serial.Initialize(WestWind());
-  parallel.Initialize(WestWind());
-  for (int step = 0; step < 10; ++step) {
-    serial.Step();
-    parallel.Step();
-  }
-  for (size_t c = 0; c < mesh.cell_count(); ++c) {
-    ASSERT_EQ(serial.u()[c], parallel.u()[c]) << "cell " << c;
-    ASSERT_EQ(serial.pressure()[c], parallel.pressure()[c]);
-    ASSERT_EQ(serial.temperature()[c], parallel.temperature()[c]);
-  }
-}
-
 TEST(Solver, ReinitializeMatchesAFreshSolverBitwise) {
   // Initialize writes the faces fixed for a solve into both field buffers
   // and the stages never rewrite them, so a solver reused for a new
@@ -256,32 +235,6 @@ TEST(Solver, CellUpdatesAccumulate) {
   c.Initialize(WestWind());
   c.Step();
   EXPECT_EQ(c.total_cell_updates(), 6 * interior);
-}
-
-TEST(Solver, InteriorMeansDoNotDependOnWorkerCount) {
-  // One partial per k-slab, folded in ascending k, on every path: serial
-  // and any pool size give the same bits.
-  MeshParams mp;
-  mp.nx = 48;
-  mp.ny = 40;
-  mp.nz = 12;
-  Mesh mesh(mp);
-  Boundary bc = WestWind();
-  bc.wind_dir_deg = 225.0;
-  Solver serial(mesh, SolverParams{});
-  serial.Initialize(bc);
-  serial.Run(60);
-  for (size_t workers : {2u, 3u, 4u, 10u}) {
-    ThreadPool pool(workers);
-    Solver pooled(mesh, SolverParams{}, &pool);
-    pooled.Initialize(bc);
-    pooled.Run(60);
-    EXPECT_EQ(pooled.InteriorMeanSpeed(), serial.InteriorMeanSpeed())
-        << workers << " workers";
-    EXPECT_EQ(pooled.InteriorMeanTemperature(),
-              serial.InteriorMeanTemperature())
-        << workers << " workers";
-  }
 }
 
 TEST(Solver, PointSampling) {

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "cfd/mesh.hpp"
-#include "common/threadpool.hpp"
 
 namespace xg::cfd {
 namespace {
@@ -101,48 +100,6 @@ TEST(SolverGolden, SerialMatchesPreOverhaulConfig2) {
   s.Initialize(g.bc);
   const StepStats last = s.Run(kSteps);
   CheckAgainstGolden(s, last, g);
-}
-
-TEST(SolverGolden, PooledMatchesPreOverhaulConfig1) {
-  Mesh mesh(GoldenMesh());
-  const Golden g = GoldenCase(0);
-  ThreadPool pool(4);
-  Solver s(mesh, SolverParams{}, &pool);
-  s.Initialize(g.bc);
-  const StepStats last = s.Run(kSteps);
-  CheckAgainstGolden(s, last, g);
-}
-
-TEST(SolverGolden, PooledMatchesPreOverhaulConfig2) {
-  Mesh mesh(GoldenMesh());
-  const Golden g = GoldenCase(1);
-  ThreadPool pool(4);
-  Solver s(mesh, SolverParams{}, &pool);
-  s.Initialize(g.bc);
-  const StepStats last = s.Run(kSteps);
-  CheckAgainstGolden(s, last, g);
-}
-
-// The slab decomposition must not perturb the result at all: serial and
-// pooled runs go through identical per-cell arithmetic, so the full field
-// state (not just summary scalars) is required to match bitwise.
-TEST(SolverGolden, SerialAndPooledFieldsAgreeBitwise) {
-  Mesh mesh(GoldenMesh());
-  const Golden g = GoldenCase(0);
-  Solver serial(mesh, SolverParams{});
-  serial.Initialize(g.bc);
-  serial.Run(kSteps);
-
-  ThreadPool pool(3);
-  Solver pooled(mesh, SolverParams{}, &pool);
-  pooled.Initialize(g.bc);
-  pooled.Run(kSteps);
-
-  ASSERT_EQ(serial.u(), pooled.u());
-  ASSERT_EQ(serial.v(), pooled.v());
-  ASSERT_EQ(serial.w(), pooled.w());
-  ASSERT_EQ(serial.temperature(), pooled.temperature());
-  ASSERT_EQ(serial.pressure(), pooled.pressure());
 }
 
 /// FNV-1a over the bit patterns of a field, so -0.0 and 0.0 differ.

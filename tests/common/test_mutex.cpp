@@ -1,10 +1,9 @@
 // Tests for the annotated lock shims (common/mutex.hpp): xg::Mutex must
-// actually exclude, xg::MutexLock must release on every exit path, and
-// xg::CondVar must wake waiters that block directly on a Mutex. These are
-// the behaviors the thread-safety annotations *assert*; the annotations
-// themselves are checked at compile time by the clang analyze lane
-// (tests/analysis/), so this suite runs real threads under TSan via the
-// `concurrent` label to back the static story with a dynamic one.
+// actually exclude and xg::MutexLock must release on every exit path.
+// These are the behaviors the thread-safety annotations *assert*; the
+// annotations themselves are checked at compile time by the clang analyze
+// lane (tests/analysis/), so this suite runs real threads under TSan via
+// the `concurrent` label to back the static story with a dynamic one.
 #include "common/mutex.hpp"
 
 #include <gtest/gtest.h>
@@ -66,88 +65,6 @@ TEST(MutexTest, MutexLockReleasesOnScopeExit) {
   // test would time out under ctest).
   MutexLock again(mu);
   SUCCEED();
-}
-
-TEST(CondVarTest, WaitWakesOnNotifyOne) {
-  Mutex mu;
-  CondVar cv;
-  bool ready = false;
-
-  std::thread waiter([&] {
-    MutexLock lk(mu);
-    while (!ready) cv.Wait(mu);
-  });
-
-  {
-    MutexLock lk(mu);
-    ready = true;
-  }
-  cv.NotifyOne();
-  waiter.join();
-  SUCCEED();
-}
-
-TEST(CondVarTest, NotifyAllReleasesEveryWaiter) {
-  Mutex mu;
-  CondVar cv;
-  bool go = false;
-  int awake = 0;
-  constexpr int kWaiters = 3;
-
-  std::vector<std::thread> waiters;
-  waiters.reserve(kWaiters);
-  for (int i = 0; i < kWaiters; ++i) {
-    waiters.emplace_back([&] {
-      MutexLock lk(mu);
-      while (!go) cv.Wait(mu);
-      ++awake;
-    });
-  }
-
-  {
-    MutexLock lk(mu);
-    go = true;
-  }
-  cv.NotifyAll();
-  for (auto& th : waiters) th.join();
-
-  MutexLock lk(mu);
-  EXPECT_EQ(awake, kWaiters);
-}
-
-TEST(CondVarTest, ProducerConsumerHandshake) {
-  Mutex mu;
-  CondVar cv_data;
-  CondVar cv_space;
-  // One-slot queue: the consumer must observe every value exactly once,
-  // in order, which fails fast if Wait() does not atomically release and
-  // reacquire the mutex.
-  bool full = false;
-  int slot = 0;
-  constexpr int kMessages = 1'000;
-  std::vector<int> received;
-
-  std::thread consumer([&] {
-    for (int i = 0; i < kMessages; ++i) {
-      MutexLock lk(mu);
-      while (!full) cv_data.Wait(mu);
-      received.push_back(slot);
-      full = false;
-      cv_space.NotifyOne();
-    }
-  });
-
-  for (int i = 0; i < kMessages; ++i) {
-    MutexLock lk(mu);
-    while (full) cv_space.Wait(mu);
-    slot = i;
-    full = true;
-    cv_data.NotifyOne();
-  }
-  consumer.join();
-
-  ASSERT_EQ(received.size(), static_cast<size_t>(kMessages));
-  for (int i = 0; i < kMessages; ++i) EXPECT_EQ(received[i], i);
 }
 
 }  // namespace

@@ -2,11 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
-#include "common/threadpool.hpp"
 #include "json_check.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -131,47 +129,6 @@ TEST(ChromeTrace, EmptySnapshot) {
   const std::string json = ToChromeTraceJson({});
   EXPECT_TRUE(JsonChecker(json).Valid());
   EXPECT_EQ(json, "{\"traceEvents\":[],\"displayTimeUnit\":\"ms\"}");
-}
-
-TEST(Exporters, SnapshotWhileWritersMutate) {
-  // Snapshot-vs-mutation: exporters consume value snapshots, so running
-  // them while workers hammer the instruments must never tear output.
-  MetricsRegistry reg;
-  std::atomic<uint64_t> c{0};
-  Histogram h;
-  reg.RegisterCallback(
-      "xg_race_total", {}, "", [&c] { return static_cast<double>(c.load()); },
-      MetricSample::Type::kCounter);
-  reg.RegisterHistogram("xg_race_ms", {}, "", &h);
-  Tracer tracer;
-  // Keep the span store small so each Chrome export stays cheap while the
-  // writers hammer it.
-  tracer.set_capacity(1024);
-  int64_t fake_now = 0;
-  tracer.set_clock([&fake_now] { return fake_now; });
-
-  std::atomic<bool> stop{false};
-  ThreadPool pool(4);
-  pool.RunOnAll([&](size_t worker) {
-    if (worker == 0) {
-      for (int i = 0; i < 50; ++i) {
-        const std::string prom = ToPrometheusText(reg.Snapshot());
-        EXPECT_NE(prom.find("xg_race_total"), std::string::npos);
-        EXPECT_TRUE(JsonChecker(MetricsToJson(reg.Snapshot())).Valid());
-        EXPECT_TRUE(JsonChecker(ToChromeTraceJson(tracer.Snapshot())).Valid());
-      }
-      stop.store(true);
-    } else {
-      // At least one round even if the exporting worker finishes first.
-      do {
-        c.fetch_add(1, std::memory_order_relaxed);
-        h.Record(static_cast<int64_t>(worker));
-        TraceContext t = tracer.StartTrace(SpanName::kTelemetry);
-        tracer.EndSpan(t);
-      } while (!stop.load(std::memory_order_relaxed));
-    }
-  });
-  EXPECT_GT(c.load(), 0u);
 }
 
 }  // namespace

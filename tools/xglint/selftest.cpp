@@ -353,7 +353,7 @@ const std::vector<SelfTestCase>& Cases() {
        {}},
 
       // --- raw-thread ------------------------------------------------------
-      {"std::thread outside the pool is flagged", "src/x/bg.cpp",
+      {"std::thread under src/ is flagged", "src/x/bg.cpp",
        "void Start() {\n"
        "  std::thread t(Run);\n"
        "  t.join();\n"
@@ -364,9 +364,15 @@ const std::vector<SelfTestCase>& Cases() {
        "  worker.detach();\n"
        "}\n",
        {"raw-thread"}},
-      {"the pool implementation is exempt", "src/common/threadpool.cpp",
+      {"a pool under src/common is flagged too", "src/common/threadpool.cpp",
        "void Spawn() {\n"
        "  workers_.emplace_back(std::thread(Run));\n"
+       "}\n",
+       {"raw-thread"}},
+      {"threads outside src/ are out of scope", "tests/x/two_fabrics.cpp",
+       "void Start() {\n"
+       "  std::thread t(Run);\n"
+       "  t.join();\n"
        "}\n",
        {}},
       {"std::this_thread is not a thread creation", "src/x/bg.cpp",

@@ -32,9 +32,9 @@
 //                     (obs::slo::LatencyLedger::Stamp).
 //   unannotated-mutex raw std::mutex / lock_guard / condition_variable
 //                     (or their headers) under src/: invisible to clang
-//                     Thread Safety Analysis. Use xg::Mutex / MutexLock /
-//                     CondVar from common/mutex.hpp and annotate shared
-//                     fields XG_GUARDED_BY.
+//                     Thread Safety Analysis. Use xg::Mutex / MutexLock
+//                     from common/mutex.hpp and annotate shared fields
+//                     XG_GUARDED_BY.
 //   hash-order        range-for over a std::unordered_{map,set} declared
 //                     in the same file, feeding an output/ordering sink
 //                     (stream insert, printf family, push_back/append,
@@ -44,9 +44,10 @@
 //                     (mt19937 etc.) under src/ outside common/rng.*:
 //                     every stream must derive from xg::Rng with a
 //                     plan-provided seed for bit-for-bit reproducibility.
-//   raw-thread        std::thread/jthread or .detach() under src/ outside
-//                     common/threadpool.*: threads outside the pool
-//                     escape shutdown ordering and TSan coverage.
+//   raw-thread        std::thread/jthread or .detach() anywhere under
+//                     src/: a fabric runs on the one thread that drives
+//                     it, so no library code starts threads; run
+//                     fabrics side by side from the caller instead.
 //   confined-static   `static` instances of the XG_SIM_THREAD_CONFINED
 //                     accumulators (RunningStats, SampleSet, Ewma) under
 //                     src/: a static accumulator is shared state without
@@ -124,12 +125,6 @@ bool IsRngExempt(const fs::path& p) {
   // common/rng.* is the seed-discipline implementation.
   const std::string fname = p.filename().string();
   return fname == "rng.hpp" || fname == "rng.cpp";
-}
-
-bool IsThreadExempt(const fs::path& p) {
-  // The pool is the one sanctioned std::thread owner.
-  const std::string fname = p.filename().string();
-  return fname == "threadpool.hpp" || fname == "threadpool.cpp";
 }
 
 // ---------------------------------------------------------------------------
@@ -484,7 +479,7 @@ void RuleUnannotatedMutex(const Ctx& ctx) {
       ctx.Report(t.line, "unannotated-mutex",
                  "std::" + t.text +
                      " is invisible to thread-safety analysis; use "
-                     "xg::Mutex / xg::MutexLock / xg::CondVar "
+                     "xg::Mutex / xg::MutexLock "
                      "(common/mutex.hpp) and annotate shared fields "
                      "XG_GUARDED_BY");
     }
@@ -605,7 +600,7 @@ void RuleUnseededRng(const Ctx& ctx) {
 }
 
 void RuleRawThread(const Ctx& ctx) {
-  if (!InSrc(ctx.path) || IsThreadExempt(ctx.path)) return;
+  if (!InSrc(ctx.path)) return;
   const auto& toks = ctx.lex.tokens;
   for (size_t i = 0; i < toks.size(); ++i) {
     const Token& t = toks[i];
@@ -614,9 +609,9 @@ void RuleRawThread(const Ctx& ctx) {
         IsPunct(toks[i - 1], "::") && IsIdent(toks[i - 2], "std")) {
       ctx.Report(t.line, "raw-thread",
                  "std::" + t.text +
-                     " outside common/threadpool.*: threads created outside "
-                     "the pool escape shutdown ordering; dispatch through "
-                     "xg::ThreadPool");
+                     " under src/: a fabric runs on one thread and its "
+                     "state carries no lock; run separate fabrics on "
+                     "caller-owned threads instead");
       continue;
     }
     if (t.text == "detach" && i > 0 &&
@@ -624,7 +619,7 @@ void RuleRawThread(const Ctx& ctx) {
         i + 1 < toks.size() && IsPunct(toks[i + 1], "(")) {
       ctx.Report(t.line, "raw-thread",
                  "detached thread under src/: a detached thread outlives "
-                 "shutdown and races teardown; join through xg::ThreadPool");
+                 "shutdown and races teardown; src/ starts no threads");
     }
   }
 }
