@@ -1,10 +1,12 @@
 // CFD kernel benchmark: per-kernel hot-path timing for the solver's step
-// on one thread. Emits a machine-readable BENCH_cfd.json artifact so CI
-// and regression tooling can track kernel performance.
+// on one thread, at every lane width this CPU runs (cfd/lanes.hpp). Emits
+// a machine-readable BENCH_cfd.json artifact so CI and regression tooling
+// can track kernel performance.
 //
 // The run is also a correctness gate: the exit status is nonzero if any
-// timed step leaves a Poisson residual above 1e-10 * max|b|, or if the
-// artifact cannot be written.
+// timed step leaves a Poisson residual above 1e-10 * max|b|, if the fields
+// after the run at any width differ bitwise from the SSE2 width's, or if
+// the artifact cannot be written.
 //
 // Usage:
 //   bench_cfd_kernels [--smoke] [--out PATH] [--steps N]
@@ -14,7 +16,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <iostream>
@@ -22,6 +26,7 @@
 #include <vector>
 
 #include "bench/bench_json.hpp"
+#include "cfd/lanes.hpp"
 #include "cfd/mesh.hpp"
 #include "cfd/solver.hpp"
 #include "common/table.hpp"
@@ -46,6 +51,7 @@ constexpr const char* kKernels[] = {"advect",   "diffuse_force",  "sor",
 constexpr double kResidualTolerance = 1e-10;
 
 struct RunResult {
+  cfd::LaneWidth width = cfd::LaneWidth::kSse2;
   double step_ms = 0.0;
   double cells_per_sec = 0.0;
   /// Worst residual / max|b| over the timed steps.
@@ -53,7 +59,28 @@ struct RunResult {
   // Parallel arrays over kKernels.
   std::vector<double> kernel_total_ms;
   std::vector<uint64_t> kernel_calls;
+  /// FNV-1a over the bits of u, v, w, T and p after the run.
+  uint64_t field_hash = 0;
 };
+
+/// FNV-1a over the bit patterns of every value, so -0.0 and 0.0 differ.
+void HashInto(uint64_t& h, const std::vector<double>& field) {
+  for (double x : field) {
+    uint64_t bits;
+    std::memcpy(&bits, &x, sizeof bits);
+    for (int b = 0; b < 8; ++b) {
+      h ^= (bits >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+}
+
+std::string Hex(uint64_t v) {
+  char buf[19];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
 
 cfd::Boundary BenchBoundary() {
   cfd::Boundary bc;
@@ -64,8 +91,10 @@ cfd::Boundary BenchBoundary() {
   return bc;
 }
 
-RunResult TimeSolver(const cfd::Mesh& mesh, int warmup, int steps) {
+RunResult TimeSolver(const cfd::Mesh& mesh, cfd::LaneWidth width, int warmup,
+                     int steps) {
   cfd::Solver solver(mesh, cfd::SolverParams{});
+  solver.set_lane_width(width);
   obs::MetricsRegistry registry;
   obs::KernelTimer timer(&registry, &NowUs);
   solver.set_kernel_timer(&timer);
@@ -80,6 +109,7 @@ RunResult TimeSolver(const cfd::Mesh& mesh, int warmup, int steps) {
     calls_before.push_back(timer.Count(k));
   }
   RunResult r;
+  r.width = solver.lane_width();
   const int64_t t0 = NowUs();
   for (int s = 0; s < steps; ++s) {
     const cfd::StepStats st = solver.Step();
@@ -102,6 +132,12 @@ RunResult TimeSolver(const cfd::Mesh& mesh, int warmup, int steps) {
   for (size_t k = 0; k < std::size(kKernels); ++k) {
     r.kernel_total_ms.push_back(ms_after[k] - ms_before[k]);
     r.kernel_calls.push_back(calls_after[k] - calls_before[k]);
+  }
+  r.field_hash = 14695981039346656037ull;
+  for (const std::vector<double>* f :
+       {&solver.u(), &solver.v(), &solver.w(), &solver.temperature(),
+        &solver.pressure()}) {
+    HashInto(r.field_hash, *f);
   }
   return r;
 }
@@ -146,28 +182,73 @@ int main(int argc, char** argv) {
   int steps = smoke ? 4 : 30;
   if (steps_override > 0) steps = steps_override;
 
-  const RunResult r = TimeSolver(mesh, warmup, steps);
-  Table step({"Step (ms)", "Mcells/s"});
-  step.AddRow({Table::Num(r.step_ms, 3), Table::Num(r.cells_per_sec / 1e6, 2)});
+  std::vector<RunResult> runs;
+  for (cfd::LaneWidth width : cfd::HostLaneWidths()) {
+    runs.push_back(TimeSolver(mesh, width, warmup, steps));
+  }
+  const cfd::LaneWidth selected = cfd::HostLaneWidth();
+  std::cout << "Lane width selected from the CPU: "
+            << cfd::LaneWidthName(selected) << "\n\n";
+
+  Table step({"Width", "Step (ms)", "Mcells/s", "Field hash", "= sse2"});
+  for (const RunResult& r : runs) {
+    step.AddRow({std::string(cfd::LaneWidthName(r.width)),
+                 Table::Num(r.step_ms, 3), Table::Num(r.cells_per_sec / 1e6, 2),
+                 Hex(r.field_hash),
+                 r.field_hash == runs.front().field_hash ? "yes" : "NO"});
+  }
   step.Print(std::cout, "Full Step() throughput");
 
-  Table per_kernel({"Kernel", "Total (ms)", "Calls", "Mean (ms)"});
-  for (size_t k = 0; k < std::size(kKernels); ++k) {
-    const uint64_t calls = r.kernel_calls[k];
-    per_kernel.AddRow(
-        {kKernels[k], Table::Num(r.kernel_total_ms[k], 3),
-         Table::Num(static_cast<double>(calls), 0),
-         Table::Num(calls > 0 ? r.kernel_total_ms[k] / calls : 0.0, 4)});
+  std::vector<std::string> head = {"Kernel"};
+  for (const RunResult& r : runs) {
+    head.push_back(std::string(cfd::LaneWidthName(r.width)) + " (ms)");
   }
-  per_kernel.Print(std::cout, "Per-kernel breakdown");
-  std::cout << "Worst Poisson residual / max|b|: " << r.residual_ratio
+  Table per_kernel(head);
+  for (size_t k = 0; k < std::size(kKernels); ++k) {
+    std::vector<std::string> row = {kKernels[k]};
+    for (const RunResult& r : runs) {
+      const uint64_t calls = r.kernel_calls[k];
+      row.push_back(
+          Table::Num(calls > 0 ? r.kernel_total_ms[k] / calls : 0.0, 4));
+    }
+    per_kernel.AddRow(row);
+  }
+  per_kernel.Print(std::cout, "Per-kernel mean per call");
+  double worst_residual = 0.0;
+  bool hashes_match = true;
+  for (const RunResult& r : runs) {
+    if (!(r.residual_ratio <= worst_residual)) {
+      worst_residual = r.residual_ratio;
+    }
+    hashes_match = hashes_match && r.field_hash == runs.front().field_hash;
+  }
+  std::cout << "Worst Poisson residual / max|b|: " << worst_residual
             << " (limit " << kResidualTolerance << ")\n";
+
+  const auto write_run = [&](bench::JsonWriter& jw, const RunResult& r) {
+    jw.Field("step_ms", r.step_ms);
+    jw.Field("cells_per_sec", r.cells_per_sec);
+    jw.Key("kernels");
+    jw.BeginArray();
+    for (size_t k = 0; k < std::size(kKernels); ++k) {
+      jw.BeginObject();
+      jw.Field("name", kKernels[k]);
+      jw.Field("total_ms", r.kernel_total_ms[k]);
+      jw.Field("calls", r.kernel_calls[k]);
+      jw.Field("mean_ms", r.kernel_calls[k] > 0
+                              ? r.kernel_total_ms[k] / r.kernel_calls[k]
+                              : 0.0);
+      jw.EndObject();
+    }
+    jw.EndArray();
+    jw.Field("max_poisson_residual_ratio", r.residual_ratio);
+  };
 
   std::ofstream out(out_path);
   if (!out) return Fail("cannot open " + out_path + " for writing");
   bench::JsonWriter jw(out);
   jw.BeginObject();
-  jw.Field("schema", "xg-bench-cfd-v3");
+  jw.Field("schema", "xg-bench-cfd-v4");
   jw.Field("smoke", smoke);
   jw.Key("mesh");
   jw.BeginObject();
@@ -178,30 +259,31 @@ int main(int argc, char** argv) {
   jw.EndObject();
   jw.Field("steps", steps);
   jw.Field("warmup_steps", warmup);
-  jw.Field("step_ms", r.step_ms);
-  jw.Field("cells_per_sec", r.cells_per_sec);
-  jw.Key("kernels");
+  jw.Field("lane_width", std::string(cfd::LaneWidthName(selected)));
+  // The selected width's run, at the top level as in earlier schemas.
+  write_run(jw, runs.back());
+  jw.Field("widths_match_sse2", hashes_match);
+  jw.Key("widths");
   jw.BeginArray();
-  for (size_t k = 0; k < std::size(kKernels); ++k) {
+  for (const RunResult& r : runs) {
     jw.BeginObject();
-    jw.Field("name", kKernels[k]);
-    jw.Field("total_ms", r.kernel_total_ms[k]);
-    jw.Field("calls", r.kernel_calls[k]);
-    jw.Field("mean_ms", r.kernel_calls[k] > 0
-                            ? r.kernel_total_ms[k] / r.kernel_calls[k]
-                            : 0.0);
+    jw.Field("lane_width", std::string(cfd::LaneWidthName(r.width)));
+    write_run(jw, r);
+    jw.Field("field_hash", Hex(r.field_hash));
     jw.EndObject();
   }
   jw.EndArray();
-  jw.Field("max_poisson_residual_ratio", r.residual_ratio);
   jw.EndObject();
   if (!jw.Complete()) return Fail("internal error: unbalanced JSON");
   out << "\n";
   out.close();
   if (!out) return Fail("write to " + out_path + " failed");
   std::cout << "Data written to " << out_path << "\n";
-  if (!(r.residual_ratio <= kResidualTolerance)) {
+  if (!(worst_residual <= kResidualTolerance)) {
     return Fail("Poisson residual above tolerance");
+  }
+  if (!hashes_match) {
+    return Fail("fields differ bitwise between lane widths");
   }
   return 0;
 }

@@ -1,3 +1,4 @@
+#include "cfd/fp_contract.hpp"  // first: no FMA contraction below
 #include "cfd/mesh.hpp"
 
 #include <algorithm>

@@ -1,43 +1,75 @@
+#include "cfd/fp_contract.hpp"  // first: no FMA contraction below
 #include "cfd/poisson.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
 
+#include "cfd/packs.hpp"
+
 namespace xg::cfd {
 
 namespace {
 constexpr double kPi = 3.14159265358979323846;
 
-/// out[i] = sum over t of coef(t) * in(t)[i] for i < n, accumulated from
-/// 0 in ascending t. The rows are contiguous x lines. Blocks of kBlock
-/// outputs stay in registers across the whole sum; when n is not a
-/// multiple of kBlock the last block is shifted back to end at n,
-/// recomputing a few outputs with identical arithmetic. `out` must not
-/// alias any input row.
-template <typename Coef, typename Row>
-void Combine(double* out, int n, int terms, Coef&& coef,
-             Row&& in) {
-  constexpr int kBlock = 16;
-  if (n < kBlock) {
-    std::fill_n(out, n, 0.0);
+/// out(r)[i] = sum over t of coef(r, t) * in(t)[i] for the R output rows
+/// r0 <= r < r0 + R and i < n, each output accumulated from 0 in ascending
+/// t in its own lane. Rows are contiguous x lines. A block of P packs of V
+/// per row stays in registers across the whole sum, and the R rows share
+/// each input pack they load. When n is not a multiple of the block the
+/// last block is shifted back to end at n, recomputing a few outputs with
+/// identical arithmetic. Needs n >= P * kLanes<V>; no output row may alias
+/// an input row.
+template <int R, int P, typename V, typename Out, typename Coef, typename In>
+inline void CombineBlocks(int r0, int n, int terms, const Out& out,
+                          const Coef& coef, const In& in) {
+  constexpr int kLen = kLanes<V>;
+  for (int b = 0; b < n; b += P * kLen) {
+    const int i0 = std::min(b, n - P * kLen);
+    V acc[R][P] = {};
     for (int t = 0; t < terms; ++t) {
-      const double a = coef(t);
-      const double* src = in(t);
-      for (int i = 0; i < n; ++i) out[i] += a * src[i];
-    }
-    return;
-  }
-  for (int b = 0; b < n; b += kBlock) {
-    const int i0 = std::min(b, n - kBlock);
-    double acc[kBlock] = {};
-    for (int t = 0; t < terms; ++t) {
-      const double a = coef(t);
       const double* src = in(t) + i0;
-      for (int i = 0; i < kBlock; ++i) acc[i] += a * src[i];
+      V x[P];
+      for (int p = 0; p < P; ++p) x[p] = Load<V>(src + p * kLen);
+      for (int r = 0; r < R; ++r) {
+        const double a = coef(r0 + r, t);
+        for (int p = 0; p < P; ++p) acc[r][p] += a * x[p];
+      }
     }
-    std::copy_n(acc, kBlock, out + i0);
+    for (int r = 0; r < R; ++r) {
+      for (int p = 0; p < P; ++p) Store(out(r0 + r) + i0 + p * kLen, acc[r][p]);
+    }
   }
+}
+
+/// Output rows per pass and packs per row block of Combine at each width,
+/// measured on the default mesh (46-cell rows): enough accumulators to
+/// keep the adders busy past their latency, few enough to stay in
+/// registers, and a block that wastes little of a row.
+template <typename V>
+constexpr int kCombineRows = kLanes<V> == 2 ? 1 : 2;
+template <typename V>
+constexpr int kCombinePacks = kLanes<V> == 2 ? 8 : 3;
+
+/// CombineBlocks over `rows` output rows and a row length n >= 1: R rows
+/// at a time, then one, each over the widest block the row holds.
+template <typename V, typename Out, typename Coef, typename In>
+inline void Combine(int rows, int n, int terms, const Out& out,
+                    const Coef& coef, const In& in) {
+  const auto pass = [&]<int R>(int r0) {
+    constexpr int kPacks = kCombinePacks<V>;
+    if (n >= kPacks * kLanes<V>) {
+      CombineBlocks<R, kPacks, V>(r0, n, terms, out, coef, in);
+    } else if (n >= kLanes<V>) {
+      CombineBlocks<R, 1, V>(r0, n, terms, out, coef, in);
+    } else {
+      CombineBlocks<R, 1, V1>(r0, n, terms, out, coef, in);
+    }
+  };
+  constexpr int kRows = kCombineRows<V>;
+  int r = 0;
+  for (; r + kRows <= rows; r += kRows) pass.template operator()<kRows>(r);
+  for (; r < rows; ++r) pass.template operator()<1>(r);
 }
 }  // namespace
 
@@ -78,8 +110,7 @@ PoissonSolver::PoissonSolver(const Mesh& mesh)
       my_(std::max(0, mesh.ny() - 2)),
       mz_(std::max(0, mesh.nz() - 2)),
       cx_(1.0 / (mesh.dx() * mesh.dx())),
-      scratch_(std::max(static_cast<size_t>(mx_) * my_,
-                        2 * static_cast<size_t>(mx_) * mz_ + mz_)) {
+      scratch_(static_cast<size_t>(mx_) * std::max(my_, mz_)) {
   Configure(0.0, 0.0);
 }
 
@@ -97,36 +128,50 @@ void PoissonSolver::Configure(double wx, double wy) {
   y_ = LaplacianModes1D(my_, 1.0 / (mesh_.dy() * mesh_.dy()), dirichlet_y_lo_,
                         dirichlet_y_hi_);
   z_ = LaplacianModes1D(mz_, 1.0 / (mesh_.dz() * mesh_.dz()), false, false);
+  FactorLines();
 }
 
-void PoissonSolver::SweepX(double* slab, double* cp,
-                           const double* shift) const {
-  // Thomas algorithm on the mz lines of one slab (line c is
-  // slab[c * mx ...], its diagonal shifted by shift[c]); the off-diagonals
-  // are all cx. Rows are weakly diagonally dominant with a strict Dirichlet
-  // row, so no pivoting. Lines are independent and interleaved in the inner
-  // loop, so their division chains overlap.
+void PoissonSolver::FactorLines() {
+  // Thomas elimination of every (y-mode a, z-mode c) line: the pivots'
+  // reciprocals depend only on the operator, so they are computed here
+  // once per Configure instead of in every solve. Rows are weakly
+  // diagonally dominant with a strict Dirichlet row, so no pivoting.
+  const size_t mx = static_cast<size_t>(mx_);
+  inv_pivot_.resize(mx * static_cast<size_t>(my_) * static_cast<size_t>(mz_));
+  if (mx == 0) return;
   const double cx = cx_;
-  const double* diag = diag_x_.data();
+  double* inv = inv_pivot_.data();
+  for (int a = 0; a < my_; ++a) {
+    for (int c = 0; c < mz_; ++c, inv += mx) {
+      const double shift = y_.mu[a] + z_.mu[c];
+      inv[0] = 1.0 / (diag_x_[0] + shift);
+      for (size_t i = 1; i < mx; ++i) {
+        inv[i] = 1.0 / (diag_x_[i] + shift - cx * (cx * inv[i - 1]));
+      }
+    }
+  }
+}
+
+void PoissonSolver::SweepX(double* slab, const double* inv) const {
+  // Forward elimination and back substitution on the mz lines of one slab
+  // (line c is slab[c * mx ...]); the off-diagonals are all cx. Lines are
+  // independent and interleaved in the inner loop, so their chains overlap.
+  const double cx = cx_;
   const size_t mx = static_cast<size_t>(mx_);
   for (int c = 0; c < mz_; ++c) {
     const size_t r = static_cast<size_t>(c) * mx;
-    const double inv = 1.0 / (diag[0] + shift[c]);
-    cp[r] = cx * inv;
-    slab[r] *= inv;
+    slab[r] *= inv[r];
   }
   for (size_t i = 1; i < mx; ++i) {
     for (int c = 0; c < mz_; ++c) {
       const size_t e = static_cast<size_t>(c) * mx + i;
-      const double inv = 1.0 / (diag[i] + shift[c] - cx * cp[e - 1]);
-      cp[e] = cx * inv;
-      slab[e] = (slab[e] - cx * slab[e - 1]) * inv;
+      slab[e] = (slab[e] - cx * slab[e - 1]) * inv[e];
     }
   }
   for (size_t i = mx - 1; i-- > 0;) {
     for (int c = 0; c < mz_; ++c) {
       const size_t e = static_cast<size_t>(c) * mx + i;
-      slab[e] -= cp[e] * slab[e + 1];
+      slab[e] -= cx * inv[e] * slab[e + 1];
     }
   }
 }
@@ -145,18 +190,23 @@ void PoissonSolver::TransformY(double* x, bool inverse) {
   // inverse x_a = sum_b Qy[a][b] x^_b.
   const size_t mx = static_cast<size_t>(mx_), my = static_cast<size_t>(my_);
   const double* qy = y_.q.data();
+  const size_t row_step = inverse ? my : 1, term_step = inverse ? 1 : my;
   double* plane = scratch_.data();
-  for (int k = 0; k < mz_; ++k) {
-    for (int j = 0; j < my_; ++j) {
-      std::copy_n(Line(x, j, k), mx, plane + j * mx);
+  AtLaneWidth(lane_width_, [&](auto lanes) {
+    using V = PackOf<decltype(lanes)>;
+    for (int k = 0; k < mz_; ++k) {
+      for (int j = 0; j < my_; ++j) {
+        std::copy_n(Line(x, j, k), mx, plane + j * mx);
+      }
+      Combine<V>(
+          my_, mx_, my_, [&](int a) { return Line(x, a, k); },
+          [=](int a, int b) {
+            return qy[static_cast<size_t>(a) * row_step +
+                      static_cast<size_t>(b) * term_step];
+          },
+          [=](int b) { return plane + static_cast<size_t>(b) * mx; });
     }
-    for (int a = 0; a < my_; ++a) {
-      Combine(
-          Line(x, a, k), mx_, my_,
-          [&](int b) { return inverse ? qy[a * my + b] : qy[b * my + a]; },
-          [&](int b) { return plane + b * mx; });
-    }
-  }
+  });
 }
 
 void PoissonSolver::SolveModes(double* x) {
@@ -165,22 +215,27 @@ void PoissonSolver::SolveModes(double* x) {
   const size_t mx = static_cast<size_t>(mx_), mz = static_cast<size_t>(mz_);
   const double* qz = z_.q.data();
   double* slab = scratch_.data();
-  double* cp = slab + mx * mz;
-  double* shift = cp + mx * mz;
-  for (int a = 0; a < my_; ++a) {
-    for (int c = 0; c < mz_; ++c) {
-      Combine(
-          slab + c * mx, mx_, mz_, [&](int k) { return qz[k * mz + c]; },
-          [&](int k) { return Line(x, a, k); });
-      shift[c] = y_.mu[a] + z_.mu[c];
+  const auto qz_at = [=](int k, int c) {
+    return qz[static_cast<size_t>(k) * mz + static_cast<size_t>(c)];
+  };
+  const auto slab_line = [=](int c) {
+    return slab + static_cast<size_t>(c) * mx;
+  };
+  AtLaneWidth(lane_width_, [&](auto lanes) {
+    using V = PackOf<decltype(lanes)>;
+    for (int a = 0; a < my_; ++a) {
+      const auto line = [&](int k) { return Line(x, a, k); };
+      Combine<V>(
+          mz_, mx_, mz_, slab_line, [=](int c, int k) { return qz_at(k, c); },
+          line);
+      SweepX(slab, inv_pivot_.data() + static_cast<size_t>(a) * mz * mx);
+      Combine<V>(mz_, mx_, mz_, line, qz_at, slab_line);
     }
-    SweepX(slab, cp, shift);
-    for (int k = 0; k < mz_; ++k) {
-      Combine(
-          Line(x, a, k), mx_, mz_, [&](int c) { return qz[k * mz + c]; },
-          [&](int c) { return slab + c * mx; });
-    }
-  }
+  });
+}
+
+void PoissonSolver::set_lane_width(LaneWidth width) {
+  lane_width_ = std::min(width, HostLaneWidth());
 }
 
 void PoissonSolver::FillGhosts(double* p) const {

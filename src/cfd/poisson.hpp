@@ -20,12 +20,15 @@
 // all-Neumann null space never arises.
 //
 // Everything runs in place in the caller's mesh-sized array; the only
-// temporaries are one x-y plane, or two x-z slabs, held in scratch the
-// solver allocates once and reuses.
+// temporary is one x-y plane, or one x-z slab, held in scratch the solver
+// allocates once and reuses. The Thomas pivots of every line depend only
+// on the operator, so Configure computes their reciprocals once. The
+// dense transforms run at the host's lane width (cfd/lanes.hpp).
 #pragma once
 
 #include <vector>
 
+#include "cfd/lanes.hpp"
 #include "cfd/mesh.hpp"
 
 namespace xg::cfd {
@@ -56,6 +59,11 @@ class PoissonSolver {
   /// scratch.
   void Solve(double* x);
 
+  /// Runs the transforms at `width` instead of the host's widest (a width
+  /// the CPU does not run falls back to the widest it does); the solution
+  /// is bitwise the same at every width.
+  void set_lane_width(LaneWidth width);
+
   /// Writes the ghost values A assumes into the boundary cells of `p`
   /// (0 on Dirichlet faces, the adjacent interior cell on Neumann faces),
   /// so the plain 7-point stencil over interior cells applies A.
@@ -72,19 +80,26 @@ class PoissonSolver {
   /// Per y-mode: transforms along z, solves each line along x, and
   /// transforms back.
   void SolveModes(double* x);
-  /// Solves (Lx + shift[c] I) x = x in place for each of the mz x lines
-  /// of an x-z slab (line c at slab + c * mx); `cp` holds mx * mz doubles.
-  void SweepX(double* slab, double* cp, const double* shift) const;
+  /// Computes inv_pivot_ for the current operator.
+  void FactorLines();
+  /// Solves (Lx + (mu_y[a] + mu_z[c]) I) x = x in place for each of the mz
+  /// x lines of y-mode a's x-z slab (line c at slab + c * mx), given that
+  /// slab's mx * mz pivot reciprocals.
+  void SweepX(double* slab, const double* inv) const;
 
   const Mesh& mesh_;
   int mx_, my_, mz_;  ///< interior extents
   double cx_;         ///< 1 / dx^2, the off-diagonal of Lx
+  LaneWidth lane_width_ = HostLaneWidth();
   bool dirichlet_x_lo_ = true, dirichlet_x_hi_ = true;
   bool dirichlet_y_lo_ = true, dirichlet_y_hi_ = true;
   std::vector<double> diag_x_;  ///< diagonal of Lx
   LaplacianModes y_, z_;
-  /// Scratch: an x-y plane for the y transforms, or an x-z slab, its
-  /// Thomas factors and the mz line shifts for the x sweeps.
+  /// Reciprocal Thomas pivots of every (y-mode, z-mode) line along x:
+  /// inv_pivot_[(a * mz + c) * mx + i].
+  std::vector<double> inv_pivot_;
+  /// Scratch: an x-y plane for the y transforms, or an x-z slab for the x
+  /// sweeps.
   std::vector<double> scratch_;
 };
 

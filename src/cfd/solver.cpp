@@ -1,3 +1,4 @@
+#include "cfd/fp_contract.hpp"  // first: no FMA contraction below
 #include "cfd/solver.hpp"
 
 #include <algorithm>
@@ -5,6 +6,7 @@
 #include <span>
 #include <utility>
 
+#include "cfd/packs.hpp"
 #include "obs/kerneltimer.hpp"
 
 // Kernels read through restrict-qualified pointers: the write buffer never
@@ -27,101 +29,65 @@ double WindProfile(double z_m) {
   return std::max(0.3, std::pow(z / 10.0, 0.14));
 }
 
-// Lane packs. Each kernel's arithmetic is one generic body over a pack of
-// doubles: V2 (two lanes, one SSE2 register on x86-64) for the row, V1 for
-// an odd last cell. The operators act lane by lane with the IEEE double
-// operation the scalar expression would use, in the same order, so every
-// lane is bitwise the scalar result. Branches become masks: a comparison
-// yields an all-ones/all-zeros lane mask and Select blends by bits.
-using V2 = double __attribute__((vector_size(2 * sizeof(double))));
-using V1 = double __attribute__((vector_size(sizeof(double))));
-
-template <typename V>
-constexpr int kLanes = static_cast<int>(sizeof(V) / sizeof(double));
-
-template <typename V>
-using Mask = decltype(V{} < V{});
-
-/// A pack as it sits in a field: any double may start one. Lanes are
-/// read and written as the doubles they are, so the accesses keep the
-/// fields' alias set (gcc merges them into one unaligned vector access);
-/// a memcpy or an intrinsic's may-alias type would make every store
-/// clobber the kernel's constants and pointers, reloaded per cell.
-template <typename V>
-inline V Load(const double* p) {
-  V v;
-  for (int l = 0; l < kLanes<V>; ++l) v[l] = p[l];
-  return v;
-}
-
-template <typename V>
-inline void Store(double* p, V v) {
-  for (int l = 0; l < kLanes<V>; ++l) p[l] = v[l];
-}
-
-/// Lane-wise m ? a : b.
-template <typename V>
-inline V Select(Mask<V> m, V a, V b) {
-  using M = Mask<V>;
-  return (V)(((M)a & m) | ((M)b & ~m));
-}
-
-/// Lane-wise std::max(acc, x): keeps acc unless acc < x, so a NaN x is
-/// ignored as the scalar fold ignores it.
-template <typename V>
-inline V Max(V acc, V x) {
-  return Select<V>(acc < x, x, acc);
-}
-
-/// Lane-wise |x|: clears the sign bit, as std::abs does.
-template <typename V>
-inline V Abs(V x) {
-  using M = Mask<V>;
-  return (V)((M)x & ~(M)(-V{}));
-}
-
-/// Lane-wise std::sqrt (correctly rounded, so bitwise the scalar result).
-template <typename V>
-inline V Sqrt(V x) {
-  V r;
-  for (int l = 0; l < kLanes<V>; ++l) r[l] = std::sqrt(x[l]);
-  return r;
-}
-
-/// Running max over packs of either width, from 0 like the scalar fold
-/// std::max(acc, x). Max is exact and, NaN aside, does not
-/// depend on order, so folding per lane gives the scalar fold's value.
+/// Running max over packs of every width, from 0 like the scalar fold
+/// std::max(acc, x). Max is exact and, NaN aside, does not depend on
+/// order, so folding per lane gives the scalar fold's value.
 struct MaxFold {
+  V8 eight{};
+  V4 four{};
   V2 two{};
   V1 one{};
-  void Add(V2 x) { two = Max(two, x); }
-  void Add(V1 x) { one = Max(one, x); }
-  double Value() const { return std::max({two[0], two[1], one[0]}); }
+  template <typename V>
+  void Add(const V& x) {
+    V& slot = Slot<V>();
+    slot = Max(slot, x);
+  }
+  double Value() const {
+    double m = one[0];
+    for (int l = 0; l < 2; ++l) m = std::max(m, two[l]);
+    for (int l = 0; l < 4; ++l) m = std::max(m, four[l]);
+    for (int l = 0; l < 8; ++l) m = std::max(m, eight[l]);
+    return m;
+  }
+
+ private:
+  template <typename V>
+  V& Slot() {
+    if constexpr (kLanes<V> == 8) {
+      return eight;
+    } else if constexpr (kLanes<V> == 4) {
+      return four;
+    } else if constexpr (kLanes<V> == 2) {
+      return two;
+    } else {
+      return one;
+    }
+  }
 };
 
-/// Runs cell(c, V{}) over the `n` cells of a row from index c: two lanes
-/// at a time, then the odd last cell at one lane.
+/// Runs cell(c, Lanes<V>{}) over every interior cell of the horizontal
+/// slabs [kb, ke), row by row, at `width`.
 template <typename Cell>
-inline void ForRow(size_t c, int n, Cell&& cell) {
-  int i = 0;
-  for (; i + 2 <= n; i += 2) cell(c + static_cast<size_t>(i), V2{});
-  if (i < n) cell(c + static_cast<size_t>(i), V1{});
-}
-
-/// Runs cell(c, V{}) over every interior cell of the horizontal slabs
-/// [kb, ke), row by row.
-template <typename Cell>
-inline void ForInterior(const Mesh& mesh, int kb, int ke, Cell&& cell) {
-  const int nx = mesh.nx(), ny = mesh.ny();
-  for (int k = kb; k < ke; ++k) {
-    for (int j = 1; j < ny - 1; ++j) ForRow(mesh.Index(1, j, k), nx - 2, cell);
-  }
+inline void ForInterior(LaneWidth width, const Mesh& mesh, int kb, int ke,
+                        const Cell& cell) {
+  AtLaneWidth(width, [&](auto lanes) {
+    using W = PackOf<decltype(lanes)>;
+    // A copy local to the dispatched function, so its captures stay in
+    // registers instead of being reloaded through the caller's frame.
+    const Cell local = cell;
+    const int nx = mesh.nx(), ny = mesh.ny();
+    for (int k = kb; k < ke; ++k) {
+      for (int j = 1; j < ny - 1; ++j) {
+        ForRow<W>(mesh.Index(1, j, k), nx - 2, local);
+      }
+    }
+  });
 }
 
 /// ForInterior over every interior slab.
 template <typename Cell>
-inline void ForInterior(const Mesh& mesh, Cell&& cell) {
-  ForInterior(mesh, 1, mesh.nz() - 1, cell);
+inline void ForInterior(LaneWidth width, const Mesh& mesh, const Cell& cell) {
+  ForInterior(width, mesh, 1, mesh.nz() - 1, cell);
 }
 
 /// Folds one partial map(k) -> T per interior slab k, in ascending k.
@@ -196,26 +162,17 @@ Solver::Solver(const Mesh& mesh, SolverParams params)
   p_.assign(n, 0.0);
   div_.assign(n, 0.0);
 
-  // Bake the porous-media terms into per-cell arrays so the diffusion
-  // kernel never consults geometry: drag coefficient per cell and the
-  // per-step canopy heat increment (K per step scaling).
-  cell_drag_.assign(n, 0.0);
-  cell_heat_.assign(n, 0.0);
-  const std::vector<CellType>& types = mesh_.types();
-  for (size_t c = 0; c < n; ++c) {
-    if (types[c] == CellType::kScreen) {
-      cell_drag_[c] = params_.screen_drag;
-    } else if (types[c] == CellType::kCanopy) {
-      cell_drag_[c] = params_.canopy_drag;
-      cell_heat_[c] = params_.dt_s * params_.canopy_heat_w * 100.0;
-    }
-  }
   const int nx = mesh_.nx(), ny = mesh_.ny(), nz = mesh_.nz();
   interior_cells_ = (nx > 2 && ny > 2 && nz > 2)
                         ? static_cast<uint64_t>(nx - 2) *
                               static_cast<uint64_t>(ny - 2) *
                               static_cast<uint64_t>(nz - 2)
                         : 0;
+}
+
+void Solver::set_lane_width(LaneWidth width) {
+  lane_width_ = std::min(width, HostLaneWidth());
+  poisson_.set_lane_width(lane_width_);
 }
 
 void Solver::WindVector(double& wx, double& wy) const {
@@ -343,8 +300,8 @@ void Solver::Advect() {
   double* XG_RESTRICT w = cur_.w.data();
   double* XG_RESTRICT t = cur_.t.data();
 
-  ForInterior(mesh_, [=](size_t c, auto lanes) {
-    using V = decltype(lanes);
+  ForInterior(lane_width_, mesh_, [=](size_t c, auto lanes) {
+    using V = PackOf<decltype(lanes)>;
     const V uu = Load<V>(u0 + c), vv = Load<V>(v0 + c), ww = Load<V>(w0 + c);
     // First-order upwind: per axis, the one-sided difference on the
     // side the flow comes from. Both differences are formed, the upwind
@@ -388,12 +345,13 @@ void Solver::DiffuseAndForce() {
   double* XG_RESTRICT v = cur_.v.data();
   double* XG_RESTRICT w = cur_.w.data();
   double* XG_RESTRICT t = cur_.t.data();
-  const double* XG_RESTRICT drag = cell_drag_.data();
-  const double* XG_RESTRICT heat = cell_heat_.data();
+  const double screen_drag = params_.screen_drag;
+  const double canopy_drag = params_.canopy_drag;
+  const double canopy_heat = dt * params_.canopy_heat_w * 100.0;
   const CellType* XG_RESTRICT type = mesh_.types().data();
 
-  ForInterior(mesh_, [=](size_t c, auto lanes) {
-    using V = decltype(lanes);
+  ForInterior(lane_width_, mesh_, [=](size_t c, auto lanes) {
+    using V = PackOf<decltype(lanes)>;
     V un = Load<V>(u0 + c) + dtnu * st.Laplacian<V>(u0, c);
     V vn = Load<V>(v0 + c) + dtnu * st.Laplacian<V>(v0, c);
     V wn = Load<V>(w0 + c) + dtnu * st.Laplacian<V>(w0, c);
@@ -402,22 +360,20 @@ void Solver::DiffuseAndForce() {
     // Boussinesq buoyancy relative to the exterior air temperature.
     wn += gbeta * (Load<V>(t0 + c) - t_ext);
 
-    // Porous drag (implicit per cell: unconditionally stable) and
-    // canopy heat, from the precomputed per-cell arrays, applied to the
-    // non-fluid lanes only. Most packs hold no porous cell and skip it.
-    Mask<V> porous{};
-    bool any = false;
-    for (int l = 0; l < kLanes<V>; ++l) {
-      porous[l] = type[c + static_cast<size_t>(l)] != CellType::kFluid ? -1 : 0;
-      any = any || porous[l] != 0;
-    }
-    if (any) {
+    // Porous drag (implicit per cell: unconditionally stable) and canopy
+    // heat (zero in screen cells), applied to the non-fluid lanes only.
+    // Most packs hold no porous cell and skip it.
+    const Mask<V> porous = ~TypeMask<V>(type + c, CellType::kFluid);
+    if (Any<V>(porous)) {
+      const Mask<V> canopy = TypeMask<V>(type + c, CellType::kCanopy);
+      const V drag = Select<V>(canopy, V{} + canopy_drag, V{} + screen_drag);
+      const V heat = Select<V>(canopy, V{} + canopy_heat, V{});
       const V speed = Sqrt(un * un + vn * vn + wn * wn);
-      const V damp = 1.0 / (1.0 + dt * Load<V>(drag + c) * speed);
+      const V damp = 1.0 / (1.0 + dt * drag * speed);
       un = Select<V>(porous, un * damp, un);
       vn = Select<V>(porous, vn * damp, vn);
       wn = Select<V>(porous, wn * damp, wn);
-      tn = Select<V>(porous, tn + Load<V>(heat + c), tn);
+      tn = Select<V>(porous, tn + heat, tn);
     }
     Store(u + c, un);
     Store(v + c, vn);
@@ -447,8 +403,8 @@ void Solver::SolvePressure(StepStats& stats, bool diagnostics) {
     // is kept only for a defect correction or the residual.
     const bool solves = params_.poisson_iters > 0;
     const bool keep_b = diagnostics || params_.poisson_iters > 1;
-    ForInterior(mesh_, [=](size_t c, auto lanes) {
-      using V = decltype(lanes);
+    ForInterior(lane_width_, mesh_, [=](size_t c, auto lanes) {
+      using V = PackOf<decltype(lanes)>;
       const V b = st.Divergence<V>(u, v, w, c) / dt;
       if (keep_b) Store(div + c, b);
       if (solves) Store(p + c, b);
@@ -463,13 +419,13 @@ void Solver::SolvePressure(StepStats& stats, bool diagnostics) {
         poisson_.Solve(p);
       } else {
         double* XG_RESTRICT d = prev_.u.data();
-        ForInterior(mesh_, [=](size_t c, auto lanes) {
-          using V = decltype(lanes);
+        ForInterior(lane_width_, mesh_, [=](size_t c, auto lanes) {
+          using V = PackOf<decltype(lanes)>;
           Store(d + c, Load<V>(div + c) - st.Laplacian<V>(p, c));
         });
         poisson_.Solve(d);
-        ForInterior(mesh_, [=](size_t c, auto lanes) {
-          using V = decltype(lanes);
+        ForInterior(lane_width_, mesh_, [=](size_t c, auto lanes) {
+          using V = PackOf<decltype(lanes)>;
           Store(p + c, Load<V>(p + c) + Load<V>(d + c));
         });
       }
@@ -486,12 +442,13 @@ void Solver::SolvePressure(StepStats& stats, bool diagnostics) {
       mesh_, ResidualMax{},
       [&](int k) {
         MaxFold residual, rhs;
-        ForInterior(mesh_, k, k + 1, [=, &residual, &rhs](size_t c, auto lanes) {
-          using V = decltype(lanes);
+        const auto cell = [=, &residual, &rhs](size_t c, auto lanes) {
+          using V = PackOf<decltype(lanes)>;
           const V b = Load<V>(div + c);
           residual.Add(Abs(st.Laplacian<V>(p, c) - b));
           rhs.Add(Abs(b));
-        });
+        };
+        ForInterior(lane_width_, mesh_, k, k + 1, cell);
         return ResidualMax{residual.Value(), rhs.Value()};
       },
       &CombineResidualMax);
@@ -508,8 +465,8 @@ void Solver::Project() {
   double* XG_RESTRICT u = cur_.u.data();
   double* XG_RESTRICT v = cur_.v.data();
   double* XG_RESTRICT w = cur_.w.data();
-  ForInterior(mesh_, [=](size_t c, auto lanes) {
-    using V = decltype(lanes);
+  ForInterior(lane_width_, mesh_, [=](size_t c, auto lanes) {
+    using V = PackOf<decltype(lanes)>;
     Store(u + c, Load<V>(u + c) -
                      dt * (Load<V>(p + c + 1) - Load<V>(p + c - 1)) * idx2);
     Store(v + c, Load<V>(v + c) -
@@ -625,10 +582,11 @@ double Solver::MaxDivergence() const {
       mesh_, 0.0,
       [&](int k) {
         MaxFold local;
-        ForInterior(mesh_, k, k + 1, [=, &local](size_t c, auto lanes) {
-          using V = decltype(lanes);
+        const auto cell = [=, &local](size_t c, auto lanes) {
+          using V = PackOf<decltype(lanes)>;
           local.Add(Abs(st.Divergence<V>(u, v, w, c)));
-        });
+        };
+        ForInterior(lane_width_, mesh_, k, k + 1, cell);
         return local.Value();
       },
       [](double a, double b) { return std::max(a, b); });

@@ -21,10 +21,11 @@
 // live in a double-buffered SoA set — Advect and DiffuseAndForce swap the
 // current/previous buffers instead of copying five full vectors per step.
 // Every stencil kernel is written once over a lane pack and runs each row
-// two cells at a time, the odd last cell at one lane, each lane doing the
-// scalar expression in the scalar order, so fields are bitwise what one
-// cell at a time would give. Per-cell type, drag, and heat-source arrays
-// are precomputed so no geometry predicate runs inside a kernel. Boundary
+// at the widest width the CPU offers (8, 4 or 2 cells at a time, see
+// cfd/lanes.hpp), then two, then the odd last cell at one lane, each lane
+// doing the scalar expression in the scalar order, so fields are bitwise
+// what one cell at a time would give at every width. The porous drag and
+// canopy heat come from the cell-type bytes as lane masks. Boundary
 // faces whose value is fixed for a solve (inflow faces, no-slip ground,
 // the top's normal velocity) are written into both buffers by Initialize;
 // each stage then ends with one sweep that only copies the zero-gradient
@@ -44,6 +45,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "cfd/lanes.hpp"
 #include "cfd/mesh.hpp"
 #include "cfd/poisson.hpp"
 
@@ -115,6 +117,13 @@ class Solver {
   /// obs::KernelTimer. The timer must outlive the solver or be detached.
   void set_kernel_timer(obs::KernelTimer* timer) { timer_ = timer; }
 
+  /// Runs this solver's kernels and pressure solve at `width` instead of
+  /// the host's widest; a width the CPU does not run falls back to the
+  /// widest it does. The fields are bitwise the same at every width; tests
+  /// and bench_cfd_kernels use this to show it.
+  void set_lane_width(LaneWidth width);
+  LaneWidth lane_width() const { return lane_width_; }
+
   // Field access (cell-centered, size = mesh.cell_count()).
   const std::vector<double>& u() const { return cur_.u; }
   const std::vector<double>& v() const { return cur_.v; }
@@ -166,6 +175,7 @@ class Solver {
   const Mesh& mesh_;
   SolverParams params_;
   obs::KernelTimer* timer_ = nullptr;
+  LaneWidth lane_width_ = HostLaneWidth();
   Boundary bc_;
   /// Lateral faces the wind enters through (fixed Dirichlet inflow); the
   /// others are zero-gradient outflow. Set by Initialize.
@@ -174,9 +184,6 @@ class Solver {
   Fields cur_, prev_;
   std::vector<double> p_, div_;
   PoissonSolver poisson_;
-  /// Per-cell porous drag coefficient (0 for fluid cells) and per-step
-  /// canopy heat increment, baked from mesh cell types and params.
-  std::vector<double> cell_drag_, cell_heat_;
   uint64_t interior_cells_ = 0;
   uint64_t total_updates_ = 0;
 };

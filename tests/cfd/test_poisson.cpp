@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <random>
 #include <vector>
 
+#include "cfd/lanes.hpp"
 #include "cfd/mesh.hpp"
 
 namespace xg::cfd {
@@ -174,6 +176,44 @@ TEST(Poisson, FillGhostsMatchesTheFaceRule) {
   EXPECT_EQ(p[mesh.Index(5, mesh.ny() - 1, k)], 0.0);
   EXPECT_EQ(p[mesh.Index(5, j, 0)], p[mesh.Index(5, j, 1)]);
   EXPECT_EQ(p[mesh.Index(5, j, mesh.nz() - 1)], p[mesh.Index(5, j, mesh.nz() - 2)]);
+}
+
+// The transforms run in row blocks of several packs, one pack, or one lane
+// when a row is shorter than a pack. On these meshes mx (11, 5, 1) is
+// shorter than every width's block, 5 is shorter than an AVX-512 pack, and
+// 46 takes the default mesh's full blocks with a shifted last one. Every
+// width must give the SSE2 width's solution bit for bit.
+TEST(Poisson, SolveIsBitwiseTheSameAtEveryLaneWidth) {
+  const MeshParams meshes[] = {MeshOf(13, 9, 7), MeshOf(7, 6, 5),
+                               MeshOf(3, 3, 3), MeshOf(48, 40, 12)};
+  std::mt19937_64 rng(20261019);
+  std::uniform_real_distribution<double> uni(-1.0, 1.0);
+  for (const MeshParams& mp : meshes) {
+    const Mesh mesh(mp);
+    for (const double wx : {1.5, -2.0}) {
+      for (const double wy : {1.0, -0.0}) {
+        std::vector<double> b(mesh.cell_count(), 0.0);
+        for (double& v : b) v = uni(rng);
+        std::vector<double> want;
+        for (const LaneWidth width : HostLaneWidths()) {
+          PoissonSolver solver(mesh);
+          solver.set_lane_width(width);
+          solver.Configure(wx, wy);
+          std::vector<double> x = b;
+          solver.Solve(x.data());
+          if (width == LaneWidth::kSse2) {
+            want = x;
+            continue;
+          }
+          ASSERT_EQ(x.size(), want.size());
+          EXPECT_EQ(
+              std::memcmp(x.data(), want.data(), x.size() * sizeof(double)), 0)
+              << LaneWidthName(width) << " " << mp.nx << "x" << mp.ny << "x"
+              << mp.nz << " wx=" << wx << " wy=" << wy;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

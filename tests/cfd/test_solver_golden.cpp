@@ -20,12 +20,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <vector>
 
+#include "cfd/lanes.hpp"
 #include "cfd/mesh.hpp"
 
 namespace xg::cfd {
@@ -127,8 +130,10 @@ uint64_t FieldHash(const std::vector<double>& field) {
 // from the scalar kernels as they stood before the two-lane rewrite (the
 // parent commit's solver, built unmodified), and any change to the
 // stepping arithmetic that is meant to keep results must reproduce them.
-// They assume IEEE double arithmetic without contraction into FMA (the
-// x86-64 baseline; no -march, no -ffast-math).
+// They assume IEEE double arithmetic without contraction into FMA, which
+// the kernel files guard in source (see cfd/packs.hpp), so they hold under
+// -march=x86-64-v3 too. Every case runs at every lane width this CPU
+// offers (SSE2, AVX2, AVX-512) against the same hashes.
 TEST(SolverGolden, FieldHashesMatchParent) {
   struct Case {
     double dir_deg, speed_ms;
@@ -149,24 +154,48 @@ TEST(SolverGolden, FieldHashesMatchParent) {
        {0xefeb623a92f2dc2a, 0xeaec2304a4760781, 0x85c6330645ac3695,
         0x8aeecbbbd4d97f80, 0x6078d23ca900a72b}},
   };
-  for (const Case& c : cases) {
-    MeshParams mp;
-    mp.nx = c.nx;
-    const Mesh mesh(mp);
-    Boundary bc;
-    bc.wind_dir_deg = c.dir_deg;
-    bc.wind_speed_ms = c.speed_ms;
-    Solver s(mesh, SolverParams{});
-    s.Initialize(bc);
-    s.Run(120);
-    const std::array<uint64_t, 5> got = {
-        FieldHash(s.u()), FieldHash(s.v()), FieldHash(s.w()),
-        FieldHash(s.temperature()), FieldHash(s.pressure())};
-    EXPECT_EQ(got, c.want) << std::hex << "dir " << c.dir_deg << " speed "
-                           << c.speed_ms << ": {0x" << got[0] << ", 0x"
-                           << got[1] << ", 0x" << got[2] << ", 0x" << got[3]
-                           << ", 0x" << got[4] << "}";
+  for (const LaneWidth width : HostLaneWidths()) {
+    for (const Case& c : cases) {
+      MeshParams mp;
+      mp.nx = c.nx;
+      const Mesh mesh(mp);
+      Boundary bc;
+      bc.wind_dir_deg = c.dir_deg;
+      bc.wind_speed_ms = c.speed_ms;
+      Solver s(mesh, SolverParams{});
+      s.set_lane_width(width);
+      ASSERT_EQ(s.lane_width(), width);
+      s.Initialize(bc);
+      s.Run(120);
+      const std::array<uint64_t, 5> got = {
+          FieldHash(s.u()), FieldHash(s.v()), FieldHash(s.w()),
+          FieldHash(s.temperature()), FieldHash(s.pressure())};
+      EXPECT_EQ(got, c.want)
+          << std::hex << LaneWidthName(width) << " dir " << c.dir_deg
+          << " speed " << c.speed_ms << ": {0x" << got[0] << ", 0x" << got[1]
+          << ", 0x" << got[2] << ", 0x" << got[3] << ", 0x" << got[4] << "}";
+    }
   }
+}
+
+// The solver starts at the host's widest width; the seam narrows it, and
+// a width the CPU does not run falls back to the widest one it does.
+TEST(SolverGolden, LaneWidthComesFromTheCpu) {
+  const std::span<const LaneWidth> widths = HostLaneWidths();
+  ASSERT_FALSE(widths.empty());
+  EXPECT_EQ(widths.front(), LaneWidth::kSse2);
+  EXPECT_EQ(widths.back(), HostLaneWidth());
+  EXPECT_TRUE(std::is_sorted(widths.begin(), widths.end()));
+  const Mesh mesh(GoldenMesh());
+  Solver s(mesh, SolverParams{});
+  EXPECT_EQ(s.lane_width(), HostLaneWidth());
+  s.set_lane_width(LaneWidth::kSse2);
+  EXPECT_EQ(s.lane_width(), LaneWidth::kSse2);
+  s.set_lane_width(LaneWidth::kAvx512);
+  EXPECT_EQ(s.lane_width(), HostLaneWidth());
+  EXPECT_EQ(LaneWidthName(LaneWidth::kSse2), "sse2");
+  EXPECT_EQ(LaneWidthName(LaneWidth::kAvx2), "avx2");
+  EXPECT_EQ(LaneWidthName(LaneWidth::kAvx512), "avx512");
 }
 
 // Run(n) computes the diagnostics only on its last step; what it returns
