@@ -3,6 +3,13 @@
 // a machine-readable BENCH_cfd.json artifact so CI and regression tooling
 // can track kernel performance.
 //
+// Per width it times three things on one solver: `steps` calls of Step()
+// (the per-kernel table; every Step() computes the Poisson residual and
+// the max divergence), then `steps` steps through one Run(steps), the way
+// the fabric and perfbench step a solve (those diagnostics only on the
+// last step): the production step time `run_step_ms` and the pressure
+// solve's phases ("sor.*" kernels) come from that window.
+//
 // The run is also a correctness gate: the exit status is nonzero if any
 // timed step leaves a Poisson residual above 1e-10 * max|b|, if the fields
 // after the run at any width differ bitwise from the SSE2 width's, or if
@@ -20,8 +27,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <iterator>
 #include <iostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -46,25 +53,41 @@ int64_t NowUs() {
 constexpr const char* kKernels[] = {"advect",   "diffuse_force",  "sor",
                                     "residual", "project",        "max_divergence"};
 
+/// Phases of the pressure solve (cfd::PoissonSolver), all inside "sor".
+constexpr const char* kSorPhases[] = {"sor.forward_y", "sor.forward_z",
+                                      "sor.sweep_x",   "sor.inverse_z",
+                                      "sor.inverse_y", "sor.transpose"};
+
+/// Total milliseconds and calls of one timed kernel over a window.
+struct KernelTotal {
+  double ms = 0.0;
+  uint64_t calls = 0;
+  double MeanMs() const { return calls > 0 ? ms / calls : 0.0; }
+};
+
 /// A timed step whose Poisson residual exceeds this share of max|b| fails
 /// the run.
 constexpr double kResidualTolerance = 1e-10;
 
 struct RunResult {
   cfd::LaneWidth width = cfd::LaneWidth::kSse2;
+  /// Per Step() call.
   double step_ms = 0.0;
   double cells_per_sec = 0.0;
+  /// Per step of one Run(steps).
+  double run_step_ms = 0.0;
   /// Worst residual / max|b| over the timed steps.
   double residual_ratio = 0.0;
-  // Parallel arrays over kKernels.
-  std::vector<double> kernel_total_ms;
-  std::vector<uint64_t> kernel_calls;
+  /// Over the Step() window, parallel to kKernels.
+  std::vector<KernelTotal> kernels;
+  /// Over the Run() window, parallel to kSorPhases.
+  std::vector<KernelTotal> sor_phases;
   /// FNV-1a over the bits of u, v, w, T and p after the run.
   uint64_t field_hash = 0;
 };
 
 /// FNV-1a over the bit patterns of every value, so -0.0 and 0.0 differ.
-void HashInto(uint64_t& h, const std::vector<double>& field) {
+void HashInto(uint64_t& h, std::span<const double> field) {
   for (double x : field) {
     uint64_t bits;
     std::memcpy(&bits, &x, sizeof bits);
@@ -101,13 +124,21 @@ RunResult TimeSolver(const cfd::Mesh& mesh, cfd::LaneWidth width, int warmup,
   solver.Initialize(BenchBoundary());
   solver.Run(warmup);
 
-  // Count only the timed window: snapshot per-kernel totals around it.
-  std::vector<double> ms_before, ms_after;
-  std::vector<uint64_t> calls_before, calls_after;
-  for (const char* k : kKernels) {
-    ms_before.push_back(timer.TotalMs(k));
-    calls_before.push_back(timer.Count(k));
-  }
+  // Count only a timed window: snapshot per-kernel totals around it.
+  const auto totals = [&](std::span<const char* const> names) {
+    std::vector<KernelTotal> t;
+    for (const char* k : names) t.push_back({timer.TotalMs(k), timer.Count(k)});
+    return t;
+  };
+  const auto since = [](std::vector<KernelTotal> after,
+                        const std::vector<KernelTotal>& before) {
+    for (size_t k = 0; k < after.size(); ++k) {
+      after[k].ms -= before[k].ms;
+      after[k].calls -= before[k].calls;
+    }
+    return after;
+  };
+  const std::vector<KernelTotal> kernels_before = totals(kKernels);
   RunResult r;
   r.width = solver.lane_width();
   const int64_t t0 = NowUs();
@@ -120,24 +151,24 @@ RunResult TimeSolver(const cfd::Mesh& mesh, cfd::LaneWidth width, int warmup,
     if (!(ratio <= r.residual_ratio)) r.residual_ratio = ratio;
   }
   const int64_t t1 = NowUs();
-  for (const char* k : kKernels) {
-    ms_after.push_back(timer.TotalMs(k));
-    calls_after.push_back(timer.Count(k));
-  }
+  r.kernels = since(totals(kKernels), kernels_before);
+
+  const std::vector<KernelTotal> phases_before = totals(kSorPhases);
+  const int64_t t2 = NowUs();
+  solver.Run(steps);
+  const int64_t t3 = NowUs();
+  r.sor_phases = since(totals(kSorPhases), phases_before);
 
   const double secs = static_cast<double>(t1 - t0) / 1e6;
   r.step_ms = secs / steps * 1e3;
+  r.run_step_ms = static_cast<double>(t3 - t2) / 1e3 / steps;
   r.cells_per_sec =
       secs > 0 ? steps * static_cast<double>(mesh.cell_count()) / secs : 0.0;
-  for (size_t k = 0; k < std::size(kKernels); ++k) {
-    r.kernel_total_ms.push_back(ms_after[k] - ms_before[k]);
-    r.kernel_calls.push_back(calls_after[k] - calls_before[k]);
-  }
   r.field_hash = 14695981039346656037ull;
-  for (const std::vector<double>* f :
-       {&solver.u(), &solver.v(), &solver.w(), &solver.temperature(),
-        &solver.pressure()}) {
-    HashInto(r.field_hash, *f);
+  for (const std::span<const double> f :
+       {solver.u(), solver.v(), solver.w(), solver.temperature(),
+        solver.pressure()}) {
+    HashInto(r.field_hash, f);
   }
   return r;
 }
@@ -190,11 +221,12 @@ int main(int argc, char** argv) {
   std::cout << "Lane width selected from the CPU: "
             << cfd::LaneWidthName(selected) << "\n\n";
 
-  Table step({"Width", "Step (ms)", "Mcells/s", "Field hash", "= sse2"});
+  Table step({"Width", "Step (ms)", "Run step (ms)", "Mcells/s",
+              "Field hash", "= sse2"});
   for (const RunResult& r : runs) {
     step.AddRow({std::string(cfd::LaneWidthName(r.width)),
-                 Table::Num(r.step_ms, 3), Table::Num(r.cells_per_sec / 1e6, 2),
-                 Hex(r.field_hash),
+                 Table::Num(r.step_ms, 3), Table::Num(r.run_step_ms, 3),
+                 Table::Num(r.cells_per_sec / 1e6, 2), Hex(r.field_hash),
                  r.field_hash == runs.front().field_hash ? "yes" : "NO"});
   }
   step.Print(std::cout, "Full Step() throughput");
@@ -203,17 +235,22 @@ int main(int argc, char** argv) {
   for (const RunResult& r : runs) {
     head.push_back(std::string(cfd::LaneWidthName(r.width)) + " (ms)");
   }
-  Table per_kernel(head);
-  for (size_t k = 0; k < std::size(kKernels); ++k) {
-    std::vector<std::string> row = {kKernels[k]};
-    for (const RunResult& r : runs) {
-      const uint64_t calls = r.kernel_calls[k];
-      row.push_back(
-          Table::Num(calls > 0 ? r.kernel_total_ms[k] / calls : 0.0, 4));
+  const auto per_call = [&](std::span<const char* const> names,
+                            std::vector<KernelTotal> RunResult::*field,
+                            const char* title) {
+    Table t(head);
+    for (size_t k = 0; k < names.size(); ++k) {
+      std::vector<std::string> row = {names[k]};
+      for (const RunResult& r : runs) {
+        row.push_back(Table::Num((r.*field)[k].MeanMs(), 4));
+      }
+      t.AddRow(row);
     }
-    per_kernel.AddRow(row);
-  }
-  per_kernel.Print(std::cout, "Per-kernel mean per call");
+    t.Print(std::cout, title);
+  };
+  per_call(kKernels, &RunResult::kernels, "Per-kernel mean per Step() call");
+  per_call(kSorPhases, &RunResult::sor_phases,
+           "Pressure-solve phases, mean per call within Run()");
   double worst_residual = 0.0;
   bool hashes_match = true;
   for (const RunResult& r : runs) {
@@ -225,22 +262,27 @@ int main(int argc, char** argv) {
   std::cout << "Worst Poisson residual / max|b|: " << worst_residual
             << " (limit " << kResidualTolerance << ")\n";
 
-  const auto write_run = [&](bench::JsonWriter& jw, const RunResult& r) {
-    jw.Field("step_ms", r.step_ms);
-    jw.Field("cells_per_sec", r.cells_per_sec);
-    jw.Key("kernels");
+  const auto write_kernels = [](bench::JsonWriter& jw, const char* key,
+                                 std::span<const char* const> names,
+                                 const std::vector<KernelTotal>& totals) {
+    jw.Key(key);
     jw.BeginArray();
-    for (size_t k = 0; k < std::size(kKernels); ++k) {
+    for (size_t k = 0; k < names.size(); ++k) {
       jw.BeginObject();
-      jw.Field("name", kKernels[k]);
-      jw.Field("total_ms", r.kernel_total_ms[k]);
-      jw.Field("calls", r.kernel_calls[k]);
-      jw.Field("mean_ms", r.kernel_calls[k] > 0
-                              ? r.kernel_total_ms[k] / r.kernel_calls[k]
-                              : 0.0);
+      jw.Field("name", names[k]);
+      jw.Field("total_ms", totals[k].ms);
+      jw.Field("calls", totals[k].calls);
+      jw.Field("mean_ms", totals[k].MeanMs());
       jw.EndObject();
     }
     jw.EndArray();
+  };
+  const auto write_run = [&](bench::JsonWriter& jw, const RunResult& r) {
+    jw.Field("step_ms", r.step_ms);
+    jw.Field("run_step_ms", r.run_step_ms);
+    jw.Field("cells_per_sec", r.cells_per_sec);
+    write_kernels(jw, "kernels", kKernels, r.kernels);
+    write_kernels(jw, "sor_phases", kSorPhases, r.sor_phases);
     jw.Field("max_poisson_residual_ratio", r.residual_ratio);
   };
 
@@ -248,7 +290,7 @@ int main(int argc, char** argv) {
   if (!out) return Fail("cannot open " + out_path + " for writing");
   bench::JsonWriter jw(out);
   jw.BeginObject();
-  jw.Field("schema", "xg-bench-cfd-v4");
+  jw.Field("schema", "xg-bench-cfd-v5");
   jw.Field("smoke", smoke);
   jw.Key("mesh");
   jw.BeginObject();

@@ -23,6 +23,7 @@
 #include "cfd/fp_contract.hpp"
 
 #include <cstddef>
+#include <type_traits>
 
 #include "cfd/lanes.hpp"
 
@@ -151,7 +152,8 @@ inline V2 Sqrt(const V2& x) {
 #endif
 
 /// Runs cell(c, Lanes<V>{}) over the `n` cells of a row from index c: W
-/// lanes at a time, then two, then the odd last cell at one lane.
+/// lanes at a time, then two, then the odd last cell at one lane. Every
+/// cell is visited once, so the cell may update its output in place.
 template <typename W, typename Cell>
 inline void ForRow(size_t c, int n, Cell&& cell) {
   int i = 0;
@@ -162,6 +164,29 @@ inline void ForRow(size_t c, int n, Cell&& cell) {
     for (; i + 2 <= n; i += 2) cell(c + static_cast<size_t>(i), Lanes<V2>{});
   }
   if (i < n) cell(c + static_cast<size_t>(i), Lanes<V1>{});
+}
+
+/// The pack of half V's lanes (V1 for V2).
+template <typename V>
+using Narrower = std::conditional_t<
+    kLanes<V> == 8, V4, std::conditional_t<kLanes<V> == 4, V2, V1>>;
+
+/// Runs cell(c, Lanes<V>{}) over the `n` cells of a row from index c in
+/// full packs of the widest V <= W that the row holds, the last one
+/// shifted back to end at the row's last cell. The shifted pack visits a
+/// few cells a second time, so the cell must compute its output from
+/// inputs it does not write (or fold it into a maximum).
+template <typename W, typename Cell>
+inline void ForRowShifted(size_t c, int n, Cell&& cell) {
+  if (n >= kLanes<W>) {
+    int i = 0;
+    for (; i + kLanes<W> <= n; i += kLanes<W>) {
+      cell(c + static_cast<size_t>(i), Lanes<W>{});
+    }
+    if (i < n) cell(c + static_cast<size_t>(n - kLanes<W>), Lanes<W>{});
+  } else if constexpr (kLanes<W> > 1) {
+    ForRowShifted<Narrower<W>>(c, n, cell);
+  }
 }
 
 // One entry point per width. Each is instantiated per kernel body (a

@@ -6,15 +6,22 @@
 #include <cstddef>
 
 #include "cfd/packs.hpp"
+#include "common/contract.hpp"
+#include "obs/kerneltimer.hpp"
 
 namespace xg::cfd {
 
 namespace {
 constexpr double kPi = 3.14159265358979323846;
 
+/// The mode-major rows are padded to a whole number of this many lanes,
+/// the widest pack, so that the y transforms and the sweeps run full packs
+/// at every width.
+constexpr size_t kPitchLanes = 8;
+
 /// out(r)[i] = sum over t of coef(r, t) * in(t)[i] for the R output rows
 /// r0 <= r < r0 + R and i < n, each output accumulated from 0 in ascending
-/// t in its own lane. Rows are contiguous x lines. A block of P packs of V
+/// t in its own lane. Rows are contiguous. A block of P packs of V
 /// per row stays in registers across the whole sum, and the R rows share
 /// each input pack they load. When n is not a multiple of the block the
 /// last block is shifted back to end at n, recomputing a few outputs with
@@ -42,22 +49,16 @@ inline void CombineBlocks(int r0, int n, int terms, const Out& out,
   }
 }
 
-/// Output rows per pass and packs per row block of Combine at each width,
-/// measured on the default mesh (46-cell rows): enough accumulators to
-/// keep the adders busy past their latency, few enough to stay in
-/// registers, and a block that wastes little of a row.
-template <typename V>
-constexpr int kCombineRows = kLanes<V> == 2 ? 1 : 2;
-template <typename V>
-constexpr int kCombinePacks = kLanes<V> == 2 ? 8 : 3;
-
-/// CombineBlocks over `rows` output rows and a row length n >= 1: R rows
-/// at a time, then one, each over the widest block the row holds.
-template <typename V, typename Out, typename Coef, typename In>
+/// CombineBlocks over `rows` output rows and a row length n >= 1: kRows
+/// rows at a time, then one, each over the widest block the row holds
+/// (kPacks packs, else one pack, else one lane). kRows * kPacks
+/// accumulators keep the adders busy past their latency; the shapes at
+/// the call sites were measured on the default mesh.
+template <typename V, int kRows, int kPacks, typename Out, typename Coef,
+          typename In>
 inline void Combine(int rows, int n, int terms, const Out& out,
                     const Coef& coef, const In& in) {
   const auto pass = [&]<int R>(int r0) {
-    constexpr int kPacks = kCombinePacks<V>;
     if (n >= kPacks * kLanes<V>) {
       CombineBlocks<R, kPacks, V>(r0, n, terms, out, coef, in);
     } else if (n >= kLanes<V>) {
@@ -66,10 +67,43 @@ inline void Combine(int rows, int n, int terms, const Out& out,
       CombineBlocks<R, 1, V1>(r0, n, terms, out, coef, in);
     }
   };
-  constexpr int kRows = kCombineRows<V>;
   int r = 0;
   for (; r + kRows <= rows; r += kRows) pass.template operator()<kRows>(r);
   for (; r < rows; ++r) pass.template operator()<1>(r);
+}
+
+/// Transposes the L x L block at src (rows `src_pitch` apart) into dst
+/// (rows `dst_pitch` apart), L = kLanes<V>: log2(L) butterfly stages, each
+/// swapping the off-diagonal sub-blocks of side d between rows p and p + d.
+template <typename V>
+inline void TransposeBlock(const double* src, size_t src_pitch, double* dst,
+                           size_t dst_pitch) {
+  constexpr int kLen = kLanes<V>;
+  using M = Mask<V>;
+  V r[kLen];
+  for (int p = 0; p < kLen; ++p) r[p] = Load<V>(src + p * src_pitch);
+  const auto stage = [&](int d, const M& lo, const M& hi) {
+    for (int p = 0; p < kLen; ++p) {
+      if ((p & d) != 0) continue;
+      const V a = r[p], b = r[p + d];
+      r[p] = __builtin_shuffle(a, b, lo);
+      r[p + d] = __builtin_shuffle(a, b, hi);
+    }
+  };
+  if constexpr (kLen == 8) {
+    stage(4, M{0, 1, 2, 3, 8, 9, 10, 11}, M{4, 5, 6, 7, 12, 13, 14, 15});
+    stage(2, M{0, 1, 8, 9, 4, 5, 12, 13}, M{2, 3, 10, 11, 6, 7, 14, 15});
+  } else if constexpr (kLen == 4) {
+    stage(2, M{0, 1, 4, 5}, M{2, 3, 6, 7});
+  }
+  if constexpr (kLen == 8) {
+    stage(1, M{0, 8, 2, 10, 4, 12, 6, 14}, M{1, 9, 3, 11, 5, 13, 7, 15});
+  } else if constexpr (kLen == 4) {
+    stage(1, M{0, 4, 2, 6}, M{1, 5, 3, 7});
+  } else if constexpr (kLen == 2) {
+    stage(1, M{0, 2}, M{1, 3});
+  }
+  for (int p = 0; p < kLen; ++p) Store(dst + p * dst_pitch, r[p]);
 }
 }  // namespace
 
@@ -109,10 +143,11 @@ PoissonSolver::PoissonSolver(const Mesh& mesh)
       mx_(std::max(0, mesh.nx() - 2)),
       my_(std::max(0, mesh.ny() - 2)),
       mz_(std::max(0, mesh.nz() - 2)),
+      pitch_((static_cast<size_t>(my_) + kPitchLanes - 1) / kPitchLanes *
+             kPitchLanes),
       cx_(1.0 / (mesh.dx() * mesh.dx())),
-      scratch_(static_cast<size_t>(mx_) * std::max(my_, mz_)) {
-  Configure(0.0, 0.0);
-}
+      ymode_(ModeAt(mz_, 0)),
+      zmode_(ModeAt(mz_, 0)) {}
 
 void PoissonSolver::Configure(double wx, double wy) {
   dirichlet_x_lo_ = !(wx > 0);
@@ -128,6 +163,16 @@ void PoissonSolver::Configure(double wx, double wy) {
   y_ = LaplacianModes1D(my_, 1.0 / (mesh_.dy() * mesh_.dy()), dirichlet_y_lo_,
                         dirichlet_y_hi_);
   z_ = LaplacianModes1D(mz_, 1.0 / (mesh_.dz() * mesh_.dz()), false, false);
+  // Qy and its transpose with rows padded to pitch_ columns of zeros.
+  const size_t my = static_cast<size_t>(my_);
+  qy_rows_.assign(my * pitch_, 0.0);
+  qy_cols_.assign(my * pitch_, 0.0);
+  for (size_t b = 0; b < my; ++b) {
+    for (size_t a = 0; a < my; ++a) {
+      qy_rows_[b * pitch_ + a] = y_.q[b * my + a];
+      qy_cols_[a * pitch_ + b] = y_.q[b * my + a];
+    }
+  }
   FactorLines();
 }
 
@@ -136,100 +181,186 @@ void PoissonSolver::FactorLines() {
   // reciprocals depend only on the operator, so they are computed here
   // once per Configure instead of in every solve. Rows are weakly
   // diagonally dominant with a strict Dirichlet row, so no pivoting.
-  const size_t mx = static_cast<size_t>(mx_);
-  inv_pivot_.resize(mx * static_cast<size_t>(my_) * static_cast<size_t>(mz_));
-  if (mx == 0) return;
+  inv_pivot_.assign(ModeAt(mz_, 0), 0.0);
   const double cx = cx_;
-  double* inv = inv_pivot_.data();
-  for (int a = 0; a < my_; ++a) {
-    for (int c = 0; c < mz_; ++c, inv += mx) {
-      const double shift = y_.mu[a] + z_.mu[c];
-      inv[0] = 1.0 / (diag_x_[0] + shift);
-      for (size_t i = 1; i < mx; ++i) {
-        inv[i] = 1.0 / (diag_x_[i] + shift - cx * (cx * inv[i - 1]));
-      }
-    }
-  }
-}
-
-void PoissonSolver::SweepX(double* slab, const double* inv) const {
-  // Forward elimination and back substitution on the mz lines of one slab
-  // (line c is slab[c * mx ...]); the off-diagonals are all cx. Lines are
-  // independent and interleaved in the inner loop, so their chains overlap.
-  const double cx = cx_;
-  const size_t mx = static_cast<size_t>(mx_);
   for (int c = 0; c < mz_; ++c) {
-    const size_t r = static_cast<size_t>(c) * mx;
-    slab[r] *= inv[r];
-  }
-  for (size_t i = 1; i < mx; ++i) {
-    for (int c = 0; c < mz_; ++c) {
-      const size_t e = static_cast<size_t>(c) * mx + i;
-      slab[e] = (slab[e] - cx * slab[e - 1]) * inv[e];
+    double* inv = inv_pivot_.data() + ModeAt(c, 0);
+    for (int a = 0; a < my_; ++a) {
+      inv[a] = 1.0 / (diag_x_[0] + (y_.mu[a] + z_.mu[c]));
     }
-  }
-  for (size_t i = mx - 1; i-- > 0;) {
-    for (int c = 0; c < mz_; ++c) {
-      const size_t e = static_cast<size_t>(c) * mx + i;
-      slab[e] -= cx * inv[e] * slab[e + 1];
+    for (int i = 1; i < mx_; ++i) {
+      const double* prev = inv;
+      inv += pitch_;
+      for (int a = 0; a < my_; ++a) {
+        const double shift = y_.mu[a] + z_.mu[c];
+        inv[a] = 1.0 / (diag_x_[i] + shift - cx * (cx * prev[a]));
+      }
     }
   }
 }
 
 void PoissonSolver::Solve(double* x) {
   if (mx_ == 0 || my_ == 0 || mz_ == 0) return;
-  // Kept as separate functions: with both phases inlined into one body,
-  // gcc 12 compiled the loop nests ~25% slower.
-  TransformY(x, false);
-  SolveModes(x);
-  TransformY(x, true);
+  XG_INVARIANT(!inv_pivot_.empty(), "PoissonSolver::Solve before Configure");
+  if (inv_pivot_.empty()) return;
+  // Kept as separate functions: with the phases inlined into one body,
+  // gcc 12 compiled the loop nests slower.
+  {
+    obs::KernelScope ks(timer_, "sor.forward_y");
+    ForwardY(x);
+  }
+  {
+    obs::KernelScope ks(timer_, "sor.forward_z");
+    TransformZ(false);
+  }
+  {
+    obs::KernelScope ks(timer_, "sor.sweep_x");
+    SweepX();
+  }
+  {
+    obs::KernelScope ks(timer_, "sor.inverse_z");
+    TransformZ(true);
+  }
+  {
+    obs::KernelScope ks(timer_, "sor.inverse_y");
+    InverseY();
+  }
+  obs::KernelScope ks(timer_, "sor.transpose");
+  TransposeToMesh(x);
 }
 
-void PoissonSolver::TransformY(double* x, bool inverse) {
-  // Along y, one k-plane at a time: x^_a = sum_b Qy[b][a] x_b, or the
-  // inverse x_a = sum_b Qy[a][b] x^_b.
-  const size_t mx = static_cast<size_t>(mx_), my = static_cast<size_t>(my_);
-  const double* qy = y_.q.data();
-  const size_t row_step = inverse ? my : 1, term_step = inverse ? 1 : my;
-  double* plane = scratch_.data();
+void PoissonSolver::ForwardY(const double* x) {
+  // ymode[k][i][a] = sum_b x[k][b][i] Qy[b][a]: per k-plane and x cell i,
+  // the y-modes in lanes, every b value of the mesh row broadcast against
+  // row b of Qy, whole padded rows at a time.
+  const size_t pitch = pitch_;
+  const double* qy = qy_rows_.data();
+  double* out = ymode_.data();
   AtLaneWidth(lane_width_, [&](auto lanes) {
     using V = PackOf<decltype(lanes)>;
     for (int k = 0; k < mz_; ++k) {
-      for (int j = 0; j < my_; ++j) {
-        std::copy_n(Line(x, j, k), mx, plane + j * mx);
-      }
-      Combine<V>(
-          my_, mx_, my_, [&](int a) { return Line(x, a, k); },
-          [=](int a, int b) {
-            return qy[static_cast<size_t>(a) * row_step +
-                      static_cast<size_t>(b) * term_step];
-          },
-          [=](int b) { return plane + static_cast<size_t>(b) * mx; });
+      Combine<V, 2, 5>(
+          mx_, static_cast<int>(pitch), my_,
+          [&](int i) { return out + ModeAt(k, i); },
+          [&](int i, int b) { return Line(x, b, k)[i]; },
+          [=](int b) { return qy + static_cast<size_t>(b) * pitch; });
     }
   });
 }
 
-void PoissonSolver::SolveModes(double* x) {
-  // Per y-mode a, one x-z slab: transform along z, sweep each (a, c) line
-  // along x with the shift mu_y[a] + mu_z[c], transform back.
-  const size_t mx = static_cast<size_t>(mx_), mz = static_cast<size_t>(mz_);
+void PoissonSolver::TransformZ(bool inverse) {
+  // Along z, whole k-planes of the mode-major arrays at once:
+  // zmode[c] = sum_k Qz[k][c] ymode[k], or the inverse
+  // ymode[k] = sum_c Qz[k][c] zmode[c].
+  const size_t plane = ModeAt(1, 0), mz = static_cast<size_t>(mz_);
   const double* qz = z_.q.data();
-  double* slab = scratch_.data();
-  const auto qz_at = [=](int k, int c) {
-    return qz[static_cast<size_t>(k) * mz + static_cast<size_t>(c)];
-  };
-  const auto slab_line = [=](int c) {
-    return slab + static_cast<size_t>(c) * mx;
-  };
+  double* const in = inverse ? zmode_.data() : ymode_.data();
+  double* const out = inverse ? ymode_.data() : zmode_.data();
+  const size_t row_step = inverse ? mz : 1, term_step = inverse ? 1 : mz;
   AtLaneWidth(lane_width_, [&](auto lanes) {
     using V = PackOf<decltype(lanes)>;
-    for (int a = 0; a < my_; ++a) {
-      const auto line = [&](int k) { return Line(x, a, k); };
-      Combine<V>(
-          mz_, mx_, mz_, slab_line, [=](int c, int k) { return qz_at(k, c); },
-          line);
-      SweepX(slab, inv_pivot_.data() + static_cast<size_t>(a) * mz * mx);
-      Combine<V>(mz_, mx_, mz_, line, qz_at, slab_line);
+    Combine<V, 5, 2>(
+        mz_, static_cast<int>(plane), mz_,
+        [=](int r) { return out + static_cast<size_t>(r) * plane; },
+        [=](int r, int t) {
+          return qz[static_cast<size_t>(r) * row_step +
+                    static_cast<size_t>(t) * term_step];
+        },
+        [=](int t) { return in + static_cast<size_t>(t) * plane; });
+  });
+}
+
+void PoissonSolver::SweepX() {
+  // The Thomas sweep of every (y-mode a, z-mode c) line along x, in place
+  // in zmode_. All lines of one x cell i sit side by side in lanes, so the
+  // packs of one step are independent and only step i - 1 (or i + 1)
+  // feeds step i. The off-diagonals are all cx.
+  const size_t plane = ModeAt(1, 0), row = pitch_;
+  const size_t mz = static_cast<size_t>(mz_), mx = static_cast<size_t>(mx_);
+  double* const z = zmode_.data();
+  const double* const inv = inv_pivot_.data();
+  const double cx = cx_;
+  AtLaneWidth(lane_width_, [&](auto lanes) {
+    using V = PackOf<decltype(lanes)>;
+    constexpr size_t kLen = static_cast<size_t>(kLanes<V>);
+    // Runs step(x, pivots) over every pack of x cell i.
+    const auto at_cell = [&](size_t i, const auto& step) {
+      for (size_t c = 0; c < mz; ++c) {
+        const size_t o = c * plane + i * row;
+        for (size_t a = 0; a < row; a += kLen) step(z + o + a, inv + o + a);
+      }
+    };
+    at_cell(0, [](double* x, const double* d) {
+      Store(x, Load<V>(x) * Load<V>(d));
+    });
+    for (size_t i = 1; i < mx; ++i) {
+      at_cell(i, [=](double* x, const double* d) {
+        Store(x, (Load<V>(x) - cx * Load<V>(x - row)) * Load<V>(d));
+      });
+    }
+    for (size_t i = mx - 1; i-- > 0;) {
+      at_cell(i, [=](double* x, const double* d) {
+        Store(x, Load<V>(x) - cx * Load<V>(d) * Load<V>(x + row));
+      });
+    }
+  });
+}
+
+void PoissonSolver::InverseY() {
+  // zmode[k][i][j] = sum_a ymode[k][i][a] Qy[j][a]: ForwardY's shape with
+  // the transposed basis, the cells j in lanes.
+  const size_t pitch = pitch_;
+  const double* qy = qy_cols_.data();
+  const double* in = ymode_.data();
+  double* out = zmode_.data();
+  AtLaneWidth(lane_width_, [&](auto lanes) {
+    using V = PackOf<decltype(lanes)>;
+    for (int k = 0; k < mz_; ++k) {
+      const double* src = in + ModeAt(k, 0);
+      double* dst = out + ModeAt(k, 0);
+      Combine<V, 2, 5>(
+          mx_, static_cast<int>(pitch), my_,
+          [=](int i) { return dst + static_cast<size_t>(i) * pitch; },
+          [=](int i, int a) {
+            return src[static_cast<size_t>(i) * pitch + static_cast<size_t>(a)];
+          },
+          [=](int a) { return qy + static_cast<size_t>(a) * pitch; });
+    }
+  });
+}
+
+void PoissonSolver::TransposeToMesh(double* x) const {
+  // zmode[k][i][j] -> x[k][j][i], in square blocks of one pack's lanes. A
+  // pure copy, so the last block of each axis is shifted back to end at
+  // the edge.
+  const size_t mx = static_cast<size_t>(mx_), my = static_cast<size_t>(my_);
+  const size_t pitch = pitch_, line = static_cast<size_t>(mesh_.nx());
+  const double* const from = zmode_.data();
+  AtLaneWidth(lane_width_, [&](auto lanes) {
+    using W = PackOf<decltype(lanes)>;
+    const auto blocks = [&](auto block_lanes) {
+      using V = PackOf<decltype(block_lanes)>;
+      constexpr size_t kLen = static_cast<size_t>(kLanes<V>);
+      for (int k = 0; k < mz_; ++k) {
+        const double* src = from + ModeAt(k, 0);
+        double* dst = Line(x, 0, k);
+        for (size_t i = 0; i < mx; i += kLen) {
+          const size_t i0 = std::min(i, mx - kLen);
+          for (size_t j = 0; j < my; j += kLen) {
+            const size_t j0 = std::min(j, my - kLen);
+            TransposeBlock<V>(src + i0 * pitch + j0, pitch,
+                              dst + j0 * line + i0, line);
+          }
+        }
+      }
+    };
+    const size_t side = std::min(mx, my);
+    if (side >= static_cast<size_t>(kLanes<W>)) {
+      blocks(Lanes<W>{});
+    } else if (side >= 2) {
+      blocks(Lanes<V2>{});
+    } else {
+      blocks(Lanes<V1>{});
     }
   });
 }

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 namespace xg::cfd {
 
@@ -25,9 +26,9 @@ void ScalarField::Transport() {
                idz = 1.0 / mesh.dz();
   const double cx = idx * idx, cy = idy * idy, cz = idz * idz;
   c0_ = c_;
-  const auto& u = solver_.u();
-  const auto& v = solver_.v();
-  const auto& w = solver_.w();
+  const std::span<const double> u = solver_.u();
+  const std::span<const double> v = solver_.v();
+  const std::span<const double> w = solver_.w();
 
   for (int k = 1; k < nz - 1; ++k) {
     for (int j = 1; j < ny - 1; ++j) {

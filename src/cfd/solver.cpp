@@ -65,9 +65,19 @@ struct MaxFold {
   }
 };
 
+/// How a kernel ends a row that is not a whole number of packs.
+enum class RowEnd {
+  /// One full pack shifted back to the row's last cell (ForRowShifted):
+  /// for kernels whose outputs are not among their inputs, and max folds.
+  kShifted,
+  /// Narrower packs, then one lane (ForRow): each cell visited once, for
+  /// kernels that update in place.
+  kExact,
+};
+
 /// Runs cell(c, Lanes<V>{}) over every interior cell of the horizontal
 /// slabs [kb, ke), row by row, at `width`.
-template <typename Cell>
+template <RowEnd kEnd, typename Cell>
 inline void ForInterior(LaneWidth width, const Mesh& mesh, int kb, int ke,
                         const Cell& cell) {
   AtLaneWidth(width, [&](auto lanes) {
@@ -78,16 +88,20 @@ inline void ForInterior(LaneWidth width, const Mesh& mesh, int kb, int ke,
     const int nx = mesh.nx(), ny = mesh.ny();
     for (int k = kb; k < ke; ++k) {
       for (int j = 1; j < ny - 1; ++j) {
-        ForRow<W>(mesh.Index(1, j, k), nx - 2, local);
+        if constexpr (kEnd == RowEnd::kShifted) {
+          ForRowShifted<W>(mesh.Index(1, j, k), nx - 2, local);
+        } else {
+          ForRow<W>(mesh.Index(1, j, k), nx - 2, local);
+        }
       }
     }
   });
 }
 
 /// ForInterior over every interior slab.
-template <typename Cell>
+template <RowEnd kEnd, typename Cell>
 inline void ForInterior(LaneWidth width, const Mesh& mesh, const Cell& cell) {
-  ForInterior(width, mesh, 1, mesh.nz() - 1, cell);
+  ForInterior<kEnd>(width, mesh, 1, mesh.nz() - 1, cell);
 }
 
 /// Folds one partial map(k) -> T per interior slab k, in ascending k.
@@ -300,7 +314,7 @@ void Solver::Advect() {
   double* XG_RESTRICT w = cur_.w.data();
   double* XG_RESTRICT t = cur_.t.data();
 
-  ForInterior(lane_width_, mesh_, [=](size_t c, auto lanes) {
+  ForInterior<RowEnd::kShifted>(lane_width_, mesh_, [=](size_t c, auto lanes) {
     using V = PackOf<decltype(lanes)>;
     const V uu = Load<V>(u0 + c), vv = Load<V>(v0 + c), ww = Load<V>(w0 + c);
     // First-order upwind: per axis, the one-sided difference on the
@@ -350,7 +364,7 @@ void Solver::DiffuseAndForce() {
   const double canopy_heat = dt * params_.canopy_heat_w * 100.0;
   const CellType* XG_RESTRICT type = mesh_.types().data();
 
-  ForInterior(lane_width_, mesh_, [=](size_t c, auto lanes) {
+  ForInterior<RowEnd::kShifted>(lane_width_, mesh_, [=](size_t c, auto lanes) {
     using V = PackOf<decltype(lanes)>;
     V un = Load<V>(u0 + c) + dtnu * st.Laplacian<V>(u0, c);
     V vn = Load<V>(v0 + c) + dtnu * st.Laplacian<V>(v0, c);
@@ -403,7 +417,8 @@ void Solver::SolvePressure(StepStats& stats, bool diagnostics) {
     // is kept only for a defect correction or the residual.
     const bool solves = params_.poisson_iters > 0;
     const bool keep_b = diagnostics || params_.poisson_iters > 1;
-    ForInterior(lane_width_, mesh_, [=](size_t c, auto lanes) {
+    ForInterior<RowEnd::kShifted>(lane_width_, mesh_, [=](size_t c,
+                                                          auto lanes) {
       using V = PackOf<decltype(lanes)>;
       const V b = st.Divergence<V>(u, v, w, c) / dt;
       if (keep_b) Store(div + c, b);
@@ -419,12 +434,14 @@ void Solver::SolvePressure(StepStats& stats, bool diagnostics) {
         poisson_.Solve(p);
       } else {
         double* XG_RESTRICT d = prev_.u.data();
-        ForInterior(lane_width_, mesh_, [=](size_t c, auto lanes) {
+        ForInterior<RowEnd::kShifted>(lane_width_, mesh_, [=](size_t c,
+                                                              auto lanes) {
           using V = PackOf<decltype(lanes)>;
           Store(d + c, Load<V>(div + c) - st.Laplacian<V>(p, c));
         });
         poisson_.Solve(d);
-        ForInterior(lane_width_, mesh_, [=](size_t c, auto lanes) {
+        ForInterior<RowEnd::kExact>(lane_width_, mesh_, [=](size_t c,
+                                                            auto lanes) {
           using V = PackOf<decltype(lanes)>;
           Store(p + c, Load<V>(p + c) + Load<V>(d + c));
         });
@@ -448,7 +465,7 @@ void Solver::SolvePressure(StepStats& stats, bool diagnostics) {
           residual.Add(Abs(st.Laplacian<V>(p, c) - b));
           rhs.Add(Abs(b));
         };
-        ForInterior(lane_width_, mesh_, k, k + 1, cell);
+        ForInterior<RowEnd::kShifted>(lane_width_, mesh_, k, k + 1, cell);
         return ResidualMax{residual.Value(), rhs.Value()};
       },
       &CombineResidualMax);
@@ -465,7 +482,7 @@ void Solver::Project() {
   double* XG_RESTRICT u = cur_.u.data();
   double* XG_RESTRICT v = cur_.v.data();
   double* XG_RESTRICT w = cur_.w.data();
-  ForInterior(lane_width_, mesh_, [=](size_t c, auto lanes) {
+  ForInterior<RowEnd::kExact>(lane_width_, mesh_, [=](size_t c, auto lanes) {
     using V = PackOf<decltype(lanes)>;
     Store(u + c, Load<V>(u + c) -
                      dt * (Load<V>(p + c + 1) - Load<V>(p + c - 1)) * idx2);
@@ -586,7 +603,7 @@ double Solver::MaxDivergence() const {
           using V = PackOf<decltype(lanes)>;
           local.Add(Abs(st.Divergence<V>(u, v, w, c)));
         };
-        ForInterior(lane_width_, mesh_, k, k + 1, cell);
+        ForInterior<RowEnd::kShifted>(lane_width_, mesh_, k, k + 1, cell);
         return local.Value();
       },
       [](double a, double b) { return std::max(a, b); });

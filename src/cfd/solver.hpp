@@ -20,11 +20,16 @@
 // Hot-path layout (see DESIGN.md "CFD hot path"): the transported fields
 // live in a double-buffered SoA set — Advect and DiffuseAndForce swap the
 // current/previous buffers instead of copying five full vectors per step.
-// Every stencil kernel is written once over a lane pack and runs each row
-// at the widest width the CPU offers (8, 4 or 2 cells at a time, see
-// cfd/lanes.hpp), then two, then the odd last cell at one lane, each lane
-// doing the scalar expression in the scalar order, so fields are bitwise
-// what one cell at a time would give at every width. The porous drag and
+// Every field array is placed so that interior cell (1, j, k) starts a
+// 64-byte cache line (every row's, when nx is a multiple of 8, as on the
+// default mesh). Every stencil kernel is written once over a lane pack and
+// runs each row at the widest width the CPU offers (8, 4 or 2 cells at a
+// time, see cfd/lanes.hpp), each lane doing the scalar expression in the
+// scalar order, so fields are bitwise what one cell at a time would give
+// at every width. A kernel that writes a buffer it does not read ends each
+// row with one full pack shifted back to the row's last cell (recomputing
+// a few cells from the same inputs); one that updates in place ends with
+// narrower packs and then one lane. The porous drag and
 // canopy heat come from the cell-type bytes as lane masks. Boundary
 // faces whose value is fixed for a solve (inflow faces, no-slip ground,
 // the top's normal velocity) are written into both buffers by Initialize;
@@ -43,8 +48,9 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
+#include "cfd/aligned.hpp"
 #include "cfd/lanes.hpp"
 #include "cfd/mesh.hpp"
 #include "cfd/poisson.hpp"
@@ -83,11 +89,16 @@ struct StepStats {
   uint64_t cell_updates = 0;
 };
 
+/// One mesh-sized field of the solver: interior cell (1, 0, 0) starts a
+/// cache line, and so does interior cell (1, j, k) of every row when nx
+/// is a multiple of 8.
+using FieldArray = LineArray<1>;
+
 /// SoA buffer set for the transported fields (u, v, w, T). The solver
 /// holds two: swapping them is the zero-copy replacement for the old
 /// "copy current into scratch, then overwrite current" stepping.
 struct Fields {
-  std::vector<double> u, v, w, t;
+  FieldArray u, v, w, t;
 
   void Assign(size_t n, double value = 0.0) {
     u.assign(n, value);
@@ -115,7 +126,11 @@ class Solver {
 
   /// Attach (or detach with nullptr) a per-kernel timer; see
   /// obs::KernelTimer. The timer must outlive the solver or be detached.
-  void set_kernel_timer(obs::KernelTimer* timer) { timer_ = timer; }
+  /// The pressure solve records its phases under "sor.*" on it too.
+  void set_kernel_timer(obs::KernelTimer* timer) {
+    timer_ = timer;
+    poisson_.set_kernel_timer(timer);
+  }
 
   /// Runs this solver's kernels and pressure solve at `width` instead of
   /// the host's widest; a width the CPU does not run falls back to the
@@ -124,12 +139,14 @@ class Solver {
   void set_lane_width(LaneWidth width);
   LaneWidth lane_width() const { return lane_width_; }
 
-  // Field access (cell-centered, size = mesh.cell_count()).
-  const std::vector<double>& u() const { return cur_.u; }
-  const std::vector<double>& v() const { return cur_.v; }
-  const std::vector<double>& w() const { return cur_.w; }
-  const std::vector<double>& temperature() const { return cur_.t; }
-  const std::vector<double>& pressure() const { return p_; }
+  // Field access (cell-centered, size = mesh.cell_count()). A view stays
+  // valid for the solver's lifetime; Advect and DiffuseAndForce swap the
+  // buffers behind u, v, w and T, so re-read those after a step.
+  std::span<const double> u() const { return cur_.u; }
+  std::span<const double> v() const { return cur_.v; }
+  std::span<const double> w() const { return cur_.w; }
+  std::span<const double> temperature() const { return cur_.t; }
+  std::span<const double> pressure() const { return p_; }
 
   /// |velocity| at a cell.
   double SpeedAt(int i, int j, int k) const;
@@ -182,7 +199,7 @@ class Solver {
   bool inflow_x_lo_ = false, inflow_x_hi_ = false;
   bool inflow_y_lo_ = false, inflow_y_hi_ = false;
   Fields cur_, prev_;
-  std::vector<double> p_, div_;
+  FieldArray p_, div_;
   PoissonSolver poisson_;
   uint64_t interior_cells_ = 0;
   uint64_t total_updates_ = 0;

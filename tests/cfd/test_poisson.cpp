@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <random>
 #include <vector>
@@ -212,6 +213,74 @@ TEST(Poisson, SolveIsBitwiseTheSameAtEveryLaneWidth) {
               << mp.nz << " wx=" << wx << " wy=" << wy;
         }
       }
+    }
+  }
+}
+
+/// FNV-1a over the bit patterns of every value, so -0.0 and 0.0 differ.
+uint64_t BitsHash(const std::vector<double>& values) {
+  uint64_t h = 14695981039346656037ull;
+  for (const double x : values) {
+    uint64_t bits;
+    std::memcpy(&bits, &x, sizeof bits);
+    for (int b = 0; b < 8; ++b) {
+      h ^= (bits >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+/// A right-hand side in [-1, 1) from splitmix64, the same on every
+/// standard library (unlike the <random> distributions).
+std::vector<double> PortableRhs(size_t n, uint64_t seed) {
+  std::vector<double> b(n);
+  for (double& v : b) {
+    uint64_t z = (seed += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    z ^= z >> 31;
+    v = static_cast<double>(z >> 11) * 0x1.0p-52 - 1.0;
+  }
+  return b;
+}
+
+// Bitwise pin of the direct solve itself, so a rewrite of the transforms
+// or the sweeps that changed the bits at every width alike is caught (the
+// test above only compares widths with each other). The hashes were
+// captured from the solver as it stood before its mode-major rewrite. The
+// meshes cover rows shorter than an AVX-512 pack (13x9x7: mx 11, my 7),
+// a y extent of more than one pack but not a multiple of it (20x19x6:
+// my 17), and the default mesh; each with an inflow pattern that has a
+// Neumann x-min and y-min face and one with a Neumann x-max face and
+// both y faces Dirichlet. Every case runs at every host width.
+TEST(Poisson, SolveMatchesParentBitwise) {
+  struct Case {
+    MeshParams mesh;
+    double wx, wy;
+    uint64_t want;
+  };
+  const Case cases[] = {
+      {MeshOf(13, 9, 7), 1.5, 1.0, 0xb956e6331060ce61},
+      {MeshOf(13, 9, 7), -2.0, -0.0, 0x2a551f67db466a42},
+      {MeshOf(20, 19, 6), 1.5, 1.0, 0xd819b5ab72aaeeb8},
+      {MeshOf(20, 19, 6), -2.0, -0.0, 0xfa8f98d17aab3d6c},
+      {MeshOf(48, 40, 12), 1.5, 1.0, 0x581342adb3606f13},
+      {MeshOf(48, 40, 12), -2.0, -0.0, 0xad37aba60f25144f},
+  };
+  for (const LaneWidth width : HostLaneWidths()) {
+    for (const Case& c : cases) {
+      const Mesh mesh(c.mesh);
+      PoissonSolver solver(mesh);
+      solver.set_lane_width(width);
+      solver.Configure(c.wx, c.wy);
+      std::vector<double> x = PortableRhs(mesh.cell_count(), 20261020);
+      solver.Solve(x.data());
+      const uint64_t got = BitsHash(x);
+      EXPECT_EQ(got, c.want)
+          << LaneWidthName(width) << " " << c.mesh.nx << "x" << c.mesh.ny
+          << "x" << c.mesh.nz << " wx=" << c.wx << " wy=" << c.wy << ": 0x"
+          << std::hex << got;
     }
   }
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 namespace xg::cfd {
@@ -202,11 +203,13 @@ TEST(Solver, ReinitializeMatchesAFreshSolverBitwise) {
     fresh.Initialize(next);
     reused.Run(12);
     fresh.Run(12);
-    ASSERT_EQ(reused.u(), fresh.u()) << "first wind " << first_dir;
-    ASSERT_EQ(reused.v(), fresh.v());
-    ASSERT_EQ(reused.w(), fresh.w());
-    ASSERT_EQ(reused.temperature(), fresh.temperature());
-    ASSERT_EQ(reused.pressure(), fresh.pressure());
+    ASSERT_TRUE(std::ranges::equal(reused.u(), fresh.u()))
+        << "first wind " << first_dir;
+    ASSERT_TRUE(std::ranges::equal(reused.v(), fresh.v()));
+    ASSERT_TRUE(std::ranges::equal(reused.w(), fresh.w()));
+    ASSERT_TRUE(
+        std::ranges::equal(reused.temperature(), fresh.temperature()));
+    ASSERT_TRUE(std::ranges::equal(reused.pressure(), fresh.pressure()));
   }
 }
 

@@ -106,7 +106,7 @@ TEST(SolverGolden, SerialMatchesPreOverhaulConfig2) {
 }
 
 /// FNV-1a over the bit patterns of a field, so -0.0 and 0.0 differ.
-uint64_t FieldHash(const std::vector<double>& field) {
+uint64_t FieldHash(std::span<const double> field) {
   uint64_t h = 14695981039346656037ull;
   for (double x : field) {
     uint64_t bits;
@@ -178,6 +178,110 @@ TEST(SolverGolden, FieldHashesMatchParent) {
   }
 }
 
+// The same pin on a 9x16x12 mesh, whose 7-cell interior rows are shorter
+// than an AVX-512 pack, so every row runs on the narrower packs only. The
+// hashes were captured from the solver as it stood before its rows were
+// aligned to cache lines and ended on a shifted full pack. The two winds
+// make x-max/y-max and then x-min/y-min the outflow faces.
+TEST(SolverGolden, ShortRowFieldHashesMatchParent) {
+  struct Case {
+    double dir_deg, speed_ms;
+    std::array<uint64_t, 5> want;  ///< u, v, w, T, p
+  };
+  const Case cases[] = {
+      {225.0, 4.5,
+       {0x12d4f889f0ac5206, 0x0ae6608a80d02aea, 0xc3c0c1d4231c0810,
+        0x8f3e88b8dab7b7df, 0x855bb37db3766e7f}},
+      {45.0, 2.0,
+       {0x05fb78c2e68bf30f, 0x2f137c4fd7eeb1df, 0x373c48d9af959dd8,
+        0x2916f1a94fdc0da8, 0x6c95fd9101ef4788}},
+  };
+  MeshParams mp;
+  mp.nx = 9;
+  mp.ny = 16;
+  const Mesh mesh(mp);
+  for (const LaneWidth width : HostLaneWidths()) {
+    for (const Case& c : cases) {
+      Boundary bc;
+      bc.wind_dir_deg = c.dir_deg;
+      bc.wind_speed_ms = c.speed_ms;
+      Solver s(mesh, SolverParams{});
+      s.set_lane_width(width);
+      s.Initialize(bc);
+      s.Run(120);
+      const std::array<uint64_t, 5> got = {
+          FieldHash(s.u()), FieldHash(s.v()), FieldHash(s.w()),
+          FieldHash(s.temperature()), FieldHash(s.pressure())};
+      EXPECT_EQ(got, c.want)
+          << std::hex << LaneWidthName(width) << " dir " << c.dir_deg
+          << ": {0x" << got[0] << ", 0x" << got[1] << ", 0x" << got[2]
+          << ", 0x" << got[3] << ", 0x" << got[4] << "}";
+    }
+  }
+}
+
+// Every width must give the SSE2 width's fields bit for bit on rows that
+// end in every way a row can: shorter than an AVX-512 pack (7 interior
+// cells: the narrower packs only), exactly two packs (16: no shifted
+// last pack), and one cell longer (17: a last pack shifted back by seven
+// cells at AVX-512, by three at AVX2, by one at SSE2). The winds make
+// x-max/y-max and then x-min/y-min the outflow faces.
+TEST(SolverGolden, EveryLaneWidthGivesTheSameFields) {
+  for (const int nx : {9, 18, 19}) {
+    MeshParams mp;
+    mp.nx = nx;
+    mp.ny = 14;
+    mp.nz = 10;
+    const Mesh mesh(mp);
+    for (const double dir : {225.0, 45.0}) {
+      Boundary bc;
+      bc.wind_dir_deg = dir;
+      bc.wind_speed_ms = 4.0;
+      std::array<uint64_t, 5> want{};
+      for (const LaneWidth width : HostLaneWidths()) {
+        Solver s(mesh, SolverParams{});
+        s.set_lane_width(width);
+        s.Initialize(bc);
+        s.Run(40);
+        const std::array<uint64_t, 5> got = {
+            FieldHash(s.u()), FieldHash(s.v()), FieldHash(s.w()),
+            FieldHash(s.temperature()), FieldHash(s.pressure())};
+        if (width == LaneWidth::kSse2) {
+          want = got;
+          continue;
+        }
+        EXPECT_EQ(got, want) << LaneWidthName(width) << " nx " << nx
+                             << " dir " << dir;
+      }
+    }
+  }
+}
+
+// Interior cell (1, j, k) of every field the solver exposes starts a
+// 64-byte cache line on the default mesh (nx = 48: every row pitch is six
+// lines), before and after the steps swap the field buffers.
+TEST(SolverGolden, InteriorRowsStartACacheLine) {
+  const Mesh mesh(MeshParams{});
+  ASSERT_EQ(mesh.nx() % 8, 0);
+  Solver s(mesh, SolverParams{});
+  s.Initialize(Boundary{});
+  for (int step = 0; step < 2; ++step) {
+    const std::span<const double> fields[] = {s.u(), s.v(), s.w(),
+                                              s.temperature(), s.pressure()};
+    for (const std::span<const double> f : fields) {
+      ASSERT_EQ(f.size(), mesh.cell_count());
+      for (int k = 0; k < mesh.nz(); ++k) {
+        for (int j = 0; j < mesh.ny(); ++j) {
+          const auto at = reinterpret_cast<std::uintptr_t>(
+              f.data() + mesh.Index(1, j, k));
+          ASSERT_EQ(at % 64, 0u) << "step " << step << " j " << j << " k " << k;
+        }
+      }
+    }
+    s.Step();
+  }
+}
+
 // The solver starts at the host's widest width; the seam narrows it, and
 // a width the CPU does not run falls back to the widest one it does.
 TEST(SolverGolden, LaneWidthComesFromTheCpu) {
@@ -215,9 +319,9 @@ TEST(SolverGolden, RunReturnsTheLastStepsStats) {
   EXPECT_EQ(got.cell_updates, want.cell_updates);
   EXPECT_GT(got.poisson_rhs, 0.0);
   EXPECT_GT(got.max_divergence, 0.0);
-  EXPECT_EQ(run.u(), stepped.u());
-  EXPECT_EQ(run.temperature(), stepped.temperature());
-  EXPECT_EQ(run.pressure(), stepped.pressure());
+  EXPECT_TRUE(std::ranges::equal(run.u(), stepped.u()));
+  EXPECT_TRUE(std::ranges::equal(run.temperature(), stepped.temperature()));
+  EXPECT_TRUE(std::ranges::equal(run.pressure(), stepped.pressure()));
   EXPECT_EQ(run.Run(0).cell_updates, 0u);
 }
 
