@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <tuple>
 
 #include "cfd/solver.hpp"
 #include "common/contract.hpp"
@@ -13,10 +14,6 @@
 namespace xg::core {
 
 namespace {
-constexpr const char* kTelemetryLog = "telemetry";
-constexpr const char* kAlertLog = "alerts";
-constexpr const char* kResultLog = "results";
-
 // The fixed resilience policy. Telemetry appends retry with backoff under
 // a per-frame idempotence token; failed frames park in a bounded
 // store-and-forward buffer (oldest evicted first); the primary site's
@@ -49,24 +46,51 @@ struct AlertRecord {
   uint64_t span_id = 0;
 };
 
-// Stable idempotence token for a serialized telemetry frame: FNV-1a's
-// xor-multiply over 8-byte words, then over the tail bytes. Frames embed
-// their capture time, so distinct frames hash apart, and a frame whose
-// append half-succeeded (ack lost) and was then buffered dedups at UCSB
-// when the drain re-ships the same bytes. The token only keys the dedup
-// table; no output depends on its value.
-uint64_t FrameToken(const std::vector<uint8_t>& payload) {
-  constexpr uint64_t kPrime = 0x100000001b3ull;
-  uint64_t h = 0xcbf29ce484222325ull;
-  size_t i = 0;
-  for (; i + sizeof(uint64_t) <= payload.size(); i += sizeof(uint64_t)) {
-    uint64_t word;
-    std::memcpy(&word, payload.data() + i, sizeof(word));
-    h = (h ^ word) * kPrime;
-  }
-  for (; i < payload.size(); ++i) h = (h ^ payload[i]) * kPrime;
-  return h == 0 ? 1 : h;
-}
+// The fabric's counters, registered as xg_<name>_total in this order.
+using M = FabricMetrics;
+constexpr std::tuple<const char*, const char*, uint64_t M::*> kCounters[] = {
+    {"fabric_telemetry_frames_sent", "Telemetry frames published",
+     &M::telemetry_frames_sent},
+    {"fabric_telemetry_frames_stored",
+     "Telemetry frames durably appended at UCSB", &M::telemetry_frames_stored},
+    {"fabric_detection_cycles", "Change-detection duty cycles",
+     &M::detection_cycles},
+    {"fabric_alerts_raised", "Change alerts appended", &M::alerts_raised},
+    {"fabric_cfd_runs_completed", "CFD simulations completed",
+     &M::cfd_runs_completed},
+    {"fabric_breach_suspicions", "Twin-raised breach suspicions",
+     &M::breach_suspicions},
+    {"fabric_robot_dispatches", "Robot surveillance dispatches",
+     &M::robot_dispatches},
+    {"fabric_patrol_legs", "Perimeter patrol legs flown", &M::patrol_legs},
+    {"fabric_breaches_confirmed", "Breaches confirmed on camera",
+     &M::breaches_confirmed},
+    {"fabric_spray_windows", "Spray-window advisories", &M::spray_windows},
+    {"fabric_frost_alerts", "Frost advisories", &M::frost_alerts},
+    {"fabric_irrigation_advisories", "Irrigation advisories",
+     &M::irrigation_advisories},
+    {"fabric_qc_rejected_readings", "Readings rejected by QC",
+     &M::qc_rejected_readings},
+    {"fabric_readings_dropped", "Readings lost to station faults",
+     &M::readings_dropped},
+    {"fabric_serve_cfd_runs", "CFD refreshes launched by the serving tier",
+     &M::serve_cfd_runs},
+    {"fabric_serve_cfd_rejected",
+     "Serve refreshes refused by the bounded pilot queue",
+     &M::serve_cfd_rejected},
+    {"resil_failovers", "Interactive -> batch pilot failover episodes",
+     &M::site_failovers},
+    {"resil_stale_served",
+     "Advisories served from the last CFD result while degraded",
+     &M::stale_advisories_served},
+    {"resil_stale_expired",
+     "Stale serves refused because the validity window had passed",
+     &M::stale_advisories_expired},
+    {"resil_sf_buffered", "Telemetry frames ever parked in store-and-forward",
+     &M::telemetry_frames_buffered},
+    {"resil_sf_drained", "Buffered frames delivered after recovery",
+     &M::telemetry_frames_drained},
+};
 }  // namespace
 
 FabricConfig::FabricConfig() : site(hpc::NotreDameCRC()) {
@@ -79,8 +103,7 @@ FabricConfig::FabricConfig() : site(hpc::NotreDameCRC()) {
 Fabric::Fabric(FabricConfig config)
     : config_(std::move(config)), detector_(config_.detector),
       perf_(config_.perf), twin_(config_.twin), advisor_(config_.advisor),
-      sf_(kStoreForwardCapacity), site_detector_(kSiteDetector),
-      rng_(config_.seed ^ 0xFAB) {
+      sf_(kStoreForwardCapacity), site_detector_(kSiteDetector) {
   cspot_ = std::make_unique<cspot::Runtime>(sim_, config_.seed);
   nodes_ = cspot::BuildXgTopology(*cspot_);
   telemetry_client_ =
@@ -91,22 +114,20 @@ Fabric::Fabric(FabricConfig config)
   cups_ = std::make_unique<sensors::CupsFacility>(config_.cups,
                                                   config_.seed ^ 0xC4);
 
-  // Logs at the UCSB repository. The topology was built above, so log
-  // creation can only fail on a name clash — an internal wiring bug.
-  const cspot::LogConfig log_cfgs[] = {{kTelemetryLog, 1024, 4096},
-                                       {kAlertLog, 64, 1024},
-                                       {kResultLog, 1024, 1024}};
-  for (const auto& cfg : log_cfgs) {
-    auto created = cspot_->CreateLog(nodes_.ucsb, cfg);
-    XG_INVARIANT(created.ok(), "fabric log creation failed: " + cfg.name);
-  }
-  // The data path addresses sites and logs by id from here on.
   client_id_ = cspot_->wan().Find(telemetry_client_);
   ucsb_id_ = cspot_->wan().Find(nodes_.ucsb);
   nd_id_ = cspot_->wan().Find(nodes_.nd);
-  telemetry_log_ = cspot_->ResolveLog(ucsb_id_, kTelemetryLog);
-  alert_log_ = cspot_->ResolveLog(ucsb_id_, kAlertLog);
-  result_log_ = cspot_->ResolveLog(ucsb_id_, kResultLog);
+  // Logs at the UCSB repository. The topology was built above, so log
+  // creation can only fail on a name clash — an internal wiring bug.
+  const std::pair<cspot::LogConfig, cspot::LogId*> logs[] = {
+      {{"telemetry", 1024, 4096}, &telemetry_log_},
+      {{"alerts", 64, 1024}, &alert_log_},
+      {{"results", 1024, 1024}, &result_log_}};
+  for (const auto& [cfg, id] : logs) {
+    auto created = cspot_->CreateLog(nodes_.ucsb, cfg);
+    XG_INVARIANT(created.ok(), "fabric log creation failed: " + cfg.name);
+    *id = cspot_->ResolveLog(ucsb_id_, cfg.name);
+  }
 
   scheduler_ = std::make_unique<hpc::BatchScheduler>(sim_, config_.site,
                                                      config_.seed ^ 0x5C);
@@ -123,10 +144,8 @@ Fabric::Fabric(FabricConfig config)
       std::make_unique<sensors::FaultInjector>(config_.seed ^ 0xF417);
   qc_ = sensors::QualityControl(config_.qc);
 
-  OrchardGridParams og;
-  og.length_m = config_.cups.length_m;
-  og.width_m = config_.cups.width_m;
-  orchard_ = std::make_unique<OrchardGrid>(og);
+  orchard_ = std::make_unique<OrchardGrid>(OrchardGridParams{
+      .length_m = config_.cups.length_m, .width_m = config_.cups.width_m});
   robot_ = std::make_unique<Robot>(*orchard_, config_.robot,
                                    config_.cups.length_m / 2.0, 1.0);
 
@@ -137,9 +156,14 @@ Fabric::Fabric(FabricConfig config)
   telemetry_client_label_ = tracer_.Label(telemetry_client_);
   obs::MetricsRegistry* reg = config_.metrics_enabled ? &registry_ : nullptr;
   obs::Tracer* tracer = config_.tracing_enabled ? &tracer_ : nullptr;
+  // Each layer also feeds its fault/resilience events into the flight
+  // recorder's ring (none while the SLO layer is off).
+  obs::slo::FlightRecorder* flight = flight_recorder();
   cspot_->AttachObservability(reg, tracer);
   scheduler_->AttachObservability(reg);
+  scheduler_->set_flight_recorder(flight);
   pilot_->AttachObservability(reg);
+  pilot_->set_flight_recorder(flight);
   if (reg != nullptr) RegisterFabricMetrics();
 
   // Resilience: breakers sit on the WAN, the degraded-mode manager keeps
@@ -148,6 +172,7 @@ Fabric::Fabric(FabricConfig config)
   cspot_->wan().set_metrics_registry(reg);
   cspot_->wan().EnableCircuitBreakers(resil::BreakerConfig{});
   degraded_.AttachObservability(reg, tracer);
+  degraded_.set_flight_recorder(flight);
   if (config_.failover_site.has_value()) {
     failover_scheduler_ = std::make_unique<hpc::BatchScheduler>(
         sim_, *config_.failover_site, config_.seed ^ 0xFA11);
@@ -156,6 +181,8 @@ Fabric::Fabric(FabricConfig config)
     fpc.cores_per_node = config_.failover_site->cores_per_node;
     failover_pilot_ = std::make_unique<pilot::PilotController>(
         sim_, *failover_scheduler_, perf_, fpc, config_.seed ^ 0xFA12);
+    failover_scheduler_->set_flight_recorder(flight);
+    failover_pilot_->set_flight_recorder(flight);
   }
 
   // Cross-layer chaos: couple the plan to the transport, the CSPOT node
@@ -163,6 +190,7 @@ Fabric::Fabric(FabricConfig config)
   if (!config_.fault_plan.empty()) {
     chaos_ = std::make_unique<fault::FaultInjector>(config_.fault_plan);
     chaos_->AttachObservability(reg, tracer);
+    chaos_->set_flight_recorder(flight);
     cspot_->AttachFaultInjector(*chaos_);
     scheduler_->AttachFaultInjector(*chaos_);
     if (failover_scheduler_ != nullptr) {
@@ -176,7 +204,6 @@ Fabric::Fabric(FabricConfig config)
   // the xg_slo_* series; the flight recorder keeps the black box that
   // dumps on contract violations and deadline misses. Switched off, no
   // budget opens (see PublishTelemetry) and no layer gets the recorder.
-  obs::slo::FlightRecorder* flight = flight_recorder();
   flight_.set_clock([this] { return sim_.Now().micros(); });
   flight_.set_ledger(&ledger_);
   ledger_.set_on_close([this](const obs::slo::LedgerRecord& rec) {
@@ -187,15 +214,6 @@ Fabric::Fabric(FabricConfig config)
     ledger_.Attach(reg);
     flight_.ArmContractTrigger();
   }
-  // Layer event feeds into the flight recorder's fault/resilience ring.
-  degraded_.set_flight_recorder(flight);
-  if (chaos_ != nullptr) chaos_->set_flight_recorder(flight);
-  scheduler_->set_flight_recorder(flight);
-  pilot_->set_flight_recorder(flight);
-  if (failover_scheduler_ != nullptr) {
-    failover_scheduler_->set_flight_recorder(flight);
-  }
-  if (failover_pilot_ != nullptr) failover_pilot_->set_flight_recorder(flight);
 
   // Overload-robust serving tier: quantized-key cache + single-flight
   // coalescing + CoDel admission in front of the pilot tier. It shares the
@@ -208,79 +226,34 @@ Fabric::Fabric(FabricConfig config)
     advisory_server_->set_degraded_manager(&degraded_);
     advisory_server_->set_flight_recorder(flight);
     advisory_server_->AttachObservability(reg);
+    // One bounded CFD refresh per flight through the (failover-aware)
+    // pilot tier, sized as one station-less telemetry frame; false when
+    // the bounded pending queue refuses it.
     advisory_server_->set_launcher(
         [this](const serve::ConditionKey&,
                const serve::FieldConditions& conditions,
                std::function<void(std::vector<uint8_t>, int64_t)> done) {
-          return LaunchServeCfd(conditions, std::move(done));
+          const double alert_time_s = sim_.Now().seconds();
+          pilot::PilotController& pilot = PlacementPilot(sim_.Now().micros());
+          const bool accepted = pilot.TrySubmitTask(
+              static_cast<double>(TelemetryFrame::WireBytesFor(0)),
+              [this, alert_time_s, conditions,
+               done = std::move(done)](const pilot::TaskResult&) {
+                ++metrics_.serve_cfd_runs;
+                done(SerializeResult(ExecuteCfd(alert_time_s, conditions)),
+                     sim_.Now().micros());
+              });
+          if (!accepted) ++metrics_.serve_cfd_rejected;
+          return accepted;
         });
   }
 }
 
 void Fabric::RegisterFabricMetrics() {
-  registry_.RegisterCounter("xg_fabric_telemetry_frames_sent_total", {},
-                            "Telemetry frames published",
-                            &metrics_.telemetry_frames_sent);
-  registry_.RegisterCounter("xg_fabric_telemetry_frames_stored_total", {},
-                            "Telemetry frames durably appended at UCSB",
-                            &metrics_.telemetry_frames_stored);
-  registry_.RegisterCounter("xg_fabric_detection_cycles_total", {},
-                            "Change-detection duty cycles",
-                            &metrics_.detection_cycles);
-  registry_.RegisterCounter("xg_fabric_alerts_raised_total", {},
-                            "Change alerts appended", &metrics_.alerts_raised);
-  registry_.RegisterCounter("xg_fabric_cfd_runs_completed_total", {},
-                            "CFD simulations completed",
-                            &metrics_.cfd_runs_completed);
-  registry_.RegisterCounter("xg_fabric_breach_suspicions_total", {},
-                            "Twin-raised breach suspicions",
-                            &metrics_.breach_suspicions);
-  registry_.RegisterCounter("xg_fabric_robot_dispatches_total", {},
-                            "Robot surveillance dispatches",
-                            &metrics_.robot_dispatches);
-  registry_.RegisterCounter("xg_fabric_patrol_legs_total", {},
-                            "Perimeter patrol legs flown",
-                            &metrics_.patrol_legs);
-  registry_.RegisterCounter("xg_fabric_breaches_confirmed_total", {},
-                            "Breaches confirmed on camera",
-                            &metrics_.breaches_confirmed);
-  registry_.RegisterCounter("xg_fabric_spray_windows_total", {},
-                            "Spray-window advisories", &metrics_.spray_windows);
-  registry_.RegisterCounter("xg_fabric_frost_alerts_total", {},
-                            "Frost advisories", &metrics_.frost_alerts);
-  registry_.RegisterCounter("xg_fabric_irrigation_advisories_total", {},
-                            "Irrigation advisories",
-                            &metrics_.irrigation_advisories);
-  registry_.RegisterCounter("xg_fabric_qc_rejected_readings_total", {},
-                            "Readings rejected by QC",
-                            &metrics_.qc_rejected_readings);
-  registry_.RegisterCounter("xg_fabric_readings_dropped_total", {},
-                            "Readings lost to station faults",
-                            &metrics_.readings_dropped);
-  registry_.RegisterCounter("xg_fabric_serve_cfd_runs_total", {},
-                            "CFD refreshes launched by the serving tier",
-                            &metrics_.serve_cfd_runs);
-  registry_.RegisterCounter(
-      "xg_fabric_serve_cfd_rejected_total", {},
-      "Serve refreshes refused by the bounded pilot queue",
-      &metrics_.serve_cfd_rejected);
-  registry_.RegisterCounter("xg_resil_failovers_total", {},
-                            "Interactive -> batch pilot failover episodes",
-                            &metrics_.site_failovers);
-  registry_.RegisterCounter(
-      "xg_resil_stale_served_total", {},
-      "Advisories served from the last CFD result while degraded",
-      &metrics_.stale_advisories_served);
-  registry_.RegisterCounter(
-      "xg_resil_stale_expired_total", {},
-      "Stale serves refused because the validity window had passed",
-      &metrics_.stale_advisories_expired);
-  registry_.RegisterCounter("xg_resil_sf_buffered_total", {},
-                            "Telemetry frames ever parked in store-and-forward",
-                            &metrics_.telemetry_frames_buffered);
-  registry_.RegisterCounter("xg_resil_sf_drained_total", {},
-                            "Buffered frames delivered after recovery",
-                            &metrics_.telemetry_frames_drained);
+  for (const auto& [name, help, value] : kCounters) {
+    registry_.RegisterCounter(std::string("xg_") + name + "_total", {}, help,
+                              &(metrics_.*value));
+  }
   registry_.RegisterCallback(
       "xg_resil_sf_dropped_total", {},
       "Buffered frames evicted by the bounded buffer",
@@ -299,18 +272,6 @@ void Fabric::RegisterFabricMetrics() {
       "End-to-end telemetry append latency, " + telemetry_client_ + " -> " +
           nodes_.ucsb + " (ms)",
       &telemetry_latency_hist_);
-}
-
-void Fabric::ScheduleBreach(const sensors::BreachEvent& breach) {
-  cups_->AddBreach(breach);
-}
-
-void Fabric::ScheduleFront(const sensors::FrontEvent& front) {
-  atmosphere_->AddFront(front);
-}
-
-void Fabric::ScheduleStationFault(const sensors::FaultWindow& fault) {
-  station_faults_->Add(fault);
 }
 
 void Fabric::PublishTelemetry() {
@@ -346,8 +307,7 @@ void Fabric::PublishTelemetry() {
       ++metrics_.readings_dropped;
       continue;
     }
-    if (config_.qc_enabled &&
-        qc_.Check(*injected) != sensors::QcVerdict::kPass) {
+    if (qc_.Check(*injected) != sensors::QcVerdict::kPass) {
       ++metrics_.qc_rejected_readings;
       continue;
     }
@@ -376,7 +336,10 @@ void Fabric::PublishTelemetry() {
   cspot::AppendOptions opts;
   opts.trace = root;
   opts.retry = kTelemetryRetry;
-  opts.idem_token = FrameToken(payload);
+  // Frames embed their capture time, so distinct frames hash apart, and a
+  // frame whose append half-succeeded (ack lost) and was then buffered
+  // dedups at UCSB when the drain re-ships the same bytes.
+  opts.idem_token = cspot::StableToken(payload.data(), payload.size());
   cspot_->RemoteAppend(
       client_id_, ucsb_id_, telemetry_log_, std::move(payload), opts,
       [this, t0, root, frame = std::move(frame)](Result<cspot::SeqNo> r,
@@ -388,12 +351,15 @@ void Fabric::PublishTelemetry() {
           // Exactly-once across the boundary: the drain re-ships this
           // frame under the same idempotence token, so an append whose
           // ack was lost dedups instead of appending twice.
-          EnterStoreForward("telemetry append failed: " +
-                            r.status().ToString());
+          if (!degraded_.active(resil::DegradedMode::kStoreForward)) {
+            degraded_.Enter(
+                resil::DegradedMode::kStoreForward, sim_.Now().micros(),
+                "telemetry append failed: " + r.status().ToString());
+            ScheduleStoreForwardTick();
+          }
           ParkFrame(root, SerializeFrame(frame));
           return;
         }
-        ++metrics_.telemetry_frames_stored;
         // Grandfathered summary metric; the per-stage decomposition of the
         // same interval lives in the deadline ledger.
         const sim::SimTime latency =
@@ -402,21 +368,7 @@ void Fabric::PublishTelemetry() {
         if (config_.metrics_enabled) {
           telemetry_latency_hist_.Record(latency.micros());
         }
-        // The operator-side twin sees each stored frame; the detection
-        // cycle attaches its span to this frame's trace.
-        const obs::TraceContext observe =
-            tracer_.StartSpan(obs::SpanName::kTwinObserve, root);
-        auto suspicion = twin_.Observe(frame);
-        tracer_.EndSpan(observe);
-        tracer_.EndSpan(root);
-        // A newer frame supersedes the previous one as the detection
-        // window head: retire its budget as plain delivery unless the
-        // detector escalated it into the CFD path.
-        ledger_.CloseIfIdle(last_frame_trace_.trace_id,
-                            obs::slo::CloseReason::kDelivered);
-        last_frame_trace_ = root;
-        if (on_frame_stored) on_frame_stored(sim_.Now().seconds(), false);
-        if (suspicion) HandleSuspicion(*suspicion);
+        OnFrameStored(frame, root, /*drained=*/false);
       });
 }
 
@@ -429,13 +381,6 @@ void Fabric::ParkFrame(const obs::TraceContext& root,
   // The journey continues untraced through the drain; the budget closes
   // here and the resilience metrics account the buffered leg.
   ledger_.Close(root.trace_id, obs::slo::CloseReason::kBuffered);
-}
-
-void Fabric::EnterStoreForward(const std::string& detail) {
-  if (degraded_.active(resil::DegradedMode::kStoreForward)) return;
-  degraded_.Enter(resil::DegradedMode::kStoreForward, sim_.Now().micros(),
-                  detail);
-  ScheduleStoreForwardTick();
 }
 
 void Fabric::ScheduleStoreForwardTick() {
@@ -463,7 +408,7 @@ void Fabric::StoreForwardTick() {
   cspot::AppendOptions opts;
   opts.retry.max_attempts = 2;
   opts.retry.attempt_timeout_ms = kTelemetryRetry.attempt_timeout_ms;
-  opts.idem_token = FrameToken(probe);
+  opts.idem_token = cspot::StableToken(probe.data(), probe.size());
   sf_probe_inflight_ = true;
   cspot_->RemoteAppend(
       client_id_, ucsb_id_, telemetry_log_, std::move(probe), opts,
@@ -473,21 +418,34 @@ void Fabric::StoreForwardTick() {
           ScheduleStoreForwardTick();
           return;
         }
-        ObserveStoredFrame(sf_.PopFront(), /*drained=*/true);
+        Result<TelemetryFrame> frame = DeserializeFrame(sf_.PopFront());
+        XG_INVARIANT(frame.ok(), "a frame this fabric buffered does not parse");
+        if (frame.ok()) OnFrameStored(frame.value(), {}, /*drained=*/true);
         StoreForwardTick();  // keep draining; exits the mode when empty
       });
 }
 
-void Fabric::ObserveStoredFrame(const std::vector<uint8_t>& payload,
-                                bool drained) {
+void Fabric::OnFrameStored(const TelemetryFrame& frame,
+                           const obs::TraceContext& root, bool drained) {
   ++metrics_.telemetry_frames_stored;
   if (drained) ++metrics_.telemetry_frames_drained;
-  auto f = DeserializeFrame(payload);
-  if (f.ok()) {
-    auto suspicion = twin_.Observe(f.value());
-    if (suspicion) HandleSuspicion(*suspicion);
+  const obs::TraceContext observe =
+      tracer_.StartSpan(obs::SpanName::kTwinObserve, root);
+  std::optional<BreachSuspicion> suspicion = twin_.Observe(frame);
+  tracer_.EndSpan(observe);
+  if (!drained) {
+    // A live frame heads the detection window: retire the previous head's
+    // budget as plain delivery unless the detector escalated it.
+    tracer_.EndSpan(root);
+    ledger_.CloseIfIdle(last_frame_trace_.trace_id,
+                        obs::slo::CloseReason::kDelivered);
+    last_frame_trace_ = root;
   }
+  // The hook runs before a live frame's suspicion is handled and after a
+  // drained one's.
+  if (suspicion && drained) HandleSuspicion(std::move(*suspicion));
   if (on_frame_stored) on_frame_stored(sim_.Now().seconds(), drained);
+  if (suspicion && !drained) HandleSuspicion(std::move(*suspicion));
 }
 
 void Fabric::ServeStaleAdvisories(const std::string& reason) {
@@ -503,17 +461,35 @@ void Fabric::ServeStaleAdvisories(const std::string& reason) {
     ++metrics_.stale_advisories_expired;
     return;
   }
-  const double age_s = static_cast<double>(age_us) * 1e-6;
   degraded_.Enter(resil::DegradedMode::kStaleServe, sim_.Now().micros(),
                   reason);
-  const std::vector<TelemetryFrame> latest = RecentFrames(1);
-  if (latest.empty()) return;
-  char age[48];
-  std::snprintf(age, sizeof(age), " [stale result, age %.0fs]", age_s);
-  for (Advisory a : advisor_.Advise(*latest_result_, latest.back())) {
-    a.stale = true;
-    a.reason += age;
-    ++metrics_.stale_advisories_served;
+  const std::optional<TelemetryFrame> latest = LatestFrame();
+  if (latest.has_value()) {
+    EmitAdvisories(*latest_result_, *latest,
+                   static_cast<double>(age_us) * 1e-6);
+  }
+}
+
+void Fabric::EmitAdvisories(const CfdResult& result,
+                            const TelemetryFrame& latest,
+                            std::optional<double> stale_age_s) {
+  char age[48] = "";
+  if (stale_age_s.has_value()) {
+    std::snprintf(age, sizeof(age), " [stale result, age %.0fs]",
+                  *stale_age_s);
+  }
+  for (Advisory& a : advisor_.Advise(result, latest)) {
+    if (stale_age_s.has_value()) {
+      a.stale = true;
+      a.reason += age;
+      ++metrics_.stale_advisories_served;
+    } else if (a.kind == ActionKind::kSprayWindow) {
+      ++metrics_.spray_windows;
+    } else if (a.kind == ActionKind::kFrostAlert) {
+      ++metrics_.frost_alerts;
+    } else if (a.kind == ActionKind::kIrrigate) {
+      ++metrics_.irrigation_advisories;
+    }
     if (on_advisory) on_advisory(a);
   }
 }
@@ -535,23 +511,40 @@ void Fabric::SubmitSiteProbe() {
 }
 
 pilot::PilotController& Fabric::PlacementPilot(int64_t now_us) {
-  if (failover_pilot_ != nullptr && site_detector_.SuspectAt(now_us)) {
-    return *failover_pilot_;
-  }
-  return *pilot_;
+  const bool failover =
+      failover_pilot_ != nullptr && site_detector_.SuspectAt(now_us);
+  return failover ? *failover_pilot_ : *pilot_;
 }
 
-const cspot::LogStorage& Fabric::TelemetryLog() const {
-  return *cspot_->NodeAt(ucsb_id_)->Find(telemetry_log_);
+std::optional<TelemetryFrame> Fabric::LatestFrame() const {
+  std::optional<TelemetryFrame> latest;
+  TelemetryLog().VisitTail(1, [&latest](std::span<const uint8_t> bytes) {
+    Result<TelemetryFrame> f = DeserializeFrame(bytes);
+    if (f.ok()) latest = f.take();
+  });
+  return latest;
 }
 
-std::vector<TelemetryFrame> Fabric::RecentFrames(size_t n) const {
-  std::vector<TelemetryFrame> frames;
-  for (const auto& bytes : TelemetryLog().Tail(n)) {
-    auto f = DeserializeFrame(bytes);
-    if (f.ok()) frames.push_back(f.take());
-  }
-  return frames;
+void Fabric::FetchLatest(cspot::LogId log, const cspot::SeqNo* after,
+                         FetchCallback done) {
+  // Shared: an injected duplicate reply runs each read's completion twice.
+  auto shared = std::make_shared<FetchCallback>(std::move(done));
+  cspot_->RemoteLatestSeq(
+      nd_id_, ucsb_id_, log,
+      [this, log, after, shared](Result<cspot::SeqNo> latest) {
+        if (!latest.ok() ||
+            latest.value() <= (after != nullptr ? *after : cspot::kNoSeq)) {
+          (*shared)(cspot::kNoSeq,
+                    latest.ok() ? Status(ErrorCode::kNotFound, "none newer")
+                                : latest.status());
+          return;
+        }
+        const cspot::SeqNo seq = latest.value();
+        cspot_->RemoteGet(nd_id_, ucsb_id_, log, seq,
+                          [seq, shared](Result<std::vector<uint8_t>> bytes) {
+                            (*shared)(seq, std::move(bytes));
+                          });
+      });
 }
 
 void Fabric::RunDetectionCycle() {
@@ -578,13 +571,11 @@ void Fabric::RunDetectionCycle() {
     w.data_bytes +=
         static_cast<double>(TelemetryFrame::WireBytesFor(f->stations));
   });
-  const std::vector<double>& wind = w.wind;
-  const std::vector<double>& temp = w.temp;
 
   bool changed = false;
-  if (wind.size() >= need) {
-    const laminar::ChangeDecision dw = detector_.Evaluate(wind);
-    const laminar::ChangeDecision dt = detector_.Evaluate(temp);
+  if (w.wind.size() >= need) {
+    const laminar::ChangeDecision dw = detector_.Evaluate(w.wind);
+    const laminar::ChangeDecision dt = detector_.Evaluate(w.temp);
     changed = dw.changed || dt.changed;
     if (changed && config_.slo.enabled) {
       flight_.Note("laminar", dw.changed ? "wind " + dw.Describe()
@@ -594,10 +585,10 @@ void Fabric::RunDetectionCycle() {
   // Bootstrap: the very first cycle with data runs a calibration
   // simulation even without a statistically detectable change.
   if (!changed && metrics_.cfd_runs_completed == 0 && !cfd_in_flight_ &&
-      !wind.empty()) {
+      !w.wind.empty()) {
     changed = true;
   }
-  tracer_.AnnotateInt(window, "frames", static_cast<int64_t>(wind.size()));
+  tracer_.AnnotateInt(window, "frames", static_cast<int64_t>(w.wind.size()));
   tracer_.Annotate(window, "changed", changed ? "true" : "false");
   if (!changed) {
     tracer_.EndSpan(window);
@@ -644,171 +635,128 @@ void Fabric::TriggerCfd(double alert_time_s, double data_bytes,
 
   // The pilot gathers the most recent telemetry from the CSPOT logs at
   // UCSB to parameterize the preprocessing pipeline.
-  cspot_->RemoteLatestSeq(
-      nd_id_, ucsb_id_, telemetry_log_,
-      [this, alert_time_s, data_bytes, decision](Result<cspot::SeqNo> latest) {
-        if (!latest.ok() || latest.value() == cspot::kNoSeq) {
-          AbandonEscalation(decision);
+  FetchLatest(
+      telemetry_log_, nullptr,
+      [this, alert_time_s, data_bytes, decision](
+          cspot::SeqNo, Result<std::vector<uint8_t>> bytes) {
+        Result<TelemetryFrame> frame =
+            bytes.ok() ? DeserializeFrame(bytes.value())
+                       : Result<TelemetryFrame>(bytes.status());
+        tracer_.EndSpan(decision);
+        if (!frame.ok()) {
+          cfd_in_flight_ = false;
+          ServeStaleAdvisories("boundary fetch failed");
+          ledger_.Close(decision.trace_id, obs::slo::CloseReason::kFailed);
           return;
         }
-        cspot_->RemoteGet(
-            nd_id_, ucsb_id_, telemetry_log_, latest.value(),
-            [this, alert_time_s, data_bytes,
-             decision](Result<std::vector<uint8_t>> bytes) {
-              Result<TelemetryFrame> frame =
-                  bytes.ok() ? DeserializeFrame(bytes.value())
-                             : Result<TelemetryFrame>(bytes.status());
-              if (!frame.ok()) {
-                AbandonEscalation(decision);
-                return;
-              }
-              const TelemetryFrame boundary = frame.take();
-              tracer_.EndSpan(decision);
-              const int64_t submit_us = sim_.Now().micros();
-              ledger_.Stamp(decision.trace_id, obs::slo::Stage::kPilotSubmit,
-                            submit_us);
-              if (site_detector_.SuspectAt(submit_us)) {
-                // Bridge the gap with the last result while the (slower)
-                // failover path produces a fresh one.
-                ServeStaleAdvisories("primary site suspected");
-                if (failover_pilot_ != nullptr &&
-                    !degraded_.active(resil::DegradedMode::kSiteFailover)) {
-                  degraded_.Enter(resil::DegradedMode::kSiteFailover,
-                                  submit_us, "primary site suspected");
-                  ++metrics_.site_failovers;
-                }
-              }
-              PlacementPilot(submit_us).SubmitTask(
-                  data_bytes,
-                  [this, alert_time_s, boundary, decision,
-                   submit_us](const pilot::TaskResult& task) {
-                    metrics_.cfd_wait_s.Add(task.wait_s);
-                    metrics_.cfd_runtime_s.Add(task.runtime_s);
-                    // The job already ran in virtual time; reconstruct its
-                    // span from the pilot's wait/runtime accounting.
-                    const int64_t end_us = sim_.Now().micros();
-                    const int64_t start_us =
-                        submit_us + static_cast<int64_t>(task.wait_s * 1e6);
-                    const obs::TraceContext job = tracer_.RecordSpan(
-                        obs::SpanName::kHpcCfd, decision, submit_us, end_us);
-                    tracer_.AnnotateDouble(job, "wait_s", task.wait_s);
-                    tracer_.AnnotateInt(job, "nodes", task.nodes_used);
-                    tracer_.Annotate(job, "warm_pilot",
-                                     task.ran_in_warm_pilot ? "true" : "false");
-                    tracer_.RecordSpan(obs::SpanName::kCfdSolve, job, start_us,
-                                       end_us);
-                    // Queue wait (pilot_submit -> cfd_start) and solve
-                    // (cfd_start -> cfd_end) from the same accounting
-                    // that reconstructs the spans above.
-                    ledger_.Stamp(decision.trace_id,
-                                  obs::slo::Stage::kCfdStart, start_us);
-                    ledger_.Stamp(decision.trace_id, obs::slo::Stage::kCfdEnd,
-                                  end_us);
-                    CfdResult result = ExecuteCfd(alert_time_s, boundary);
-                    result.complete_time_s = sim_.Now().seconds();
-                    StoreResult(result, job);
-                  });
+        const TelemetryFrame& f = frame.value();
+        const int64_t submit_us = sim_.Now().micros();
+        ledger_.Stamp(decision.trace_id, obs::slo::Stage::kPilotSubmit,
+                      submit_us);
+        if (site_detector_.SuspectAt(submit_us)) {
+          // Bridge the gap with the last result while the (slower)
+          // failover path produces a fresh one.
+          ServeStaleAdvisories("primary site suspected");
+          if (failover_pilot_ != nullptr &&
+              !degraded_.active(resil::DegradedMode::kSiteFailover)) {
+            degraded_.Enter(resil::DegradedMode::kSiteFailover, submit_us,
+                            "primary site suspected");
+            ++metrics_.site_failovers;
+          }
+        }
+        PlacementPilot(submit_us).SubmitTask(
+            data_bytes,
+            [this, alert_time_s, decision, submit_us,
+             boundary = serve::FieldConditions{
+                 f.exterior_wind_ms, f.exterior_dir_deg, f.exterior_temp_c,
+                 f.exterior_humidity_pct}](const pilot::TaskResult& task) {
+              metrics_.cfd_wait_s.Add(task.wait_s);
+              metrics_.cfd_runtime_s.Add(task.runtime_s);
+              // The job already ran in virtual time; reconstruct its span
+              // from the pilot's wait/runtime accounting.
+              const int64_t end_us = sim_.Now().micros();
+              const int64_t start_us =
+                  submit_us + static_cast<int64_t>(task.wait_s * 1e6);
+              const obs::TraceContext job = tracer_.RecordSpan(
+                  obs::SpanName::kHpcCfd, decision, submit_us, end_us);
+              tracer_.AnnotateDouble(job, "wait_s", task.wait_s);
+              tracer_.AnnotateInt(job, "nodes", task.nodes_used);
+              tracer_.Annotate(job, "warm_pilot",
+                               task.ran_in_warm_pilot ? "true" : "false");
+              tracer_.RecordSpan(obs::SpanName::kCfdSolve, job, start_us,
+                                 end_us);
+              // Queue wait (pilot_submit -> cfd_start) and solve
+              // (cfd_start -> cfd_end) from the same accounting that
+              // reconstructs the spans above.
+              ledger_.Stamp(decision.trace_id, obs::slo::Stage::kCfdStart,
+                            start_us);
+              ledger_.Stamp(decision.trace_id, obs::slo::Stage::kCfdEnd,
+                            end_us);
+              StoreResult(ExecuteCfd(alert_time_s, boundary), job);
             });
       });
 }
 
-void Fabric::AbandonEscalation(const obs::TraceContext& decision) {
-  cfd_in_flight_ = false;
-  tracer_.EndSpan(decision);
-  ServeStaleAdvisories("boundary fetch failed");
-  ledger_.Close(decision.trace_id, obs::slo::CloseReason::kFailed);
-}
-
-bool Fabric::LaunchServeCfd(
-    const serve::FieldConditions& conditions,
-    std::function<void(std::vector<uint8_t>, int64_t)> done) {
-  // Synthesize the boundary frame the solver needs from the requested
-  // conditions (the serve tier's key is exactly the CFD boundary inputs).
-  TelemetryFrame boundary;
-  boundary.time_s = sim_.Now().seconds();
-  boundary.exterior_wind_ms = conditions.wind_ms;
-  boundary.exterior_dir_deg = conditions.dir_deg;
-  boundary.exterior_temp_c = conditions.temp_c;
-  boundary.exterior_humidity_pct = conditions.humidity_pct;
-  const double alert_time_s = boundary.time_s;
-  const double data_bytes = static_cast<double>(boundary.WireBytes());
-
-  const bool accepted = PlacementPilot(sim_.Now().micros()).TrySubmitTask(
-      data_bytes,
-      [this, alert_time_s, boundary,
-       done = std::move(done)](const pilot::TaskResult&) {
-        CfdResult result = ExecuteCfd(alert_time_s, boundary);
-        result.complete_time_s = sim_.Now().seconds();
-        ++metrics_.serve_cfd_runs;
-        done(SerializeResult(result), sim_.Now().micros());
-      });
-  if (!accepted) ++metrics_.serve_cfd_rejected;
-  return accepted;
-}
-
 CfdResult Fabric::ExecuteCfd(double alert_time_s,
-                             const TelemetryFrame& boundary) {
+                             const serve::FieldConditions& boundary) {
   CfdResult result;
   result.trigger_time_s = alert_time_s;
-  result.boundary_wind_ms = boundary.exterior_wind_ms;
-  result.boundary_dir_deg = boundary.exterior_dir_deg;
-  result.boundary_temp_c = boundary.exterior_temp_c;
-  result.spray_advisory_ok = boundary.exterior_wind_ms < 2.5;
+  result.boundary_wind_ms = boundary.wind_ms;
+  result.boundary_dir_deg = boundary.dir_deg;
+  result.boundary_temp_c = boundary.temp_c;
+  result.spray_advisory_ok = boundary.wind_ms < 2.5;
 
+  // kFull runs the solver; kModeled attenuates the wind by the screen.
+  cfd::CfdCase cfd_case;
+  std::optional<cfd::Mesh> mesh;
+  std::optional<cfd::Solver> solver;
   if (config_.cfd_mode == CfdMode::kFull) {
     // Preprocessing: generate the case file from telemetry and parse it
     // back (the input-deck pipeline the pilot runs before the solver).
-    cfd::CfdCase generated;
-    generated.mesh = config_.cfd_mesh;
-    generated.steps = config_.cfd_steps;
-    generated.boundary = cfd::BoundaryFromTelemetry(
-        boundary.exterior_wind_ms, boundary.exterior_dir_deg,
-        boundary.exterior_temp_c,
-        boundary.exterior_temp_c + config_.cups.greenhouse_temp_c);
-    Result<cfd::CfdCase> parsed = cfd::ParseCase(cfd::FormatCase(generated));
+    cfd_case.mesh = config_.cfd_mesh;
+    cfd_case.steps = config_.cfd_steps;
+    cfd_case.boundary = cfd::BoundaryFromTelemetry(
+        boundary.wind_ms, boundary.dir_deg, boundary.temp_c,
+        boundary.temp_c + config_.cups.greenhouse_temp_c);
+    Result<cfd::CfdCase> parsed = cfd::ParseCase(cfd::FormatCase(cfd_case));
     XG_INVARIANT(parsed.ok(), "the fabric's own CFD case does not parse: " +
                                   parsed.status().ToString());
-    const cfd::CfdCase cfd_case = parsed.ok() ? parsed.take() : generated;
-    cfd::Mesh mesh(cfd_case.mesh);
-    cfd::Solver solver(mesh, cfd_case.solver);
-    solver.Initialize(cfd_case.boundary);
-    solver.Run(cfd_case.steps);
-    result.interior_mean_speed_ms = solver.InteriorMeanSpeed();
-    result.interior_mean_temp_c = solver.InteriorMeanTemperature();
-    const auto& mp = cfd_case.mesh;
-    for (const auto& st : cups_->stations()) {
-      if (!st.interior()) continue;
+    if (parsed.ok()) cfd_case = parsed.take();
+    mesh.emplace(cfd_case.mesh);
+    solver.emplace(*mesh, cfd_case.solver);
+    solver->Initialize(cfd_case.boundary);
+    solver->Run(cfd_case.steps);
+    result.interior_mean_speed_ms = solver->InteriorMeanSpeed();
+    result.interior_mean_temp_c = solver->InteriorMeanTemperature();
+  } else {
+    result.interior_mean_speed_ms =
+        boundary.wind_ms * config_.cups.screen_wind_factor;
+    result.interior_mean_temp_c =
+        boundary.temp_c + config_.cups.greenhouse_temp_c;
+  }
+  const auto& mp = cfd_case.mesh;
+  result.predictions.reserve(cups_->stations().size());
+  for (const auto& st : cups_->stations()) {
+    if (!st.interior()) continue;
+    StationPrediction& p = result.predictions.emplace_back();
+    p.station_id = st.id();
+    p.wind_speed_ms = result.interior_mean_speed_ms;
+    p.temperature_c = result.interior_mean_temp_c;
+    if (solver.has_value()) {
       // Map facility coordinates into the solver's domain frame.
       const double mx = mp.house_x0 + st.x() / config_.cups.length_m *
                                           (mp.house_x1 - mp.house_x0);
       const double my = mp.house_y0 + st.y() / config_.cups.width_m *
                                           (mp.house_y1 - mp.house_y0);
-      StationPrediction p;
-      p.station_id = st.id();
-      p.wind_speed_ms = solver.SpeedAtPoint(mx, my, 2.0);
-      p.temperature_c = solver.TemperatureAtPoint(mx, my, 2.0);
-      result.predictions.push_back(p);
-    }
-  } else {
-    // Modeled interior: screen attenuation applied to the boundary wind.
-    result.interior_mean_speed_ms =
-        boundary.exterior_wind_ms * config_.cups.screen_wind_factor;
-    result.interior_mean_temp_c =
-        boundary.exterior_temp_c + config_.cups.greenhouse_temp_c;
-    for (const auto& st : cups_->stations()) {
-      if (!st.interior()) continue;
-      StationPrediction p;
-      p.station_id = st.id();
-      p.wind_speed_ms = result.interior_mean_speed_ms;
-      p.temperature_c = result.interior_mean_temp_c;
-      result.predictions.push_back(p);
+      p.wind_speed_ms = solver->SpeedAtPoint(mx, my, 2.0);
+      p.temperature_c = solver->TemperatureAtPoint(mx, my, 2.0);
     }
   }
+  result.complete_time_s = sim_.Now().seconds();
   return result;
 }
 
-void Fabric::StoreResult(const CfdResult& result,
-                         const obs::TraceContext& trace) {
+void Fabric::StoreResult(CfdResult result, const obs::TraceContext& trace) {
   ++metrics_.cfd_runs_completed;
   const double response_s = result.complete_time_s - result.trigger_time_s;
   metrics_.alert_to_result_s.Add(response_s);
@@ -827,43 +775,30 @@ void Fabric::StoreResult(const CfdResult& result,
   cfd_in_flight_ = false;
   // A fresh result ends any stale-serving episode.
   degraded_.Exit(resil::DegradedMode::kStaleServe, sim_.Now().micros());
+  const std::optional<TelemetryFrame> latest = LatestFrame();
   // Feed the serving tier: an organic alert-driven run is the freshest
   // possible advisory for its boundary conditions, and it resolves any
   // not-yet-launched flight on the same quantized key (that run would be
   // redundant).
   if (advisory_server_ != nullptr) {
-    serve::FieldConditions cond;
-    cond.wind_ms = result.boundary_wind_ms;
-    cond.dir_deg = result.boundary_dir_deg;
-    cond.temp_c = result.boundary_temp_c;
-    const std::vector<TelemetryFrame> recent = RecentFrames(1);
-    cond.humidity_pct =
-        recent.empty() ? 50.0 : recent.back().exterior_humidity_pct;
+    const serve::FieldConditions cond{
+        result.boundary_wind_ms, result.boundary_dir_deg,
+        result.boundary_temp_c,
+        latest.has_value() ? latest->exterior_humidity_pct : 50.0};
     advisory_server_->Publish(cond, SerializeResult(result),
                               sim_.Now().micros());
   }
-
   // Decision support: each fresh simulation re-evaluates the intervention
   // advisories against the latest telemetry.
-  const std::vector<TelemetryFrame> latest = RecentFrames(1);
-  if (!latest.empty()) {
-    for (const Advisory& a : advisor_.Advise(result, latest.back())) {
-      switch (a.kind) {
-        case ActionKind::kSprayWindow: ++metrics_.spray_windows; break;
-        case ActionKind::kFrostAlert: ++metrics_.frost_alerts; break;
-        case ActionKind::kIrrigate: ++metrics_.irrigation_advisories; break;
-        default: break;
-      }
-      if (on_advisory) on_advisory(a);
-    }
-  }
+  if (latest.has_value()) EmitAdvisories(result, *latest, std::nullopt);
 
   cspot::AppendOptions opts;
   opts.trace = trace;
-  cspot_->RemoteAppend(nd_id_, ucsb_id_, result_log_,
-                       SerializeResult(result), opts,
-                       [this, result](Result<cspot::SeqNo> r,
-                                      const fault::FaultOutcome&) {
+  std::vector<uint8_t> payload = SerializeResult(result);
+  cspot_->RemoteAppend(nd_id_, ucsb_id_, result_log_, std::move(payload),
+                       opts,
+                       [this, result = std::move(result)](
+                           Result<cspot::SeqNo> r, const fault::FaultOutcome&) {
                          if (r.ok() && on_result) on_result(result);
                        });
 }
@@ -887,23 +822,15 @@ bool Fabric::ConfirmBreachAtRobot(bool via_patrol) {
   return true;
 }
 
-void Fabric::HandleSuspicion(const BreachSuspicion& suspicion) {
+void Fabric::HandleSuspicion(BreachSuspicion suspicion) {
   ++metrics_.breach_suspicions;
   if (!config_.dispatch_robot || robot_busy_) return;
-  robot_busy_ = true;
   ++metrics_.robot_dispatches;
-  auto report = robot_->Surveil(suspicion.x_m, suspicion.y_m);
-  if (!report.ok()) {
-    robot_busy_ = false;
-    return;
-  }
-  const BreachSuspicion suspicion_copy = suspicion;
-  sim_.Schedule(sim::SimTime::Seconds(report.value().total_time_s),
-                [this, suspicion_copy]() {
-                  robot_busy_ = false;
-                  const bool confirmed = ConfirmBreachAtRobot(false);
-                  if (on_breach) on_breach(suspicion_copy, confirmed);
-                });
+  const double x = suspicion.x_m, y = suspicion.y_m;
+  DispatchRobot(x, y, [this, suspicion = std::move(suspicion)] {
+    const bool confirmed = ConfirmBreachAtRobot(false);
+    if (on_breach) on_breach(suspicion, confirmed);
+  });
 }
 
 void Fabric::PatrolNextLeg() {
@@ -921,14 +848,22 @@ void Fabric::PatrolNextLeg() {
   };
   const auto& wp = waypoints[patrol_waypoint_ % 8];
   ++patrol_waypoint_;
-  auto report = robot_->Surveil(wp[0], wp[1]);
-  if (!report.ok()) return;
+  if (DispatchRobot(wp[0], wp[1], [this] { ConfirmBreachAtRobot(true); })) {
+    ++metrics_.patrol_legs;
+  }
+}
+
+bool Fabric::DispatchRobot(double x_m, double y_m,
+                           std::function<void()> arrived) {
+  auto report = robot_->Surveil(x_m, y_m);
+  if (!report.ok()) return false;
   robot_busy_ = true;
-  ++metrics_.patrol_legs;
-  sim_.Schedule(sim::SimTime::Seconds(report.value().total_time_s), [this]() {
-    robot_busy_ = false;
-    ConfirmBreachAtRobot(true);
-  });
+  sim_.Schedule(sim::SimTime::Seconds(report.value().total_time_s),
+                [this, arrived = std::move(arrived)] {
+                  robot_busy_ = false;
+                  arrived();
+                });
+  return true;
 }
 
 void Fabric::Run(double hours) {
@@ -942,26 +877,26 @@ void Fabric::Run(double hours) {
     }
   }
 
+  // A duty cycle that stops once the clock is past the horizon.
+  auto every = [this, horizon](double first_s, double period_s,
+                               std::function<void()> step) {
+    sim::Periodic(sim_, sim::SimTime::Seconds(first_s),
+                  sim::SimTime::Seconds(period_s),
+                  [this, horizon, step = std::move(step)] {
+                    if (sim_.Now() > horizon) return false;
+                    step();
+                    return true;
+                  });
+  };
   // Canary probes against the primary site: each start is a heartbeat into
   // the phi-accrual detector, so a stalled queue raises suspicion and a
   // moving one fails the fabric back from the batch site.
   if (config_.site_probes) {
-    sim::Periodic(sim_, sim::SimTime::Seconds(kSiteProbePeriodS),
-                  sim::SimTime::Seconds(kSiteProbePeriodS), [this, horizon]() {
-                    if (sim_.Now() > horizon) return false;
-                    SubmitSiteProbe();
-                    return true;
-                  });
+    every(kSiteProbePeriodS, kSiteProbePeriodS, [this] { SubmitSiteProbe(); });
   }
-
   if (config_.robot_patrol) {
-    sim::Periodic(sim_, sim::SimTime::Seconds(config_.patrol_period_s / 2.0),
-                  sim::SimTime::Seconds(config_.patrol_period_s),
-                  [this, horizon]() {
-                    if (sim_.Now() > horizon) return false;
-                    PatrolNextLeg();
-                    return true;
-                  });
+    every(config_.patrol_period_s / 2.0, config_.patrol_period_s,
+          [this] { PatrolNextLeg(); });
   }
 
   // Telemetry every reporting period. A reading published at the horizon
@@ -977,46 +912,26 @@ void Fabric::Run(double hours) {
                 });
 
   // Change detection at UCSB on the 30-minute duty cycle.
-  sim::Periodic(sim_, sim::SimTime::Seconds(config_.detect_period_s + 5.0),
-                sim::SimTime::Seconds(config_.detect_period_s),
-                [this, horizon]() {
-                  if (sim_.Now() > horizon) return false;
-                  RunDetectionCycle();
-                  return true;
-                });
+  every(config_.detect_period_s + 5.0, config_.detect_period_s,
+        [this] { RunDetectionCycle(); });
 
   // ND fetches the alert status on the same duty cycle, offset behind the
   // detector.
-  auto last_alert = std::make_shared<cspot::SeqNo>(cspot::kNoSeq);
-  sim::Periodic(
-      sim_, sim::SimTime::Seconds(config_.detect_period_s + 65.0),
-      sim::SimTime::Seconds(config_.detect_period_s),
-      [this, horizon, last_alert]() {
-        if (sim_.Now() > horizon) return false;
-        cspot_->RemoteLatestSeq(
-            nd_id_, ucsb_id_, alert_log_,
-            [this, last_alert](Result<cspot::SeqNo> latest) {
-              if (!latest.ok() || latest.value() == cspot::kNoSeq) return;
-              if (latest.value() <= *last_alert) return;
-              const cspot::SeqNo seq = latest.value();
-              cspot_->RemoteGet(
-                  nd_id_, ucsb_id_, alert_log_, seq,
-                  [this, last_alert, seq](Result<std::vector<uint8_t>> bytes) {
-                    if (!bytes.ok() ||
-                        bytes.value().size() < sizeof(AlertRecord)) {
-                      return;
-                    }
-                    *last_alert = seq;
-                    AlertRecord alert;
-                    std::memcpy(&alert, bytes.value().data(),
-                                sizeof(AlertRecord));
-                    TriggerCfd(alert.time_s, alert.data_bytes,
-                               obs::TraceContext{alert.trace_id,
-                                                 alert.span_id});
-                  });
-            });
-        return true;
-      });
+  every(config_.detect_period_s + 65.0, config_.detect_period_s, [this] {
+    FetchLatest(alert_log_, &last_alert_seq_,
+                [this](cspot::SeqNo seq, Result<std::vector<uint8_t>> bytes) {
+                  if (!bytes.ok() ||
+                      bytes.value().size() < sizeof(AlertRecord)) {
+                    return;
+                  }
+                  last_alert_seq_ = seq;
+                  AlertRecord alert;
+                  std::memcpy(&alert, bytes.value().data(),
+                              sizeof(AlertRecord));
+                  TriggerCfd(alert.time_s, alert.data_bytes,
+                             obs::TraceContext{alert.trace_id, alert.span_id});
+                });
+  });
 
   sim_.RunUntil(horizon);
   metrics_.pilot_idle_node_seconds = pilot_->idle_node_seconds();

@@ -82,9 +82,8 @@ struct FabricConfig {
   bool robot_patrol = false;
   double patrol_period_s = 3600.0;
   AdvisorConfig advisor;
-  /// Quality-control screening of station readings before they enter the
-  /// telemetry stream (rejects range/rate/stuck-sensor failures).
-  bool qc_enabled = true;
+  /// Quality-control limits for screening station readings before they
+  /// enter the telemetry stream (rejects range/rate/stuck-sensor failures).
   sensors::QcLimits qc;
   /// Observability switches (perfbench's obs.overhead_frac measures
   /// their cost).
@@ -167,13 +166,15 @@ class Fabric {
   void Run(double hours);
 
   /// Inject a screen breach (before or during Run via a scheduled call).
-  void ScheduleBreach(const sensors::BreachEvent& breach);
+  void ScheduleBreach(const sensors::BreachEvent& b) { cups_->AddBreach(b); }
 
   /// Schedule a weather front in the synthetic atmosphere.
-  void ScheduleFront(const sensors::FrontEvent& front);
+  void ScheduleFront(const sensors::FrontEvent& f) { atmosphere_->AddFront(f); }
 
   /// Inject a station fault (stuck sensor, dropout, spike window).
-  void ScheduleStationFault(const sensors::FaultWindow& fault);
+  void ScheduleStationFault(const sensors::FaultWindow& f) {
+    station_faults_->Add(f);
+  }
 
   const FabricMetrics& metrics() const { return metrics_; }
   const FabricConfig& config() const { return config_; }
@@ -233,43 +234,50 @@ class Fabric {
   /// its trace and budget as buffered.
   void ParkFrame(const obs::TraceContext& root,
                  const std::vector<uint8_t>& payload);
-  /// Enter store-and-forward (idempotent) and start the drain probes.
-  void EnterStoreForward(const std::string& detail);
   void ScheduleStoreForwardTick();
   /// One drain probe: try to append the oldest buffered frame; on success
   /// keep draining, on failure back off one probe period.
   void StoreForwardTick();
-  /// Account a frame delivered from the buffer (twin observe + metrics).
-  void ObserveStoredFrame(const std::vector<uint8_t>& payload, bool drained);
+  /// A frame stored at UCSB, live under `root` or drained untraced:
+  /// accounting, the twin, on_frame_stored and any breach suspicion.
+  void OnFrameStored(const TelemetryFrame& frame,
+                     const obs::TraceContext& root, bool drained);
   /// Re-issue advisories from the last CFD result while it is still inside
   /// its validity window (flagged stale); counts an expiry otherwise.
   void ServeStaleAdvisories(const std::string& reason);
+  /// `result`'s advisories to on_advisory: fresh ones count by kind, stale
+  /// ones (`stale_age_s` set) are flagged and carry their age.
+  void EmitAdvisories(const CfdResult& result, const TelemetryFrame& latest,
+                      std::optional<double> stale_age_s);
   /// Canary job against the primary site; its start is a detector heartbeat.
   void SubmitSiteProbe();
   /// The pilot CFD tasks go to at `now_us`: the failover pilot while the
   /// primary site is suspected and one is configured, else the primary.
   pilot::PilotController& PlacementPilot(int64_t now_us);
   void RunDetectionCycle();
-  /// serve::CfdLauncher backend: one bounded CFD refresh for the requested
-  /// conditions through the pilot tier (failover-aware). Returns false
-  /// when the bounded pending queue refuses the task.
-  bool LaunchServeCfd(const serve::FieldConditions& conditions,
-                      std::function<void(std::vector<uint8_t>, int64_t)> done);
   void TriggerCfd(double alert_time_s, double data_bytes,
                   obs::TraceContext trace);
-  /// The boundary frame for an escalation could not be fetched: free the
-  /// CFD slot, bridge with stale advisories, close the budget as failed.
-  void AbandonEscalation(const obs::TraceContext& decision);
-  CfdResult ExecuteCfd(double alert_time_s, const TelemetryFrame& boundary);
-  void StoreResult(const CfdResult& result, const obs::TraceContext& trace);
-  void HandleSuspicion(const BreachSuspicion& suspicion);
+  using FetchCallback =
+      sim::InlineFunction<void(cspot::SeqNo, Result<std::vector<uint8_t>>)>;
+  /// ND reads the newest record of a UCSB log (its seq, then the record);
+  /// fails when a read does or none is past `*after` (nullptr: any).
+  void FetchLatest(cspot::LogId log, const cspot::SeqNo* after,
+                   FetchCallback done);
+  CfdResult ExecuteCfd(double alert_time_s,
+                       const serve::FieldConditions& boundary);
+  void StoreResult(CfdResult result, const obs::TraceContext& trace);
+  void HandleSuspicion(BreachSuspicion suspicion);
   void PatrolNextLeg();
+  /// Send the robot to (x_m, y_m), `arrived` on arrival; false: no route.
+  bool DispatchRobot(double x_m, double y_m, std::function<void()> arrived);
   /// Shared breach check at the robot's current position; repairs and
   /// accounts a confirmed breach. Returns true when one was confirmed.
   bool ConfirmBreachAtRobot(bool via_patrol);
-  /// The telemetry log at UCSB.
-  const cspot::LogStorage& TelemetryLog() const;
-  std::vector<TelemetryFrame> RecentFrames(size_t n) const;
+  const cspot::LogStorage& TelemetryLog() const {  // at UCSB
+    return *cspot_->NodeAt(ucsb_id_)->Find(telemetry_log_);
+  }
+  /// The newest decodable frame in the telemetry log, if any.
+  std::optional<TelemetryFrame> LatestFrame() const;
 
   FabricConfig config_;
   sim::Simulation sim_;
@@ -314,6 +322,7 @@ class Fabric {
                 nd_id_ = cspot::kNoNode;
   cspot::LogId telemetry_log_, alert_log_, result_log_;
   obs::LabelId telemetry_client_label_ = 0;  ///< in tracer_'s label table
+  cspot::SeqNo last_alert_seq_ = cspot::kNoSeq;  ///< newest alert taken
   bool cfd_in_flight_ = false;
   bool robot_busy_ = false;
   size_t patrol_waypoint_ = 0;
@@ -327,7 +336,6 @@ class Fabric {
   bool sf_probe_inflight_ = false;
   /// Serving tier (null unless config_.serve.enabled).
   std::unique_ptr<serve::AdvisoryServer> advisory_server_;
-  Rng rng_;
 };
 
 }  // namespace xg::core

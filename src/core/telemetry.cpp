@@ -55,7 +55,7 @@ std::optional<FrameSummary> SummarizeFrame(std::span<const uint8_t> bytes) {
   return s;
 }
 
-Result<TelemetryFrame> DeserializeFrame(const std::vector<uint8_t>& bytes) {
+Result<TelemetryFrame> DeserializeFrame(std::span<const uint8_t> bytes) {
   TelemetryFrame f;
   size_t off = 0;
   uint32_t n = 0;
@@ -65,12 +65,11 @@ Result<TelemetryFrame> DeserializeFrame(const std::vector<uint8_t>& bytes) {
       !Take(bytes, off, f.exterior_humidity_pct) || !Take(bytes, off, n)) {
     return Status(ErrorCode::kInvalidArgument, "short telemetry frame");
   }
-  f.stations.resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    if (!Take(bytes, off, f.stations[i])) {
-      return Status(ErrorCode::kInvalidArgument, "truncated station block");
-    }
+  if (bytes.size() - off < n * sizeof(sensors::Reading)) {
+    return Status(ErrorCode::kInvalidArgument, "truncated station block");
   }
+  f.stations.resize(n);
+  for (sensors::Reading& r : f.stations) Take(bytes, off, r);
   return f;
 }
 
@@ -106,6 +105,8 @@ TelemetryFrame MakeFrame(std::vector<sensors::Reading> stations,
 
 std::vector<uint8_t> SerializeResult(const CfdResult& r) {
   std::vector<uint8_t> out;
+  out.reserve(7 * sizeof(double) + sizeof(uint8_t) + sizeof(uint32_t) +
+              r.predictions.size() * sizeof(StationPrediction));
   Put(out, r.trigger_time_s);
   Put(out, r.complete_time_s);
   Put(out, r.boundary_wind_ms);

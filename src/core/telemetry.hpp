@@ -34,7 +34,7 @@ struct TelemetryFrame {
 };
 
 std::vector<uint8_t> SerializeFrame(const TelemetryFrame& f);
-Result<TelemetryFrame> DeserializeFrame(const std::vector<uint8_t>& bytes);
+Result<TelemetryFrame> DeserializeFrame(std::span<const uint8_t> bytes);
 
 /// The change detector's view of a serialized frame, read in place without
 /// copying the station block.

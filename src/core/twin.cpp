@@ -15,13 +15,22 @@ void DigitalTwin::RegisterStation(int32_t id, double x_m, double y_m,
 }
 
 void DigitalTwin::UpdatePrediction(const CfdResult& result) {
-  predicted_.clear();
+  for (auto& [id, st] : stations_) st.predicted.reset();
   for (const StationPrediction& p : result.predictions) {
-    predicted_[p.station_id] = p.wind_speed_ms;
+    if (auto it = stations_.find(p.station_id); it != stations_.end()) {
+      it->second.predicted = p.wind_speed_ms;
+    }
   }
   prediction_boundary_wind_ = result.boundary_wind_ms;
-  have_prediction_ = true;
   ++updates_seen_;
+}
+
+std::map<int32_t, double> DigitalTwin::last_residual_sigma() const {
+  std::map<int32_t, double> residuals;
+  for (const auto& [id, st] : stations_) {
+    if (st.residual_sigma.has_value()) residuals[id] = *st.residual_sigma;
+  }
+  return residuals;
 }
 
 double DigitalTwin::CalibrationFor(int32_t station_id) const {
@@ -31,7 +40,7 @@ double DigitalTwin::CalibrationFor(int32_t station_id) const {
 
 std::optional<BreachSuspicion> DigitalTwin::Observe(
     const TelemetryFrame& frame) {
-  if (!have_prediction_) return std::nullopt;
+  if (updates_seen_ == 0) return std::nullopt;
   // Staleness guard: a prediction computed for meaningfully different
   // boundary conditions cannot arbitrate breaches; wait for the refresh.
   const double drift =
@@ -40,23 +49,7 @@ std::optional<BreachSuspicion> DigitalTwin::Observe(
                        config_.stale_rel_tolerance * prediction_boundary_wind_)) {
     return std::nullopt;
   }
-  // Refill the residual map from last frame's nodes: the same stations
-  // report every frame, so a steady-state frame allocates none.
-  std::map<int32_t, double> spare;
-  spare.swap(last_residual_sigma_);
-  auto set_residual = [this, &spare](int32_t id, double sigma) {
-    if (auto it = last_residual_sigma_.find(id);
-        it != last_residual_sigma_.end()) {
-      it->second = sigma;
-    } else if (spare.empty()) {
-      last_residual_sigma_.emplace(id, sigma);
-    } else {
-      auto node = spare.extract(spare.begin());
-      node.key() = id;
-      node.mapped() = sigma;
-      last_residual_sigma_.insert(std::move(node));
-    }
-  };
+  for (auto& [id, st] : stations_) st.residual_sigma.reset();
 
   const bool calibrating = !calibrated();
   std::vector<const StationInfo*> deviating;
@@ -65,11 +58,13 @@ std::optional<BreachSuspicion> DigitalTwin::Observe(
 
   for (const sensors::Reading& r : frame.stations) {
     auto sit = stations_.find(r.station_id);
-    if (sit == stations_.end() || !sit->second.interior) continue;
-    auto pit = predicted_.find(r.station_id);
-    if (pit == predicted_.end()) continue;
+    if (sit == stations_.end() || !sit->second.interior ||
+        !sit->second.predicted.has_value()) {
+      continue;
+    }
     StationInfo& st = sit->second;
-    const double predicted = std::max(pit->second, config_.prediction_floor_ms);
+    const double predicted =
+        std::max(*st.predicted, config_.prediction_floor_ms);
 
     if (calibrating) {
       // Learn measured/predicted during the healthy period.
@@ -87,7 +82,7 @@ std::optional<BreachSuspicion> DigitalTwin::Observe(
     const double expected = st.calibration * predicted;
     const double sigma =
         std::abs(r.wind_speed_ms - expected) / config_.noise_floor_ms;
-    set_residual(r.station_id, sigma);
+    st.residual_sigma = sigma;
     if (sigma <= config_.deviation_sigma && predicted > 1e-3) {
       // Healthy reading: keep the calibration tracking slow model drift
       // (the paper's "data calibrations ... necessary to maintain model

@@ -71,10 +71,9 @@ class DigitalTwin {
   /// learned.
   double CalibrationFor(int32_t station_id) const;
 
-  /// Most recent per-station residual in sigma units (diagnostics).
-  const std::map<int32_t, double>& last_residual_sigma() const {
-    return last_residual_sigma_;
-  }
+  /// Per-station residual in sigma units from the last frame observed
+  /// after calibration (diagnostics).
+  std::map<int32_t, double> last_residual_sigma() const;
 
  private:
   struct StationInfo {
@@ -83,15 +82,14 @@ class DigitalTwin {
     double calibration = 1.0;
     bool calibration_init = false;
     int deviation_streak = 0;
+    std::optional<double> predicted;  ///< wind from the latest result
+    std::optional<double> residual_sigma;  ///< from the last frame
   };
 
   TwinConfig config_;
   std::map<int32_t, StationInfo> stations_;
-  std::map<int32_t, double> predicted_;  ///< station id -> predicted wind
-  std::map<int32_t, double> last_residual_sigma_;
   double prediction_boundary_wind_ = 0.0;
-  int updates_seen_ = 0;
-  bool have_prediction_ = false;
+  int updates_seen_ = 0;  ///< results installed; none: no prediction yet
 };
 
 }  // namespace xg::core

@@ -4,22 +4,6 @@
 
 namespace xg::cspot {
 
-namespace {
-// FNV-1a, the standard 64-bit offset basis / prime.
-uint64_t Fnv1a64(uint64_t h, const void* data, size_t len) {
-  const auto* p = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-uint64_t Fnv1a64(uint64_t h, const std::string& s) {
-  return Fnv1a64(h, s.data(), s.size());
-}
-}  // namespace
-
 Replicator::Replicator(Runtime& rt, std::string src_node, std::string src_log,
                        std::string dst_node, std::string dst_log,
                        AppendOptions options)
@@ -55,14 +39,11 @@ uint64_t Replicator::TokenFor(SeqNo src_seq,
   // power loss truncates the tail, a *new* payload can legitimately reuse
   // a truncated seq. Seq-only tokens would dedup it against the dead
   // element's ack; payload-hashed tokens only dedup true re-ships.
-  uint64_t h = 0xcbf29ce484222325ull;
-  h = Fnv1a64(h, src_node_);
-  h = Fnv1a64(h, src_log_);
-  h = Fnv1a64(h, dst_node_);
-  h = Fnv1a64(h, dst_log_);
-  h = Fnv1a64(h, &src_seq, sizeof(src_seq));
-  h = Fnv1a64(h, payload.data(), payload.size());
-  return h == 0 ? 1 : h;  // 0 means "mint me a token" to the runtime
+  uint64_t h = StableToken(&src_seq, sizeof(src_seq));
+  for (const std::string* s : {&src_node_, &src_log_, &dst_node_, &dst_log_}) {
+    h = StableToken(s->data(), s->size(), h);
+  }
+  return StableToken(payload.data(), payload.size(), h);
 }
 
 void Replicator::MarkAcked(SeqNo src_seq) {

@@ -1,11 +1,25 @@
 #include "cspot/runtime.hpp"
 
+#include <cstring>
 #include <type_traits>
 #include <utility>
 
 #include "common/contract.hpp"
 
 namespace xg::cspot {
+
+uint64_t StableToken(const void* data, size_t size, uint64_t h) {
+  constexpr uint64_t kPrime = 0x100000001b3ull;
+  const auto* bytes = static_cast<const uint8_t*>(data);
+  size_t i = 0;
+  for (; i + sizeof(uint64_t) <= size; i += sizeof(uint64_t)) {
+    uint64_t word;
+    std::memcpy(&word, bytes + i, sizeof(word));
+    h = (h ^ word) * kPrime;
+  }
+  for (; i < size; ++i) h = (h ^ bytes[i]) * kPrime;
+  return h == 0 ? 1 : h;
+}
 
 struct Runtime::AppendOp {
   NodeId client = kNoNode, host = kNoNode;
@@ -575,8 +589,11 @@ void Runtime::FinishAttempt(AppendOp& op, Result<SeqNo> result,
 
 template <typename T, typename Read>
 void Runtime::RemoteRead(NodeId c, NodeId h, LogId log,
-                         std::function<void(Result<T>)> done, Read read) {
-  auto cb = std::make_shared<std::function<void(Result<T>)>>(std::move(done));
+                         sim::InlineFunction<void(Result<T>)> done,
+                         Read read) {
+  // Shared: a duplicated delivery runs the completion twice.
+  auto cb =
+      std::make_shared<sim::InlineFunction<void(Result<T>)>>(std::move(done));
   // Server-side reply sends are (void): a lost reply simply leaves the
   // caller without a callback, exactly as a lost datagram would.
   const Status sent =
@@ -584,19 +601,23 @@ void Runtime::RemoteRead(NodeId c, NodeId h, LogId log,
         Node* node = NodeAt(h);
         if (!node->up()) return;
         const LogStorage* storage = node->Find(log);
-        if (storage == nullptr) {
-          (void)wan_.Send(h, c, params_.control_bytes,
-                          [cb, missing = "no log " + node->LogName(log)]() {
-                            (*cb)(Status(ErrorCode::kNotFound, missing));
-                          });
+        Result<T> r = storage != nullptr
+                          ? read(*storage)
+                          : Status(ErrorCode::kNotFound,
+                                   "no log " + node->LogName(log));
+        size_t bytes = params_.control_bytes;
+        if (!r.ok()) {
+          (void)wan_.Send(h, c, bytes, [cb, s = r.status()]() { (*cb)(s); });
           return;
         }
-        Result<T> r = read(*storage);
-        size_t bytes = params_.control_bytes;
-        if constexpr (!std::is_same_v<T, SeqNo>) {
-          bytes += r.ok() ? r.value().size() : 0;
-        }
-        (void)wan_.Send(h, c, bytes, [cb, r = std::move(r)]() { (*cb)(r); });
+        if constexpr (!std::is_same_v<T, SeqNo>) bytes += r.value().size();
+        auto reply = [cb, v = r.take()]() {
+          Result<T> result(v);  // gcc 12 + ASan warn on a temporary here
+          (*cb)(std::move(result));
+        };
+        static_assert(sizeof(reply) <= sim::Callback::kInlineBytes,
+                      "a read reply fits the event's inline buffer");
+        (void)wan_.Send(h, c, bytes, std::move(reply));
       });
   if (!sent.ok()) {
     sim_.Schedule(sim::SimTime::Millis(0.0), [cb, sent]() { (*cb)(sent); });

@@ -57,6 +57,11 @@ struct AppendOptions {
   uint64_t idem_token = 0;
 };
 
+/// A stable, nonzero idempotence token for bytes a caller may re-ship:
+/// FNV-1a over 8-byte words, then the tail, continued from `h`.
+uint64_t StableToken(const void* data, size_t size,
+                     uint64_t h = 0xcbf29ce484222325ull);
+
 struct RuntimeParams {
   double storage_ms = 0.2;       ///< persistent append time at the host
   double handler_delay_ms = 0.5; ///< dispatch delay before a handler runs
@@ -138,8 +143,9 @@ class XG_SIM_THREAD_CONFINED Runtime {
   /// failure-surface outcome (attempt count, dedup absorption).
   using AppendCallback =
       sim::InlineFunction<void(Result<SeqNo>, const fault::FaultOutcome&)>;
-  using ReadCallback = std::function<void(Result<std::vector<uint8_t>>)>;
-  using SeqCallback = std::function<void(Result<SeqNo>)>;
+  using ReadCallback =
+      sim::InlineFunction<void(Result<std::vector<uint8_t>>)>;
+  using SeqCallback = sim::InlineFunction<void(Result<SeqNo>)>;
 
   /// Asynchronous remote append (two-phase protocol, retry + dedup).
   /// `done` fires exactly once, in virtual time. Both nodes must exist.
@@ -192,7 +198,7 @@ class XG_SIM_THREAD_CONFINED Runtime {
                     const std::vector<uint8_t>& payload);
   template <typename T, typename Read>
   void RemoteRead(NodeId client, NodeId host, LogId log,
-                  std::function<void(Result<T>)> done, Read read);
+                  sim::InlineFunction<void(Result<T>)> done, Read read);
 
   sim::Simulation& sim_;
   Wan wan_;

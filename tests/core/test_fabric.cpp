@@ -246,20 +246,6 @@ TEST(FabricFaults, SpikesAreScreenedByQc) {
   EXPECT_LT(fabric.latest_result()->boundary_wind_ms, 20.0);
 }
 
-TEST(FabricFaults, QcCanBeDisabled) {
-  FabricConfig cfg;
-  cfg.seed = 24;
-  cfg.qc_enabled = false;
-  Fabric fabric(cfg);
-  sensors::FaultWindow fault;
-  fault.station_id = 7;
-  fault.kind = sensors::FaultKind::kSpike;
-  fault.start_s = 0.0;
-  fabric.ScheduleStationFault(fault);
-  fabric.Run(2.0);
-  EXPECT_EQ(fabric.metrics().qc_rejected_readings, 0u);
-}
-
 }  // namespace
 }  // namespace xg::core
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 namespace xg::core {
 namespace {
 
@@ -48,7 +50,14 @@ TEST(TelemetryFrame, TruncatedBufferRejected) {
   auto bytes = SerializeFrame(f);
   bytes.resize(bytes.size() - 10);
   EXPECT_FALSE(DeserializeFrame(bytes).ok());
-  EXPECT_FALSE(DeserializeFrame({1, 2, 3}).ok());
+  EXPECT_FALSE(DeserializeFrame(std::vector<uint8_t>{1, 2, 3}).ok());
+  // A header claiming ~4G stations over an empty block fails before the
+  // station vector is sized.
+  bytes = SerializeFrame(TelemetryFrame{});
+  const uint32_t huge = 0xFFFFFFFFu;
+  std::memcpy(bytes.data() + 5 * sizeof(double), &huge, sizeof(huge));
+  EXPECT_FALSE(DeserializeFrame(bytes).ok());
+  EXPECT_FALSE(SummarizeFrame(bytes).has_value());
 }
 
 TEST(TelemetryFrame, FitsStandardLogElement) {
